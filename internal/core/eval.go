@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 
+	"crowdsky/internal/bitset"
 	"crowdsky/internal/telemetry"
 )
 
@@ -21,8 +22,8 @@ import (
 // pairs for the parallel ones) and calls next again.
 type tupleEval struct {
 	t    int
-	ds   []int  // current dominating set, shrinking as probing resolves dominance
-	inDS []bool // membership mask for ds, indexed by tuple
+	ds   []int      // current dominating set, shrinking as probing resolves dominance
+	inDS bitset.Set // membership mask for ds, indexed by tuple
 
 	probe   []pair // P3 probing questions, most important first
 	probeAt int
@@ -60,7 +61,7 @@ func newTupleEval(ss *session, t int, ds []int, opts Options, nonSkyline []bool)
 		_, s := telemetry.StartSpan(qctx, ss.trace, name)
 		return s
 	}
-	te := &tupleEval{t: t, inDS: make([]bool, ss.d.N())}
+	te := &tupleEval{t: t, inDS: bitset.New(ss.d.N())}
 	var p1span *telemetry.Span
 	if opts.P1 {
 		p1span = phase("p1")
@@ -70,7 +71,7 @@ func newTupleEval(ss *session, t int, ds []int, opts Options, nonSkyline []bool)
 			continue
 		}
 		te.ds = append(te.ds, s)
-		te.inDS[s] = true
+		te.inDS.Add(s)
 	}
 	if ss.trace != nil && opts.P1 && len(te.ds) < len(ds) {
 		ss.trace.Emit(telemetry.P1Prune(t, len(ds), len(te.ds)))
@@ -126,7 +127,7 @@ func (te *tupleEval) reduceToACSkyline(ss *session) {
 			}
 		}
 		if dominated {
-			te.inDS[u] = false
+			te.inDS.Remove(u)
 		} else {
 			keep = append(keep, u)
 		}
@@ -136,10 +137,10 @@ func (te *tupleEval) reduceToACSkyline(ss *session) {
 
 // remove drops tuple u from the dominating set.
 func (te *tupleEval) remove(u int) {
-	if !te.inDS[u] {
+	if !te.inDS.Has(u) {
 		return
 	}
-	te.inDS[u] = false
+	te.inDS.Remove(u)
 	keep := te.ds[:0]
 	for _, s := range te.ds {
 		if s != u {
@@ -154,7 +155,7 @@ func (te *tupleEval) remove(u int) {
 func (te *tupleEval) remainingAfter() int {
 	count := 0
 	for i := te.askAt + 1; i < len(te.ds); i++ {
-		if te.inDS[te.ds[i]] {
+		if te.inDS.Has(te.ds[i]) {
 			count++
 		}
 	}
@@ -172,7 +173,7 @@ func (te *tupleEval) next(ss *session) (p pair, ok bool) {
 	for te.probeAt < len(te.probe) {
 		pr := te.probe[te.probeAt]
 		// Skip pairs whose members were already pruned away.
-		if !te.inDS[pr.a()] || !te.inDS[pr.b()] {
+		if !te.inDS.Has(pr.a()) || !te.inDS.Has(pr.b()) {
 			te.probeAt++
 			continue
 		}
@@ -204,7 +205,7 @@ func (te *tupleEval) next(ss *session) (p pair, ok bool) {
 	// dominator with s ⪯AC t completes t as a non-skyline tuple.
 	for te.askAt < len(te.ds) {
 		s := te.ds[te.askAt]
-		if !te.inDS[s] {
+		if !te.inDS.Has(s) {
 			te.askAt++
 			continue
 		}

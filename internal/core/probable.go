@@ -108,7 +108,7 @@ func CrowdSkyProbabilistic(d *dataset.Dataset, pf crowd.Platform, opts Options) 
 // tuple has survived and how many are unresolved.
 func (te *tupleEval) tally(ss *session) (survived, unresolved int) {
 	for _, s := range te.ds {
-		if !te.inDS[s] {
+		if !te.inDS.Has(s) {
 			continue
 		}
 		switch {

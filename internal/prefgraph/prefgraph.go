@@ -3,10 +3,11 @@
 // attributes, learned one crowd answer at a time.
 //
 // Each tuple is a node. A strict preference s ≺ t inserts an edge s → t;
-// reachability (maintained as a bit-set transitive closure in both
-// directions) answers "is s preferred over t?" including everything
+// reachability answers "is s preferred over t?" including everything
 // inferable by transitivity — the machinery behind pruning P2 (Corollary 2)
-// and P3 (Section 3.4). Ternary "equally preferred" answers merge nodes
+// and P3 (Section 3.4). Each class keeps its descendants as a bit-set row,
+// so every query is O(1). Ancestors are not stored: an insertion finds the
+// ones it changes by a pruned reverse search over the answered edges. Ternary "equally preferred" answers merge nodes
 // into equivalence classes via union–find, so a preference recorded for
 // either member holds for both.
 //
@@ -17,11 +18,7 @@
 // false-preference propagation.
 package prefgraph
 
-import (
-	"math/bits"
-
-	"crowdsky/internal/bitset"
-)
+import "crowdsky/internal/bitset"
 
 // Relation is the known relationship between an ordered pair of nodes.
 type Relation int8
@@ -62,52 +59,72 @@ type Graph struct {
 	rank   []int
 
 	// reach[r] for a class representative r: bit set of representatives
-	// strictly less preferred than r (descendants). coreach[r]: strictly
-	// more preferred (ancestors). Bits are kept representative-canonical:
-	// after a union the surviving representative's bit is added wherever
-	// the absorbed one's appears; stale bits of absorbed representatives
-	// are never queried because lookups always canonicalize first.
-	reach   []bitset.Set
-	coreach []bitset.Set
+	// strictly less preferred than r (descendants). Bits are kept
+	// representative-canonical: after a union the surviving representative's
+	// bit is added wherever the absorbed one's appears; stale bits of
+	// absorbed representatives are never queried because lookups always
+	// canonicalize first.
+	reach []bitset.Set
+
+	// The answered edges, kept so AddPrefer/AddEqual can find a class's
+	// ancestors without an ancestor closure: inHead[r] is the first of
+	// r's in-edges in arena (-1 for none), chained through next. Sources
+	// are stored as they were when the edge was accepted and canonicalized
+	// on read. Only edges that added to the closure are recorded.
+	inHead []int32
+	arena  []inEdge
+
+	// Scratch for the reverse search, sized at New: a node is pushed at
+	// most once per search, so n stack slots suffice. seen marks the
+	// ancestors a merge has already visited.
+	stack []int32
+	seen  bitset.Set
 
 	edges          int // accepted strict-preference insertions
 	unions         int // accepted equality insertions
 	contradictions int // dropped answers that conflicted with T
 }
 
-// New creates an empty preference graph over nodes 0..n-1. The 2n
-// closure rows are carved from a single arena (and parent/rank share one
-// backing array), so a graph costs O(1) allocations however many nodes
-// it has, and rows sit adjacent in the order the propagation loops walk
-// them.
+// inEdge is one answered edge src → (the class whose in-list holds it).
+type inEdge struct {
+	src, next int32
+}
+
+// New creates an empty preference graph over nodes 0..n-1. The n closure
+// rows and the search's seen row are carved from a single arena, and the
+// edge arena is pre-sized to n edges, so a graph costs O(1) allocations
+// however many nodes it has.
 func New(n int) *Graph {
 	pr := make([]int, 2*n)
-	rows := bitset.Carve(2*n, n)
+	heads := make([]int32, 2*n)
+	rows := bitset.Carve(n+1, n)
 	g := &Graph{
-		n:       n,
-		parent:  pr[:n:n],
-		rank:    pr[n:],
-		reach:   rows[:n],
-		coreach: rows[n:],
+		n:      n,
+		parent: pr[:n:n],
+		rank:   pr[n:],
+		reach:  rows[:n],
+		seen:   rows[n],
+		inHead: heads[:n:n],
+		stack:  heads[n:],
+		arena:  make([]inEdge, 0, n),
 	}
-	for i := 0; i < n; i++ {
-		g.parent[i] = i
-	}
+	g.Reset()
 	return g
 }
 
 // Reset returns the graph to its freshly-built empty state without
-// releasing the arena: every closure row is zeroed and every node is its
-// own class again. Sessions that serve rounds against a fixed dataset
-// reuse one graph per crowd attribute this way instead of reallocating
-// 2n bit rows per run.
+// releasing its storage: every closure row is zeroed, every node is its
+// own class again and the edge arena is truncated. Sessions that serve
+// rounds against a fixed dataset reuse one graph per crowd attribute this
+// way instead of reallocating n bit rows per run.
 func (g *Graph) Reset() {
 	for i := 0; i < g.n; i++ {
 		g.parent[i] = i
 		g.rank[i] = 0
 		g.reach[i].Clear()
-		g.coreach[i].Clear()
+		g.inHead[i] = -1
 	}
+	g.arena = g.arena[:0]
 	g.edges, g.unions, g.contradictions = 0, 0, 0
 }
 
@@ -164,10 +181,6 @@ func (g *Graph) Comparable(s, t int) bool { return g.Known(s, t) != Unknown }
 // over s); the contradiction is counted and the graph is unchanged. Adding
 // an already-known preference is a no-op returning true.
 //
-// The propagation loops iterate the bit words directly rather than going
-// through ForEach: a closure over (g, v, down) would be re-created — and
-// heap-allocated — on every insertion, on the per-answer hot path.
-//
 //skylint:hotpath
 func (g *Graph) AddPrefer(s, t int) bool {
 	u, v := g.find(s), g.find(t)
@@ -179,52 +192,14 @@ func (g *Graph) AddPrefer(s, t int) bool {
 		return true // already known
 	}
 	g.edges++
-	// Descendants of v (plus v) become reachable from u and every ancestor
-	// of u; ancestors of u (plus u) become co-reachable from v and every
-	// descendant of v.
-	down := g.reach[v]
-	up := g.coreach[u]
-
-	g.extendDown(u, v, down)
-	for wi, w := range up {
-		for w != 0 {
-			a := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			g.extendDown(a, v, down)
-		}
-	}
-
-	g.extendUp(v, u, up)
-	for wi, w := range down {
-		for w != 0 {
-			d := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			g.extendUp(d, u, up)
-		}
-	}
+	//skylint:alloc-ok the arena is pre-sized to n edges; past that it doubles, amortized O(1) per accepted answer
+	g.arena = append(g.arena, inEdge{src: int32(u), next: g.inHead[v]})
+	g.inHead[v] = int32(len(g.arena) - 1)
+	// v and its descendants become reachable from u and from every
+	// ancestor of u that does not reach v yet.
+	g.reach[u].OrPlus(g.reach[v], v)
+	g.raise(u, v, nil)
 	return true
-}
-
-// extendDown makes v and its descendants (down) reachable from a: one
-// fused word pass over the row instead of Add-then-Or touching it twice.
-//
-//skylint:hotpath
-func (g *Graph) extendDown(a, v int, down bitset.Set) {
-	r := g.reach[a]
-	if !r.Has(v) {
-		r.OrPlus(down, v)
-	}
-}
-
-// extendUp makes u and its ancestors (up) co-reachable from d, fused
-// like extendDown.
-//
-//skylint:hotpath
-func (g *Graph) extendUp(d, u int, up bitset.Set) {
-	c := g.coreach[d]
-	if !c.Has(u) {
-		c.OrPlus(up, u)
-	}
 }
 
 // AddEqual records the crowd answer "s and t are equally preferred",
@@ -253,32 +228,61 @@ func (g *Graph) AddEqual(s, t int) bool {
 	}
 	g.parent[l] = r
 
-	// The merged class inherits both reach sets in both directions.
+	// The merged class inherits both descendant sets and both in-lists.
 	g.reach[r].Or(g.reach[l])
-	g.coreach[r].Or(g.coreach[l])
-
-	// Canonicalize: wherever the absorbed representative appears as a bit,
-	// the surviving one must appear too, and the neighbors must see the
-	// merged closure. Ancestors of the class gain r's descendants;
-	// descendants gain r's ancestors. Unconditionally — a neighbor that
-	// already saw r still needs the bits just inherited from l — and
-	// word-wise for the same reason as AddPrefer: no per-merge closure
-	// allocations.
-	for wi, w := range g.coreach[r] {
-		for w != 0 {
-			a := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			g.reach[a].OrPlus(g.reach[r], r)
+	if h := g.inHead[l]; h >= 0 {
+		e := h
+		for g.arena[e].next >= 0 {
+			e = g.arena[e].next
 		}
+		g.arena[e].next = g.inHead[r]
+		g.inHead[r] = h
+		g.inHead[l] = -1
 	}
-	for wi, w := range g.reach[r] {
-		for w != 0 {
-			d := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			g.coreach[d].OrPlus(g.coreach[r], r)
-		}
-	}
+	// Every ancestor of the merged class gains its descendants and r,
+	// unconditionally: an ancestor that already saw r still needs the bits
+	// just inherited from l, so the search cannot prune and marks visited
+	// ancestors in seen instead.
+	g.seen.Clear()
+	g.seen.Add(r)
+	g.raise(r, r, g.seen)
 	return true
+}
+
+// raise ORs reach[v]∪{v} into the ancestors of class x, found by walking
+// answered edges backwards from x. With seen == nil the search is pruned:
+// it stops at any predecessor that already reaches v, because by
+// transitivity all of that predecessor's ancestors reach v too, so it
+// updates exactly the ancestors that do not reach v yet. Otherwise every
+// ancestor is visited once, marked in seen.
+//
+// The edge walk iterates the arena directly rather than through a
+// callback: a closure over (g, v, seen) would be re-created — and
+// heap-allocated — on every insertion, on the per-answer hot path.
+//
+//skylint:hotpath
+func (g *Graph) raise(x, v int, seen bitset.Set) {
+	row := g.reach[v]
+	g.stack[0] = int32(x)
+	for top := 1; top > 0; {
+		top--
+		for e := g.inHead[g.stack[top]]; e >= 0; e = g.arena[e].next {
+			p := g.find(int(g.arena[e].src))
+			switch {
+			case seen == nil:
+				if g.reach[p].Has(v) {
+					continue
+				}
+			case seen.Has(p):
+				continue
+			default:
+				seen.Add(p)
+			}
+			g.reach[p].OrPlus(row, v)
+			g.stack[top] = int32(p)
+			top++
+		}
+	}
 }
 
 // Edges returns the number of accepted strict-preference insertions.

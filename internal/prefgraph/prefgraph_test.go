@@ -1,6 +1,7 @@
 package prefgraph
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -123,101 +124,21 @@ func TestEqualityMergeClosesOverBothSides(t *testing.T) {
 	}
 }
 
-// TestAgainstBruteForce compares the incremental closure against a
-// Floyd-Warshall-style reference on random edge sequences.
+// TestAgainstBruteForce compares the incremental closure against the
+// brute-force reference on random answer sequences.
 func TestAgainstBruteForce(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		const n = 12
-		g := New(n)
-		// Reference: rel[i][j] ∈ {0 unknown, 1 prefer}; equality modeled by
-		// a union-find of its own.
-		parent := make([]int, n)
-		for i := range parent {
-			parent[i] = i
-		}
-		var find func(int) int
-		find = func(x int) int {
-			if parent[x] != x {
-				parent[x] = find(parent[x])
-			}
-			return parent[x]
-		}
-		edges := make(map[[2]int]bool)
-		closure := func() [][]bool {
-			reach := make([][]bool, n)
-			for i := range reach {
-				reach[i] = make([]bool, n)
-			}
-			for e := range edges {
-				reach[find(e[0])][find(e[1])] = true
-			}
-			for k := 0; k < n; k++ {
-				for i := 0; i < n; i++ {
-					for j := 0; j < n; j++ {
-						if reach[i][find(k)] && reach[find(k)][j] {
-							reach[i][j] = true
-						}
-					}
-				}
-			}
-			return reach
-		}
+		g, ref := New(n), newRefGraph(n)
 		for step := 0; step < 60; step++ {
 			a, b := rng.Intn(n), rng.Intn(n)
 			if a == b {
 				continue
 			}
-			reach := closure()
-			if rng.Intn(4) == 0 {
-				// Try an equality.
-				ok := g.AddEqual(a, b)
-				wantOK := !reach[find(a)][find(b)] && !reach[find(b)][find(a)]
-				if find(a) == find(b) {
-					wantOK = true
-				}
-				if ok != wantOK {
-					return false
-				}
-				if wantOK && find(a) != find(b) {
-					// Union in the reference; redirect edges to the root.
-					ra, rb := find(a), find(b)
-					parent[rb] = ra
-					var newEdges = make(map[[2]int]bool)
-					for e := range edges {
-						newEdges[[2]int{find(e[0]), find(e[1])}] = true
-					}
-					edges = newEdges
-				}
-			} else {
-				ok := g.AddPrefer(a, b)
-				wantOK := find(a) != find(b) && !reach[find(b)][find(a)]
-				if ok != wantOK {
-					return false
-				}
-				if wantOK {
-					edges[[2]int{find(a), find(b)}] = true
-				}
-			}
-			// Spot-check a few random queries against the reference.
-			reach = closure()
-			for q := 0; q < 8; q++ {
-				x, y := rng.Intn(n), rng.Intn(n)
-				var want Relation
-				switch {
-				case find(x) == find(y):
-					want = Equal
-				case reach[find(x)][find(y)]:
-					want = Prefer
-				case reach[find(y)][find(x)]:
-					want = Defer
-				default:
-					want = Unknown
-				}
-				if g.Known(x, y) != want {
-					t.Logf("seed %d step %d: Known(%d,%d) = %v, want %v", seed, step, x, y, g.Known(x, y), want)
-					return false
-				}
+			if err := ref.step(g, rng.Intn(4) == 0, a, b); err != nil {
+				t.Logf("seed %d step %d: %v", seed, step, err)
+				return false
 			}
 		}
 		return true
@@ -225,6 +146,170 @@ func TestAgainstBruteForce(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzGraph drives Graph and the brute-force reference with the same
+// answer stream and checks them against each other after every answer.
+// The first byte picks n in [2, 200], so closure rows span up to four
+// words. Each further 3-byte group is one answer: bit 0 of the first byte
+// makes it an equality, bit 1 orients a preference from the lower index to
+// the higher (a stream consistent with a hidden order, which builds deep
+// chains rather than contradictions), and the next two bytes pick the
+// tuples.
+func FuzzGraph(f *testing.F) {
+	f.Add([]byte{11, 0, 1, 2, 1, 2, 3, 2, 0, 3, 3, 1, 3})
+	f.Add([]byte{198, 2, 0, 1, 2, 1, 2, 2, 2, 3, 2, 70, 130, 2, 190, 64, 1, 64, 130, 0, 199, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 2 + int(data[0])%199
+		g, ref := New(n), newRefGraph(n)
+		for k := 1; k+2 < len(data); k += 3 {
+			op, a, b := data[k], int(data[k+1])%n, int(data[k+2])%n
+			if op&2 != 0 && a > b {
+				a, b = b, a
+			}
+			if err := ref.step(g, op&1 != 0, a, b); err != nil {
+				t.Fatalf("n=%d answer %d: %v", n, k/3, err)
+			}
+		}
+	})
+}
+
+// refGraph is the brute-force reference for Graph: the accepted edges
+// between class representatives and a union–find of its own, with the
+// closure recomputed from scratch after every answer.
+type refGraph struct {
+	n      int
+	parent []int
+	edges  map[[2]int]bool
+	reach  [][]bool // reach[i][j]: representative i strictly preferred over j
+
+	accepted, unions, contradictions int
+}
+
+func newRefGraph(n int) *refGraph {
+	r := &refGraph{n: n, parent: make([]int, n), edges: make(map[[2]int]bool), reach: make([][]bool, n)}
+	for i := range r.parent {
+		r.parent[i] = i
+		r.reach[i] = make([]bool, n)
+	}
+	return r
+}
+
+func (r *refGraph) find(x int) int {
+	for r.parent[x] != x {
+		x = r.parent[x]
+	}
+	return x
+}
+
+// close recomputes reach from the edge set: a representative's row is
+// the union of its successors and their rows, filled depth-first with
+// memoization (the edge set is acyclic, so the recursion terminates).
+func (r *refGraph) close() {
+	succ := make([][]int, r.n)
+	for e := range r.edges {
+		succ[e[0]] = append(succ[e[0]], e[1])
+	}
+	done := make([]bool, r.n)
+	var fill func(i int)
+	fill = func(i int) {
+		if done[i] {
+			return
+		}
+		done[i] = true
+		row := r.reach[i]
+		for j := range row {
+			row[j] = false
+		}
+		for _, s := range succ[i] {
+			fill(s)
+			row[s] = true
+			for j, ok := range r.reach[s] {
+				row[j] = row[j] || ok
+			}
+		}
+	}
+	for i := 0; i < r.n; i++ {
+		fill(i)
+	}
+}
+
+func (r *refGraph) known(x, y int) Relation {
+	rx, ry := r.find(x), r.find(y)
+	switch {
+	case rx == ry:
+		return Equal
+	case r.reach[rx][ry]:
+		return Prefer
+	case r.reach[ry][rx]:
+		return Defer
+	default:
+		return Unknown
+	}
+}
+
+// apply records one answer and reports whether it is consistent with
+// what is already known. reach must be current.
+func (r *refGraph) apply(equal bool, a, b int) bool {
+	ra, rb := r.find(a), r.find(b)
+	if equal {
+		if ra == rb {
+			return true
+		}
+		if r.reach[ra][rb] || r.reach[rb][ra] {
+			r.contradictions++
+			return false
+		}
+		r.unions++
+		// Union in the reference; redirect edges to the root.
+		r.parent[rb] = ra
+		redirected := make(map[[2]int]bool, len(r.edges))
+		for e := range r.edges {
+			redirected[[2]int{r.find(e[0]), r.find(e[1])}] = true
+		}
+		r.edges = redirected
+		return true
+	}
+	if ra == rb || r.reach[rb][ra] {
+		r.contradictions++
+		return false
+	}
+	if !r.reach[ra][rb] {
+		r.accepted++
+		r.edges[[2]int{ra, rb}] = true
+	}
+	return true
+}
+
+// step applies one answer to g and to the reference, then checks the
+// return value, the three counters and Known over all pairs.
+func (r *refGraph) step(g *Graph, equal bool, a, b int) error {
+	var got bool
+	if equal {
+		got = g.AddEqual(a, b)
+	} else {
+		got = g.AddPrefer(a, b)
+	}
+	want := r.apply(equal, a, b)
+	r.close()
+	if got != want {
+		return fmt.Errorf("answer (equal=%v, %d, %d) accepted=%v, want %v", equal, a, b, got, want)
+	}
+	if g.Edges() != r.accepted || g.Unions() != r.unions || g.Contradictions() != r.contradictions {
+		return fmt.Errorf("counters edges/unions/contradictions = %d/%d/%d, want %d/%d/%d",
+			g.Edges(), g.Unions(), g.Contradictions(), r.accepted, r.unions, r.contradictions)
+	}
+	for x := 0; x < r.n; x++ {
+		for y := 0; y < r.n; y++ {
+			if got, want := g.Known(x, y), r.known(x, y); got != want {
+				return fmt.Errorf("Known(%d,%d) = %v, want %v", x, y, got, want)
+			}
+		}
+	}
+	return nil
 }
 
 func TestPreferredSet(t *testing.T) {
