@@ -51,7 +51,7 @@ func main() {
 		seed        = flag.Int64("seed", 1, "simulation seed")
 		server      = flag.String("server", "", "crowdserve marketplace URL (e.g. http://localhost:8800); overrides -interactive/-reliability")
 		journalPath = flag.String("journal", "", "JSONL journal file: answers are logged, and an existing journal resumes the run without re-asking")
-		tracePath   = flag.String("trace", "", "write structured JSONL trace events (rounds, prunings, escalations) to this file")
+		tracePath   = flag.String("trace", "", "write the run's JSONL span trace (rounds, prunings, escalations) to this file")
 		verbose     = flag.Bool("v", false, "verbose (debug-level) logging")
 	)
 	flag.Parse()

@@ -78,7 +78,7 @@ func main() {
 
 	out := os.Stdout
 	for _, tr := range traces {
-		analyzeTrace(out, tr, events, *criticalFlag, *topFlag)
+		analyzeTrace(out, tr, *criticalFlag, *topFlag)
 	}
 }
 
@@ -88,7 +88,7 @@ func fatalf(format string, args ...any) {
 }
 
 // analyzeTrace prints every report for one trace.
-func analyzeTrace(w io.Writer, tr *trace, events []telemetry.Event, critical bool, top int) {
+func analyzeTrace(w io.Writer, tr *trace, critical bool, top int) {
 	fmt.Fprintf(w, "trace %s  (%d spans", tr.id, len(tr.spans))
 	if n := tr.unfinished(); n > 0 {
 		fmt.Fprintf(w, ", %d unfinished", n)
@@ -98,7 +98,7 @@ func analyzeTrace(w io.Writer, tr *trace, events []telemetry.Event, critical boo
 		fmt.Fprintln(w)
 		renderWaterfall(w, root)
 		if root.Name == "run" {
-			crossCheckRun(w, root, events)
+			renderPruning(w, root)
 		}
 		if critical {
 			fmt.Fprintln(w)
@@ -114,29 +114,20 @@ func analyzeTrace(w io.Writer, tr *trace, events []telemetry.Event, critical boo
 	fmt.Fprintln(w)
 }
 
-// crossCheckRun compares the root run span against the flat
-// run_start/run_end frame of the same stream — the two must agree, which
-// is the cheap self-test that span timing is trustworthy.
-func crossCheckRun(w io.Writer, root *spanRec, events []telemetry.Event) {
-	var start, end *telemetry.Event
-	for i := range events {
-		switch events[i].Type {
-		case telemetry.EventRunStart:
-			if start == nil {
-				start = &events[i]
-			}
-		case telemetry.EventRunEnd:
-			if end == nil {
-				end = &events[i]
-			}
+// renderPruning prints the run's question accounting from its own span
+// attributes: questions asked, rounds, and the dominating-set members
+// each pruning method (P1/P2/P3) removed — the paper's pruning
+// decomposition, read live.
+func renderPruning(w io.Writer, run *spanRec) {
+	var parts []string
+	for _, k := range []string{"questions", "rounds", "p1_removed", "p2_removed", "p3_removed"} {
+		if v, ok := run.Attrs[k]; ok {
+			parts = append(parts, k+"="+v)
 		}
 	}
-	if start == nil || end == nil {
-		return
+	if len(parts) > 0 {
+		fmt.Fprintf(w, "  pruning: %s\n", strings.Join(parts, " "))
 	}
-	frame := end.Time.Sub(start.Time)
-	fmt.Fprintf(w, "  run span %s vs run_start→run_end frame %s (questions=%s rounds=%s)\n",
-		fmtDur(root.Duration()), fmtDur(frame), root.Attrs["questions"], root.Attrs["rounds"])
 }
 
 // spanRec is one reconstructed span: a paired span_start/span_end, or an

@@ -31,18 +31,14 @@ func syntheticEvents(t *testing.T) []telemetry.Event {
 	}
 
 	var evs []telemetry.Event
-	evs = append(evs, telemetry.RunStart("crowdsky", 12, 1))
-	evs[0].Time = at(0)
-	evs = append(evs, span(1, 0, "run", 0, 100, map[string]string{"questions": "3", "rounds": "1"})...)
+	evs = append(evs, span(1, 0, "run", 0, 100, map[string]string{
+		"questions": "3", "rounds": "1", "p1_removed": "4", "p2_removed": "2", "p3_removed": "1"})...)
 	evs = append(evs, span(2, 1, "qgen", 1, 3, nil)...)
 	evs = append(evs, span(3, 1, "round", 5, 85, map[string]string{"round": "1"})...)
 	evs = append(evs, span(4, 3, "round_submit", 5, 10, nil)...)
 	evs = append(evs, span(5, 3, "round_wait", 12, 84, nil)...)
 	evs = append(evs, span(6, 5, "lease_wait", 13, 30, map[string]string{"a": "0", "b": "1", "attr": "0"})...)
 	evs = append(evs, span(7, 5, "judgment", 30, 75, map[string]string{"a": "0", "b": "1", "attr": "0"})...)
-	re := telemetry.RunEnd(3, 1, 2)
-	re.Time = at(100)
-	evs = append(evs, re)
 	return evs
 }
 
@@ -117,15 +113,14 @@ func TestTopQuestions(t *testing.T) {
 }
 
 func TestAnalyzeTraceOutput(t *testing.T) {
-	events := syntheticEvents(t)
-	traces := buildTraces(events)
+	traces := buildTraces(syntheticEvents(t))
 	var sb strings.Builder
-	analyzeTrace(&sb, traces[0], events, true, 3)
+	analyzeTrace(&sb, traces[0], true, 3)
 	out := sb.String()
 	for _, want := range []string{
 		"run", "critical path", "phase attribution", "crowd-wait",
 		"slowest questions", "0 vs 1 (attr 0)",
-		"run span 100ms vs run_start→run_end frame 100ms",
+		"pruning: questions=3 rounds=1 p1_removed=4 p2_removed=2 p3_removed=1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
@@ -148,5 +143,35 @@ func TestBuildTracesTornStart(t *testing.T) {
 	s := traces[0].roots[0]
 	if s.Duration() != 40*time.Millisecond {
 		t.Errorf("duration = %v, want 40ms reconstructed from duration_ms", s.Duration())
+	}
+}
+
+// Two runs merged into one stream each print the pruning line of their
+// own run span, under their own waterfall.
+func TestPruningLinePerRun(t *testing.T) {
+	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	run := func(tid byte, startMS int, attrs map[string]string) []telemetry.Event {
+		sc := telemetry.SpanContext{TraceID: strings.Repeat(string([]byte{tid}), 32), SpanID: strings.Repeat("a", 16)}
+		start := base.Add(time.Duration(startMS) * time.Millisecond)
+		return []telemetry.Event{
+			telemetry.SpanStart(sc, "", "run", start),
+			telemetry.SpanEnd(sc, "run", attrs, start.Add(10*time.Millisecond), 10*time.Millisecond),
+		}
+	}
+	evs := append(run('1', 0, map[string]string{"questions": "12", "rounds": "6", "p1_removed": "8", "p2_removed": "6", "p3_removed": "4"}),
+		run('2', 50, map[string]string{"questions": "30", "rounds": "15", "p1_removed": "46", "p2_removed": "44", "p3_removed": "2"})...)
+	var sb strings.Builder
+	for _, tr := range buildTraces(evs) {
+		analyzeTrace(&sb, tr, false, 0)
+	}
+	out := sb.String()
+	first := strings.Index(out, "pruning: questions=12 rounds=6 p1_removed=8 p2_removed=6 p3_removed=4")
+	second := strings.Index(out, "pruning: questions=30 rounds=15 p1_removed=46 p2_removed=44 p3_removed=2")
+	boundary := strings.Index(out, "trace "+strings.Repeat("2", 32))
+	if first < 0 || second < 0 || boundary < 0 || !(first < boundary && boundary < second) {
+		t.Errorf("each run must print its own pruning line under its own trace:\n%s", out)
+	}
+	if n := strings.Count(out, "pruning:"); n != 2 {
+		t.Errorf("%d pruning lines, want 2:\n%s", n, out)
 	}
 }

@@ -79,13 +79,14 @@ type Result = core.Result
 // importance.
 type Policy = voting.Policy
 
-// Tracer receives structured trace events from a run: round boundaries,
-// P1/P2/P3 prunings, vote escalations and budget truncation. See
-// NewJSONLTracer for the file-backed implementation and
-// docs/OBSERVABILITY.md for the event schema.
+// Tracer receives a run's span tree as span_start/span_end events: the
+// run, its crowd rounds, the index build and per-tuple question
+// generation, with P1/P2/P3 removals, vote escalations and budget
+// truncation as span attributes. See NewJSONLTracer for the file-backed
+// implementation and docs/OBSERVABILITY.md for the attributes.
 type Tracer = telemetry.Tracer
 
-// TraceEvent is one structured trace event.
+// TraceEvent is one trace event: one half of a span.
 type TraceEvent = telemetry.Event
 
 // NewJSONLTracer returns a Tracer writing one JSON event per line to w
@@ -204,8 +205,8 @@ type RunConfig struct {
 	// Result.Truncated and reads out optimistically: every tuple not yet
 	// proven dominated is reported.
 	Budget int
-	// Tracer, when non-nil, receives structured trace events during the
-	// run. Nil disables tracing at no measurable cost.
+	// Tracer, when non-nil, receives the run's span tree. Nil disables
+	// tracing at no measurable cost.
 	Tracer Tracer
 	// Context, when non-nil, is the run's base context: cancelling it
 	// aborts context-aware platforms (the HTTP marketplace client) between

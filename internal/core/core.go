@@ -25,7 +25,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"crowdsky/internal/crowd"
 	"crowdsky/internal/dataset"
@@ -72,10 +71,11 @@ type Options struct {
 	// every tuple not yet proven dominated is reported in the skyline,
 	// and Result.Truncated is set.
 	MaxQuestions int
-	// Tracer receives structured trace events (round boundaries, P1/P2/P3
-	// prunings, vote escalations, budget truncation, index builds). Nil
-	// disables tracing at the cost of one pointer comparison per potential
-	// event.
+	// Tracer receives the run's span tree: the run, its crowd rounds, the
+	// index build and per-tuple question generation, with P1/P2/P3
+	// removals, vote escalations and budget truncation as span attributes.
+	// Nil disables tracing at the cost of one pointer comparison per
+	// potential span.
 	Tracer telemetry.Tracer
 	// Index, when non-nil, is a prebuilt dominance index over the run's
 	// dataset (skyline.NewIndex). Callers running several configurations
@@ -160,15 +160,20 @@ type session struct {
 	// progress-aware voting policies (voting.ProgressPolicy); 0 disables
 	// progress tracking.
 	progressTotal int
-	// trace receives structured events; nil means tracing is disabled and
+	// trace receives the span tree; nil means tracing is disabled and
 	// every emission site reduces to a pointer comparison.
 	trace telemetry.Tracer
 	// ctx is the caller-provided base context (never nil after
-	// newSession); runCtx carries the run span once emitRunStart started
-	// it, and rounds/sub-spans parent under it.
+	// newSession); runCtx carries the run span once startRun started it,
+	// and rounds/sub-spans parent under it.
 	ctx     context.Context
 	runCtx  context.Context
 	runSpan *telemetry.Span
+	// p1Removed, p2Removed and p3Removed total the dominating-set members
+	// each pruning method removed, and voteEscalations the pairs the
+	// voting policy gave more than its nominal ω; finish writes them onto
+	// the run span. They count only under tracing.
+	p1Removed, p2Removed, p3Removed, voteEscalations int
 
 	// useT selects whether completeness decisions may use transitive
 	// inference through the preference tree. The paper introduces the tree
@@ -246,16 +251,15 @@ func newSession(d *dataset.Dataset, pf crowd.Platform, opts Options) *session {
 	return s
 }
 
-// emitRunStart emits the run_start trace event for the named algorithm
-// and opens the run's root span; every round and machine-phase span
-// parents under it, and finish closes it.
-func (ss *session) emitRunStart(algo string) {
-	if ss.trace != nil {
-		ss.trace.Emit(telemetry.RunStart(algo, ss.d.N(), ss.d.CrowdDims()))
-	}
+// startRun opens the run's root span for the named algorithm; every
+// round and machine-phase span parents under it, and finish closes it.
+func (ss *session) startRun(algo string) {
 	ss.runCtx, ss.runSpan = telemetry.StartSpan(ss.ctx, ss.trace, "run")
-	ss.runSpan.SetAttr("algo", algo)
-	ss.runSpan.SetAttr("n", strconv.Itoa(ss.d.N()))
+	if ss.runSpan != nil {
+		ss.runSpan.SetAttr("algo", algo)
+		ss.runSpan.SetAttr("n", strconv.Itoa(ss.d.N()))
+		ss.runSpan.SetAttr("crowd_dims", strconv.Itoa(ss.d.CrowdDims()))
+	}
 }
 
 // runContext returns the context rounds should run under: the run-span
@@ -413,10 +417,8 @@ func (ss *session) workersFor(s, t, backup int) int {
 	} else {
 		workers = ss.policy.Workers(f)
 	}
-	if ss.trace != nil {
-		if base := ss.policy.Workers(0); workers > base {
-			ss.trace.Emit(telemetry.VoteEscalation(s, t, workers, base))
-		}
+	if ss.trace != nil && workers > ss.policy.Workers(0) {
+		ss.voteEscalations++
 	}
 	return workers
 }
@@ -449,11 +451,8 @@ func (ss *session) budgetLeft() bool {
 	if ss.maxQuestions <= 0 {
 		return true
 	}
-	if asked := ss.pf.Stats().Questions(); asked >= ss.maxQuestions && !ss.exhausted {
+	if ss.pf.Stats().Questions() >= ss.maxQuestions {
 		ss.exhausted = true
-		if ss.trace != nil {
-			ss.trace.Emit(telemetry.BudgetTruncated(asked, ss.maxQuestions))
-		}
 	}
 	return !ss.exhausted
 }
@@ -604,8 +603,8 @@ func (ss *session) askRound(reqs []crowd.Request) {
 }
 
 // doAsk submits one round to the platform and applies the answers,
-// emitting round_start/round_end trace events around the (potentially
-// slow, potentially real-money) platform call.
+// wrapping the (potentially slow, potentially real-money) platform call
+// in a round span.
 func (ss *session) doAsk(reqs []crowd.Request) {
 	if ss.trace == nil {
 		// Tracing off, but the caller's context still reaches the
@@ -613,15 +612,11 @@ func (ss *session) doAsk(reqs []crowd.Request) {
 		ss.apply(crowd.AskWithContext(ss.runContext(), ss.pf, reqs))
 		return
 	}
-	round := ss.pf.Stats().Rounds() + 1
-	ss.trace.Emit(telemetry.RoundStart(round, len(reqs)))
 	rctx, span := telemetry.StartSpan(ss.runContext(), ss.trace, "round")
-	span.SetAttr("round", strconv.Itoa(round))
+	span.SetAttr("round", strconv.Itoa(ss.pf.Stats().Rounds()+1))
 	span.SetAttr("questions", strconv.Itoa(len(reqs)))
-	start := time.Now()
 	answers := crowd.AskWithContext(rctx, ss.pf, reqs)
 	span.End()
-	ss.trace.Emit(telemetry.RoundEnd(round, len(reqs), time.Since(start)))
 	ss.apply(answers)
 }
 
@@ -733,14 +728,19 @@ func (ss *session) finish(inSkyline []bool) *Result {
 	}
 	sort.Ints(sky)
 	st := ss.pf.Stats().Snapshot()
-	// The root span closes before run_end so the trace stays framed by
-	// run_start…run_end, the invariant downstream consumers rely on.
-	ss.runSpan.SetAttr("questions", strconv.Itoa(st.Questions))
-	ss.runSpan.SetAttr("rounds", strconv.Itoa(st.Rounds))
-	ss.runSpan.SetAttr("skyline", strconv.Itoa(len(sky)))
-	ss.runSpan.End()
-	if ss.trace != nil {
-		ss.trace.Emit(telemetry.RunEnd(st.Questions, st.Rounds, len(sky)))
+	if ss.runSpan != nil {
+		ss.runSpan.SetAttr("questions", strconv.Itoa(st.Questions))
+		ss.runSpan.SetAttr("rounds", strconv.Itoa(st.Rounds))
+		ss.runSpan.SetAttr("skyline", strconv.Itoa(len(sky)))
+		ss.runSpan.SetAttr("p1_removed", strconv.Itoa(ss.p1Removed))
+		ss.runSpan.SetAttr("p2_removed", strconv.Itoa(ss.p2Removed))
+		ss.runSpan.SetAttr("p3_removed", strconv.Itoa(ss.p3Removed))
+		ss.runSpan.SetAttr("vote_escalations", strconv.Itoa(ss.voteEscalations))
+		if ss.exhausted {
+			ss.runSpan.SetAttr("truncated", "true")
+			ss.runSpan.SetAttr("budget", strconv.Itoa(ss.maxQuestions))
+		}
+		ss.runSpan.End()
 	}
 	return &Result{
 		Skyline:        sky,
@@ -777,12 +777,13 @@ func (ss *session) prepMachine() [][]int {
 		}
 		_, ispan := telemetry.StartSpan(ss.runContext(), ss.trace, "index_build")
 		ss.ix = skyline.NewIndexAlive(ss.d, mask)
-		if ss.trace != nil {
+		if ispan != nil {
 			st := ss.ix.Stats()
-			ss.trace.Emit(telemetry.IndexBuild(st.N, st.Pairs, st.BitmapBytes, st.BuildDuration))
+			ispan.SetAttr("n", strconv.Itoa(st.N))
 			ispan.SetAttr("pairs", strconv.Itoa(st.Pairs))
+			ispan.SetAttr("bitmap_bytes", strconv.FormatInt(st.BitmapBytes, 10))
+			ispan.End()
 		}
-		ispan.End()
 	}
 	sets := ss.ix.DominatingSets()
 	ss.fc = ss.ix.FreqCounter()

@@ -18,7 +18,7 @@ import (
 func CrowdSky(d *dataset.Dataset, pf crowd.Platform, opts Options) *Result {
 	ss := newSession(d, pf, opts)
 	defer ss.release()
-	ss.emitRunStart("crowdsky")
+	ss.startRun("crowdsky")
 	ss.preprocessDegenerate()
 	sets := ss.prepMachine()
 

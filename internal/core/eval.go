@@ -73,18 +73,22 @@ func newTupleEval(ss *session, t int, ds []int, opts Options, nonSkyline []bool)
 		te.ds = append(te.ds, s)
 		te.inDS.Add(s)
 	}
-	if ss.trace != nil && opts.P1 && len(te.ds) < len(ds) {
-		ss.trace.Emit(telemetry.P1Prune(t, len(ds), len(te.ds)))
+	if p1span != nil {
+		removed := len(ds) - len(te.ds)
+		ss.p1Removed += removed
+		p1span.SetAttr("removed", strconv.Itoa(removed))
+		p1span.End()
 	}
-	p1span.End()
 	if opts.P2 {
 		p2span := phase("p2")
 		before := len(te.ds)
 		te.reduceToACSkyline(ss)
-		if ss.trace != nil && len(te.ds) < before {
-			ss.trace.Emit(telemetry.P2Reduce(t, before, len(te.ds)))
+		if p2span != nil {
+			removed := before - len(te.ds)
+			ss.p2Removed += removed
+			p2span.SetAttr("removed", strconv.Itoa(removed))
+			p2span.End()
 		}
-		p2span.End()
 	}
 	if opts.P3 && len(te.ds) > 1 {
 		p3span := phase("p3_order")
@@ -190,12 +194,12 @@ func (te *tupleEval) next(ss *session) (p pair, ok bool) {
 		case ss.acDominates(pr.a(), pr.b()):
 			te.remove(pr.b())
 			if ss.trace != nil {
-				ss.trace.Emit(telemetry.P3Resolve(te.t, pr.b()))
+				ss.p3Removed++
 			}
 		case ss.acDominates(pr.b(), pr.a()):
 			te.remove(pr.a())
 			if ss.trace != nil {
-				ss.trace.Emit(telemetry.P3Resolve(te.t, pr.a()))
+				ss.p3Removed++
 			}
 		}
 		te.probeAt++

@@ -21,7 +21,7 @@ import (
 func ParallelDSet(d *dataset.Dataset, pf crowd.Platform, opts Options) *Result {
 	ss := newSession(d, pf, opts)
 	defer ss.release()
-	ss.emitRunStart("parallel-dset")
+	ss.startRun("parallel-dset")
 	ss.preprocessDegenerate()
 	sets := ss.prepMachine()
 

@@ -21,7 +21,7 @@ import (
 func ParallelSL(d *dataset.Dataset, pf crowd.Platform, opts Options) *Result {
 	ss := newSession(d, pf, opts)
 	defer ss.release()
-	ss.emitRunStart("parallel-sl")
+	ss.startRun("parallel-sl")
 	ss.preprocessDegenerate()
 	sets := ss.prepMachine()
 	imm := ss.ix.ImmediateDominators()

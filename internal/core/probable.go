@@ -42,7 +42,7 @@ type ProbabilisticResult struct {
 func CrowdSkyProbabilistic(d *dataset.Dataset, pf crowd.Platform, opts Options) *ProbabilisticResult {
 	ss := newSession(d, pf, opts)
 	defer ss.release()
-	ss.emitRunStart("crowdsky-probabilistic")
+	ss.startRun("crowdsky-probabilistic")
 	ss.preprocessDegenerate()
 	sets := ss.prepMachine()
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"crowdsky/internal/dataset"
@@ -9,11 +10,37 @@ import (
 	"crowdsky/internal/voting"
 )
 
+// runSpanOf returns the single run span_end of a traced run.
+func runSpanOf(t *testing.T, tr *telemetry.Collector) telemetry.Event {
+	t.Helper()
+	var runs []telemetry.Event
+	for _, e := range tr.ByType(telemetry.EventSpanEnd) {
+		if e.Name == "run" {
+			runs = append(runs, e)
+		}
+	}
+	if len(runs) != 1 {
+		t.Fatalf("%d run spans, want 1", len(runs))
+	}
+	return runs[0]
+}
+
+// attrInt parses the integer attribute key of a span_end event.
+func attrInt(t *testing.T, e telemetry.Event, key string) int {
+	t.Helper()
+	v, err := strconv.Atoi(e.Attrs[key])
+	if err != nil {
+		t.Fatalf("%s span attribute %s=%q: %v", e.Name, key, e.Attrs[key], err)
+	}
+	return v
+}
+
 // TestTraceEventsOnToyDataset runs the full CrowdSky configuration on the
-// paper's running example (Table 1) and checks that the trace reflects the
-// run: a run_start/run_end frame, matched round boundaries that agree with
-// the result's round accounting, and at least one P1 and one P2 pruning
-// event (the toy dataset exercises both, per Examples 4-5).
+// paper's running example (Table 1) and checks that the span tree alone
+// carries the run's accounting: nothing but span events, framed by the
+// run span, a run span whose attributes equal the Result, one round span
+// per round, and per-tuple P1/P2 removals that add up to the run totals
+// (the toy dataset exercises both, per Examples 4-5).
 func TestTraceEventsOnToyDataset(t *testing.T) {
 	d := dataset.Toy()
 	var tr telemetry.Collector
@@ -21,57 +48,95 @@ func TestTraceEventsOnToyDataset(t *testing.T) {
 	opts.Tracer = &tr
 	res := CrowdSky(d, perfect(d), opts)
 
-	if got := tr.Count(telemetry.EventRunStart); got != 1 {
-		t.Errorf("run_start events = %d, want 1", got)
-	}
-	if rs := tr.ByType(telemetry.EventRunStart)[0]; rs.Algo != "crowdsky" || rs.N != d.N() {
-		t.Errorf("run_start = %+v", rs)
-	}
-	if got := tr.Count(telemetry.EventP1Prune); got < 1 {
-		t.Error("no p1_prune events on the toy dataset")
-	}
-	if got := tr.Count(telemetry.EventP2Reduce); got < 1 {
-		t.Error("no p2_reduce events on the toy dataset")
-	}
-	for _, e := range tr.ByType(telemetry.EventP1Prune) {
-		if e.Removed != e.Before-e.After || e.Removed < 1 {
-			t.Errorf("inconsistent p1_prune: %+v", e)
+	events := tr.Events()
+	for _, e := range events {
+		if e.Type != telemetry.EventSpanStart && e.Type != telemetry.EventSpanEnd {
+			t.Fatalf("non-span event in the trace: %+v", e)
 		}
 	}
-	starts := tr.Count(telemetry.EventRoundStart)
-	ends := tr.Count(telemetry.EventRoundEnd)
-	if starts != ends || starts != res.Rounds {
-		t.Errorf("round events %d/%d, want both = %d rounds", starts, ends, res.Rounds)
+	if first, last := events[0], events[len(events)-1]; first.Type != telemetry.EventSpanStart || first.Name != "run" ||
+		last.Type != telemetry.EventSpanEnd || last.Name != "run" {
+		t.Errorf("trace not framed by the run span: first %s %s, last %s %s", first.Type, first.Name, last.Type, last.Name)
 	}
-	re := tr.ByType(telemetry.EventRunEnd)
-	if len(re) != 1 || re[0].Questions != res.Questions || re[0].Skyline != len(res.Skyline) {
-		t.Errorf("run_end mismatch: %+v vs result %+v", re, res)
+
+	run := runSpanOf(t, &tr)
+	if run.Attrs["algo"] != "crowdsky" {
+		t.Errorf("run algo = %q", run.Attrs["algo"])
 	}
-	events := tr.Events()
-	if events[0].Type != telemetry.EventRunStart || events[len(events)-1].Type != telemetry.EventRunEnd {
-		t.Errorf("trace not framed by run_start/run_end")
+	for key, want := range map[string]int{
+		"n": d.N(), "crowd_dims": d.CrowdDims(),
+		"questions": res.Questions, "rounds": res.Rounds, "skyline": len(res.Skyline),
+	} {
+		if got := attrInt(t, run, key); got != want {
+			t.Errorf("run %s = %d, want %d", key, got, want)
+		}
+	}
+	if _, ok := run.Attrs["truncated"]; ok {
+		t.Error("untruncated run carries a truncated attribute")
+	}
+
+	phases := map[string]int{}
+	for _, e := range tr.ByType(telemetry.EventSpanEnd) {
+		switch e.Name {
+		case "round", "index_build":
+			phases[e.Name]++
+		case "p1", "p2":
+			phases[e.Name+"_removed"] += attrInt(t, e, "removed")
+		}
+	}
+	if phases["round"] != res.Rounds {
+		t.Errorf("%d round spans, want one per round (%d)", phases["round"], res.Rounds)
+	}
+	if phases["index_build"] != 1 {
+		t.Errorf("%d index_build spans, want 1", phases["index_build"])
+	}
+	for _, key := range []string{"p1_removed", "p2_removed"} {
+		if phases[key] < 1 || phases[key] != attrInt(t, run, key) {
+			t.Errorf("per-tuple %s sums to %d, run span says %s; want equal and > 0", key, phases[key], run.Attrs[key])
+		}
 	}
 }
 
-// TestTraceP3AndParallel checks p3_resolve events fire when probing prunes
-// a dominating set, and that the parallel algorithms stamp their own algo
-// names.
+// TestTraceP3AndParallel pins the run-span pruning totals on the toy
+// dataset for each algorithm. The expected values are the removal sums and
+// escalation counts that the earlier per-prune and per-escalation trace
+// events reported on the same runs, so moving them onto the run span lost
+// nothing.
 func TestTraceP3AndParallel(t *testing.T) {
-	d := dataset.Toy()
-	var tr telemetry.Collector
-	opts := AllPruning()
-	opts.Tracer = &tr
-	ParallelSL(d, perfect(d), opts)
-	if rs := tr.ByType(telemetry.EventRunStart); len(rs) != 1 || rs[0].Algo != "parallel-sl" {
-		t.Errorf("run_start = %+v", rs)
+	cases := []struct {
+		algo       string
+		run        func(*dataset.Dataset, Options) *Result
+		escalation int
+	}{
+		{"crowdsky", func(d *dataset.Dataset, o Options) *Result { return CrowdSky(d, perfect(d), o) }, 3},
+		{"parallel-dset", func(d *dataset.Dataset, o Options) *Result { return ParallelDSet(d, perfect(d), o) }, 4},
+		{"parallel-sl", func(d *dataset.Dataset, o Options) *Result { return ParallelSL(d, perfect(d), o) }, 4},
 	}
-	if tr.Count(telemetry.EventP3Resolve) < 1 {
-		t.Error("no p3_resolve events; Section 3.4 resolves probes on the toy dataset")
+	for _, c := range cases {
+		t.Run(c.algo, func(t *testing.T) {
+			d := dataset.Toy()
+			var tr telemetry.Collector
+			opts := AllPruning()
+			opts.Tracer = &tr
+			opts.Voting = voting.NewAnnealed(5)
+			c.run(d, opts)
+			run := runSpanOf(t, &tr)
+			if run.Attrs["algo"] != c.algo {
+				t.Errorf("run algo = %q, want %q", run.Attrs["algo"], c.algo)
+			}
+			for key, want := range map[string]int{
+				"p1_removed": 8, "p2_removed": 6, "p3_removed": 4, "vote_escalations": c.escalation,
+			} {
+				if got := attrInt(t, run, key); got != want {
+					t.Errorf("run %s = %d, want %d", key, got, want)
+				}
+			}
+		})
 	}
 }
 
-// TestTraceBudgetTruncation: exhausting MaxQuestions emits exactly one
-// budget_truncated event carrying the cap.
+// TestTraceBudgetTruncation: exhausting MaxQuestions marks the run span
+// truncated and names the cap.
 func TestTraceBudgetTruncation(t *testing.T) {
 	d := dataset.Toy()
 	var tr telemetry.Collector
@@ -82,45 +147,30 @@ func TestTraceBudgetTruncation(t *testing.T) {
 	if !res.Truncated {
 		t.Fatal("budget of 5 not exhausted on the toy dataset")
 	}
-	bt := tr.ByType(telemetry.EventBudgetTruncated)
-	if len(bt) != 1 {
-		t.Fatalf("budget_truncated events = %d, want exactly 1 (latched)", len(bt))
-	}
-	if bt[0].Budget != 5 || bt[0].Questions < 5 {
-		t.Errorf("budget_truncated = %+v", bt[0])
+	run := runSpanOf(t, &tr)
+	if run.Attrs["truncated"] != "true" || attrInt(t, run, "budget") != 5 || attrInt(t, run, "questions") < 5 {
+		t.Errorf("run span attrs = %v, want truncated=true budget=5 questions>=5", run.Attrs)
 	}
 }
 
 // TestTraceVoteEscalation: the annealed policy assigns omega+2 workers to
-// early questions, which must surface as vote_escalation events naming the
-// nominal base.
+// early questions, which the run span counts; static voting never
+// escalates.
 func TestTraceVoteEscalation(t *testing.T) {
 	d := dataset.Toy()
-	var tr telemetry.Collector
-	opts := AllPruning()
-	opts.Tracer = &tr
-	opts.Voting = voting.NewAnnealed(5)
-	CrowdSky(d, perfect(d), opts)
-	ve := tr.ByType(telemetry.EventVoteEscalation)
-	if len(ve) == 0 {
-		t.Fatal("annealed voting produced no vote_escalation events")
+	escalations := func(policy voting.Policy) string {
+		var tr telemetry.Collector
+		opts := AllPruning()
+		opts.Tracer = &tr
+		opts.Voting = policy
+		CrowdSky(d, perfect(d), opts)
+		return runSpanOf(t, &tr).Attrs["vote_escalations"]
 	}
-	for _, e := range ve {
-		if e.Workers <= e.Base || e.Base != 5 {
-			t.Errorf("vote_escalation = %+v, want workers > base = 5", e)
-		}
-		if e.A < 0 || e.B < 0 {
-			t.Errorf("vote_escalation missing pair: %+v", e)
-		}
+	if n, _ := strconv.Atoi(escalations(voting.NewAnnealed(5))); n == 0 {
+		t.Error("annealed voting produced no vote escalations")
 	}
-	// Static voting never escalates.
-	var tr2 telemetry.Collector
-	opts2 := AllPruning()
-	opts2.Tracer = &tr2
-	opts2.Voting = voting.Static{Omega: 5}
-	CrowdSky(d, perfect(d), opts2)
-	if n := tr2.Count(telemetry.EventVoteEscalation); n != 0 {
-		t.Errorf("static voting emitted %d vote_escalation events", n)
+	if got := escalations(voting.Static{Omega: 5}); got != "" && got != "0" {
+		t.Errorf("static voting escalated %s times", got)
 	}
 }
 

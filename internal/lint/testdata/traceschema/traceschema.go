@@ -27,7 +27,7 @@ var eventSchemas = map[EventType][]string{
 }
 
 // Event is the fixture's wire format. The implicit fields (seq, time,
-// type, tuple, a, b) are allowed on every event type.
+// type) are allowed on every event type.
 type Event struct {
 	Seq       int               `json:"seq,omitempty"`
 	Type      EventType         `json:"type"`

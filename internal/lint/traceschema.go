@@ -40,8 +40,8 @@ import (
 // reported. Literals with a non-constant Type (generic plumbing like
 // newEvent) are out of scope.
 //
-// The implicit fields — seq, time, type, tuple, a, b — are populated by
-// the event plumbing and allowed on any event.
+// The implicit fields — seq, time, type — are populated by the event
+// plumbing and allowed on any event.
 //
 // The analyzer covers the metrics vocabulary the same way: a
 //
@@ -68,7 +68,6 @@ var TraceSchema = &analysis.Analyzer{
 // by the plumbing, legal on every event.
 var traceImplicitFields = map[string]bool{
 	"seq": true, "time": true, "type": true,
-	"tuple": true, "a": true, "b": true,
 }
 
 // traceSchemaFacts is the program-wide registry hand-off: declaring

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestJSONLConcurrentEmitters drives the JSONL tracer from many
@@ -24,9 +25,7 @@ func TestJSONLConcurrentEmitters(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				e := RoundStart(g*each+i+1, 1)
-				e.Algo = fmt.Sprintf("emitter-%d", g)
-				j.Emit(e)
+				j.Emit(SpanStart(testSC, "", fmt.Sprintf("emitter-%d", g), time.Time{}))
 			}
 		}(g)
 	}
@@ -47,10 +46,10 @@ func TestJSONLConcurrentEmitters(t *testing.T) {
 		if e.Seq != i+1 {
 			t.Fatalf("event %d has seq %d: sequence must be gap-free and ordered", i, e.Seq)
 		}
-		if e.Type != EventRoundStart {
-			t.Fatalf("event %d has type %q: line corrupted", i, e.Type)
+		if e.Type != EventSpanStart || e.TraceID != testSC.TraceID {
+			t.Fatalf("event %d = %+v: line corrupted", i, e)
 		}
-		perEmitter[e.Algo]++
+		perEmitter[e.Name]++
 	}
 	for g := 0; g < emitters; g++ {
 		key := fmt.Sprintf("emitter-%d", g)

@@ -1,8 +1,8 @@
 // Package telemetry is the runtime observability substrate: a
 // dependency-free metrics registry (counters, gauges, histograms with
-// atomic hot paths) with Prometheus text-format exposition, structured
-// trace events for the crowd-enabled skyline algorithms, an instrumented
-// crowd.Platform decorator, and HTTP middleware for the marketplace.
+// atomic hot paths) with Prometheus text-format exposition, span traces
+// for the crowd-enabled skyline algorithms and the marketplace, and HTTP
+// middleware for the marketplace.
 //
 // The paper's whole contribution is a cost/latency/accuracy trade-off
 // (questions, rounds, pruning power of P1/P2/P3 — Sections 3-6), so a

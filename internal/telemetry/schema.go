@@ -21,30 +21,19 @@ import (
 //     that carry an unknown type or stray fields.
 
 // eventSchemas maps every trace event type to the JSON field names its
-// emitters must populate. Bookkeeping fields (seq, time, type) and the
-// -1-defaulted identity fields (tuple, a, b) are implicit and never listed.
+// emitters must populate. Bookkeeping fields (seq, time, type) are
+// implicit and never listed.
 //
 // skylint:eventschema
 var eventSchemas = map[EventType][]string{
-	EventRunStart:        {"algo", "n", "crowd_dims"},
-	EventRunEnd:          {"questions", "rounds", "skyline"},
-	EventRoundStart:      {"round", "questions"},
-	EventRoundEnd:        {"round", "questions", "duration_ms"},
-	EventP1Prune:         {"tuple", "before", "after", "removed"},
-	EventP2Reduce:        {"tuple", "before", "after", "removed"},
-	EventP3Resolve:       {"tuple", "a", "removed"},
-	EventVoteEscalation:  {"a", "b", "workers", "base"},
-	EventBudgetTruncated: {"questions", "budget"},
-	EventIndexBuild:      {"n", "pairs", "bytes", "duration_ms"},
-	EventSpanStart:       {"trace_id", "span_id", "parent_id", "name"},
-	EventSpanEnd:         {"trace_id", "span_id", "name", "duration_ms", "attrs"},
+	EventSpanStart: {"trace_id", "span_id", "parent_id", "name"},
+	EventSpanEnd:   {"trace_id", "span_id", "name", "duration_ms", "attrs"},
 }
 
-// implicitFields are populated by the event plumbing (newEvent, tracers)
-// rather than per-type constructors, and may appear on any event.
+// implicitFields are populated by the event plumbing (tracers) rather
+// than per-type constructors, and may appear on any event.
 var implicitFields = map[string]bool{
 	"seq": true, "time": true, "type": true,
-	"tuple": true, "a": true, "b": true,
 }
 
 // SchemaOf returns the registered JSON field names for event type t, and
@@ -68,9 +57,9 @@ func EventTypes() []EventType {
 // ValidateEvent checks e against the registry: its type must be
 // registered, and every non-zero field must be either implicit or listed
 // in the type's schema. (The converse — required fields being non-zero —
-// is not checked here, because zero is a legitimate value for counters
-// like `removed`; the static traceschema analyzer proves the constructors
-// assign every required field.)
+// is not checked here, because empty is legitimate for fields like a
+// root span's `parent_id`; the static traceschema analyzer proves the
+// constructors assign every required field.)
 func ValidateEvent(e Event) error {
 	schema, ok := eventSchemas[e.Type]
 	if !ok {
@@ -108,15 +97,6 @@ func ValidateEvent(e Event) error {
 //
 // skylint:metricschema
 var metricSchemas = map[string][]string{
-	// Dominance-index lifecycle (InstrumentIndex).
-	MetricIndexBuilds:       {},
-	MetricIndexBuildSeconds: {},
-	MetricIndexBitmapBytes:  {},
-	// Crowd platform accounting (InstrumentPlatform).
-	MetricCrowdQuestions:    {},
-	MetricCrowdRounds:       {},
-	MetricCrowdWorkerUnits:  {},
-	MetricCrowdRoundLatency: {},
 	// HTTP middleware (prefix-parameterised; crowdserve's instances).
 	"crowdserve_http_requests_total":  {"route", "method", "code"},
 	"crowdserve_http_request_seconds": {"route"},

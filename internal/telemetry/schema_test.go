@@ -10,21 +10,8 @@ import (
 // the registry.
 func TestConstructorsMatchSchema(t *testing.T) {
 	events := map[string]Event{
-		"RunStart":        RunStart("crowdsky", 10, 1),
-		"RunEnd":          RunEnd(12, 6, 3),
-		"RoundStart":      RoundStart(1, 4),
-		"RoundEnd":        RoundEnd(1, 4, 5*time.Millisecond),
-		"P1Prune":         P1Prune(3, 7, 4),
-		"P2Reduce":        P2Reduce(3, 4, 2),
-		"P3Resolve":       P3Resolve(3, 1),
-		"VoteEscalation":  VoteEscalation(1, 2, 5, 3),
-		"BudgetTruncated": BudgetTruncated(100, 90),
-		"IndexBuild":      IndexBuild(10, 45, 1024, 2*time.Millisecond),
-		"SpanStart": SpanStart(SpanContext{TraceID: "0af7651916cd43dd8448eb211c80319c",
-			SpanID: "b7ad6b7169203331"}, "00f067aa0ba902b7", "round", time.Now()),
-		"SpanEnd": SpanEnd(SpanContext{TraceID: "0af7651916cd43dd8448eb211c80319c",
-			SpanID: "b7ad6b7169203331"}, "round", map[string]string{"round": "1"},
-			time.Now(), 5*time.Millisecond),
+		"SpanStart": SpanStart(testSC, "00f067aa0ba902b7", "round", time.Now()),
+		"SpanEnd":   SpanEnd(testSC, "round", map[string]string{"round": "1"}, time.Now(), 5*time.Millisecond),
 	}
 	for name, e := range events {
 		if err := ValidateEvent(e); err != nil {
@@ -36,12 +23,7 @@ func TestConstructorsMatchSchema(t *testing.T) {
 // TestEveryEventTypeHasSchema pins the registry to the declared constants:
 // adding an event type without registering its fields must fail.
 func TestEveryEventTypeHasSchema(t *testing.T) {
-	all := []EventType{
-		EventRunStart, EventRunEnd, EventRoundStart, EventRoundEnd,
-		EventP1Prune, EventP2Reduce, EventP3Resolve,
-		EventVoteEscalation, EventBudgetTruncated, EventIndexBuild,
-		EventSpanStart, EventSpanEnd,
-	}
+	all := []EventType{EventSpanStart, EventSpanEnd}
 	if got := len(EventTypes()); got != len(all) {
 		t.Fatalf("registry has %d event types, want %d", got, len(all))
 	}
@@ -57,9 +39,8 @@ func TestEveryEventTypeHasSchema(t *testing.T) {
 // unknown names or drifted labels must not.
 func TestValidateMetric(t *testing.T) {
 	ok := [][]any{
-		{MetricIndexBuilds},
-		{MetricCrowdRoundLatency},
 		{"crowdserve_rounds_total"},
+		{"crowdserve_lease_wait_seconds"},
 		{"crowdserve_client_retries_total", "cause"},
 		{"crowdserve_faults_injected_total", "kind"},
 		{"crowdserve_http_requests_total", "route", "method", "code"},
@@ -110,15 +91,16 @@ func TestValidateEventRejects(t *testing.T) {
 	if err := ValidateEvent(Event{Type: "mystery"}); err == nil {
 		t.Errorf("unknown event type must not validate")
 	}
-	// A round_start must not carry index_build's pairs field.
-	e := RoundStart(1, 4)
-	e.Pairs = 9
+	// A span_start must not carry span_end's attrs: they are only final
+	// when the span ends.
+	e := SpanStart(testSC, "", "run", time.Now())
+	e.Attrs = map[string]string{"algo": "crowdsky"}
 	if err := ValidateEvent(e); err == nil {
 		t.Errorf("stray field must not validate")
 	}
 	// Implicit fields are always allowed.
-	e2 := RoundStart(1, 4)
-	e2.Seq, e2.Time = 7, time.Now()
+	e2 := SpanStart(testSC, "", "run", time.Now())
+	e2.Seq = 7
 	if err := ValidateEvent(e2); err != nil {
 		t.Errorf("implicit fields rejected: %v", err)
 	}

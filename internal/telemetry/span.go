@@ -9,14 +9,14 @@ import (
 	"time"
 )
 
-// Hierarchical spans on top of the flat trace-event stream. A Span is one
-// timed operation (a run, a crowd round, a lease wait); spans nest through
+// Hierarchical spans: the trace stream's only record. A Span is one timed
+// operation (a run, a crowd round, a lease wait); spans nest through
 // parent IDs and cross process boundaries through the W3C traceparent
 // header, so a single trace ID stitches an algorithm run on the requester
 // to the lease/judgment lifecycle inside the marketplace. Spans are
-// emitted through the existing Tracer interface as paired span_start /
-// span_end events, keeping the JSONL trace one stream that ReadEvents and
-// every downstream consumer (cmd/skytrace, jq) already parse.
+// emitted through the Tracer interface as paired span_start / span_end
+// events, one JSONL stream that ReadEvents and every downstream consumer
+// (cmd/skytrace, jq) parse.
 
 // TraceParentHeader is the canonical W3C trace-context header name.
 const TraceParentHeader = "traceparent"
@@ -161,14 +161,9 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	var attrs map[string]string
-	if len(s.attrs) > 0 {
-		attrs = make(map[string]string, len(s.attrs))
-		//skylint:alloc-ok the span is ending; one snapshot of its few attrs under the lock
-		for k, v := range s.attrs {
-			attrs[k] = v
-		}
-	}
+	// SetAttr never writes after ended is set, so the map can be handed
+	// to the event without a copy.
+	attrs := s.attrs
 	s.mu.Unlock()
 	end := time.Now().UTC()
 	if s.tracer != nil {
@@ -258,18 +253,14 @@ func StartSpan(ctx context.Context, tracer Tracer, name string) (context.Context
 
 // SpanStart builds a span_start event at the given start time.
 func SpanStart(sc SpanContext, parentID, name string, start time.Time) Event {
-	e := newEvent(EventSpanStart)
-	e.TraceID, e.SpanID, e.ParentID, e.Name = sc.TraceID, sc.SpanID, parentID, name
-	e.Time = start
-	return e
+	return Event{Type: EventSpanStart, Time: start,
+		TraceID: sc.TraceID, SpanID: sc.SpanID, ParentID: parentID, Name: name}
 }
 
 // SpanEnd builds a span_end event at the given end time with the span's
 // duration and final attributes.
 func SpanEnd(sc SpanContext, name string, attrs map[string]string, end time.Time, d time.Duration) Event {
-	e := newEvent(EventSpanEnd)
-	e.TraceID, e.SpanID, e.Name, e.Attrs = sc.TraceID, sc.SpanID, name, attrs
-	e.Time = end
-	e.DurationMS = float64(d) / float64(time.Millisecond)
-	return e
+	return Event{Type: EventSpanEnd, Time: end,
+		TraceID: sc.TraceID, SpanID: sc.SpanID, Name: name, Attrs: attrs,
+		DurationMS: float64(d) / float64(time.Millisecond)}
 }

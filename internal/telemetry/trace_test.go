@@ -6,12 +6,16 @@ import (
 	"time"
 )
 
+// testSC is a fixed, valid span context for constructor-level tests.
+var testSC = SpanContext{TraceID: "0af7651916cd43dd8448eb211c80319c", SpanID: "b7ad6b7169203331"}
+
 func TestCollector(t *testing.T) {
 	var c Collector
-	c.Emit(RunStart("crowdsky", 12, 1))
-	c.Emit(P1Prune(3, 5, 2))
-	c.Emit(P2Reduce(3, 2, 1))
-	c.Emit(RunEnd(12, 6, 4))
+	now := time.Now()
+	c.Emit(SpanStart(testSC, "", "run", now))
+	c.Emit(SpanStart(SpanContext{TraceID: testSC.TraceID, SpanID: "00f067aa0ba902b7"}, testSC.SpanID, "round", now))
+	c.Emit(SpanEnd(SpanContext{TraceID: testSC.TraceID, SpanID: "00f067aa0ba902b7"}, "round", nil, now, 0))
+	c.Emit(SpanEnd(testSC, "run", map[string]string{"p1_removed": "3"}, now, 0))
 
 	events := c.Events()
 	if len(events) != 4 {
@@ -22,27 +26,30 @@ func TestCollector(t *testing.T) {
 			t.Errorf("event %d has seq %d", i, e.Seq)
 		}
 	}
-	if c.Count(EventP1Prune) != 1 || c.Count(EventRoundStart) != 0 {
-		t.Errorf("counts wrong: p1=%d round_start=%d", c.Count(EventP1Prune), c.Count(EventRoundStart))
+	ends := c.ByType(EventSpanEnd)
+	if len(ends) != 2 || len(c.ByType(EventSpanStart)) != 2 {
+		t.Fatalf("ByType split wrong: %d span_end of %d events", len(ends), len(events))
 	}
-	p1 := c.ByType(EventP1Prune)[0]
-	if p1.Tuple != 3 || p1.Before != 5 || p1.After != 2 || p1.Removed != 3 {
-		t.Errorf("p1 event fields wrong: %+v", p1)
-	}
-	if p1.A != -1 || p1.B != -1 {
-		t.Errorf("unused pair fields should be -1: %+v", p1)
+	if run := ends[1]; run.Name != "run" || run.Attrs["p1_removed"] != "3" {
+		t.Errorf("run span_end fields wrong: %+v", run)
 	}
 }
 
 func TestJSONLRoundTrip(t *testing.T) {
 	var sb strings.Builder
 	j := NewJSONL(&sb)
-	j.Emit(RunStart("parallel-sl", 12, 1))
-	j.Emit(RoundStart(1, 4))
-	j.Emit(RoundEnd(1, 4, 1500*time.Microsecond))
-	j.Emit(VoteEscalation(2, 7, 7, 5))
+	child := SpanContext{TraceID: testSC.TraceID, SpanID: "00f067aa0ba902b7"}
+	j.Emit(SpanStart(testSC, "", "run", time.Time{}))
+	j.Emit(SpanStart(child, testSC.SpanID, "round", time.Time{}))
+	j.Emit(SpanEnd(child, "round", map[string]string{"round": "1"}, time.Time{}, 1500*time.Microsecond))
+	j.Emit(SpanEnd(testSC, "run", map[string]string{"algo": "parallel-sl"}, time.Time{}, 2*time.Millisecond))
 	if err := j.Err(); err != nil {
 		t.Fatal(err)
+	}
+	// Only the span fields go on the wire: no per-type placeholder
+	// fields such as a -1 tuple index.
+	if strings.Contains(sb.String(), `":-1`) {
+		t.Errorf("trace carries placeholder fields:\n%s", sb.String())
 	}
 
 	events, err := ReadEvents(strings.NewReader(sb.String()))
@@ -52,17 +59,20 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if len(events) != 4 {
 		t.Fatalf("read %d events, want 4", len(events))
 	}
-	if events[0].Type != EventRunStart || events[0].Algo != "parallel-sl" || events[0].N != 12 {
-		t.Errorf("run_start wrong: %+v", events[0])
+	if e := events[0]; e.Type != EventSpanStart || e.Name != "run" || e.TraceID != testSC.TraceID || e.ParentID != "" {
+		t.Errorf("run span_start wrong: %+v", e)
+	}
+	if events[1].ParentID != testSC.SpanID {
+		t.Errorf("round parent = %q, want %q", events[1].ParentID, testSC.SpanID)
 	}
 	if events[1].Seq != 2 || events[2].Seq != 3 {
 		t.Errorf("sequence numbers wrong: %d, %d", events[1].Seq, events[2].Seq)
 	}
-	if events[2].DurationMS != 1.5 {
-		t.Errorf("duration = %v ms, want 1.5", events[2].DurationMS)
+	if events[2].DurationMS != 1.5 || events[2].Attrs["round"] != "1" {
+		t.Errorf("round span_end wrong: %+v", events[2])
 	}
-	if ve := events[3]; ve.A != 2 || ve.B != 7 || ve.Workers != 7 || ve.Base != 5 {
-		t.Errorf("vote_escalation wrong: %+v", ve)
+	if events[3].Attrs["algo"] != "parallel-sl" {
+		t.Errorf("run span_end attrs wrong: %+v", events[3])
 	}
 	if events[0].Time.IsZero() {
 		t.Error("emitted event not timestamped")
@@ -72,8 +82,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 func TestReadEventsToleratesTornFinalLine(t *testing.T) {
 	var sb strings.Builder
 	j := NewJSONL(&sb)
-	j.Emit(RoundStart(1, 2))
-	j.Emit(RoundStart(2, 2))
+	j.Emit(SpanStart(testSC, "", "run", time.Time{}))
+	j.Emit(SpanEnd(testSC, "run", nil, time.Time{}, time.Millisecond))
 	torn := sb.String()
 	torn = torn[:len(torn)-10] // cut mid-way into the final line
 	events, err := ReadEvents(strings.NewReader(torn))
@@ -86,20 +96,5 @@ func TestReadEventsToleratesTornFinalLine(t *testing.T) {
 	// Malformed content before the end is an error, not silently dropped.
 	if _, err := ReadEvents(strings.NewReader("garbage\n" + sb.String())); err == nil {
 		t.Error("mid-stream garbage not rejected")
-	}
-}
-
-func TestMulti(t *testing.T) {
-	if Multi(nil, nil) != nil {
-		t.Error("Multi of nils should be nil")
-	}
-	var a, b Collector
-	if Multi(&a, nil) != Tracer(&a) {
-		t.Error("Multi with one live member should return the member")
-	}
-	m := Multi(&a, &b)
-	m.Emit(RoundStart(1, 1))
-	if len(a.Events()) != 1 || len(b.Events()) != 1 {
-		t.Errorf("fan-out failed: %d, %d", len(a.Events()), len(b.Events()))
 	}
 }
