@@ -20,8 +20,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -174,6 +176,13 @@ type session struct {
 	// voting policy gave more than its nominal ω; finish writes them onto
 	// the run span. They count only under tracing.
 	p1Removed, p2Removed, p3Removed, voteEscalations int
+
+	// pruneBuf and probeKeys are the question-generation scratch, reused
+	// across tuples: pruneDS reduces a dominating set in pruneBuf before
+	// copying out the survivors, and probeOrder sorts P3's pairs by their
+	// precomputed frequencies in probeKeys.
+	pruneBuf  []int
+	probeKeys []keyedPair
 
 	// useT selects whether completeness decisions may use transitive
 	// inference through the preference tree. The paper introduces the tree
@@ -636,21 +645,37 @@ func (ss *session) acWeaklyPrefers(s, t int) bool {
 	return true
 }
 
-// acDominates reports whether s ≺AC t is known: weak preference on every
-// crowd attribute and strict preference on at least one.
-func (ss *session) acDominates(s, t int) bool {
-	strict := false
+// acCompare reports the known AC-dominance between s and t: 1 when
+// s ≺AC t (weak preference on every crowd attribute, strict on at least
+// one), -1 when t ≺AC s, and 0 when neither is known. It reads each
+// attribute's relation once and answers both directions.
+//
+//skylint:hotpath
+func (ss *session) acCompare(s, t int) int {
+	sWeak, tWeak := true, true
+	sStrict, tStrict := false, false
 	for _, g := range ss.graphs {
 		switch g.Known(s, t) {
 		case prefgraph.Prefer:
-			strict = true
+			tWeak, sStrict = false, true
+		case prefgraph.Defer:
+			sWeak, tStrict = false, true
 		case prefgraph.Equal:
-			// weak, not strict
+			// weak both ways, strict neither
 		default:
-			return false
+			return 0
+		}
+		if !sWeak && !tWeak {
+			return 0
 		}
 	}
-	return strict
+	switch {
+	case sWeak && sStrict:
+		return 1
+	case tWeak && tStrict:
+		return -1
+	}
+	return 0
 }
 
 // acEqual reports whether s and t are known equal on every crowd attribute.
@@ -679,22 +704,59 @@ func (ss *session) contradictions() int {
 // is equal in AC as well cannot dominate either way; the later tuple is
 // folded into the earlier one as a twin and re-added to the skyline at
 // readout. Each compared pair is one round, as in the serial algorithm.
+//
+// Pairs are visited in the order of the all-pairs scan (i ascending, then
+// j > i ascending), but only pairs that can qualify are looked at: equal
+// known rows are within skyline.Eps on the first known attribute, so with
+// the tuples sorted by that attribute the partners of i lie in the
+// contiguous run of keys within Eps of i's. Without known attributes every
+// pair is identical in AK, and a constant key makes every pair a candidate.
 func (ss *session) preprocessDegenerate() {
 	d := ss.d
 	n := d.N()
+	key := func(t int) float64 {
+		if d.KnownDims() == 0 {
+			return 0
+		}
+		return d.Known(t, 0)
+	}
+	byKey := make([]int, n)
+	for t := range byKey {
+		byKey[t] = t
+	}
+	// cmp.Compare orders NaN first, so the order is total and a NaN key,
+	// which equals nothing, never splits a run of finite keys.
+	slices.SortFunc(byKey, func(a, b int) int { return cmp.Compare(key(a), key(b)) })
+	rank := make([]int, n)
+	for r, t := range byKey {
+		rank[t] = r
+	}
+	var partners []int
 	for i := 0; i < n; i++ {
 		if !ss.alive[i] {
 			continue
 		}
-		for j := i + 1; j < n; j++ {
-			if !ss.alive[j] || !skyline.EqualKnown(d, i, j) {
+		// Equality is static, so the partners can be found up front;
+		// liveness changes as pairs resolve and is checked per visit.
+		partners = partners[:0]
+		ki := key(i)
+		for _, step := range [2]int{-1, 1} {
+			for r := rank[i] + step; r >= 0 && r < n && skyline.EqEps(key(byKey[r]), ki); r += step {
+				if j := byKey[r]; j > i && skyline.EqualKnown(d, i, j) {
+					partners = append(partners, j)
+				}
+			}
+		}
+		slices.Sort(partners)
+		for _, j := range partners {
+			if !ss.alive[j] {
 				continue
 			}
 			ss.askPairNow(i, j)
-			switch {
-			case ss.acDominates(i, j):
+			switch c := ss.acCompare(i, j); {
+			case c > 0:
 				ss.alive[j] = false
-			case ss.acDominates(j, i):
+			case c < 0:
 				ss.alive[i] = false
 			case ss.acEqual(i, j):
 				// Equal on all attributes: identical tuples share fate, so

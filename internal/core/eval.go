@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"strconv"
 
 	"crowdsky/internal/bitset"
@@ -54,63 +55,14 @@ func newTupleEval(ss *session, t int, ds []int, opts Options, nonSkyline []bool)
 		qctx, qspan = telemetry.StartSpan(ss.runContext(), ss.trace, "qgen")
 		qspan.SetAttr("tuple", strconv.Itoa(t))
 	}
-	phase := func(name string) *telemetry.Span {
-		if qspan == nil {
-			return nil
-		}
-		_, s := telemetry.StartSpan(qctx, ss.trace, name)
-		return s
-	}
 	te := &tupleEval{t: t, inDS: bitset.New(ss.d.N())}
-	var p1span *telemetry.Span
-	if opts.P1 {
-		p1span = phase("p1")
-	}
-	for _, s := range ds {
-		if opts.P1 && nonSkyline[s] {
-			continue
-		}
-		te.ds = append(te.ds, s)
+	te.ds = ss.pruneDS(ds, opts, nonSkyline, qctx)
+	for _, s := range te.ds {
 		te.inDS.Add(s)
 	}
-	if p1span != nil {
-		removed := len(ds) - len(te.ds)
-		ss.p1Removed += removed
-		p1span.SetAttr("removed", strconv.Itoa(removed))
-		p1span.End()
-	}
-	if opts.P2 {
-		p2span := phase("p2")
-		before := len(te.ds)
-		te.reduceToACSkyline(ss)
-		if p2span != nil {
-			removed := before - len(te.ds)
-			ss.p2Removed += removed
-			p2span.SetAttr("removed", strconv.Itoa(removed))
-			p2span.End()
-		}
-	}
 	if opts.P3 && len(te.ds) > 1 {
-		p3span := phase("p3_order")
-		for i := 0; i < len(te.ds); i++ {
-			for j := i + 1; j < len(te.ds); j++ {
-				te.probe = append(te.probe, makePair(te.ds[i], te.ds[j]))
-			}
-		}
-		// Order by freq(u,v) per Options.ProbeOrder; ties keep pair order
-		// for determinism.
-		switch opts.ProbeOrder {
-		case FreqAscending:
-			sort.SliceStable(te.probe, func(x, y int) bool {
-				return ss.freq(te.probe[x].a(), te.probe[x].b()) < ss.freq(te.probe[y].a(), te.probe[y].b())
-			})
-		case PairOrder:
-			// generation order
-		default: // FreqDescending
-			sort.SliceStable(te.probe, func(x, y int) bool {
-				return ss.freq(te.probe[x].a(), te.probe[x].b()) > ss.freq(te.probe[y].a(), te.probe[y].b())
-			})
-		}
+		p3span := ss.stageSpan(qctx, "p3_order")
+		te.probe = ss.probeOrder(te.ds, opts.ProbeOrder)
 		p3span.End()
 	}
 	qspan.SetAttr("ds", strconv.Itoa(len(te.ds)))
@@ -118,25 +70,125 @@ func newTupleEval(ss *session, t int, ds []int, opts Options, nonSkyline []bool)
 	return te
 }
 
-// reduceToACSkyline drops every member of ds that is AC-dominated by
-// another member, according to the current preference tree.
-func (te *tupleEval) reduceToACSkyline(ss *session) {
-	keep := te.ds[:0]
-	for _, u := range te.ds {
-		dominated := false
-		for _, v := range te.ds {
-			if v != u && ss.acDominates(v, u) {
-				dominated = true
-				break
+// stageSpan opens a pruning-stage span under a tuple's qgen span; nil
+// when qctx is nil (tracing off, or no enclosing qgen span).
+func (ss *session) stageSpan(qctx context.Context, name string) *telemetry.Span {
+	if qctx == nil {
+		return nil
+	}
+	_, s := telemetry.StartSpan(qctx, ss.trace, name)
+	return s
+}
+
+// pruneDS applies the dominating-set reductions of Algorithm 1, line 9,
+// and returns the survivors in ds order as a new exact-size slice: P1
+// drops complete non-skyline members (Corollary 1), then P2 keeps
+// SKY_AC of the rest under the current preference tree (Corollary 2).
+// Each stage's removals are added to the run totals and, with a qgen
+// context, recorded on a "p1"/"p2" span under it.
+func (ss *session) pruneDS(ds []int, opts Options, nonSkyline []bool, qctx context.Context) []int {
+	buf := ss.pruneBuf[:0]
+	if opts.P1 {
+		span := ss.stageSpan(qctx, "p1")
+		for _, s := range ds {
+			if !nonSkyline[s] {
+				buf = append(buf, s)
 			}
 		}
-		if dominated {
-			te.inDS.Remove(u)
-		} else {
-			keep = append(keep, u)
+		ss.countRemoved(&ss.p1Removed, span, len(ds)-len(buf))
+	} else {
+		buf = append(buf, ds...)
+	}
+	if opts.P2 {
+		span := ss.stageSpan(qctx, "p2")
+		before := len(buf)
+		buf = ss.acSkyline(buf)
+		ss.countRemoved(&ss.p2Removed, span, before-len(buf))
+	}
+	ss.pruneBuf = buf
+	return append([]int(nil), buf...)
+}
+
+// countRemoved adds removed to a pruning stage's run total and, when the
+// stage has a span, records it there and closes the span. The totals
+// count only under tracing.
+func (ss *session) countRemoved(total *int, span *telemetry.Span, removed int) {
+	if ss.trace == nil {
+		return
+	}
+	*total += removed
+	if span != nil {
+		span.SetAttr("removed", strconv.Itoa(removed))
+		span.End()
+	}
+}
+
+// acSkyline reduces set in place to SKY_AC(set), the members no other
+// member is known to AC-dominate, and returns it in set order. Known
+// AC-dominance is a strict partial order (each preference tree is
+// transitively closed and acyclic), so SKY_AC is the set of maximal
+// members and one block-nested-loop pass finds it: a member dominated by
+// a window member is dropped; otherwise it evicts the window members it
+// dominates and joins the window. The window is a prefix of set itself
+// and keeps set order.
+func (ss *session) acSkyline(set []int) []int {
+	win := set[:0]
+next:
+	for _, u := range set {
+		k := 0
+		for _, w := range win {
+			switch ss.acCompare(w, u) {
+			case 1:
+				// Nothing was evicted yet: u ≺AC w' and w ≺AC u would put
+				// w ≺AC w' inside the window.
+				continue next
+			case -1:
+				continue // u evicts w
+			}
+			win[k] = w
+			k++
+		}
+		win = append(win[:k], u)
+	}
+	return win
+}
+
+// keyedPair is a P3 probing pair with its sort key freq(u,v).
+type keyedPair struct {
+	p    pair
+	freq int
+}
+
+// probeOrder returns the probing list P(t) over ds: every pair in
+// generation order (by position in ds), stably sorted by freq(u,v) per
+// order. Ties keep generation order for determinism. Each frequency is
+// computed once into the session's keyed scratch, so the sort compares
+// integers instead of recomputing AND-popcounts.
+func (ss *session) probeOrder(ds []int, order ProbeOrder) []pair {
+	keyed := ss.probeKeys[:0]
+	for i := 0; i < len(ds); i++ {
+		for j := i + 1; j < len(ds); j++ {
+			k := keyedPair{p: makePair(ds[i], ds[j])}
+			if order != PairOrder {
+				k.freq = ss.freq(ds[i], ds[j])
+			}
+			keyed = append(keyed, k)
 		}
 	}
-	te.ds = keep
+	switch order {
+	case FreqAscending:
+		slices.SortStableFunc(keyed, func(x, y keyedPair) int { return cmp.Compare(x.freq, y.freq) })
+	case PairOrder:
+		// generation order
+	default: // FreqDescending
+		slices.SortStableFunc(keyed, func(x, y keyedPair) int { return cmp.Compare(y.freq, x.freq) })
+	}
+	probe := make([]pair, len(keyed))
+	for i, k := range keyed {
+		probe[i] = k.p
+	}
+	ss.probeKeys = keyed
+	return probe
 }
 
 // remove drops tuple u from the dominating set.
@@ -190,13 +242,13 @@ func (te *tupleEval) next(ss *session) (p pair, ok bool) {
 			}
 		}
 		// Resolved: apply its pruning effect for free.
-		switch {
-		case ss.acDominates(pr.a(), pr.b()):
+		switch ss.acCompare(pr.a(), pr.b()) {
+		case 1:
 			te.remove(pr.b())
 			if ss.trace != nil {
 				ss.p3Removed++
 			}
-		case ss.acDominates(pr.b(), pr.a()):
+		case -1:
 			te.remove(pr.a())
 			if ss.trace != nil {
 				ss.p3Removed++

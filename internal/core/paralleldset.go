@@ -28,6 +28,7 @@ func ParallelDSet(d *dataset.Dataset, pf crowd.Platform, opts Options) *Result {
 	n := d.N()
 	inSkyline := make([]bool, n)
 	nonSkyline := make([]bool, n)
+	pruned := make([][]int, n) // per tuple, its set as pruned at batching
 	var order []int
 	for t := 0; t < n; t++ {
 		if !ss.alive[t] {
@@ -54,10 +55,15 @@ func ParallelDSet(d *dataset.Dataset, pf crowd.Platform, opts Options) *Result {
 		group := order[lo:hi]
 		lo = hi
 
-		for _, batch := range disjointBatches(ss, group, sets, nonSkyline, opts, n) {
+		for _, batch := range disjointBatches(ss, group, sets, pruned, nonSkyline, opts, n) {
 			evals := make([]*tupleEval, len(batch))
 			for i, t := range batch {
-				evals[i] = newTupleEval(ss, t, sets[t], opts, nonSkyline)
+				// The batch-time set is exact input: Lemma 3 puts every
+				// member of DS(t) in an earlier group, so P1's view is
+				// unchanged, and the tree only gained relations since, so
+				// SKY_AC now of SKY_AC then is SKY_AC now of the whole set.
+				evals[i] = newTupleEval(ss, t, pruned[t], opts, nonSkyline)
+				pruned[t] = nil
 			}
 			runLockstep(ss, evals)
 			for _, te := range evals {
@@ -79,41 +85,17 @@ func ParallelDSet(d *dataset.Dataset, pf crowd.Platform, opts Options) *Result {
 // reduction to SKY_AC (Algorithm 1, line 9) — because dependency C2 only
 // concerns the members that can still appear in probing and Q(t)
 // questions. Checking the reduced sets admits much larger batches on
-// dense dominance structures without reintroducing C2.
-func disjointBatches(ss *session, group []int, sets [][]int, nonSkyline []bool, opts Options, n int) [][]int {
+// dense dominance structures without reintroducing C2. Each member's
+// reduced set is left in pruned[t] for its pipeline to start from.
+func disjointBatches(ss *session, group []int, sets, pruned [][]int, nonSkyline []bool, opts Options, n int) [][]int {
 	type batch struct {
 		members []int
 		used    []bool
 	}
 	var batches []*batch
-	effective := func(t int) []int {
-		var out []int
-		for _, s := range sets[t] {
-			if opts.P1 && nonSkyline[s] {
-				continue
-			}
-			out = append(out, s)
-		}
-		if opts.P2 {
-			kept := out[:0]
-			for _, u := range out {
-				dominated := false
-				for _, v := range out {
-					if v != u && ss.acDominates(v, u) {
-						dominated = true
-						break
-					}
-				}
-				if !dominated {
-					kept = append(kept, u)
-				}
-			}
-			out = kept
-		}
-		return out
-	}
 	for _, t := range group {
-		ds := effective(t)
+		ds := ss.pruneDS(sets[t], opts, nonSkyline, nil)
+		pruned[t] = ds
 		placed := false
 		for _, b := range batches {
 			overlap := false

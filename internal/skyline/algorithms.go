@@ -1,6 +1,7 @@
 package skyline
 
 import (
+	"slices"
 	"sort"
 
 	"crowdsky/internal/dataset"
@@ -43,8 +44,10 @@ func BNL(d *dataset.Dataset) []int {
 // SFS computes SKY_AK(R) with the sort-filter-skyline algorithm: tuples are
 // scanned in ascending order of an entropy-like monotone score (here the
 // attribute sum), which guarantees no later tuple can dominate an earlier
-// one, so a single filtering pass suffices. Returns tuple indices in
-// ascending order.
+// one, so a single filtering pass suffices. Rounding can tie the sums of a
+// dominator and its target, so equal scores fall back to lexicographic
+// row order, in which a dominator always comes first. Returns tuple
+// indices in ascending order.
 func SFS(d *dataset.Dataset) []int {
 	n := d.N()
 	order := make([]int, n)
@@ -58,7 +61,13 @@ func SFS(d *dataset.Dataset) []int {
 			score[i] += v
 		}
 	}
-	sort.SliceStable(order, func(a, b int) bool { return score[order[a]] < score[order[b]] })
+	sort.SliceStable(order, func(a, b int) bool {
+		sa, sb := score[order[a]], score[order[b]]
+		if sa < sb || sb < sa {
+			return sa < sb
+		}
+		return slices.Compare(d.KnownRow(order[a]), d.KnownRow(order[b])) < 0
+	})
 
 	var sky []int
 	for _, t := range order {

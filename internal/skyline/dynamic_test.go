@@ -29,8 +29,12 @@ func checkDynamicAgainstRebuild(t *testing.T, d *dataset.Dataset, ix *Index, ali
 	if got, exp := ix.KnownSkyline(), want.KnownSkyline(); !sameMembers(got, exp) {
 		t.Fatalf("KnownSkyline diverged from rebuild: got %v, want %v", got, exp)
 	}
-	if got, exp := ix.ImmediateDominators(), want.ImmediateDominators(); !reflect.DeepEqual(got, exp) {
-		t.Fatalf("ImmediateDominators diverged from rebuild")
+	naiveIm := ImmediateDominators(d, want.DominatingSets())
+	if got := ix.ImmediateDominators(); !reflect.DeepEqual(got, naiveIm) {
+		t.Fatalf("ImmediateDominators after mutations diverged from naive over the rebuild's sets")
+	}
+	if got := want.ImmediateDominators(); !reflect.DeepEqual(got, naiveIm) {
+		t.Fatalf("ImmediateDominators of the restricted rebuild diverged from naive")
 	}
 	aliveCount := 0
 	for tt := 0; tt < n; tt++ {

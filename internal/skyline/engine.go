@@ -2,6 +2,7 @@ package skyline
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -37,8 +38,9 @@ import (
 //     known rows, which would survive the weak-AND) are cleared in a
 //     final pass, restoring strictness;
 //   - DominatingSets is an exact-size counting transpose (no
-//     append-regrow), ImmediateDominators is a bitset intersection test
-//     per (dominator, target) pair instead of an O(|DS|²·d) rescan,
+//     append-regrow), ImmediateDominators is a covered walk down each
+//     target's dominator row that tests only the surviving candidates
+//     instead of an O(|DS|²·d) rescan,
 //     FreqCounter wraps the transposed bitmap for free, and OracleSkyline
 //     grades from the bitmap plus the latent values.
 //
@@ -616,9 +618,8 @@ func (ix *Index) aliveAt(p int) bool { return ix.dyn == nil || ix.dyn.aliveBits.
 
 // Generation returns the mutation counter: it starts at zero and every
 // successful Add or Remove increments it, so equal generations from the
-// same Index imply identical dominance state. Derived caches
-// (DominatingSets, and through it ImmediateDominators) key off it to
-// rebuild lazily after mutations.
+// same Index imply identical dominance state. The memoized
+// DominatingSets keys off it to rebuild lazily after mutations.
 func (ix *Index) Generation() uint64 { return ix.gen }
 
 // Dominates reports order-theoretic dominance s ≺AK t straight from the
@@ -697,26 +698,58 @@ func (ix *Index) buildSets() {
 }
 
 // ImmediateDominators returns c(t) for every tuple: the members of DS(t)
-// with no intermediate dominator, identical to the naive
-// ImmediateDominators over this index's dominating sets. Each membership
-// test is one early-exit bitset intersection — s is immediate iff the set
-// of tuples s dominates is disjoint from DS(t) — instead of an
-// O(|DS|·d) rescan per member.
+// with no intermediate dominator, in ascending tuple order, identical to
+// the naive ImmediateDominators over this index's dominating sets.
+//
+// Each target's dominator row is walked from the highest position down
+// with a covered set: a member already covered is skipped, any other
+// becomes a candidate and ORs its own dominator row into covered. A
+// covered member q lies in the row of some candidate c ∈ DS(t), so
+// q ≺AK c ≺AK t and q is provably not immediate. Walking down the score
+// order reaches a member before its own dominators, except inside an
+// equal-score run, where a rounded tie can order a dominator after the
+// member; so the exact test — nothing s dominates lies in DS(t) — still
+// runs, over the candidates only. The cost per target is one row walk
+// plus O(|c(t)|·n/64) words instead of O(|DS(t)|·n/64). Results share
+// one arena per worker.
 func (ix *Index) ImmediateDominators() [][]int {
-	sets := ix.DominatingSets()
 	im := make([][]int, ix.n)
 	shard(ix.m, func(lo, hi int) {
+		covered := bitset.New(ix.m)
+		ends := make([]int, hi-lo)
+		var arena []int
 		for p := lo; p < hi; p++ {
-			t := ix.order[p]
-			ds := sets[t]
-			if len(ds) == 0 {
-				continue
-			}
-			dominators := ix.domBy[p]
-			for _, s := range ds {
-				if !ix.dom[ix.pos[s]].Intersects(dominators) {
-					im[t] = append(im[t], s)
+			row := ix.domBy[p]
+			start := len(arena)
+			if ix.counts[p] > 0 {
+				cov := covered[:len(row)]
+				cov.Clear()
+				for wi := len(row) - 1; wi >= 0; wi-- {
+					for w := row[wi] &^ cov[wi]; w != 0; w &^= cov[wi] {
+						b := 63 - bits.LeadingZeros64(w)
+						w &^= 1 << uint(b)
+						q := wi<<6 + b
+						cov.Or(ix.domBy[q])
+						arena = append(arena, q)
+					}
 				}
+				k := start
+				for _, q := range arena[start:] {
+					if !ix.dom[q].Intersects(row) {
+						arena[k] = ix.order[q]
+						k++
+					}
+				}
+				arena = arena[:k]
+				slices.Sort(arena[start:])
+			}
+			ends[p-lo] = len(arena)
+		}
+		start := 0
+		for p := lo; p < hi; p++ {
+			if end := ends[p-lo]; end > start {
+				im[ix.order[p]] = arena[start:end:end]
+				start = end
 			}
 		}
 	})

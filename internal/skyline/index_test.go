@@ -95,7 +95,31 @@ func indexDatasets(t *testing.T) map[string]*dataset.Dataset {
 		"duplicates": nil,
 	}
 	out["duplicates"] = withDuplicates(t, randData(19, 240, 3, 2, dataset.Independent), 19)
+	out["rounding-ties"] = roundingTies()
 	return out
+}
+
+// roundingTies builds tuples whose attribute sums round to exact ties
+// although they dominate each other: at 2^53 the float spacing is 2, so
+// (2^53, 0.1) and (2^53, 0.9) both sum to 2^53. Within an equal-score run
+// the index orders tuples by original index, and the index here runs
+// against dominance, so every dominator of a run member sorts after it.
+// A second run at 2^53+2 is dominated across runs, and an exact duplicate
+// adds a weak-only pair.
+func roundingTies() *dataset.Dataset {
+	const big = 1 << 53
+	var known, latent [][]float64
+	for i := 0; i < 8; i++ {
+		known = append(known, []float64{big, 0.9 - 0.1*float64(i)})
+	}
+	for i := 0; i < 4; i++ {
+		known = append(known, []float64{big + 2, 0.85 - 0.2*float64(i)})
+	}
+	known = append(known, []float64{big, 0.5})
+	for i := range known {
+		latent = append(latent, []float64{float64((i * 7) % 5)})
+	}
+	return dataset.MustNew(known, latent)
 }
 
 // checkIndexAgainstNaive asserts every Index derivation is bit-for-bit
