@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,7 +29,7 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
-func postJSON(t *testing.T, url string, body any) *http.Response {
+func postJSON(t testing.TB, url string, body any) *http.Response {
 	t.Helper()
 	data, err := json.Marshal(body)
 	if err != nil {
@@ -447,4 +451,312 @@ func TestPersistRequeuesAndPerWorker(t *testing.T) {
 	if restored.requeues != 3 || restored.perWorker["w1"] != 7 {
 		t.Errorf("restored requeues=%d perWorker=%v", restored.requeues, restored.perWorker)
 	}
+}
+
+// answerReq posts one judgment and returns the status and, on a 200, the
+// decoded acknowledgement.
+func answerReq(t *testing.T, baseURL string, id int64, worker, pref string, next bool) (int, answerAck) {
+	t.Helper()
+	resp := postJSON(t, baseURL+"/api/answers", answerRequest{AssignmentID: id, Worker: worker, Pref: pref, Next: next})
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		return resp.StatusCode, answerAck{}
+	}
+	return resp.StatusCode, decode[answerAck](t, resp)
+}
+
+// getWork polls GET /api/work; ok is false on a 204.
+func getWork(t *testing.T, baseURL, worker string) (workItem, bool) {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/api/work?worker=" + worker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode == http.StatusNoContent {
+		resp.Body.Close()
+		return workItem{}, false
+	}
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		t.Fatalf("GET /api/work: %s", resp.Status)
+	}
+	return decode[workItem](t, resp), true
+}
+
+// queueState is the open queue's assignment ids in order plus the number
+// of active leases.
+func queueState(srv *Server) (ids []int64, leased int) {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	for _, a := range srv.queue {
+		ids = append(ids, a.id)
+	}
+	return ids, len(srv.leased)
+}
+
+// protocolRounds are two rounds mixing single- and multi-worker questions.
+var protocolRounds = [][]QuestionJSON{
+	{{A: 0, B: 1, Workers: 2}, {A: 2, B: 3, Attr: 1, Workers: 1}, {A: 4, B: 5, Workers: 3}},
+	{{A: 6, B: 7, Workers: 1}, {A: 0, B: 2, Attr: 1, Workers: 2}},
+}
+
+// TestAnswerNextMatchesFetch: two workers taking turns receive the same
+// assignments in the same order whether each answer asks for "next" or
+// is followed by its own GET /api/work.
+func TestAnswerNextMatchesFetch(t *testing.T) {
+	type lease struct {
+		worker string
+		job    workItem
+	}
+	run := func(next bool) []lease {
+		_, ts := newTestServer(t)
+		for _, qs := range protocolRounds {
+			postJSON(t, ts.URL+"/api/rounds", map[string]any{"questions": qs}).Body.Close()
+		}
+		workers := []string{"w1", "w2"}
+		held := map[string]workItem{}
+		var got []lease
+		for _, w := range workers {
+			if job, ok := getWork(t, ts.URL, w); ok {
+				held[w] = job
+				got = append(got, lease{w, job})
+			}
+		}
+		for len(held) > 0 {
+			for _, w := range workers {
+				job, ok := held[w]
+				if !ok {
+					continue
+				}
+				delete(held, w)
+				status, ack := answerReq(t, ts.URL, job.AssignmentID, w, "first", next)
+				if status != http.StatusOK {
+					t.Fatalf("answer: %d", status)
+				}
+				if next {
+					if ack.Next != nil {
+						held[w] = *ack.Next
+					}
+				} else if job, ok := getWork(t, ts.URL, w); ok {
+					held[w] = job
+				}
+				if job, ok := held[w]; ok {
+					got = append(got, lease{w, job})
+				}
+			}
+		}
+		return got
+	}
+	fetched, chained := run(false), run(true)
+	// Nine slots, less the three-worker question's third, which neither
+	// worker may take.
+	if len(fetched) != 8 {
+		t.Fatalf("fetch+answer leased %d assignments, want 8: %v", len(fetched), fetched)
+	}
+	if !slices.Equal(fetched, chained) {
+		t.Errorf("answer+next leases differ from fetch+answer:\n got %v\nwant %v", chained, fetched)
+	}
+}
+
+// TestRejectedAnswerLeasesNothing: a 400, 403 or 409 answer asking for
+// "next" leaves the queue and the leases exactly as they were.
+func TestRejectedAnswerLeasesNothing(t *testing.T) {
+	srv, ts := newTestServer(t)
+	postJSON(t, ts.URL+"/api/rounds", map[string]any{"questions": protocolRounds[0]}).Body.Close()
+	job, ok := getWork(t, ts.URL, "w1")
+	if !ok {
+		t.Fatal("no work")
+	}
+	wantQueue, wantLeased := queueState(srv)
+	for _, c := range []struct {
+		name   string
+		id     int64
+		worker string
+		pref   string
+		status int
+	}{
+		{"bad preference", job.AssignmentID, "w1", "maybe", http.StatusBadRequest},
+		{"bad worker id", job.AssignmentID, "w 1", "first", http.StatusBadRequest},
+		{"another worker's lease", job.AssignmentID, "w2", "first", http.StatusForbidden},
+		{"unleased assignment", 999, "w2", "first", http.StatusConflict},
+	} {
+		resp := postJSON(t, ts.URL+"/api/answers", answerRequest{AssignmentID: c.id, Worker: c.worker, Pref: c.pref, Next: true})
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.status {
+			t.Errorf("%s: status %d, want %d", c.name, resp.StatusCode, c.status)
+		}
+		if strings.Contains(string(body), `"next"`) {
+			t.Errorf("%s: rejected answer carried a lease: %s", c.name, body)
+		}
+		if q, l := queueState(srv); !slices.Equal(q, wantQueue) || l != wantLeased {
+			t.Errorf("%s: queue %v with %d leases, want %v with %d", c.name, q, l, wantQueue, wantLeased)
+		}
+	}
+	// The same judgment answered twice: the second is a 409 and leases
+	// nothing either.
+	if status, _ := answerReq(t, ts.URL, job.AssignmentID, "w1", "first", true); status != http.StatusOK {
+		t.Fatalf("valid answer: %d", status)
+	}
+	wantQueue, wantLeased = queueState(srv)
+	if status, _ := answerReq(t, ts.URL, job.AssignmentID, "w1", "first", true); status != http.StatusConflict {
+		t.Errorf("duplicate answer: status %d, want 409", status)
+	}
+	if q, l := queueState(srv); !slices.Equal(q, wantQueue) || l != wantLeased {
+		t.Errorf("duplicate answer: queue %v with %d leases, want %v with %d", q, l, wantQueue, wantLeased)
+	}
+}
+
+// TestAnswerNextSkipsVotedQuestion: on a three-worker question, "next"
+// never hands a worker a second slot of a question it already voted on.
+func TestAnswerNextSkipsVotedQuestion(t *testing.T) {
+	_, ts := newTestServer(t)
+	postJSON(t, ts.URL+"/api/rounds", map[string]any{"questions": []QuestionJSON{
+		{A: 0, B: 1, Workers: 3}, {A: 2, B: 3, Workers: 3},
+	}}).Body.Close()
+	for _, w := range []string{"w1", "w2", "w3"} {
+		job, ok := getWork(t, ts.URL, w)
+		seen := map[[2]int]bool{}
+		for ok {
+			q := [2]int{job.A, job.B}
+			if seen[q] {
+				t.Fatalf("%s leased a second slot of question %v", w, q)
+			}
+			seen[q] = true
+			var ack answerAck
+			if _, ack = answerReq(t, ts.URL, job.AssignmentID, w, "first", true); ack.Next != nil {
+				job = *ack.Next
+			}
+			ok = ack.Next != nil
+		}
+		if len(seen) != 2 {
+			t.Errorf("%s answered %d questions, want 2", w, len(seen))
+		}
+	}
+	if _, ok := getWork(t, ts.URL, "w4"); ok {
+		t.Error("work left after three workers answered every slot")
+	}
+}
+
+// TestAnswerWithoutNextReplyUnchanged: an answer that does not ask for
+// "next" gets the plain acknowledgement, so existing worker UIs keep
+// working.
+func TestAnswerWithoutNextReplyUnchanged(t *testing.T) {
+	_, ts := newTestServer(t)
+	postJSON(t, ts.URL+"/api/rounds", map[string]any{"questions": protocolRounds[0]}).Body.Close()
+	job, _ := getWork(t, ts.URL, "w1")
+	resp := postJSON(t, ts.URL+"/api/answers", map[string]any{
+		"assignment_id": job.AssignmentID, "worker": "w1", "pref": "first",
+	})
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || strings.TrimSpace(string(body)) != `{"ok":true}` {
+		t.Errorf("answer without next: %s %q, want 200 {\"ok\":true}", resp.Status, body)
+	}
+}
+
+// TestLostAnswerNextReplyRequeues: when the reply to an answer+next is
+// lost, the judgment still counts once and the lease it carried lapses
+// back into the queue for another worker.
+func TestLostAnswerNextReplyRequeues(t *testing.T) {
+	srv, ts := newTestServer(t)
+	srv.SetLease(time.Millisecond)
+	postJSON(t, ts.URL+"/api/rounds", map[string]any{"questions": []QuestionJSON{
+		{A: 0, B: 1, Workers: 1}, {A: 2, B: 3, Workers: 1},
+	}}).Body.Close()
+	first, _ := getWork(t, ts.URL, "w1")
+	// Pretend this reply never arrives: the worker does not learn the
+	// lease it carries and resubmits its judgment.
+	status, ack := answerReq(t, ts.URL, first.AssignmentID, "w1", "first", true)
+	if status != http.StatusOK || ack.Next == nil {
+		t.Fatalf("answer+next: %d %+v", status, ack)
+	}
+	stranded := *ack.Next
+	if status, _ := answerReq(t, ts.URL, first.AssignmentID, "w1", "first", true); status != http.StatusConflict {
+		t.Errorf("resubmitted judgment: status %d, want 409", status)
+	}
+	time.Sleep(5 * time.Millisecond)
+	if got, ok := getWork(t, ts.URL, "w2"); !ok || got != stranded {
+		t.Errorf("stranded lease not requeued: got %+v (%v), want %+v", got, ok, stranded)
+	}
+	if st := serverStats(t, ts.URL); st.Judgments != 1 {
+		t.Errorf("judgments = %d, want 1", st.Judgments)
+	}
+}
+
+// exchangeCounter counts the requests a handler served, keyed both by
+// "METHOD path" and by "METHOD path status".
+type exchangeCounter struct {
+	next http.Handler
+	mu   sync.Mutex
+	n    map[string]int
+}
+
+func (c *exchangeCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	sw := &codeWriter{ResponseWriter: w, code: http.StatusOK}
+	c.next.ServeHTTP(sw, r)
+	key := r.Method + " " + r.URL.Path
+	c.mu.Lock()
+	c.n[key]++
+	c.n[fmt.Sprintf("%s %d", key, sw.code)]++
+	c.mu.Unlock()
+}
+
+func (c *exchangeCounter) count(key string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n[key]
+}
+
+type codeWriter struct {
+	http.ResponseWriter
+	code int
+}
+
+func (w *codeWriter) WriteHeader(code int) {
+	w.code = code
+	w.ResponseWriter.WriteHeader(code)
+}
+
+// TestExchangeBudget pins the worker protocol's cost: over a whole
+// skyline run with one simulated worker, every judgment is one POST
+// /api/answers, and GET /api/work grants a lease at most once per round
+// (the round's first job); every later job arrives with an answer.
+func TestExchangeBudget(t *testing.T) {
+	srv := NewServer()
+	counter := &exchangeCounter{next: srv.Handler(), n: map[string]int{}}
+	ts := httptest.NewServer(counter)
+	defer ts.Close()
+	d := dataset.MustGenerate(dataset.GenerateConfig{N: 80, KnownDims: 2, CrowdDims: 1, Distribution: dataset.AntiCorrelated},
+		rand.New(rand.NewSource(1)))
+
+	ctx, cancel := context.WithCancel(context.Background())
+	workersDone := make(chan struct{})
+	go func() {
+		defer close(workersDone)
+		SimulateWorkers(ctx, ts.URL, WorkerConfig{
+			Count: 1, Truth: crowd.DatasetTruth{Data: d}, Reliability: 1,
+			PollInterval: time.Millisecond, Seed: 1,
+		})
+	}()
+	client := NewClient(ts.URL)
+	client.PollInterval = time.Millisecond
+	res := core.ParallelSL(d, client, core.AllPruning())
+	cancel()
+	<-workersDone
+
+	if want := core.Oracle(d); !metrics.SameSet(res.Skyline, want) {
+		t.Fatalf("skyline = %v, want %v", res.Skyline, want)
+	}
+	if answers := counter.count("POST /api/answers"); answers != res.WorkerAnswers {
+		t.Errorf("POST /api/answers = %d, want one per judgment (%d)", answers, res.WorkerAnswers)
+	}
+	rounds := counter.count("POST /api/rounds 201")
+	if leases := counter.count("GET /api/work 200"); leases > rounds {
+		t.Errorf("GET /api/work leased %d times over %d rounds; answers no longer chain the next lease", leases, rounds)
+	}
+	t.Logf("%d judgments in %d rounds", res.WorkerAnswers, rounds)
 }

@@ -122,10 +122,78 @@ func (s *Server) Snapshot(w io.Writer) error {
 }
 
 // Restore replaces the server state with a snapshot produced by Snapshot.
+// A snapshot that is inconsistent — a per-question array whose length
+// differs from the round's questions, more votes than workers, or an
+// open slot with no room left for its vote — is rejected with an error
+// and the server is left as it was.
 func (s *Server) Restore(r io.Reader) error {
 	var snap snapshot
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
 		return fmt.Errorf("crowdserve: decoding snapshot: %w", err)
+	}
+	rounds := make(map[int64]*round, len(snap.Rounds))
+	// free counts, per round and question, the vote slots not yet filled;
+	// every open assignment must take one of them.
+	free := make(map[int64][]int, len(snap.Rounds))
+	for _, rs := range snap.Rounds {
+		n := len(rs.Questions)
+		if len(rs.Votes) != n || len(rs.Voters) != n || len(rs.Needed) != n {
+			return fmt.Errorf("crowdserve: snapshot round %d has %d questions but %d vote lists, %d voter sets and %d worker counts",
+				rs.ID, n, len(rs.Votes), len(rs.Voters), len(rs.Needed))
+		}
+		rd := &round{
+			id:        rs.ID,
+			questions: rs.Questions,
+			voters:    rs.Voters,
+			needed:    rs.Needed,
+			remaining: rs.Remaining,
+			votes:     make([][]crowd.Preference, n),
+		}
+		free[rs.ID] = make([]int, n)
+		for i, votes := range rs.Votes {
+			if len(votes) > rd.needed[i] {
+				return fmt.Errorf("crowdserve: snapshot round %d question %d has %d votes for %d workers",
+					rs.ID, i, len(votes), rd.needed[i])
+			}
+			if rd.voters[i] == nil {
+				rd.voters[i] = make(map[string]bool)
+			}
+			// Full capacity, as handlePostRound reserves it: the
+			// per-judgment append must never grow after a restore either.
+			rd.votes[i] = make([]crowd.Preference, 0, rd.needed[i])
+			for _, v := range votes {
+				pref, err := parsePref(v)
+				if err != nil {
+					return err
+				}
+				rd.votes[i] = append(rd.votes[i], pref)
+			}
+			free[rs.ID][i] = rd.needed[i] - len(votes)
+		}
+		rounds[rs.ID] = rd
+	}
+	// Restored rounds have no live span context or trace ID (the
+	// requester's trace did not survive the restart); spans and exemplars
+	// simply resume absent. The queue-wait clock restarts at the restore,
+	// which undercounts waits spanning the downtime but never fabricates
+	// them.
+	now := s.now()
+	queue := make([]*assignment, 0, len(snap.Open))
+	for _, a := range snap.Open {
+		rd, ok := rounds[a.RoundID]
+		if !ok || a.QIndex < 0 || a.QIndex >= len(rd.questions) {
+			return fmt.Errorf("crowdserve: snapshot assignment %d references missing round/question", a.ID)
+		}
+		if free[a.RoundID][a.QIndex]--; free[a.RoundID][a.QIndex] < 0 {
+			return fmt.Errorf("crowdserve: snapshot assignment %d exceeds its question's worker count", a.ID)
+		}
+		queue = append(queue, &assignment{
+			id:         a.ID,
+			roundID:    a.RoundID,
+			qIndex:     a.QIndex,
+			question:   rd.questions[a.QIndex],
+			enqueuedAt: now,
+		})
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -141,59 +209,9 @@ func (s *Server) Restore(r io.Reader) error {
 	for k, id := range snap.Idempotency {
 		s.idem[k] = id
 	}
-	s.rounds = make(map[int64]*round, len(snap.Rounds))
-	s.queue = nil
+	s.rounds = rounds
+	s.queue = queue
 	s.leased = make(map[int64]*assignment)
-	for _, rs := range snap.Rounds {
-		rd := &round{
-			id:        rs.ID,
-			questions: rs.Questions,
-			voters:    rs.Voters,
-			needed:    rs.Needed,
-			remaining: rs.Remaining,
-			votes:     make([][]crowd.Preference, len(rs.Questions)),
-		}
-		if rd.voters == nil {
-			rd.voters = make([]map[string]bool, len(rs.Questions))
-		}
-		for i := range rd.voters {
-			if rd.voters[i] == nil {
-				rd.voters[i] = make(map[string]bool)
-			}
-		}
-		for i, votes := range rs.Votes {
-			if i >= len(rd.votes) {
-				return fmt.Errorf("crowdserve: snapshot round %d has too many vote lists", rs.ID)
-			}
-			for _, v := range votes {
-				pref, err := parsePref(v)
-				if err != nil {
-					return err
-				}
-				rd.votes[i] = append(rd.votes[i], pref)
-			}
-		}
-		s.rounds[rs.ID] = rd
-	}
-	// Restored rounds have no live span context or trace ID (the
-	// requester's trace did not survive the restart); spans and exemplars
-	// simply resume absent. The queue-wait clock restarts at the restore,
-	// which undercounts waits spanning the downtime but never fabricates
-	// them.
-	now := s.now()
-	for _, a := range snap.Open {
-		rd, ok := s.rounds[a.RoundID]
-		if !ok || a.QIndex < 0 || a.QIndex >= len(rd.questions) {
-			return fmt.Errorf("crowdserve: snapshot assignment %d references missing round/question", a.ID)
-		}
-		s.queue = append(s.queue, &assignment{
-			id:         a.ID,
-			roundID:    a.RoundID,
-			qIndex:     a.QIndex,
-			question:   rd.questions[a.QIndex],
-			enqueuedAt: now,
-		})
-	}
 	return nil
 }
 

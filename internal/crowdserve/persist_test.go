@@ -178,7 +178,47 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 		t.Errorf("dangling assignment accepted")
 	}
 	if err := srv.Restore(strings.NewReader(
-		`{"rounds":[{"id":1,"questions":[{"a":0,"b":1}],"votes":[["maybe"]],"needed":[1],"remaining":0}]}`)); err == nil {
+		`{"rounds":[{"id":1,"questions":[{"a":0,"b":1}],"votes":[["maybe"]],"voters":[{}],"needed":[1],"remaining":0}]}`)); err == nil {
 		t.Errorf("unknown preference accepted")
+	}
+	// Per-question arrays shorter than the questions: the first open
+	// assignment's double-vote check would index past the end.
+	for _, round := range []string{
+		`{"id":1,"questions":[{"a":0,"b":1}],"votes":[[]],"voters":[],"needed":[1],"remaining":1}`,
+		`{"id":1,"questions":[{"a":0,"b":1}],"votes":[],"voters":[{}],"needed":[1],"remaining":1}`,
+		`{"id":1,"questions":[{"a":0,"b":1}],"votes":[[]],"voters":[{}],"needed":[],"remaining":1}`,
+	} {
+		snap := `{"rounds":[` + round + `],"open":[{"id":1,"round_id":1,"q_index":0}]}`
+		if err := srv.Restore(strings.NewReader(snap)); err == nil {
+			t.Errorf("short per-question array accepted: %s", round)
+		}
+	}
+	// More votes or open slots than the question has workers: the vote
+	// append would outgrow the capacity reserved for it.
+	for _, snap := range []string{
+		`{"rounds":[{"id":1,"questions":[{"a":0,"b":1,"workers":1}],"votes":[["first","first"]],"voters":[{"w1":true,"w2":true}],"needed":[1],"remaining":0}]}`,
+		`{"rounds":[{"id":1,"questions":[{"a":0,"b":1,"workers":1}],"votes":[["first"]],"voters":[{"w1":true}],"needed":[1],"remaining":0}],` +
+			`"open":[{"id":2,"round_id":1,"q_index":0}]}`,
+	} {
+		if err := srv.Restore(strings.NewReader(snap)); err == nil {
+			t.Errorf("over-full question accepted: %s", snap)
+		}
+	}
+	// Rejected snapshots leave the server as it was.
+	if q, l := queueState(srv); len(q) != 0 || l != 0 {
+		t.Errorf("rejected snapshots left work behind: queue %v, %d leases", q, l)
+	}
+	// A restored question has room for all of its votes, as a freshly
+	// posted one does, so recording a judgment after a restart never
+	// grows the vote slice.
+	if err := srv.Restore(strings.NewReader(
+		`{"rounds":[{"id":1,"questions":[{"a":0,"b":1,"workers":3}],"votes":[["first"]],"voters":[{"w1":true}],"needed":[3],"remaining":2}],` +
+			`"open":[{"id":2,"round_id":1,"q_index":0},{"id":3,"round_id":1,"q_index":0}]}`)); err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	if votes := srv.rounds[1].votes[0]; len(votes) != 1 || cap(votes) != 3 {
+		t.Errorf("restored votes len %d cap %d, want 1 and 3", len(votes), cap(votes))
 	}
 }

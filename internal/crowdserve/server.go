@@ -15,7 +15,8 @@
 //	POST /api/rounds            {questions: [{a,b,attr,workers}]} → {round_id}
 //	GET  /api/rounds/{id}       → {done, answers: [{a,b,attr,pref}]}
 //	GET  /api/work?worker=W     → {assignment_id, a, b, attr} or 204
-//	POST /api/answers           {assignment_id, worker, pref}
+//	POST /api/answers           {assignment_id, worker, pref, next?}
+//	                            → {ok, next?: {assignment_id, a, b, attr}}
 //	GET  /api/stats             → {rounds, questions, judgments, open,
 //	                               lease_requeues, judgments_by_worker}
 //	GET  /metrics               → Prometheus text exposition
@@ -23,6 +24,12 @@
 // pref is "first", "second" or "equal". Assignments are leased: a fetched
 // assignment that is not answered within the lease duration is silently
 // requeued for another worker, so stalled workers cannot wedge a round.
+//
+// An answer with "next": true also leases the worker's next assignment,
+// exactly as a GET /api/work right after it would, so a busy worker spends
+// one exchange per judgment. next is omitted from the reply when nothing
+// compatible is open, and a rejected answer (400, 403, 409) leases
+// nothing. Without "next" the reply is {"ok": true}.
 package crowdserve
 
 import (
@@ -58,6 +65,31 @@ type AnswerJSON struct {
 	B    int    `json:"b"`
 	Attr int    `json:"attr"`
 	Pref string `json:"pref"`
+}
+
+// workItem is the wire form of one leased assignment: the body of a 200
+// from GET /api/work and the next field of an answer's acknowledgement.
+type workItem struct {
+	AssignmentID int64 `json:"assignment_id"`
+	A            int   `json:"a"`
+	B            int   `json:"b"`
+	Attr         int   `json:"attr"`
+}
+
+// answerRequest is the body of POST /api/answers.
+type answerRequest struct {
+	AssignmentID int64  `json:"assignment_id"`
+	Worker       string `json:"worker"`
+	Pref         string `json:"pref"`
+	// Next asks the server to lease the worker's next assignment once
+	// this judgment is accepted.
+	Next bool `json:"next,omitempty"`
+}
+
+// answerAck is the reply to an accepted judgment.
+type answerAck struct {
+	OK   bool      `json:"ok"`
+	Next *workItem `json:"next,omitempty"`
 }
 
 // prefToString and back.
@@ -441,10 +473,8 @@ func (s *Server) handleGetRound(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleGetWork leases the next compatible assignment to the polling
-// worker. Workers poll in a loop, so this is the marketplace's hottest
-// endpoint: steady-state work (lease bookkeeping, queue rotation) must
-// not allocate; the per-request telemetry and the JSON response are the
-// documented exceptions.
+// worker, or answers 204 when there is none. Idle workers poll here in a
+// loop; busy ones lease through POST /api/answers instead.
 //
 //skylint:hotpath serve
 func (s *Server) handleGetWork(w http.ResponseWriter, r *http.Request) {
@@ -455,6 +485,23 @@ func (s *Server) handleGetWork(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	job, ok := s.leaseNextLocked(worker)
+	if !ok {
+		w.WriteHeader(http.StatusNoContent)
+		return
+	}
+	//skylint:alloc-ok one response object per granted lease; the JSON encoder behind it allocates anyway
+	s.writeJSON(w, http.StatusOK, job)
+}
+
+// leaseNextLocked leases the first open assignment, in FIFO order, that
+// the worker may take, and returns its wire form; ok is false when
+// nothing compatible is open. It is the one place a lease is granted, whether the worker polled
+// GET /api/work or asked for its next job with an answer. Steady-state
+// lease bookkeeping and queue rotation must not allocate.
+//
+//skylint:hotpath serve
+func (s *Server) leaseNextLocked(worker string) (job workItem, ok bool) {
 	s.reapExpiredLocked()
 	for i, a := range s.queue {
 		// A worker must not vote twice on one question: skip slots of
@@ -482,16 +529,9 @@ func (s *Server) handleGetWork(w http.ResponseWriter, r *http.Request) {
 		a.waitSpan = nil
 		a.judgeSpan = s.startAssignmentSpan(rd, a, "judgment")
 		a.judgeSpan.SetAttr("worker", worker)
-		//skylint:alloc-ok one response object per granted lease; the JSON encoder behind it allocates anyway
-		s.writeJSON(w, http.StatusOK, map[string]any{
-			"assignment_id": a.id,
-			"a":             a.question.A,
-			"b":             a.question.B,
-			"attr":          a.question.Attr,
-		})
-		return
+		return workItem{AssignmentID: a.id, A: a.question.A, B: a.question.B, Attr: a.question.Attr}, true
 	}
-	w.WriteHeader(http.StatusNoContent)
+	return workItem{}, false
 }
 
 // workerHasQuestionLocked reports whether the worker currently leases
@@ -543,17 +583,15 @@ func (s *Server) reapExpiredLocked() {
 	}
 }
 
-// handlePostAnswer accepts one worker judgment. Like handleGetWork this
-// is per-judgment hot: vote recording appends into capacity reserved at
-// round creation, and only telemetry and the response allocate.
+// handlePostAnswer accepts one worker judgment and, when the worker asks
+// for it, leases the worker's next assignment under the same lock hold.
+// It runs once per judgment: vote recording appends into capacity
+// reserved at round creation, and only telemetry and the response
+// allocate.
 //
 //skylint:hotpath serve
 func (s *Server) handlePostAnswer(w http.ResponseWriter, r *http.Request) {
-	var body struct {
-		AssignmentID int64  `json:"assignment_id"`
-		Worker       string `json:"worker"`
-		Pref         string `json:"pref"`
-	}
+	var body answerRequest
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
 		//skylint:alloc-ok malformed-request error path
 		s.writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
@@ -601,8 +639,14 @@ func (s *Server) handlePostAnswer(w http.ResponseWriter, r *http.Request) {
 	s.judgments++
 	s.perWorker[worker]++
 	s.mJudgments.Inc()
+	ack := answerAck{OK: true}
+	if body.Next {
+		if next, ok := s.leaseNextLocked(worker); ok {
+			ack.Next = &next
+		}
+	}
 	//skylint:alloc-ok one acknowledgement object per accepted judgment
-	s.writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+	s.writeJSON(w, http.StatusOK, ack)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -40,6 +40,11 @@ type WorkerConfig struct {
 // marketplace at baseURL until ctx is cancelled. It returns after all
 // workers have stopped. Errors from individual requests are retried after
 // the poll interval — workers on flaky networks must not wedge.
+//
+// A worker submits each judgment with "next": true, so the reply carries
+// its next lease and a busy worker spends one exchange per judgment. It
+// polls GET /api/work only when it holds no job: at start, once the queue
+// ran dry, and after a rejected answer or an injected fault.
 func SimulateWorkers(ctx context.Context, baseURL string, cfg WorkerConfig) {
 	poll := cfg.PollInterval
 	if poll <= 0 {
@@ -56,20 +61,14 @@ func SimulateWorkers(ctx context.Context, baseURL string, cfg WorkerConfig) {
 			worker := crowd.Worker{ID: id, Reliability: cfg.Reliability}
 			name := fmt.Sprintf("sim-%d", id)
 			client := &http.Client{Timeout: 10 * time.Second}
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				default:
-				}
-				job, ok := fetchWork(ctx, client, baseURL, name)
-				if !ok {
-					select {
-					case <-ctx.Done():
-						return
-					case <-time.After(poll):
+			var job workItem // the held lease, when have is set
+			have := false
+			for ctx.Err() == nil {
+				if !have {
+					if job, have = fetchWork(ctx, client, baseURL, name); !have {
+						pause(ctx, poll)
+						continue
 					}
-					continue
 				}
 				truth := cfg.Truth.Answer(crowd.Question{A: job.A, B: job.B, Attr: job.Attr})
 				answer := worker.Judge(truth, rng)
@@ -77,24 +76,28 @@ func SimulateWorkers(ctx context.Context, baseURL string, cfg WorkerConfig) {
 				if cfg.Faults != nil {
 					fault = cfg.Faults.Next(rng)
 				}
+				// Every fault path drops the job and fetches afresh.
+				have = false
 				switch fault {
 				case faultinject.KindWorkerNoShow:
 					// Walk away with the lease; the server must requeue the
 					// slot once it lapses.
 				case faultinject.KindWorkerDuplicate:
-					submitAnswer(ctx, client, baseURL, name, job.AssignmentID, answer)
-					submitAnswer(ctx, client, baseURL, name, job.AssignmentID, answer)
+					submitAnswer(ctx, client, baseURL, name, job.AssignmentID, answer, false)
+					submitAnswer(ctx, client, baseURL, name, job.AssignmentID, answer, false)
 				case faultinject.KindWorkerStale:
 					// Outlive the lease, then submit; the server must reject
 					// the late judgment (the slot belongs to someone else).
-					select {
-					case <-ctx.Done():
-						return
-					case <-time.After(cfg.Faults.Delay()):
+					if pause(ctx, cfg.Faults.Delay()) {
+						submitAnswer(ctx, client, baseURL, name, job.AssignmentID, answer, false)
 					}
-					submitAnswer(ctx, client, baseURL, name, job.AssignmentID, answer)
 				default:
-					submitAnswer(ctx, client, baseURL, name, job.AssignmentID, answer)
+					var accepted bool
+					job, have, accepted = submitAnswer(ctx, client, baseURL, name, job.AssignmentID, answer, true)
+					if accepted && !have {
+						// Nothing is open for this worker: wait as after a 204.
+						pause(ctx, poll)
+					}
 				}
 			}
 		}(w)
@@ -102,14 +105,19 @@ func SimulateWorkers(ctx context.Context, baseURL string, cfg WorkerConfig) {
 	wg.Wait()
 }
 
-type workItem struct {
-	AssignmentID int64 `json:"assignment_id"`
-	A            int   `json:"a"`
-	B            int   `json:"b"`
-	Attr         int   `json:"attr"`
+// pause waits d or until ctx is done, whichever comes first, and reports
+// whether the full wait elapsed.
+func pause(ctx context.Context, d time.Duration) bool {
+	select {
+	case <-ctx.Done():
+		return false
+	case <-time.After(d):
+		return true
+	}
 }
 
-func fetchWork(ctx context.Context, client *http.Client, baseURL, worker string) (workItem, bool) {
+// fetchWork polls GET /api/work; ok is false on a 204 or any failure.
+func fetchWork(ctx context.Context, client *http.Client, baseURL, worker string) (job workItem, ok bool) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		baseURL+"/api/work?worker="+worker, nil)
 	if err != nil {
@@ -123,31 +131,41 @@ func fetchWork(ctx context.Context, client *http.Client, baseURL, worker string)
 	if resp.StatusCode != http.StatusOK {
 		return workItem{}, false
 	}
-	var job workItem
 	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
 		return workItem{}, false
 	}
 	return job, true
 }
 
-func submitAnswer(ctx context.Context, client *http.Client, baseURL, worker string, assignment int64, pref crowd.Preference) {
-	body, err := json.Marshal(map[string]any{
-		"assignment_id": assignment,
-		"worker":        worker,
-		"pref":          pref.String(),
+// submitAnswer posts one judgment and reports whether the server accepted
+// it. With next set, the server also leases the worker's next assignment,
+// returned as job with leased true.
+func submitAnswer(ctx context.Context, client *http.Client, baseURL, worker string,
+	assignment int64, pref crowd.Preference, next bool) (job workItem, leased, accepted bool) {
+	body, err := json.Marshal(answerRequest{
+		AssignmentID: assignment, Worker: worker, Pref: pref.String(), Next: next,
 	})
 	if err != nil {
-		return
+		return workItem{}, false, false
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		baseURL+"/api/answers", bytes.NewReader(body))
 	if err != nil {
-		return
+		return workItem{}, false, false
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := client.Do(req)
 	if err != nil {
-		return
+		return workItem{}, false, false
 	}
-	drainClose(resp.Body)
+	defer drainClose(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		return workItem{}, false, false
+	}
+	var ack answerAck
+	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil || ack.Next == nil {
+		// A torn reply may have stranded a lease; it lapses and requeues.
+		return workItem{}, false, err == nil
+	}
+	return *ack.Next, true, true
 }
