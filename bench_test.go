@@ -296,7 +296,7 @@ func BenchmarkVotingAccuracyTradeoff(b *testing.B) {
 				opts := core.AllPruning()
 				opts.Voting = p.policy
 				res := core.CrowdSky(d, pf, opts)
-				prec, rec = metrics.PrecisionRecall(res.Skyline, core.Oracle(d), skyline.KnownSkyline(d))
+				prec, rec = metrics.PrecisionRecall(res.Skyline, skyline.OracleSkyline(d), skyline.KnownSkyline(d))
 			}
 			b.ReportMetric(prec, "precision")
 			b.ReportMetric(rec, "recall")

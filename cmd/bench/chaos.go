@@ -35,6 +35,7 @@ import (
 	"crowdsky/internal/faultinject"
 	"crowdsky/internal/journal"
 	"crowdsky/internal/metrics"
+	"crowdsky/internal/skyline"
 	"crowdsky/internal/telemetry"
 )
 
@@ -270,7 +271,7 @@ func chaosSession(seed int64, dir string) (*chaosReport, error) {
 	<-workersDone
 
 	rep.Skyline = res.Skyline
-	rep.Oracle = core.Oracle(d)
+	rep.Oracle = skyline.OracleSkyline(d)
 	rep.SkylineOK = metrics.SameSet(rep.Skyline, rep.Oracle)
 	rep.ReplayedAnswers = p2.Replayed()
 	rep.LiveQuestions = len(rec.asked)

@@ -1,13 +1,13 @@
 // Command bench is the perf-trajectory harness for the machine part: it
-// times the dominance constructions — the row-scan kernels and the
-// columnar index that replaced them on the hot path — across dataset
-// cardinalities and writes the measurements as JSON, so any two PRs can
-// be compared by diffing their checked-in BENCH_*.json files.
+// times the dominance index build, its derivations and one serving round
+// across dataset cardinalities and writes the measurements as JSON, so
+// any two PRs can be compared by diffing their checked-in BENCH_*.json
+// files.
 //
-//	go run ./cmd/bench -out BENCH_PR4.json
+//	go run ./cmd/bench -out BENCH_PRn.json            # full sweep to a file
 //	go run ./cmd/bench -quick -out bench-smoke.json   # CI smoke, n=1000 only
-//	go run ./cmd/bench -sizes 1000,10000 -out -       # custom sizes, stdout
-//	go run ./cmd/bench -quick -out s.json -compare BENCH_PR4.json
+//	go run ./cmd/bench -sizes 1000,10000              # custom sizes, stdout
+//	go run ./cmd/bench -quick -out s.json -compare BENCH_PR14.json
 //
 // -compare prints a Markdown table against a baseline report (only ops
 // measured in both at the same n), flagging ns/op regressions above 10%.
@@ -15,10 +15,8 @@
 // CI appends the table to the job summary.
 //
 // Each op is measured with testing.Benchmark (standard ns/op, B/op,
-// allocs/op semantics). The *_scan ops are the pre-index kernels kept in
-// internal/skyline as references; the *_index ops include the index build
-// in every iteration, so scan-vs-index rows are an end-to-end
-// before/after comparison at equal work. See docs/PERFORMANCE.md.
+// allocs/op semantics). The *_index ops include the index build in every
+// iteration. See docs/PERFORMANCE.md.
 package main
 
 import (
@@ -83,45 +81,6 @@ func ops() []op {
 				}
 			}
 		}},
-		// index_add measures resurrecting one tuple into a warm dynamic
-		// index. The paired Remove that makes the Add legal runs with the
-		// timer stopped, so ns/op is the Add alone (wall clock per
-		// iteration is higher; the reported number is correct).
-		{"index_add", func(d *dataset.Dataset) func(*testing.B) {
-			return func(b *testing.B) {
-				ix := skyline.NewIndex(d)
-				ix.Remove(0)
-				ix.Add(0) // convert + warm before the clock starts
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					t := i % d.N()
-					ix.Remove(t)
-					b.StartTimer()
-					ix.Add(t)
-				}
-			}
-		}},
-		// index_remove mirrors index_add with the roles swapped.
-		{"index_remove", func(d *dataset.Dataset) func(*testing.B) {
-			return func(b *testing.B) {
-				ix := skyline.NewIndex(d)
-				ix.Remove(0)
-				ix.Add(0)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					t := i % d.N()
-					b.StartTimer()
-					ix.Remove(t)
-					b.StopTimer()
-					ix.Add(t)
-					b.StartTimer()
-				}
-			}
-		}},
 		// steady_state_round is one serving round of the session layer
 		// (answer folding, completeness checks, request regeneration) via
 		// the same core.RoundBench harness the zero-alloc gate holds at
@@ -137,14 +96,6 @@ func ops() []op {
 				}
 			}
 		}},
-		{"dominating_sets_scan", func(d *dataset.Dataset) func(*testing.B) {
-			return func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					skyline.DominatingSetsParallel(d)
-				}
-			}
-		}},
 		{"dominating_sets_index", func(d *dataset.Dataset) func(*testing.B) {
 			return func(b *testing.B) {
 				b.ReportAllocs()
@@ -153,29 +104,11 @@ func ops() []op {
 				}
 			}
 		}},
-		{"immediate_dominators_scan", func(d *dataset.Dataset) func(*testing.B) {
-			return func(b *testing.B) {
-				sets := skyline.DominatingSetsParallel(d)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					skyline.ImmediateDominatorsParallel(d, sets)
-				}
-			}
-		}},
 		{"immediate_dominators_index", func(d *dataset.Dataset) func(*testing.B) {
 			return func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					skyline.NewIndex(d).ImmediateDominators()
-				}
-			}
-		}},
-		{"oracle_skyline_scan", func(d *dataset.Dataset) func(*testing.B) {
-			return func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					skyline.OracleSkylineParallel(d)
 				}
 			}
 		}},
@@ -246,7 +179,7 @@ func parseCores(s string) ([]int, error) {
 
 func main() {
 	var (
-		outPath   = flag.String("out", "BENCH_PR4.json", "output file, or - for stdout")
+		outPath   = flag.String("out", "-", "output file, or - for stdout")
 		sizesCS   = flag.String("sizes", "1000,5000,10000,20000", "comma-separated dataset cardinalities")
 		quick     = flag.Bool("quick", false, "smoke mode: n=1000 only (overrides -sizes)")
 		seed      = flag.Int64("seed", 1, "dataset generator seed")
@@ -373,7 +306,6 @@ func compareReports(w io.Writer, baseName string, base, cur report, threshold fl
 		mark := ""
 		if delta > threshold {
 			mark = " ⚠️"
-			regressions++
 		}
 		// Memory columns show baseline→current so an allocation creeping
 		// onto a zero-alloc op is visible at a glance; a regression from
@@ -382,7 +314,9 @@ func compareReports(w io.Writer, baseName string, base, cur report, threshold fl
 		allocMark := ""
 		if b.AllocsPerOp == 0 && r.AllocsPerOp > 0 {
 			allocMark = " ⚠️"
-			regressions++
+		}
+		if mark != "" || allocMark != "" {
+			regressions++ // one row, one regression, however many marks
 		}
 		fmt.Fprintf(w, "| %s | %d | %.0f | %.0f | %+.1f%%%s | %s | %s%s |\n",
 			r.Op, r.N, b.NsPerOp, r.NsPerOp, 100*delta, mark,

@@ -64,7 +64,8 @@ func TestCompareReportsEnvMismatchAndClean(t *testing.T) {
 // unchanged values print bare, changed values print base→cur, and an op
 // that was allocation-free in the baseline but allocates now counts as a
 // regression even with ns/op flat (allocation counts are machine-stable,
-// so this flag is reliable where the timing gate is soft).
+// so this flag is reliable where the timing gate is soft). A row that is
+// both slower and newly allocating still counts once.
 func TestCompareReportsMemoryColumns(t *testing.T) {
 	base := report{Go: "go1.22", GOARCH: "amd64", CPUs: 8,
 		Results: []result{
@@ -87,6 +88,20 @@ func TestCompareReportsMemoryColumns(t *testing.T) {
 	}
 	if !strings.Contains(out, "| 4096 | 12 |") {
 		t.Errorf("unchanged memory columns mis-rendered:\n%s", out)
+	}
+
+	// Slower by 20% and newly allocating: both marks, one regression.
+	cur.Results[0].NsPerOp = 120
+	sb.Reset()
+	if got := compareReports(&sb, "b.json", base, cur, 0.10); got != 1 {
+		t.Errorf("regressions = %d, want 1 (one row, two marks)\n%s", got, sb.String())
+	}
+	out = sb.String()
+	if !strings.Contains(out, "| +20.0% ⚠️ | 0→16 | 0→1 ⚠️ |") {
+		t.Errorf("doubly flagged row mis-rendered:\n%s", out)
+	}
+	if !strings.Contains(out, "1 of 2 ops regressed") {
+		t.Errorf("summary line wrong:\n%s", out)
 	}
 }
 

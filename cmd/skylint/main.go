@@ -4,11 +4,8 @@
 // concurrency/trace checks (lockorder, ctxleak, wgbalance, goroleak,
 // traceschema), the interprocedural hot-path checks (hotalloc, recvcopy,
 // purity) and the SSA value-flow checks (nilness, lockset, crowdtaint) —
-// and, by default, `go vet`, over the given package patterns. The
-// retired niltrace and guardedby analyzers live on as deprecated aliases
-// of nilness and lockset (suppression comments and baselines written
-// against the old names keep working). A non-empty finding set exits 1,
-// so CI can require it:
+// and, by default, `go vet`, over the given package patterns. A
+// non-empty finding set exits 1, so CI can require it:
 //
 //	go run ./cmd/skylint ./...
 //
@@ -57,9 +54,6 @@ func main() {
 	if *list {
 		for _, a := range lint.All() {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-			for _, alias := range a.Aliases {
-				fmt.Printf("%-12s deprecated alias of %s; update suppressions and baselines\n", alias, a.Name)
-			}
 		}
 		return
 	}

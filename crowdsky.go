@@ -371,7 +371,7 @@ func NewInteractiveCrowd(d *Dataset, in io.Reader, out io.Writer) Platform {
 // Oracle returns the ground-truth skyline over all attributes, computed
 // from the latent values. Only meaningful for datasets with latent values
 // (synthetic or embedded); use it to grade accuracy.
-func Oracle(d *Dataset) []int { return core.Oracle(d) }
+func Oracle(d *Dataset) []int { return skyline.OracleSkyline(d) }
 
 // KnownSkyline returns the skyline over the known attributes only — the
 // tuples that are in the skyline regardless of any crowd answer.

@@ -5,7 +5,6 @@ import (
 
 	"crowdsky/internal/crowd"
 	"crowdsky/internal/dataset"
-	"crowdsky/internal/skyline"
 	"crowdsky/internal/sortcrowd"
 	"crowdsky/internal/voting"
 )
@@ -200,8 +199,3 @@ func dominatesWithEstimates(d *dataset.Dataset, est [][]float64, s, t int) bool 
 	}
 	return strict
 }
-
-// Oracle computes the ground-truth skyline over A from the latent values.
-// It is re-exported here so downstream users of the core package can grade
-// accuracy without importing the skyline substrate directly.
-func Oracle(d *dataset.Dataset) []int { return skyline.OracleSkylineParallel(d) }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -297,9 +298,9 @@ func TestMultiCrowdAttrQuestionCounting(t *testing.T) {
 
 // TestSharedIndexVersionAware pins the Options.Index adoption contract:
 // a shared index is adopted only while it actually covers the dataset.
-// Mutating it (Index.Remove) must make prepMachine fall back to its own
-// build, and restoring it (Index.Add) makes it adoptable again — the
-// staleness is detected through Matches, not assumed from construction.
+// An alive-restricted index and an index over another dataset must make
+// prepMachine fall back to its own build — the mismatch is detected
+// through Matches, not assumed from construction.
 func TestSharedIndexVersionAware(t *testing.T) {
 	d := randomDataset(8, 80, 3, 1, dataset.Independent)
 	ix := skyline.NewIndex(d)
@@ -307,36 +308,35 @@ func TestSharedIndexVersionAware(t *testing.T) {
 	ss := newSession(d, perfect(d), Options{P2: true, Index: ix})
 	ss.prepMachine()
 	if ss.ix != ix {
-		t.Fatalf("fresh shared index was not adopted")
+		t.Fatalf("matching shared index was not adopted")
 	}
 
-	ix.Remove(3)
-	ss2 := newSession(d, perfect(d), Options{P2: true, Index: ix})
+	alive := make([]bool, d.N())
+	for i := range alive {
+		alive[i] = i != 3
+	}
+	restricted := skyline.NewIndexAlive(d, alive)
+	ss2 := newSession(d, perfect(d), Options{P2: true, Index: restricted})
 	ss2.prepMachine()
-	if ss2.ix == ix {
-		t.Fatalf("mutated shared index was silently adopted")
+	if ss2.ix == restricted {
+		t.Fatalf("alive-restricted shared index was silently adopted")
 	}
 
-	ix.Add(3)
-	ss3 := newSession(d, perfect(d), Options{P2: true, Index: ix})
+	other := skyline.NewIndex(randomDataset(9, 80, 3, 1, dataset.Independent))
+	ss3 := newSession(d, perfect(d), Options{P2: true, Index: other})
 	ss3.prepMachine()
-	if ss3.ix != ix {
-		t.Fatalf("restored shared index was not adopted again")
+	if ss3.ix == other {
+		t.Fatalf("index over another dataset was silently adopted")
 	}
 
-	// End to end: a run handed a drifted index must still return the
-	// ground-truth skyline, because it rebuilds rather than reuses.
-	ix.Remove(5)
+	// End to end: a run handed a non-adoptable index must still return
+	// the ground-truth skyline, because it rebuilds rather than reuses.
 	want := skyline.OracleSkyline(d)
-	opts := AllPruning()
-	opts.Index = ix
-	got := CrowdSky(d, perfect(d), opts)
-	if len(got.Skyline) != len(want) {
-		t.Fatalf("skyline with drifted shared index: got %v, want %v", got.Skyline, want)
-	}
-	for i := range want {
-		if got.Skyline[i] != want[i] {
-			t.Fatalf("skyline with drifted shared index: got %v, want %v", got.Skyline, want)
+	for _, shared := range []*skyline.Index{restricted, other} {
+		opts := AllPruning()
+		opts.Index = shared
+		if got := CrowdSky(d, perfect(d), opts); !slices.Equal(got.Skyline, want) {
+			t.Fatalf("skyline with non-adoptable shared index: got %v, want %v", got.Skyline, want)
 		}
 	}
 }

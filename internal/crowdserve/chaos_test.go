@@ -17,6 +17,7 @@ import (
 	"crowdsky/internal/faultinject"
 	"crowdsky/internal/journal"
 	"crowdsky/internal/metrics"
+	"crowdsky/internal/skyline"
 	"crowdsky/internal/telemetry"
 )
 
@@ -87,7 +88,7 @@ func TestChaosTransportFaults(t *testing.T) {
 	cancel()
 	<-workersDone
 
-	if want := core.Oracle(d); !metrics.SameSet(res.Skyline, want) {
+	if want := skyline.OracleSkyline(d); !metrics.SameSet(res.Skyline, want) {
 		t.Errorf("skyline under transport faults = %v, want %v", res.Skyline, want)
 	}
 	if res.Questions != 12 {
@@ -141,7 +142,7 @@ func TestChaosWorkerFaults(t *testing.T) {
 	cancel()
 	<-workersDone
 
-	if want := core.Oracle(d); !metrics.SameSet(res.Skyline, want) {
+	if want := skyline.OracleSkyline(d); !metrics.SameSet(res.Skyline, want) {
 		t.Errorf("skyline under worker faults = %v, want %v", res.Skyline, want)
 	}
 	st := serverStats(t, ts.URL)
@@ -491,7 +492,7 @@ func TestChaosKillRestartMidRound(t *testing.T) {
 	cancel()
 	<-workersDone
 
-	if want := core.Oracle(d); !metrics.SameSet(res.Skyline, want) {
+	if want := skyline.OracleSkyline(d); !metrics.SameSet(res.Skyline, want) {
 		t.Errorf("resumed skyline = %v, want %v", res.Skyline, want)
 	}
 	if p2.Replayed() != len(recovered) {

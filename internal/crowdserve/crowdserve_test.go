@@ -19,6 +19,7 @@ import (
 	"crowdsky/internal/crowd"
 	"crowdsky/internal/dataset"
 	"crowdsky/internal/metrics"
+	"crowdsky/internal/skyline"
 )
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
@@ -262,7 +263,7 @@ func TestEndToEndSkylineOverHTTP(t *testing.T) {
 	cancel()
 	<-workersDone
 
-	want := core.Oracle(d)
+	want := skyline.OracleSkyline(d)
 	if !metrics.SameSet(res.Skyline, want) {
 		t.Errorf("skyline over HTTP = %v, want %v", res.Skyline, want)
 	}
@@ -748,7 +749,7 @@ func TestExchangeBudget(t *testing.T) {
 	cancel()
 	<-workersDone
 
-	if want := core.Oracle(d); !metrics.SameSet(res.Skyline, want) {
+	if want := skyline.OracleSkyline(d); !metrics.SameSet(res.Skyline, want) {
 		t.Fatalf("skyline = %v, want %v", res.Skyline, want)
 	}
 	if answers := counter.count("POST /api/answers"); answers != res.WorkerAnswers {

@@ -76,7 +76,7 @@ func ExtBudget(cfg Config) (*Figure, error) {
 			opts := core.AllPruning()
 			opts.MaxQuestions = budget
 			res := core.CrowdSky(d, perfectPlatform(d), opts)
-			p, r := metrics.PrecisionRecall(res.Skyline, core.Oracle(d), skyline.KnownSkyline(d))
+			p, r := metrics.PrecisionRecall(res.Skyline, skyline.OracleSkyline(d), skyline.KnownSkyline(d))
 			ps += p
 			rs += r
 		}
@@ -151,7 +151,7 @@ func ExtScreening(cfg Config) (*Figure, error) {
 		for run := 0; run < cfg.Runs; run++ {
 			seed := cfg.Seed + int64(run)
 			d := dataset.MustGenerate(gen, rand.New(rand.NewSource(seed)))
-			want := core.Oracle(d)
+			want := skyline.OracleSkyline(d)
 			known := skyline.KnownSkyline(d)
 			measure := func(screen bool) float64 {
 				rng := rand.New(rand.NewSource(seed*31 + 11))

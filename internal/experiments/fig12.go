@@ -144,7 +144,7 @@ func RealAccuracy(cfg Config) ([]RealAccuracyResult, error) {
 			opts := core.AllPruning()
 			opts.Voting = voting.Static{Omega: DefaultOmega}
 			res := core.CrowdSky(d, noisyPlatform(d, workerReliability, seed), opts)
-			prec, rec := metrics.PrecisionRecall(res.Skyline, core.Oracle(d), skyline.KnownSkyline(d))
+			prec, rec := metrics.PrecisionRecall(res.Skyline, skyline.OracleSkyline(d), skyline.KnownSkyline(d))
 			precs = append(precs, prec)
 			recs = append(recs, rec)
 			if run == 0 {

@@ -7,6 +7,7 @@ import (
 	"crowdsky/internal/core"
 	"crowdsky/internal/dataset"
 	"crowdsky/internal/metrics"
+	"crowdsky/internal/skyline"
 )
 
 // questionMethods are the five curves of Figures 6 and 7.
@@ -116,7 +117,7 @@ func sanitySkylineCheck(gen dataset.GenerateConfig, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	d := dataset.MustGenerate(gen, rng)
 	res := core.CrowdSky(d, perfectPlatform(d), core.AllPruning())
-	if !metrics.SameSet(res.Skyline, core.Oracle(d)) {
+	if !metrics.SameSet(res.Skyline, skyline.OracleSkyline(d)) {
 		return fmt.Errorf("experiments: skyline mismatch on %+v seed %d", gen, seed)
 	}
 	return nil

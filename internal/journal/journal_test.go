@@ -9,6 +9,7 @@ import (
 	"crowdsky/internal/crowd"
 	"crowdsky/internal/dataset"
 	"crowdsky/internal/metrics"
+	"crowdsky/internal/skyline"
 )
 
 func TestWriteRead(t *testing.T) {
@@ -257,7 +258,7 @@ func TestResumeMidRun(t *testing.T) {
 	if live.Stats().Questions() != 5 {
 		t.Errorf("live platform asked %d, want the 5 missing", live.Stats().Questions())
 	}
-	if !metrics.SameSet(res.Skyline, core.Oracle(d)) {
+	if !metrics.SameSet(res.Skyline, skyline.OracleSkyline(d)) {
 		t.Errorf("resumed skyline wrong")
 	}
 	// New answers were journaled with continuing sequence numbers.

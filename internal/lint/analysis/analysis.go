@@ -24,11 +24,6 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// "skylint:ignore <name>" suppression comments. Lower-case, no spaces.
 	Name string
-	// Aliases are former names of the analyzer. Suppression comments
-	// naming an alias keep working after a rename or subsumption
-	// (nilness carries "niltrace", lockset carries "guardedby"), so
-	// deprecating an analyzer never un-silences old findings.
-	Aliases []string
 	// Doc is a one-paragraph description, shown by skylint -help.
 	Doc string
 	// Run inspects the package behind pass and reports findings through
@@ -173,15 +168,7 @@ func (p *Pass) suppressed(pos token.Pos) bool {
 	}
 	pp := p.Fset.Position(pos)
 	set := p.ignores[ignoreKey{pp.Filename, pp.Line}]
-	if set[p.Analyzer.Name] || set["all"] {
-		return true
-	}
-	for _, a := range p.Analyzer.Aliases {
-		if set[a] {
-			return true
-		}
-	}
-	return false
+	return set[p.Analyzer.Name] || set["all"]
 }
 
 // SetReporter installs the diagnostic sink; the driver calls it before Run.

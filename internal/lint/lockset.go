@@ -12,11 +12,10 @@ import (
 	"crowdsky/internal/lint/analysis/cfg"
 )
 
-// Lockset is the interprocedural successor of the guardedby analyzer
-// (the name survives as a suppression alias). It verifies the
-// "skylint:guardedby <mutex>" field annotation with a must-hold lockset
-// dataflow over each function's CFG instead of the old lexical
-// "Lock appears earlier in the source" approximation:
+// Lockset is the interprocedural successor of the guardedby analyzer.
+// It verifies the "skylint:guardedby <mutex>" field annotation with a
+// must-hold lockset dataflow over each function's CFG instead of the old
+// lexical "Lock appears earlier in the source" approximation:
 //
 //   - flow sensitivity: Lock/RLock on the named mutex adds it to the
 //     lockset, Unlock/RUnlock removes it, and at a join only locks held
@@ -38,8 +37,7 @@ import (
 // annotation names its guard; RLock is accepted for reads and writes
 // alike, as before.
 var Lockset = &analysis.Analyzer{
-	Name:    "lockset",
-	Aliases: []string{"guardedby"},
+	Name: "lockset",
 	Doc: "fields annotated `skylint:guardedby mu` must only be accessed while " +
 		"the named mutex is held on every path (must-hold lockset dataflow); " +
 		"*Locked functions push the obligation to their call sites through the " +

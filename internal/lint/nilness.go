@@ -11,8 +11,7 @@ import (
 )
 
 // Nilness is the SSA-based nil-deref analyzer. It subsumes the retired
-// niltrace analyzer (the name survives as an alias for suppression
-// comments) and generalizes it in three directions:
+// niltrace analyzer and generalizes it in three directions:
 //
 //   - flow and path sensitivity: `if x != nil` refines x through an SSA
 //     pi node on the branch edge, so a guard anywhere the deref is
@@ -37,8 +36,7 @@ import (
 // captures), the original syntactic guard matching applies as a
 // fallback, so precision is a strict superset of niltrace's.
 var Nilness = &analysis.Analyzer{
-	Name:    "nilness",
-	Aliases: []string{"niltrace"},
+	Name: "nilness",
 	Doc: "reports nil dereferences proven by SSA value flow: unguarded Emit on " +
 		"Tracer values, loads/stores through nil pointers, nil-map writes, calls " +
 		"through nil funcs and interfaces, and unchecked use of results from " +

@@ -50,7 +50,7 @@ func dominates(d *dataset.Dataset, s, t int) bool {
 }
 
 // TrueSkyline brute-forces the ground-truth skyline over all attributes,
-// independently of core.Oracle.
+// independently of skyline.OracleSkyline.
 func TrueSkyline(d *dataset.Dataset) []int {
 	var sky []int
 	n := d.N()

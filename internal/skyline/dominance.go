@@ -1,13 +1,17 @@
 // Package skyline is the machine-only skyline substrate: dominance tests
-// over the known attributes, classic skyline algorithms (BNL, SFS), skyline
-// layers (Definition 6), dominating sets (Definition 5), immediate
-// dominators c(t) for the skyline-layer parallelization, co-domination
-// frequencies freq(u,v) (Sections 3.4 and 5), and a ground-truth oracle
-// over the full attribute set A = AK ∪ AC.
+// over the known attributes, the SFS skyline, skyline layers
+// (Definition 6), dominating sets (Definition 5), immediate dominators
+// c(t) for the skyline-layer parallelization, co-domination frequencies
+// freq(u,v) (Sections 3.4 and 5), and a ground-truth oracle over the full
+// attribute set A = AK ∪ AC.
 //
-// Everything here runs without crowds; the crowd-enabled algorithms in
-// package core build on these primitives for their machine part, and the
-// experiments use the oracle for accuracy measurement.
+// Index (engine.go) computes the dominance relation once per run and
+// derives every construction from its bitmap; it is what package core
+// uses. Each construction also has one naive reference here —
+// DominatingSets, ImmediateDominators, NewFreqCounter, KnownSkyline and
+// OracleSkyline — against which the differential tests check the index.
+// Everything here runs without crowds; the experiments and the tests use
+// the oracle for accuracy measurement.
 package skyline
 
 import "crowdsky/internal/dataset"
@@ -41,12 +45,6 @@ func EqualKnown(d *dataset.Dataset, s, t int) bool {
 	return true
 }
 
-// IncomparableKnown reports s ≺≻AK t: neither tuple dominates the other on
-// the known attributes and they are not identical.
-func IncomparableKnown(d *dataset.Dataset, s, t int) bool {
-	return !DominatesKnown(d, s, t) && !DominatesKnown(d, t, s) && !EqualKnown(d, s, t)
-}
-
 // dominatesFull reports s ≺A t over all of A = AK ∪ AC using the latent
 // crowd values. Only the oracle may use this.
 func dominatesFull(d *dataset.Dataset, s, t int) bool {
@@ -75,18 +73,26 @@ func dominatesFull(d *dataset.Dataset, s, t int) bool {
 // OracleSkyline computes SKY_A(R) from the latent ground truth: the set of
 // tuples not dominated over the full attribute set. It is the accuracy
 // reference for every experiment (Section 6) and must never be consulted by
-// a crowd-enabled algorithm.
+// a crowd-enabled algorithm. Targets shard across CPUs; each shard owns
+// disjoint flags, so the result does not depend on the worker count, and
+// the scan allocates nothing beyond the flags and the result.
 func OracleSkyline(d *dataset.Dataset) []int {
-	var sky []int
 	n := d.N()
-	for t := 0; t < n; t++ {
-		dominated := false
-		for s := 0; s < n && !dominated; s++ {
-			if s != t && dominatesFull(d, s, t) {
-				dominated = true
+	flags := make([]bool, n)
+	shard(n, func(lo, hi int) {
+		for t := lo; t < hi; t++ {
+			dominated := false
+			for s := 0; s < n && !dominated; s++ {
+				if s != t && dominatesFull(d, s, t) {
+					dominated = true
+				}
 			}
+			flags[t] = !dominated
 		}
-		if !dominated {
+	})
+	var sky []int
+	for t, in := range flags {
+		if in {
 			sky = append(sky, t)
 		}
 	}

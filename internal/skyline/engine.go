@@ -15,8 +15,8 @@ import (
 // This file is the columnar dominance engine. Every crowd-enabled run
 // needs the same quadratic machine part — dominating sets (Definition 5),
 // immediate dominators (Figure 5), co-domination frequencies (Sections 3.4
-// and 5) and ground-truth grading — and the row-pointer kernels in
-// domsets.go/parallel.go recompute the underlying pair-wise dominance
+// and 5) and ground-truth grading — and the naive references in
+// domsets.go/dominance.go recompute the underlying pair-wise dominance
 // tests for each construction independently. Index computes the dominance
 // relation exactly once, as a bitmap, and derives everything else from it:
 //
@@ -78,20 +78,13 @@ type IndexStats struct {
 // dominance test. After construction an Index is safe for concurrent
 // readers; the slices returned by DominatingSets and ImmediateDominators
 // are shared and must not be modified.
-//
-// An Index is also a live structure: Add and Remove (dynamic.go) toggle
-// tuples in and out of the indexed set in O(n·dims) compare work and
-// O(n/64) words of bitmap updates per dimension, instead of a rebuild.
-// Mutations require exclusive access (no concurrent readers during an
-// Add/Remove) and bump a generation counter that lazily invalidates the
-// memoized derivations.
 type Index struct {
 	d    *dataset.Dataset
 	n    int // d.N()
-	m    int // laid-out positions (alive tuples at build; all n once dynamic)
+	m    int // laid-out positions: the alive tuples
 	dims int
 
-	alive []bool // nil when unrestricted; nil in dynamic mode (see dyn)
+	alive []bool // nil when unrestricted
 
 	order    []int     // position -> original tuple index
 	pos      []int     // original tuple index -> position; -1 when dead
@@ -99,41 +92,23 @@ type Index struct {
 	runStart []int     // per position: start of its equal-score run
 	runEnd   []int     // per position: end (exclusive) of its equal-score run
 
-	// attrOrder[j] holds the positions in ascending order of attribute j
-	// (ties arbitrary but deterministic). The build derives the chunk
-	// prefix tables and target ranks from it; it is retained because the
-	// duplicate bookkeeping of the dynamic path shares its equal-value
-	// grouping.
-	attrOrder [][]int32
-
 	// dupOf[p] is the exact-duplicate group of position p (-1 when its
 	// known row is unique); dupGroups lists each group's member
-	// positions. The relation depends only on attribute values, never on
-	// aliveness, so it is computed once at build time and consulted by
-	// both OracleSkyline (AK-identical tuples are decided by AC alone)
-	// and the incremental add kernel (duplicates are weak, never strict).
+	// positions. The build clears the groups out of the weak-dominance
+	// rows, and OracleSkyline decides AK-identical tuples by AC alone.
 	dupOf     []int32
 	dupGroups [][]int32
 
 	// domBy[p] = {q : order[q] ≺AK order[p]} with bits keyed by position.
 	// Rows are truncated to the words covering [0, runEnd[p]): no
-	// dominator can sort after the target's equal-score run. Dynamic
-	// mode widens every row to full width so mutations can set any bit.
+	// dominator can sort after the target's equal-score run.
 	domBy []bitset.Set
 	// dom[q] = {p : order[q] ≺AK order[p]}, the transpose, full width.
 	dom    []bitset.Set
 	counts []int // |DS| per position
 
-	// gen counts mutations; the memoized derivations record the
-	// generation they were computed at and rebuild lazily when it moved.
-	gen uint64
-
-	setsMu    sync.Mutex
-	sets      [][]int // memoized DominatingSets, indexed by original tuple
-	setsValid bool
-	setsGen   uint64
-
-	dyn *dynState // non-nil once the index went dynamic (dynamic.go)
+	setsOnce sync.Once
+	sets     [][]int // memoized DominatingSets, indexed by original tuple
 
 	stats IndexStats
 }
@@ -292,14 +267,10 @@ func (ix *Index) buildBitmap() {
 	}
 	if m == 0 || dims == 0 {
 		// No attributes means no strict preference anywhere: empty rows.
-		ix.attrOrder = make([][]int32, dims)
-		for j := range ix.attrOrder {
-			ix.attrOrder[j] = []int32{}
-		}
 		return
 	}
 
-	ix.buildAttrOrder()
+	attrOrder := ix.buildAttrOrder()
 
 	const cw = indexCandChunk >> 6 // words per full chunk
 	nchunks := (m + indexCandChunk - 1) / indexCandChunk
@@ -320,7 +291,7 @@ func (ix *Index) buildBitmap() {
 					if c >= nchunks {
 						return
 					}
-					ix.buildChunk(c*indexCandChunk, prefix, rank, false)
+					ix.buildChunk(c*indexCandChunk, attrOrder, prefix, rank, false)
 				}
 			}()
 		}
@@ -329,7 +300,7 @@ func (ix *Index) buildBitmap() {
 		prefix := make([]uint64, dims*(indexCandChunk+1)*cw)
 		rank := make([]int32, dims*m)
 		for cbase := 0; cbase < m; cbase += indexCandChunk {
-			if !ix.buildChunk(cbase, prefix, rank, true) {
+			if !ix.buildChunk(cbase, attrOrder, prefix, rank, true) {
 				break
 			}
 		}
@@ -362,13 +333,13 @@ func (ix *Index) buildBitmap() {
 	acc.mu.Unlock()
 }
 
-// buildAttrOrder materializes the global per-attribute value order
-// (ascending, ties by position, which the stable index guarantees to be
-// deterministic): the source of both chunk-sorted prefixes and target
+// buildAttrOrder returns the global per-attribute value order: entry j
+// holds the positions in ascending order of attribute j (ties arbitrary
+// but deterministic), the source of both chunk-sorted prefixes and target
 // ranks. Attributes sort independently, so they sort on separate workers.
-func (ix *Index) buildAttrOrder() {
+func (ix *Index) buildAttrOrder() [][]int32 {
 	m, dims, cols := ix.m, ix.dims, ix.cols
-	ix.attrOrder = make([][]int32, dims)
+	attrOrder := make([][]int32, dims)
 	shardSized(dims, m, func(jlo, jhi int) {
 		for j := jlo; j < jhi; j++ {
 			ord := make([]int32, m)
@@ -377,19 +348,21 @@ func (ix *Index) buildAttrOrder() {
 			}
 			col := cols[j*m : (j+1)*m]
 			sort.Slice(ord, func(x, y int) bool { return col[ord[x]] < col[ord[y]] })
-			ix.attrOrder[j] = ord
+			attrOrder[j] = ord
 		}
 	})
+	return attrOrder
 }
 
 // buildChunk processes one candidate chunk: it fills the caller-owned
-// prefix/rank scratch tables for every attribute, then ANDs the selected
-// prefix rows into the word column this chunk owns of every target row.
+// prefix/rank scratch tables for every attribute from the global value
+// order attrOrder, then ANDs the selected prefix rows into the word
+// column this chunk owns of every target row.
 // With shardTargets the AND loop fans out across workers (the serial
 // chunk schedule); otherwise the caller is one of several chunk workers
 // and runs it inline. Returns false when the chunk — and, runEnd being
 // nondecreasing, every later one — has no targets.
-func (ix *Index) buildChunk(cbase int, prefix []uint64, rank []int32, shardTargets bool) bool {
+func (ix *Index) buildChunk(cbase int, attrOrder [][]int32, prefix []uint64, rank []int32, shardTargets bool) bool {
 	m, dims, cols := ix.m, ix.dims, ix.cols
 	const cw = indexCandChunk >> 6
 	cend := cbase + indexCandChunk
@@ -411,7 +384,7 @@ func (ix *Index) buildChunk(cbase int, prefix []uint64, rank []int32, shardTarge
 		}
 		col := cols[j*m : (j+1)*m]
 		rnk := rank[j*m:]
-		ord := ix.attrOrder[j]
+		ord := attrOrder[j]
 		// Walk the global order in equal-value groups: admit the
 		// group's chunk members into the running prefix first, then
 		// stamp every group member's rank, so rank counts ties.
@@ -472,11 +445,8 @@ func (ix *Index) buildChunk(cbase int, prefix []uint64, rank []int32, shardTarge
 // buildDupGroups computes the exact-duplicate groups: tuples with
 // bit-identical known rows are mutually weakly-dominating but never
 // strictly, and they necessarily share an equal-score run, so only
-// multi-tuple runs need the row comparison. The relation depends only on
-// attribute values, so the groups stay valid across Add/Remove cycles of
-// the dynamic path.
+// multi-tuple runs need the row comparison.
 func (ix *Index) buildDupGroups() {
-	ix.dupGroups = nil
 	var members []int32
 	for lo := 0; lo < ix.m; lo = ix.runEnd[lo] {
 		hi := ix.runEnd[lo]
@@ -590,37 +560,13 @@ func transpose64(a *[64]uint64) {
 // Stats returns the build statistics.
 func (ix *Index) Stats() IndexStats { return ix.stats }
 
-// N returns the number of tuples currently indexed (alive).
-func (ix *Index) N() int {
-	if ix.dyn != nil {
-		return ix.m - ix.dyn.dead
-	}
-	return ix.m
-}
+// N returns the number of tuples indexed (alive).
+func (ix *Index) N() int { return ix.m }
 
-// Matches reports whether the index currently covers exactly this
-// dataset — built over it with no alive restriction and with every tuple
-// presently alive — i.e. whether a caller holding d may adopt it
-// wholesale. An index that drifted away through Remove calls stops
-// matching until the removals are undone; pair it with Generation to
-// detect mutation between two looks at the same index.
-func (ix *Index) Matches(d *dataset.Dataset) bool { return ix.d == d && ix.allAlive() }
-
-// allAlive reports whether every tuple of the dataset is indexed: no
-// build-time restriction and no outstanding dynamic removals.
-func (ix *Index) allAlive() bool {
-	return ix.alive == nil && (ix.dyn == nil || ix.dyn.dead == 0)
-}
-
-// aliveAt reports whether position p is currently indexed (always true
-// until the index goes dynamic and the tuple is removed).
-func (ix *Index) aliveAt(p int) bool { return ix.dyn == nil || ix.dyn.aliveBits.Has(p) }
-
-// Generation returns the mutation counter: it starts at zero and every
-// successful Add or Remove increments it, so equal generations from the
-// same Index imply identical dominance state. The memoized
-// DominatingSets keys off it to rebuild lazily after mutations.
-func (ix *Index) Generation() uint64 { return ix.gen }
+// Matches reports whether the index covers exactly this dataset — built
+// over it with no alive restriction — i.e. whether a caller holding d may
+// adopt it wholesale.
+func (ix *Index) Matches(d *dataset.Dataset) bool { return ix.d == d && ix.alive == nil }
 
 // Dominates reports order-theoretic dominance s ≺AK t straight from the
 // bitmap. Dead tuples dominate nothing and are dominated by nothing.
@@ -640,16 +586,9 @@ func (ix *Index) Dominates(s, t int) bool {
 // skyline tuples get nil sets). The first call materializes the sets by
 // transposed counting fill: every set is carved at its exact size from
 // one backing array, so nothing regrows. The result is memoized and
-// shared; callers must not modify it. Add/Remove invalidate the memo (by
-// generation), so the next call rebuilds against the mutated bitmap.
+// shared; callers must not modify it.
 func (ix *Index) DominatingSets() [][]int {
-	ix.setsMu.Lock()
-	defer ix.setsMu.Unlock()
-	if !ix.setsValid || ix.setsGen != ix.gen {
-		ix.buildSets()
-		ix.setsValid = true
-		ix.setsGen = ix.gen
-	}
+	ix.setsOnce.Do(ix.buildSets)
 	return ix.sets
 }
 
@@ -767,7 +706,7 @@ func (ix *Index) FreqCounter() *FreqCounter {
 func (ix *Index) KnownSkyline() []int {
 	var sky []int
 	for t := 0; t < ix.n; t++ {
-		if p := ix.pos[t]; p >= 0 && ix.counts[p] == 0 && ix.aliveAt(p) {
+		if p := ix.pos[t]; p >= 0 && ix.counts[p] == 0 {
 			sky = append(sky, t)
 		}
 	}
@@ -783,7 +722,7 @@ func (ix *Index) KnownSkyline() []int {
 // re-comparing rows. Like the naive oracle it may only be used for
 // grading, never by a crowd-enabled algorithm.
 func (ix *Index) OracleSkyline() []int {
-	if !ix.allAlive() {
+	if ix.alive != nil {
 		panic("skyline: OracleSkyline needs an unrestricted index")
 	}
 	d, m := ix.d, ix.m

@@ -212,30 +212,66 @@ func TestIndexMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestIndexAliveMatchesNaive(t *testing.T) {
-	d := randData(31, 250, 4, 2, dataset.Independent)
+// checkAliveAgainstNaive asserts that an alive-restricted index agrees
+// with the naive constructions over the alive tuples: the pair-wise
+// dominance relation, the dominating sets, c(t), freq(u,v), the known
+// skyline and the tuple count — every derivation ParallelSL reads after
+// the degenerate-case preprocessing removed tuples.
+func checkAliveAgainstNaive(t *testing.T, d *dataset.Dataset, alive []bool) {
+	t.Helper()
 	n := d.N()
-	rng := rand.New(rand.NewSource(31))
-	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = rng.Intn(4) != 0
-	}
 	ix := NewIndexAlive(d, alive)
 
 	wantSets := make([][]int, n)
+	aliveCount := 0
+	var known, latent [][]float64
+	var subIdx []int
 	for tt := 0; tt < n; tt++ {
 		if !alive[tt] {
 			continue
 		}
+		aliveCount++
+		known = append(known, d.KnownRow(tt))
+		latent = append(latent, make([]float64, d.CrowdDims()))
+		subIdx = append(subIdx, tt)
 		for s := 0; s < n; s++ {
 			if s != tt && alive[s] && DominatesKnown(d, s, tt) {
 				wantSets[tt] = append(wantSets[tt], s)
 			}
 		}
 	}
-	if got := ix.DominatingSets(); !reflect.DeepEqual(got, wantSets) {
-		t.Fatalf("alive DominatingSets: index disagrees with naive restriction")
+	if got := ix.N(); got != aliveCount {
+		t.Fatalf("alive N() = %d, want %d", got, aliveCount)
 	}
+	if got := ix.Matches(d); got != (aliveCount == n) {
+		t.Fatalf("alive Matches(d) = %v with %d of %d tuples alive", got, aliveCount, n)
+	}
+	for s := 0; s < n; s++ {
+		for tt := 0; tt < n; tt++ {
+			want := alive[s] && alive[tt] && s != tt && DominatesKnown(d, s, tt)
+			if got := ix.Dominates(s, tt); got != want {
+				t.Fatalf("alive Dominates(%d,%d) = %v, want %v", s, tt, got, want)
+			}
+		}
+	}
+	if got := ix.DominatingSets(); !reflect.DeepEqual(got, wantSets) {
+		t.Fatalf("alive DominatingSets: index disagrees with naive restriction\n got %v\nwant %v", got, wantSets)
+	}
+	if got, want := ix.ImmediateDominators(), ImmediateDominators(d, wantSets); !reflect.DeepEqual(got, want) {
+		t.Fatalf("alive ImmediateDominators: index disagrees with naive\n got %v\nwant %v", got, want)
+	}
+	// The naive known skyline of the alive tuples alone, mapped back to
+	// the original indices.
+	var wantSky []int
+	if aliveCount > 0 {
+		for _, i := range KnownSkyline(dataset.MustNew(known, latent)) {
+			wantSky = append(wantSky, subIdx[i])
+		}
+	}
+	if got := ix.KnownSkyline(); !reflect.DeepEqual(got, wantSky) {
+		t.Fatalf("alive KnownSkyline = %v, naive %v", got, wantSky)
+	}
+	fc := ix.FreqCounter()
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
 			want := 0
@@ -246,18 +282,36 @@ func TestIndexAliveMatchesNaive(t *testing.T) {
 					}
 				}
 			}
-			if got := ix.FreqCounter().Freq(u, v); got != want {
+			if got := fc.Freq(u, v); got != want {
 				t.Fatalf("alive Freq(%d,%d) = %d, want %d", u, v, got, want)
 			}
 		}
 	}
+}
 
+func TestIndexAliveMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, d := range []*dataset.Dataset{
+		randData(31, 250, 4, 2, dataset.Independent),
+		withDuplicates(t, randData(33, 160, 3, 1, dataset.AntiCorrelated), 33),
+		roundingTies(),
+	} {
+		alive := make([]bool, d.N())
+		for i := range alive {
+			alive[i] = rng.Intn(4) != 0
+		}
+		checkAliveAgainstNaive(t, d, alive)
+	}
+
+	d := randData(34, 40, 2, 1, dataset.Independent)
+	alive := make([]bool, d.N())
+	alive[0] = true
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("OracleSkyline on a restricted index should panic")
 		}
 	}()
-	ix.OracleSkyline()
+	NewIndexAlive(d, alive).OracleSkyline()
 }
 
 func TestIndexAliveAllTrueMatchesUnrestricted(t *testing.T) {
@@ -293,10 +347,10 @@ func TestIndexManyChunks(t *testing.T) {
 	}
 	d := randData(51, indexCandChunk+300, 3, 1, dataset.AntiCorrelated)
 	ix := NewIndex(d)
-	if got, want := ix.DominatingSets(), DominatingSetsParallel(d); !reflect.DeepEqual(got, want) {
+	if got, want := ix.DominatingSets(), DominatingSets(d); !reflect.DeepEqual(got, want) {
 		t.Fatalf("DominatingSets disagrees across chunk boundary")
 	}
-	if got, want := ix.OracleSkyline(), OracleSkylineParallel(d); !reflect.DeepEqual(got, want) {
+	if got, want := ix.OracleSkyline(), OracleSkyline(d); !reflect.DeepEqual(got, want) {
 		t.Fatalf("OracleSkyline disagrees across chunk boundary")
 	}
 }
@@ -360,14 +414,16 @@ func TestIndexWorkerCountDeterminism(t *testing.T) {
 }
 
 // FuzzIndex drives the full differential battery from fuzzed shape and
-// seed bytes.
+// seed bytes, then restricts the same dataset to the tuples whose bit is
+// set in the fuzzed mask (bit t%64 for tuple t) and checks the
+// alive-restricted index against the naive restriction.
 func FuzzIndex(f *testing.F) {
-	f.Add(int64(1), uint8(20), uint8(3), uint8(2), uint8(0))
-	f.Add(int64(2), uint8(24), uint8(1), uint8(0), uint8(1))
-	f.Add(int64(3), uint8(7), uint8(5), uint8(3), uint8(2))
-	f.Add(int64(4), uint8(1), uint8(2), uint8(1), uint8(0))
-	f.Add(int64(5), uint8(16), uint8(4), uint8(2), uint8(1))
-	f.Fuzz(func(t *testing.T, seed int64, n, dk, dc, dist uint8) {
+	f.Add(int64(1), uint8(20), uint8(3), uint8(2), uint8(0), uint64(0xF0F0F0))
+	f.Add(int64(2), uint8(24), uint8(1), uint8(0), uint8(1), uint64(0x5A5A5A))
+	f.Add(int64(3), uint8(7), uint8(5), uint8(3), uint8(2), uint64(0))
+	f.Add(int64(4), uint8(1), uint8(2), uint8(1), uint8(0), uint64(1))
+	f.Add(int64(5), uint8(16), uint8(4), uint8(2), uint8(1), ^uint64(0))
+	f.Fuzz(func(t *testing.T, seed int64, n, dk, dc, dist uint8, mask uint64) {
 		nn := int(n%24) + 1
 		dkk := int(dk%5) + 1
 		dcc := int(dc % 4)
@@ -376,5 +432,10 @@ func FuzzIndex(f *testing.F) {
 			d = withDuplicates(t, d, seed)
 		}
 		checkIndexAgainstNaive(t, d)
+		alive := make([]bool, nn)
+		for i := range alive {
+			alive[i] = mask>>(i%64)&1 == 1
+		}
+		checkAliveAgainstNaive(t, d, alive)
 	})
 }

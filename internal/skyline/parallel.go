@@ -3,23 +3,13 @@ package skyline
 import (
 	"runtime"
 	"sync"
-
-	"crowdsky/internal/dataset"
 )
 
 // The machine part of a crowd-enabled query is quadratic in the
-// cardinality (dominating sets, oracle grading). The constructions are
+// cardinality (the index build, oracle grading). The constructions are
 // embarrassingly parallel across target tuples, so they shard across
 // CPUs; results are deterministic regardless of scheduling because each
 // shard owns disjoint output slots.
-//
-// The *Parallel functions below are the row-scan kernels: they walk
-// [][]float64 rows and re-run DominatesKnown per pair per construction.
-// Hot callers should build a skyline.Index (engine.go) instead, which
-// computes the dominance relation once over a columnar layout and derives
-// every construction from the bitmap. The scan kernels stay as the
-// independent reference implementations for the differential tests and
-// as the "before" side of the benchmark trajectory.
 
 // parallelThreshold is the tuple count below which sharding costs more
 // than it saves. It is a variable (not a const) so tests can lower it to
@@ -84,75 +74,4 @@ func shardSized(units, workload int, fn func(lo, hi int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// DominatingSetsParallel computes the same result as DominatingSets using
-// all CPUs, one row scan per pair. Prefer (*Index).DominatingSets when
-// other constructions over the same dataset are needed too.
-func DominatingSetsParallel(d *dataset.Dataset) [][]int {
-	n := d.N()
-	sets := make([][]int, n)
-	shard(n, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			for s := 0; s < n; s++ {
-				if s != t && DominatesKnown(d, s, t) {
-					sets[t] = append(sets[t], s)
-				}
-			}
-		}
-	})
-	return sets
-}
-
-// OracleSkylineParallel computes the same result as OracleSkyline using
-// all CPUs. (*Index).OracleSkyline grades from the dominance bitmap
-// instead when an index is already built.
-func OracleSkylineParallel(d *dataset.Dataset) []int {
-	n := d.N()
-	flags := make([]bool, n)
-	shard(n, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			dominated := false
-			for s := 0; s < n && !dominated; s++ {
-				if s != t && dominatesFull(d, s, t) {
-					dominated = true
-				}
-			}
-			flags[t] = !dominated
-		}
-	})
-	var sky []int
-	for t, in := range flags {
-		if in {
-			sky = append(sky, t)
-		}
-	}
-	return sky
-}
-
-// ImmediateDominatorsParallel computes the same result as
-// ImmediateDominators using all CPUs, O(|DS|²·d) per target.
-// (*Index).ImmediateDominators replaces the inner rescan with one bitset
-// intersection test per member.
-func ImmediateDominatorsParallel(d *dataset.Dataset, sets [][]int) [][]int {
-	n := d.N()
-	im := make([][]int, n)
-	shard(n, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			ds := sets[t]
-			for _, s := range ds {
-				immediate := true
-				for _, x := range ds {
-					if x != s && DominatesKnown(d, s, x) {
-						immediate = false
-						break
-					}
-				}
-				if immediate {
-					im[t] = append(im[t], s)
-				}
-			}
-		}
-	})
-	return im
 }

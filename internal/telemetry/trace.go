@@ -83,7 +83,7 @@ func (c *Collector) ByType(t EventType) []Event {
 
 // Emit forwards e to t if t is non-nil. It is the sanctioned way to emit
 // on a possibly-nil Tracer without writing the nil check inline (the
-// niltrace analyzer accepts call sites spelled telemetry.Emit(t, e)).
+// nilness analyzer accepts call sites spelled telemetry.Emit(t, e)).
 func Emit(t Tracer, e Event) {
 	if t != nil {
 		t.Emit(e)
