@@ -1,14 +1,13 @@
 // Package callgraph builds an interprocedural, CHA-style call graph over
 // the packages of one skylint run, without golang.org/x/tools.
 //
-// The loader type-checks every package against the standard library's
-// source importer, which re-checks imported packages from source: the
-// same function is a *different* types.Object in its defining package's
-// pass and in each importer's pass. Object identity therefore cannot key
-// the graph. Nodes are keyed by stable string IDs instead —
-// "pkg/path.Func", "pkg/path.(Type).Method", "pkg/path.Func.func1" — and
-// dynamic call targets are matched by signature *strings* (rendered with
-// a package-path qualifier), which are identical across type universes.
+// Nodes are keyed by stable string IDs — "pkg/path.Func",
+// "pkg/path.(Type).Method", "pkg/path.Func.func1" — not by types.Object:
+// the IDs sort into a deterministic node order, read as-is in the
+// `skylint -callgraph` dump, and let an analyzer holding only a
+// *types.Func reach its node (FuncID). Dynamic call targets are matched
+// by signature *strings* (rendered with a package-path qualifier) for the
+// same determinism.
 //
 // Resolution strategy, in CHA spirit (sound-ish over-approximation,
 // never context sensitive):
@@ -649,8 +648,8 @@ func containsFuncLit(nd ast.Node) bool {
 func FuncID(fn *types.Func) string { return funcID(fn) }
 
 // funcID derives the stable node ID for a named function object. It only
-// uses package paths and names, so it agrees across the distinct type
-// universes produced by the source importer.
+// uses package paths and names, so the ID is the same in every run and
+// orders the graph's nodes.
 func funcID(fn *types.Func) string {
 	pkgPath := ""
 	if fn.Pkg() != nil {

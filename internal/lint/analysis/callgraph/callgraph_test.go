@@ -172,10 +172,11 @@ func TestBottomUpFixpoint(t *testing.T) {
 func TestGraphBuildDeterministic(t *testing.T) {
 	dir := filepath.Join("..", "..", "testdata", "hotalloc")
 	build := func() string {
-		pkg, err := loader.LoadDir(dir, "hotalloc")
+		pkgs, err := loader.LoadDirs(filepath.Dir(dir), []string{filepath.Base(dir)})
 		if err != nil {
 			t.Fatalf("loading fixture: %v", err)
 		}
+		pkg := pkgs[0]
 		pass := &analysis.Pass{
 			Analyzer: &analysis.Analyzer{Name: "cgtest"},
 			Fset:     pkg.Fset,

@@ -34,7 +34,7 @@ import (
 // Block is one basic block.
 type Block struct {
 	// Index is the block's position in Graph.Blocks (stable across builds
-	// of the same function, useful for dataflow bitsets and tests).
+	// of the same function, useful for per-block tables and tests).
 	Index int
 	// Kind is a human-readable tag ("entry", "if.then", "for.body", ...)
 	// for tests and debugging; analyses should not dispatch on it.
@@ -73,21 +73,29 @@ func New(body *ast.BlockStmt) *Graph {
 	return b.g
 }
 
-// Reachable returns the set of blocks reachable from, as a bitset indexed
-// by Block.Index.
-func (g *Graph) Reachable(from *Block) []bool {
+// Reachable returns, indexed by Block.Index, the blocks that a path
+// from Entry reaches without first passing a block where stop holds. The
+// breadth-first search marks a stop block but does not expand it; a nil
+// stop expands every block. This answers the flow-sensitive analyzers'
+// one dataflow question: an obligation discharged by the stop blocks is
+// met on every path to b exactly when b is not reachable.
+func (g *Graph) Reachable(stop func(*Block) bool) []bool {
 	seen := make([]bool, len(g.Blocks))
-	var walk func(b *Block)
-	walk = func(b *Block) {
-		if seen[b.Index] {
-			return
+	seen[g.Entry.Index] = true
+	queue := []*Block{g.Entry}
+	for len(queue) > 0 {
+		b := queue[0]
+		queue = queue[1:]
+		if stop != nil && stop(b) {
+			continue
 		}
-		seen[b.Index] = true
 		for _, s := range b.Succs {
-			walk(s)
+			if !seen[s.Index] {
+				seen[s.Index] = true
+				queue = append(queue, s)
+			}
 		}
 	}
-	walk(from)
 	return seen
 }
 

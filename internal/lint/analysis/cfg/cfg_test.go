@@ -5,8 +5,6 @@ import (
 	"go/parser"
 	"go/token"
 	"testing"
-
-	"crowdsky/internal/bitset"
 )
 
 // parse builds the CFG of the first function declaration in src.
@@ -27,13 +25,50 @@ func parse(t *testing.T, src string) (*Graph, *ast.FuncDecl) {
 
 // exitReachable reports whether the exit block is reachable from entry.
 func exitReachable(g *Graph) bool {
-	return g.Reachable(g.Entry)[g.Exit.Index]
+	return g.Reachable(nil)[g.Exit.Index]
+}
+
+// calls returns a stop predicate that holds on blocks containing a call
+// to the ident name.
+func calls(name string) func(b *Block) bool {
+	return func(b *Block) bool {
+		found := false
+		for _, n := range b.Nodes {
+			ast.Inspect(n, func(x ast.Node) bool {
+				if call, ok := x.(*ast.CallExpr); ok {
+					if id, ok := call.Fun.(*ast.Ident); ok && id.Name == name {
+						found = true
+					}
+				}
+				return !found
+			})
+		}
+		return found
+	}
+}
+
+// blockCalling returns the block containing a call to name.
+func blockCalling(t *testing.T, g *Graph, name string) *Block {
+	t.Helper()
+	for _, b := range g.Blocks {
+		if calls(name)(b) {
+			return b
+		}
+	}
+	t.Fatalf("no block calls %s", name)
+	return nil
+}
+
+// guaranteed reports whether every path from entry to b calls name
+// before reaching b.
+func guaranteed(g *Graph, name string, b *Block) bool {
+	return !g.Reachable(calls(name))[b.Index]
 }
 
 // callsInLiveBlocks collects the callee names of all CallExprs in blocks
 // reachable from entry.
 func callsInLiveBlocks(g *Graph) map[string]bool {
-	live := g.Reachable(g.Entry)
+	live := g.Reachable(nil)
 	out := make(map[string]bool)
 	for _, b := range g.Blocks {
 		if !live[b.Index] {
@@ -301,37 +336,13 @@ func TestForSelectWithoutExitUnreachable(t *testing.T) {
 	}
 }
 
-// TestMustDataflowCancelCoverage runs the Must solver on the shape ctxleak
-// cares about: fact 0 = "cancel was called". The call on only one branch
-// must not survive the join; a defer right after creation must.
+// TestMustDataflowCancelCoverage runs the path query on the shape ctxleak
+// cares about: is cancel called on every path to exit? The call on only
+// one branch is not a guarantee; a defer right after creation is.
 func TestMustDataflowCancelCoverage(t *testing.T) {
 	run := func(src string) bool {
 		g, _ := parse(t, src)
-		flow := Flow{
-			NFacts: 1,
-			Meet:   Must,
-			Gen: func(b *Block) bitset.Set {
-				for _, n := range b.Nodes {
-					found := false
-					ast.Inspect(n, func(x ast.Node) bool {
-						if call, ok := x.(*ast.CallExpr); ok {
-							if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "cancel" {
-								found = true
-							}
-						}
-						return true
-					})
-					if found {
-						s := bitset.New(1)
-						s.Add(0)
-						return s
-					}
-				}
-				return nil
-			},
-		}
-		res := flow.Solve(g)
-		return res.In[g.Exit.Index].Has(0)
+		return guaranteed(g, "cancel", g.Exit)
 	}
 
 	if run(`func f(c bool) {
@@ -354,5 +365,80 @@ func TestMustDataflowCancelCoverage(t *testing.T) {
 		cancel()
 	}`) {
 		t.Errorf("cancel on every path must be a guarantee at exit")
+	}
+}
+
+// TestDataflowIrreducibleLoop runs the path query over a loop with two
+// entry points (goto into the middle of a cycle), the shape
+// structured-loop-only solvers get wrong. pre dominates everything; onA
+// is on only one of the two paths into B.
+func TestDataflowIrreducibleLoop(t *testing.T) {
+	g, _ := parse(t, `func f(c bool) {
+	pre()
+	if c {
+		goto B
+	}
+A:
+	onA()
+	goto B
+B:
+	onB()
+	if c {
+		goto A
+	}
+}`)
+	blkA := blockCalling(t, g, "onA")
+	blkB := blockCalling(t, g, "onB")
+
+	if !guaranteed(g, "pre", blkB) {
+		t.Error("pre not guaranteed at B despite dominating the function")
+	}
+	if guaranteed(g, "onA", blkB) {
+		t.Error("onA claimed guaranteed at B, but the direct goto skips A")
+	}
+	if guaranteed(g, "onB", blkA) {
+		t.Error("onB claimed guaranteed at A, but entry falls into A first")
+	}
+	if !guaranteed(g, "pre", g.Exit) {
+		t.Error("pre not guaranteed at exit")
+	}
+}
+
+// TestDataflowLabelledLoops checks the path query through labelled
+// continue and break: continue outer must route through the range head
+// (not the inner loop), and break outer must reach the block after the
+// outer loop directly.
+func TestDataflowLabelledLoops(t *testing.T) {
+	g, _ := parse(t, `func g(xs []int) {
+	acquire()
+outer:
+	for _, x := range xs {
+		inner()
+		for {
+			if x == 0 {
+				continue outer
+			}
+			if x == 1 {
+				break outer
+			}
+			step()
+		}
+	}
+	release()
+}`)
+	blkStep := blockCalling(t, g, "step")
+	blkRelease := blockCalling(t, g, "release")
+
+	if !guaranteed(g, "acquire", blkRelease) {
+		t.Error("acquire not guaranteed at release")
+	}
+	if guaranteed(g, "inner", blkRelease) {
+		t.Error("inner claimed guaranteed at release, but the range may run zero iterations")
+	}
+	if guaranteed(g, "step", blkRelease) {
+		t.Error("step claimed guaranteed at release, but break outer precedes it")
+	}
+	if !guaranteed(g, "inner", blkStep) {
+		t.Error("inner not guaranteed at step, but every path into the inner loop runs it")
 	}
 }

@@ -2,6 +2,8 @@ package ssa
 
 import (
 	"go/ast"
+	"go/types"
+	"strings"
 	"testing"
 
 	"crowdsky/internal/lint/loader"
@@ -10,7 +12,9 @@ import (
 // TestRepoWideBuild builds SSA for every function and function literal
 // in the repository and asserts the verifier invariants on each — the
 // acceptance gate for the construction: defs dominate uses, phi arity
-// matches predecessor counts, no values in unreachable blocks.
+// matches predecessor counts, no values in unreachable blocks. It also
+// asserts the loader's one package universe over the repository: every
+// in-repo import is the *types.Package loaded for that path.
 func TestRepoWideBuild(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole repository")
@@ -18,6 +22,24 @@ func TestRepoWideBuild(t *testing.T) {
 	pkgs, err := loader.Load("../../../..", []string{"./..."}, loader.Options{})
 	if err != nil {
 		t.Fatalf("loading repository: %v", err)
+	}
+	byPath := make(map[string]*types.Package, len(pkgs))
+	for _, pkg := range pkgs {
+		byPath[pkg.PkgPath] = pkg.Pkg
+	}
+	edges := 0
+	for _, pkg := range pkgs {
+		for _, imp := range pkg.Pkg.Imports() {
+			if strings.HasPrefix(imp.Path(), "crowdsky/") {
+				edges++
+				if byPath[imp.Path()] != imp {
+					t.Errorf("%s imports a second *types.Package for %s", pkg.PkgPath, imp.Path())
+				}
+			}
+		}
+	}
+	if edges == 0 {
+		t.Error("no in-repo import edges to check")
 	}
 	funcs, lits := 0, 0
 	for _, pkg := range pkgs {
@@ -51,5 +73,6 @@ func TestRepoWideBuild(t *testing.T) {
 	if funcs == 0 {
 		t.Fatal("no functions built; loader returned nothing useful")
 	}
-	t.Logf("verified %d functions and %d literals across %d packages", funcs, lits, len(pkgs))
+	t.Logf("verified %d functions and %d literals across %d packages, %d in-repo import edges",
+		funcs, lits, len(pkgs), edges)
 }

@@ -38,47 +38,7 @@ type expectation struct {
 // any mismatch between its diagnostics and the fixture's want comments.
 func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	t.Helper()
-	pkg, err := loader.LoadDir(dir, filepath.Base(dir))
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", dir, err)
-	}
-	wants, err := collectWants(pkg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pass := &analysis.Pass{
-		Analyzer: a,
-		Fset:     pkg.Fset,
-		Files:    pkg.Files,
-		Pkg:      pkg.Pkg,
-		PkgPath:  pkg.PkgPath,
-		Info:     pkg.Info,
-	}
-	pass.BuildIgnores()
-	pass.SetProgram(analysis.NewProgram())
-	var diags []analysis.Diagnostic
-	pass.SetReporter(func(d analysis.Diagnostic) { diags = append(diags, d) })
-	if err := a.Run(pass); err != nil {
-		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
-	}
-	if a.Finish != nil {
-		if err := a.Finish(pass.Program()); err != nil {
-			t.Fatalf("finishing %s on %s: %v", a.Name, dir, err)
-		}
-	}
-	for _, d := range diags {
-		pos := pkg.Fset.Position(d.Pos)
-		if w := findWant(wants, filepath.Base(pos.Filename), pos.Line, d.Message); w != nil {
-			w.matched = true
-			continue
-		}
-		t.Errorf("%s: unexpected diagnostic: %s", pos, d.Message)
-	}
-	for _, w := range wants {
-		if !w.matched {
-			t.Errorf("%s:%d: no diagnostic matched want %s", w.file, w.line, w.raw)
-		}
-	}
+	RunMulti(t, filepath.Dir(dir), []string{filepath.Base(dir)}, a)
 }
 
 // RunMulti loads the named subdirectories of root as a multi-package

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 
-	"crowdsky/internal/bitset"
 	"crowdsky/internal/lint/analysis"
 	"crowdsky/internal/lint/analysis/cfg"
 )
@@ -15,14 +14,15 @@ import (
 // its timer, for WithTimeout/WithDeadline) is pinned until the parent
 // context dies — in a server like crowdserved, effectively forever.
 //
-// The check is a forward must-analysis over the function's control-flow
-// graph: the fact "cancel handled" is generated by any use of the cancel
-// variable — a direct call, a `defer cancel()` (registration guarantees
-// the call on every later exit), or an escape (passing cancel to another
-// function or storing it hands off the obligation) — and must hold at the
+// The check is a path query over the function's control-flow graph: any
+// use of the cancel variable discharges the obligation — a direct call, a
+// `defer cancel()` (registration guarantees the call on every later
+// exit), or an escape (passing cancel to another function or storing it
+// hands off the obligation) — and a finding is a path from entry to the
 // exit block, which only paths ending in `return` (not panic/os.Exit)
-// flow into. Assigning the cancel function to the blank identifier is
-// reported unconditionally: that context can never be cancelled early.
+// flow into, that passes no such use. Assigning the cancel function to
+// the blank identifier is reported unconditionally: that context can
+// never be cancelled early.
 var CtxLeak = &analysis.Analyzer{
 	Name: "ctxleak",
 	Doc: "cancel functions from context.WithCancel/WithTimeout/WithDeadline " +
@@ -109,30 +109,12 @@ func checkCtxLeakInUnit(pass *analysis.Pass, name string, body *ast.BlockStmt) {
 		return
 	}
 
+	// A unit that never returns normally leaves Exit unreachable, so
+	// nothing can leak past it.
 	g := cfg.New(body)
-	flow := cfg.Flow{
-		NFacts: len(sites),
-		Meet:   cfg.Must,
-		Gen: func(b *cfg.Block) bitset.Set {
-			var gen bitset.Set
-			for i, s := range sites {
-				if blockUsesObj(pass, b, s.obj) {
-					if gen == nil {
-						gen = bitset.New(len(sites))
-					}
-					gen.Add(i)
-				}
-			}
-			return gen
-		},
-	}
-	res := flow.Solve(g)
-	if !g.Reachable(g.Entry)[g.Exit.Index] {
-		return // the unit never returns normally; nothing can leak past it
-	}
-	atExit := res.In[g.Exit.Index]
-	for i, s := range sites {
-		if !atExit.Has(i) {
+	for _, s := range sites {
+		uses := func(b *cfg.Block) bool { return blockUsesObj(pass, b, s.obj) }
+		if g.Reachable(uses)[g.Exit.Index] {
 			pass.Reportf(s.call.Pos(),
 				"context.%s's cancel function is not called on every path out of %s; `defer %s()` immediately after this line (or cover every branch) to avoid leaking the context",
 				s.fnName, name, s.obj.Name())

@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"go/types"
 
-	"crowdsky/internal/bitset"
 	"crowdsky/internal/lint/analysis"
 	"crowdsky/internal/lint/analysis/cfg"
 )
@@ -17,8 +16,8 @@ import (
 //  1. A goroutine sending on an unbuffered local channel whose receive is
 //     skipped on some path of the spawning function (the classic
 //     "errCh := make(chan error); go ...; early return" leak): proven
-//     with a must-dataflow pass — a receive from (or escape of) the
-//     channel must happen on every path from entry to return.
+//     with a CFG path query — no path from entry to return may skip a
+//     receive from (or escape of) the channel.
 //
 //  2. A `go func() { for { select {...} } }` worker loop with no way out —
 //     no reachable return, labeled break or terminating call — spawned in
@@ -100,29 +99,9 @@ func checkGoroLeakInFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 	}
 
 	g := cfg.New(fd.Body)
-	if !g.Reachable(g.Entry)[g.Exit.Index] {
-		return
-	}
-	flow := cfg.Flow{
-		NFacts: len(sends),
-		Meet:   cfg.Must,
-		Gen: func(b *cfg.Block) bitset.Set {
-			var gen bitset.Set
-			for i, s := range sends {
-				if blockConsumesChan(pass, b, s.ch, s.g) {
-					if gen == nil {
-						gen = bitset.New(len(sends))
-					}
-					gen.Add(i)
-				}
-			}
-			return gen
-		},
-	}
-	res := flow.Solve(g)
-	atExit := res.In[g.Exit.Index]
-	for i, s := range sends {
-		if !atExit.Has(i) {
+	for _, s := range sends {
+		receives := func(b *cfg.Block) bool { return blockConsumesChan(pass, b, s.ch, s.g) }
+		if g.Reachable(receives)[g.Exit.Index] {
 			pass.Reportf(s.g.Pos(),
 				"goroutine sends on unbuffered channel %s, but some path out of %s never receives from it: the send blocks forever and the goroutine leaks; receive on every path, buffer the channel, or select on a done signal in the sender",
 				s.ch.Name(), fd.Name.Name)
@@ -134,7 +113,7 @@ func checkGoroLeakInFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 // running: a reachable exit block (some return path) or a reachable
 // terminating call (panic, os.Exit, log.Fatal*).
 func canTerminate(g *cfg.Graph) bool {
-	live := g.Reachable(g.Entry)
+	live := g.Reachable(nil)
 	if live[g.Exit.Index] {
 		return true
 	}

@@ -26,7 +26,7 @@ import (
 )
 
 // All returns every skylint analyzer, in stable order: the first
-// generation of lexical checks, then the CFG/dataflow generation
+// generation of lexical checks, then the CFG generation
 // (lockorder through goroleak), the cross-package schema check, the
 // interprocedural hot-path generation built on the call graph
 // (hotalloc through purity), and the SSA value-flow generation

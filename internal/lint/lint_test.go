@@ -2,12 +2,16 @@ package lint_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"crowdsky/internal/lint"
+	"crowdsky/internal/lint/analysis"
 	"crowdsky/internal/lint/analysistest"
+	"crowdsky/internal/lint/loader"
 )
 
 // TestAnalyzerFixtures runs every registered analyzer over its fixture
@@ -36,6 +40,57 @@ func TestCrossPackageChain(t *testing.T) {
 func TestCrowdTaintJournal(t *testing.T) {
 	analysistest.RunMulti(t, filepath.Join("testdata", "crowdtaintjournal"),
 		[]string{"journal", "replay"}, lint.CrowdTaint)
+}
+
+// TestLocksetCrossPackage runs lockset over a two-package module: a
+// field guarded in package a and written without its mutex from package
+// b must be reported in b. The guarded-field table is keyed by
+// types.Object, so this holds only when b's import of a is the very
+// *types.Package the loader checked for a.
+func TestLocksetCrossPackage(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod": "module lockmod\n\ngo 1.22\n",
+		"a/a.go": `package a
+
+import "sync"
+
+type S struct {
+	mu sync.Mutex
+	N  int // skylint:guardedby mu
+}
+
+func (s *S) Reset() { s.N = 0 }
+`,
+		"b/b.go": `package b
+
+import "lockmod/a"
+
+func Bump(s *a.S) { s.N++ }
+`,
+	}
+	for rel, src := range files {
+		path := filepath.Join(root, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	findings, err := lint.Run(root, []string{"./..."}, []*analysis.Analyzer{lint.Lockset}, loader.Options{})
+	if err != nil {
+		t.Fatalf("lint.Run: %v", err)
+	}
+	var got []string
+	for _, f := range findings {
+		got = append(got, fmt.Sprintf("%s:%d", f.File, f.Line))
+	}
+	for _, want := range []string{"a/a.go:10", "b/b.go:5"} {
+		if !slices.Contains(got, want) {
+			t.Errorf("no lockset finding at %s; got %v", want, got)
+		}
+	}
 }
 
 // TestAnalyzerRegistry pins the analyzer set: removing one from All()

@@ -1,9 +1,22 @@
 // Package loader loads and type-checks Go packages for the skylint
-// analyzers without golang.org/x/tools: package enumeration shells out to
-// "go list -json" (the toolchain is the one dependency the repository
-// already requires) and type checking uses the standard library's source
-// importer, which resolves both standard-library and module-local imports
-// from source, fully offline.
+// analyzers without golang.org/x/tools. It sees one package universe
+// through one importer:
+//
+//   - Load runs a single `go list -e -deps -export` over the patterns.
+//     Main-module packages (and anything the patterns name) are parsed
+//     and type-checked from source, dependencies first, and served to
+//     each other from the loader's own map. Nothing outside the main
+//     module imports them, so every path has exactly one *types.Package
+//     per load, which the cross-package facts and the call graph rely on.
+//   - Every other package (standard library, vendored, module cache)
+//     comes from the gc export data `go list -export` names. After
+//     `go build ./...` those files are already in the build cache, so
+//     loading is offline and never type-checks the standard library.
+//
+// Imports the listing does not cover (fixture imports, and test-only
+// imports such as "testing" under Options.Tests) are listed the first
+// time a load needs them; the answers are shared by every load in the
+// process.
 package loader
 
 import (
@@ -15,10 +28,14 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Package is one loaded, type-checked package.
@@ -37,7 +54,7 @@ type Package struct {
 
 // Options selects what Load feeds the type checker.
 type Options struct {
-	// Tests includes each package's in-package _test.go files
+	// Tests includes each matched package's in-package _test.go files
 	// (TestGoFiles), so the flow-sensitive concurrency analyzers can audit
 	// test goroutines and context use too. External test packages
 	// (XTestGoFiles, package foo_test) are not loaded: they form a second
@@ -58,103 +75,61 @@ type Options struct {
 // listEntry is the subset of `go list -json` output the loader consumes.
 type listEntry struct {
 	ImportPath  string
-	Name        string
 	Dir         string
+	Export      string
 	GoFiles     []string
 	CgoFiles    []string
 	TestGoFiles []string
+	DepOnly     bool
+	Module      *struct{ Main bool }
+	Error       *struct{ Err string }
+}
+
+// unit is one package the loader type-checks from source.
+type unit struct {
+	path, dir string
+	files     []string
+	// root packages are returned to the caller; the others are
+	// main-module dependencies, checked only so importers can see them.
+	root bool
 }
 
 // Load enumerates the packages matching patterns (e.g. "./...") relative
 // to dir, parses their sources and type-checks them. All packages share
-// one FileSet and one source importer, so the standard library is
-// type-checked once per process, not once per package.
+// one FileSet and one importer.
 func Load(dir string, patterns []string, opts Options) ([]*Package, error) {
-	entries, err := goList(dir, patterns)
+	entries, err := goList(dir, append([]string{"-deps"}, patterns...))
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	imp := newVendorAwareImporter(fset)
-	var out []*Package
+	exports := make(map[string]string)
+	var units []unit
 	for _, e := range entries {
-		pkg, err := loadOne(fset, imp, e, opts)
-		if err != nil {
-			return nil, err
+		root := !e.DepOnly
+		if !root && (e.Module == nil || !e.Module.Main) {
+			exports[e.ImportPath] = e.Export
+			continue
 		}
-		out = append(out, pkg)
+		if len(e.CgoFiles) > 0 {
+			return nil, fmt.Errorf("loader: package %s uses cgo, which skylint does not support", e.ImportPath)
+		}
+		// A main-module package that fails to compile still lists its
+		// files; the type checker reports the failure below. No files at
+		// all means the package itself could not be resolved.
+		if e.Error != nil && len(e.GoFiles) == 0 {
+			return nil, fmt.Errorf("loader: %s: %s", e.ImportPath, strings.TrimSpace(e.Error.Err))
+		}
+		names := e.GoFiles
+		if opts.Tests && root {
+			names = append(append([]string(nil), e.GoFiles...), e.TestGoFiles...)
+		}
+		files := make([]string, len(names))
+		for i, f := range names {
+			files[i] = filepath.Join(e.Dir, f)
+		}
+		units = append(units, unit{path: e.ImportPath, dir: e.Dir, files: files, root: root})
 	}
-	return out, nil
-}
-
-// vendorAwareImporter works around a long-standing gap in the standard
-// source importer: go/build resolves module imports by shelling out to
-// the go command with vendoring disabled, so packages that only exist
-// under a module's vendor/ tree fail to import even though `go build`
-// compiles them fine. The wrapper tries the source importer first (the
-// fast path for the standard library and module-cache packages) and, on
-// failure, asks `go list` — which does honor vendor/ — where the package
-// lives, then type-checks those sources itself.
-type vendorAwareImporter struct {
-	fset  *token.FileSet
-	base  types.ImporterFrom
-	cache map[string]*types.Package
-}
-
-func newVendorAwareImporter(fset *token.FileSet) *vendorAwareImporter {
-	return &vendorAwareImporter{
-		fset:  fset,
-		base:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		cache: make(map[string]*types.Package),
-	}
-}
-
-func (v *vendorAwareImporter) Import(path string) (*types.Package, error) {
-	return v.ImportFrom(path, "", 0)
-}
-
-func (v *vendorAwareImporter) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.Package, error) {
-	pkg, err := v.base.ImportFrom(path, srcDir, mode)
-	if err == nil {
-		return pkg, nil
-	}
-	if cached, ok := v.cache[path]; ok {
-		return cached, nil
-	}
-	entries, listErr := goList(srcDir, []string{path})
-	if listErr != nil || len(entries) != 1 || len(entries[0].GoFiles) == 0 {
-		return nil, err // the source importer's error names the real problem
-	}
-	e := entries[0]
-	files := make([]string, len(e.GoFiles))
-	for i, f := range e.GoFiles {
-		files[i] = filepath.Join(e.Dir, f)
-	}
-	// Recursive imports of the vendored package come back through v, so
-	// vendored dependencies of vendored dependencies resolve too.
-	loaded, cErr := typecheck(v.fset, v, path, e.Dir, files)
-	if cErr != nil {
-		return nil, cErr
-	}
-	v.cache[path] = loaded.Pkg
-	return loaded.Pkg, nil
-}
-
-// LoadDir parses every .go file directly inside dir as one package and
-// type-checks it with a fresh source importer. Used by the analysistest
-// fixture runner, where fixtures are plain directories outside the module
-// package graph. pkgPath becomes the package's reported import path.
-func LoadDir(dir, pkgPath string) (*Package, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil {
-		return nil, err
-	}
-	if len(matches) == 0 {
-		return nil, fmt.Errorf("loader: no .go files in %s", dir)
-	}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
-	return typecheck(fset, imp, pkgPath, "", matches)
+	return check(dir, units, exports, opts.AllowErrors)
 }
 
 // LoadDirs loads the named subdirectories of root as one multi-package
@@ -163,124 +138,207 @@ func LoadDir(dir, pkgPath string) (*Package, error) {
 // may import each other by that name ("kernel" imports nothing, "hot"
 // imports "kernel"). All packages share one FileSet, so cross-package
 // positions stay comparable — the property the interprocedural
-// analyzers' tests rely on.
-//
-// Packages are type-checked in local-dependency order (discovered from
-// the import clauses), through an importer that serves already-checked
-// fixture packages first and falls back to the source importer for the
-// standard library.
+// analyzers' tests rely on. A single-package fixture is LoadDirs over
+// one directory.
 func LoadDirs(root string, dirs []string) ([]*Package, error) {
-	fset := token.NewFileSet()
-	chain := &chainImporter{
-		local:    make(map[string]*types.Package, len(dirs)),
-		fallback: importer.ForCompiler(fset, "source", nil),
-	}
-	names := make(map[string]bool, len(dirs))
-	for _, d := range dirs {
-		names[d] = true
-	}
-	// Discover local imports with an imports-only parse, then order the
-	// packages so dependencies are checked before their importers.
-	deps := make(map[string][]string, len(dirs))
-	files := make(map[string][]string, len(dirs))
-	for _, d := range dirs {
-		matches, err := filepath.Glob(filepath.Join(root, d, "*.go"))
+	units := make([]unit, len(dirs))
+	for i, d := range dirs {
+		files, err := filepath.Glob(filepath.Join(root, d, "*.go"))
 		if err != nil {
 			return nil, err
 		}
-		if len(matches) == 0 {
+		if len(files) == 0 {
 			return nil, fmt.Errorf("loader: no .go files in %s", filepath.Join(root, d))
 		}
-		files[d] = matches
-		for _, f := range matches {
-			parsed, err := parser.ParseFile(fset, f, nil, parser.ImportsOnly)
+		units[i] = unit{path: d, dir: filepath.Join(root, d), files: files, root: true}
+	}
+	return check(root, units, nil, false)
+}
+
+// check parses and type-checks units, each after the units it imports
+// (test imports included), and returns the root packages in that order.
+// Imports that are not units resolve through gc export data: exports
+// first, then the process-wide list of paths looked up from dir.
+func check(dir string, units []unit, exports map[string]string, allowErrors bool) ([]*Package, error) {
+	fset := token.NewFileSet()
+	byPath := make(map[string]int, len(units))
+	for i, u := range units {
+		byPath[u.path] = i
+	}
+	parsed := make([][]*ast.File, len(units))
+	deps := make(map[string][]string, len(units))
+	var missing []string
+	for i, u := range units {
+		for _, name := range u.files {
+			f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
 			if err != nil {
 				return nil, fmt.Errorf("loader: %v", err)
 			}
-			for _, imp := range parsed.Imports {
-				path, err := strconv.Unquote(imp.Path.Value)
-				if err == nil && names[path] {
-					deps[d] = append(deps[d], path)
+			parsed[i] = append(parsed[i], f)
+			for _, spec := range f.Imports {
+				path, err := strconv.Unquote(spec.Path.Value)
+				if err != nil {
+					continue
+				}
+				if _, local := byPath[path]; local {
+					deps[u.path] = append(deps[u.path], path)
+				} else if _, listed := exports[path]; !listed {
+					missing = append(missing, path)
 				}
 			}
 		}
 	}
-	order, err := topoSort(dirs, deps)
+	if err := sharedExports.list(dir, missing); err != nil {
+		return nil, err
+	}
+	paths := make([]string, len(units))
+	for i, u := range units {
+		paths[i] = u.path
+	}
+	order, err := topoSort(paths, deps)
 	if err != nil {
 		return nil, err
 	}
+
+	imp := &universe{
+		local: make(map[string]*types.Package, len(units)),
+		gc: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			file, ok := exports[path]
+			if !ok {
+				file = sharedExports.file(path)
+			}
+			if file == "" {
+				return nil, fmt.Errorf("no export data for %s", path)
+			}
+			return os.Open(file)
+		}),
+	}
 	var out []*Package
-	for _, d := range order {
-		pkg, err := typecheck(fset, chain, d, filepath.Join(root, d), files[d])
+	for _, path := range order {
+		i := byPath[path]
+		pkg, err := typecheck(fset, imp, units[i].path, units[i].dir, parsed[i], allowErrors)
 		if err != nil {
 			return nil, err
 		}
-		chain.local[d] = pkg.Pkg
-		out = append(out, pkg)
+		imp.local[path] = pkg.Pkg
+		if units[i].root {
+			out = append(out, pkg)
+		}
 	}
 	return out, nil
 }
 
-// chainImporter resolves fixture packages by name before delegating to
-// the source importer.
-type chainImporter struct {
-	local    map[string]*types.Package
-	fallback types.Importer
+// universe is the loader's one importer: packages type-checked from
+// source in this load come from its own map, everything else from gc
+// export data.
+type universe struct {
+	local map[string]*types.Package
+	gc    types.Importer
 }
 
-func (c *chainImporter) Import(path string) (*types.Package, error) {
-	if pkg, ok := c.local[path]; ok {
+func (u *universe) Import(path string) (*types.Package, error) {
+	if pkg, ok := u.local[path]; ok {
 		return pkg, nil
 	}
-	return c.fallback.Import(path)
+	return u.gc.Import(path)
 }
 
-// topoSort orders dirs so every package follows its local dependencies;
-// ties keep the caller's order. Cycles are an error: fixture packages
-// must form a DAG like real Go packages.
-func topoSort(dirs []string, deps map[string][]string) ([]string, error) {
+// exportIndex maps the import paths that loads looked up beyond their
+// own listing to gc export data files ("" when go list found none). It
+// is keyed by path alone: those paths are fixture and test-only imports,
+// in practice the standard library, which resolves alike from every
+// directory.
+type exportIndex struct {
+	mu    sync.Mutex
+	files map[string]string
+}
+
+// sharedExports is shared by every load in the process, so each such
+// path is listed once.
+var sharedExports = &exportIndex{files: make(map[string]string)}
+
+func (x *exportIndex) file(path string) string {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return x.files[path]
+}
+
+// list looks up, in one go list run from dir, the paths not yet indexed.
+func (x *exportIndex) list(dir string, paths []string) error {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	var todo []string
+	for _, p := range paths {
+		if _, ok := x.files[p]; !ok && p != "unsafe" && !slices.Contains(todo, p) {
+			todo = append(todo, p)
+		}
+	}
+	if len(todo) == 0 {
+		return nil
+	}
+	entries, err := goList(dir, todo)
+	if err != nil {
+		return err
+	}
+	for _, p := range todo {
+		x.files[p] = ""
+	}
+	for _, e := range entries {
+		x.files[e.ImportPath] = e.Export
+	}
+	return nil
+}
+
+// topoSort orders paths so every package follows its local dependencies;
+// ties keep the caller's order. Cycles are an error: packages must form a
+// DAG, and Go rejects an in-package test that imports its own importer.
+func topoSort(paths []string, deps map[string][]string) ([]string, error) {
 	const (
 		unvisited = iota
 		visiting
 		done
 	)
-	state := make(map[string]int, len(dirs))
+	state := make(map[string]int, len(paths))
 	var order []string
 	var visit func(string) error
-	visit = func(d string) error {
-		switch state[d] {
+	visit = func(p string) error {
+		switch state[p] {
 		case done:
 			return nil
 		case visiting:
-			return fmt.Errorf("loader: fixture import cycle through %q", d)
+			return fmt.Errorf("loader: import cycle through %q", p)
 		}
-		state[d] = visiting
-		for _, dep := range deps[d] {
+		state[p] = visiting
+		for _, dep := range deps[p] {
 			if err := visit(dep); err != nil {
 				return err
 			}
 		}
-		state[d] = done
-		order = append(order, d)
+		state[p] = done
+		order = append(order, p)
 		return nil
 	}
-	for _, d := range dirs {
-		if err := visit(d); err != nil {
+	for _, p := range paths {
+		if err := visit(p); err != nil {
 			return nil, err
 		}
 	}
 	return order, nil
 }
 
-func goList(dir string, patterns []string) ([]listEntry, error) {
-	args := append([]string{"list", "-json=ImportPath,Name,Dir,GoFiles,CgoFiles,TestGoFiles"}, patterns...)
+// goList runs `go list -e -export` with args in dir. Per-package problems
+// come back in listEntry.Error; only a failure of go list itself is an
+// error here.
+func goList(dir string, args []string) ([]listEntry, error) {
+	args = append([]string{"list", "-e", "-export",
+		"-json=ImportPath,Dir,Export,GoFiles,CgoFiles,TestGoFiles,DepOnly,Module,Error"}, args...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
 	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("loader: go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.String())
+		return nil, fmt.Errorf("loader: go %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
 	}
 	dec := json.NewDecoder(&stdout)
 	var entries []listEntry
@@ -294,34 +352,7 @@ func goList(dir string, patterns []string) ([]listEntry, error) {
 	return entries, nil
 }
 
-func loadOne(fset *token.FileSet, imp types.Importer, e listEntry, opts Options) (*Package, error) {
-	if len(e.CgoFiles) > 0 {
-		return nil, fmt.Errorf("loader: package %s uses cgo, which skylint does not support", e.ImportPath)
-	}
-	names := e.GoFiles
-	if opts.Tests {
-		names = append(append([]string(nil), e.GoFiles...), e.TestGoFiles...)
-	}
-	files := make([]string, len(names))
-	for i, f := range names {
-		files[i] = filepath.Join(e.Dir, f)
-	}
-	return typecheckOpt(fset, imp, e.ImportPath, e.Dir, files, opts.AllowErrors)
-}
-
-func typecheck(fset *token.FileSet, imp types.Importer, pkgPath, dir string, files []string) (*Package, error) {
-	return typecheckOpt(fset, imp, pkgPath, dir, files, false)
-}
-
-func typecheckOpt(fset *token.FileSet, imp types.Importer, pkgPath, dir string, files []string, allowErrors bool) (*Package, error) {
-	var asts []*ast.File
-	for _, f := range files {
-		parsed, err := parser.ParseFile(fset, f, nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("loader: %v", err)
-		}
-		asts = append(asts, parsed)
-	}
+func typecheck(fset *token.FileSet, imp types.Importer, pkgPath, dir string, files []*ast.File, allowErrors bool) (*Package, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -335,7 +366,7 @@ func typecheckOpt(fset *token.FileSet, imp types.Importer, pkgPath, dir string, 
 			typeErrs = append(typeErrs, err.Error())
 		},
 	}
-	tpkg, err := conf.Check(pkgPath, fset, asts, info)
+	tpkg, err := conf.Check(pkgPath, fset, files, info)
 	if len(typeErrs) > 0 || err != nil {
 		if !allowErrors || tpkg == nil {
 			if len(typeErrs) > 0 {
@@ -347,6 +378,5 @@ func typecheckOpt(fset *token.FileSet, imp types.Importer, pkgPath, dir string, 
 			typeErrs = append(typeErrs, err.Error())
 		}
 	}
-	name := tpkg.Name()
-	return &Package{PkgPath: pkgPath, Name: name, Dir: dir, Fset: fset, Files: asts, Pkg: tpkg, Info: info, TypeErrors: typeErrs}, nil
+	return &Package{PkgPath: pkgPath, Name: tpkg.Name(), Dir: dir, Fset: fset, Files: files, Pkg: tpkg, Info: info, TypeErrors: typeErrs}, nil
 }

@@ -89,8 +89,8 @@ func TestLoadAllowErrors(t *testing.T) {
 
 // TestLoadVendoredImport checks resolution through a vendor directory:
 // with vendor/ present the go toolchain resolves the dependency there
-// automatically, and the source importer must type-check the vendored
-// sources so the importing package sees real object information.
+// automatically, and the loader must resolve the vendored package so the
+// importing package sees real object information.
 func TestLoadVendoredImport(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"go.mod": "module vendmod\n\ngo 1.21\n\nrequire example.com/dep v0.0.0-00010101000000-000000000000\n",
@@ -125,4 +125,77 @@ func TestLoadVendoredImport(t *testing.T) {
 	if !found {
 		t.Errorf("example.com/dep not among imports %v", depPkg)
 	}
+}
+
+// assertOneUniverse fails unless every import of a loaded package whose
+// path starts with prefix is the very *types.Package Load returned for
+// that path: one package, one set of objects, across the whole load.
+func assertOneUniverse(t *testing.T, pkgs []*Package, prefix string) {
+	t.Helper()
+	byPath := make(map[string]*Package, len(pkgs))
+	for _, p := range pkgs {
+		byPath[p.PkgPath] = p
+	}
+	edges := 0
+	for _, p := range pkgs {
+		for _, imp := range p.Pkg.Imports() {
+			if !strings.HasPrefix(imp.Path(), prefix) {
+				continue
+			}
+			edges++
+			if got := byPath[imp.Path()]; got == nil || got.Pkg != imp {
+				t.Errorf("%s imports a second *types.Package for %s", p.PkgPath, imp.Path())
+			}
+		}
+	}
+	if edges == 0 {
+		t.Errorf("no imports under %q to check", prefix)
+	}
+}
+
+// TestLoadImportIdentity checks that an in-module import resolves to the
+// package Load type-checked from source, not to a second copy of it.
+func TestLoadImportIdentity(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"go.mod": "module idmod\n\ngo 1.21\n",
+		"x/x.go": "package x\n\nimport \"idmod/y\"\n\nfunc X() y.T { return y.T{} }\n",
+		"y/y.go": "package y\n\ntype T struct{ N int }\n",
+	})
+	pkgs, err := Load(dir, []string{"./..."}, Options{})
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if len(pkgs) != 2 {
+		t.Fatalf("loaded %d packages, want 2", len(pkgs))
+	}
+	assertOneUniverse(t, pkgs, "idmod/")
+}
+
+// TestLoadTests covers Options.Tests: an in-package test file importing
+// "testing" (not a dependency of any non-test file) and an in-module
+// package that only the test imports must load, the latter resolving to
+// the loader's own package even though it sorts after its importer.
+func TestLoadTests(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"go.mod": "module testmod\n\ngo 1.21\n",
+		"a/a.go": "package a\n\nfunc A() int { return 1 }\n",
+		"a/a_test.go": "package a\n\nimport (\n\t\"testing\"\n\n\t\"testmod/b\"\n)\n\n" +
+			"func TestA(t *testing.T) {\n\tif A() != b.B() {\n\t\tt.Fatal(\"mismatch\")\n\t}\n}\n",
+		"b/b.go": "package b\n\nfunc B() int { return 1 }\n",
+	})
+	pkgs, err := Load(dir, []string{"./..."}, Options{Tests: true})
+	if err != nil {
+		t.Fatalf("Load with Tests: %v", err)
+	}
+	if len(pkgs) != 2 || pkgs[1].PkgPath != "testmod/a" {
+		t.Fatalf("loaded %d packages, want testmod/b then its test importer testmod/a", len(pkgs))
+	}
+	a := pkgs[1]
+	if len(a.Files) != 2 {
+		t.Fatalf("testmod/a has %d files, want 2 (a.go and a_test.go)", len(a.Files))
+	}
+	if a.Pkg.Scope().Lookup("TestA") == nil {
+		t.Error("TestA not in package scope")
+	}
+	assertOneUniverse(t, pkgs, "testmod/")
 }

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 
-	"crowdsky/internal/bitset"
 	"crowdsky/internal/lint/analysis"
 	"crowdsky/internal/lint/analysis/cfg"
 )
@@ -19,7 +18,8 @@ import (
 //     goroutine is scheduled, see a zero counter and return early.
 //  2. Done reachable on only some paths through the goroutine (an early
 //     return before a non-deferred Done): Wait deadlocks. This is a
-//     must-dataflow check over the goroutine body's CFG.
+//     path query over the goroutine body's CFG: no path from its entry
+//     to its return may skip Done.
 //  3. Add on a locally declared WaitGroup with no Done anywhere in the
 //     function (including its closures) and no escape: Wait, if present,
 //     can never return.
@@ -215,30 +215,12 @@ func checkGoClosure(pass *analysis.Pass, fd *ast.FuncDecl, g *ast.GoStmt, fl *as
 		return
 	}
 
+	// A goroutine that never returns normally leaves Exit unreachable;
+	// that is goroleak's territory.
 	cg := cfg.New(fl.Body)
-	if !cg.Reachable(cg.Entry)[cg.Exit.Index] {
-		return // goroutine never returns normally; goroleak's territory
-	}
-	flow := cfg.Flow{
-		NFacts: len(objs),
-		Meet:   cfg.Must,
-		Gen: func(b *cfg.Block) bitset.Set {
-			var gen bitset.Set
-			for i, obj := range objs {
-				if blockCallsDone(pass, b, obj) {
-					if gen == nil {
-						gen = bitset.New(len(objs))
-					}
-					gen.Add(i)
-				}
-			}
-			return gen
-		},
-	}
-	res := flow.Solve(cg)
-	atExit := res.In[cg.Exit.Index]
-	for i, obj := range objs {
-		if !atExit.Has(i) {
+	for _, obj := range objs {
+		done := func(b *cfg.Block) bool { return blockCallsDone(pass, b, obj) }
+		if cg.Reachable(done)[cg.Exit.Index] {
 			pass.Reportf(g.Pos(),
 				"%s.Done is skipped on some path through this goroutine (early return before the call); `defer %s.Done()` at the top of the closure",
 				obj.Name(), obj.Name())
