@@ -2,7 +2,8 @@
 // analyzers without golang.org/x/tools. It sees one package universe
 // through one importer:
 //
-//   - Load runs a single `go list -e -deps -export` over the patterns.
+//   - Load runs a single `go list -e -deps -export` over the patterns
+//     (with `-test` under Options.Tests, so test imports are listed too).
 //     Main-module packages (and anything the patterns name) are parsed
 //     and type-checked from source, dependencies first, and served to
 //     each other from the loader's own map. Nothing outside the main
@@ -13,10 +14,9 @@
 //     `go build ./...` those files are already in the build cache, so
 //     loading is offline and never type-checks the standard library.
 //
-// Imports the listing does not cover (fixture imports, and test-only
-// imports such as "testing" under Options.Tests) are listed the first
-// time a load needs them; the answers are shared by every load in the
-// process.
+// Fixture loads (LoadDirs) have no listing of their own: their non-local
+// imports are listed the first time a fixture needs them, and the answers
+// are shared by every fixture load in the process.
 package loader
 
 import (
@@ -75,12 +75,14 @@ type Options struct {
 // listEntry is the subset of `go list -json` output the loader consumes.
 type listEntry struct {
 	ImportPath  string
+	Name        string
 	Dir         string
 	Export      string
 	GoFiles     []string
 	CgoFiles    []string
 	TestGoFiles []string
 	DepOnly     bool
+	ForTest     string
 	Module      *struct{ Main bool }
 	Error       *struct{ Err string }
 }
@@ -96,15 +98,28 @@ type unit struct {
 
 // Load enumerates the packages matching patterns (e.g. "./...") relative
 // to dir, parses their sources and type-checks them. All packages share
-// one FileSet and one importer.
+// one FileSet and one importer. With Options.Tests the one listing also
+// covers test imports, so a main-module package that only a test imports
+// is checked from source like any other.
 func Load(dir string, patterns []string, opts Options) ([]*Package, error) {
-	entries, err := goList(dir, append([]string{"-deps"}, patterns...))
+	args := []string{"-deps"}
+	if opts.Tests {
+		args = append(args, "-test")
+	}
+	entries, err := goList(dir, append(args, patterns...))
 	if err != nil {
 		return nil, err
 	}
 	exports := make(map[string]string)
 	var units []unit
 	for _, e := range entries {
+		// -test adds the packages as compiled for their tests ("p
+		// [p.test]", external tests, recompiled dependencies) and the
+		// generated test mains; the in-package test files are loaded
+		// with p itself below.
+		if e.ForTest != "" || (opts.Tests && e.Name == "main" && strings.HasSuffix(e.ImportPath, ".test")) {
+			continue
+		}
 		root := !e.DepOnly
 		if !root && (e.Module == nil || !e.Module.Main) {
 			exports[e.ImportPath] = e.Export
@@ -129,7 +144,7 @@ func Load(dir string, patterns []string, opts Options) ([]*Package, error) {
 		}
 		units = append(units, unit{path: e.ImportPath, dir: e.Dir, files: files, root: root})
 	}
-	return check(dir, units, exports, opts.AllowErrors)
+	return check(units, func([]string) (map[string]string, error) { return exports, nil }, opts.AllowErrors)
 }
 
 // LoadDirs loads the named subdirectories of root as one multi-package
@@ -139,7 +154,8 @@ func Load(dir string, patterns []string, opts Options) ([]*Package, error) {
 // imports "kernel"). All packages share one FileSet, so cross-package
 // positions stay comparable — the property the interprocedural
 // analyzers' tests rely on. A single-package fixture is LoadDirs over
-// one directory.
+// one directory. Other imports come from gc export data, listed from
+// root the first time any fixture load needs them.
 func LoadDirs(root string, dirs []string) ([]*Package, error) {
 	units := make([]unit, len(dirs))
 	for i, d := range dirs {
@@ -152,14 +168,16 @@ func LoadDirs(root string, dirs []string) ([]*Package, error) {
 		}
 		units[i] = unit{path: d, dir: filepath.Join(root, d), files: files, root: true}
 	}
-	return check(root, units, nil, false)
+	return check(units, func(imports []string) (map[string]string, error) {
+		return fixtureExports.lookup(root, imports)
+	}, false)
 }
 
 // check parses and type-checks units, each after the units it imports
 // (test imports included), and returns the root packages in that order.
-// Imports that are not units resolve through gc export data: exports
-// first, then the process-wide list of paths looked up from dir.
-func check(dir string, units []unit, exports map[string]string, allowErrors bool) ([]*Package, error) {
+// Imports that are not units resolve through gc export data, from the
+// files exports maps them to.
+func check(units []unit, exports func(imports []string) (map[string]string, error), allowErrors bool) ([]*Package, error) {
 	fset := token.NewFileSet()
 	byPath := make(map[string]int, len(units))
 	for i, u := range units {
@@ -167,7 +185,7 @@ func check(dir string, units []unit, exports map[string]string, allowErrors bool
 	}
 	parsed := make([][]*ast.File, len(units))
 	deps := make(map[string][]string, len(units))
-	var missing []string
+	var external []string
 	for i, u := range units {
 		for _, name := range u.files {
 			f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
@@ -182,13 +200,14 @@ func check(dir string, units []unit, exports map[string]string, allowErrors bool
 				}
 				if _, local := byPath[path]; local {
 					deps[u.path] = append(deps[u.path], path)
-				} else if _, listed := exports[path]; !listed {
-					missing = append(missing, path)
+				} else {
+					external = append(external, path)
 				}
 			}
 		}
 	}
-	if err := sharedExports.list(dir, missing); err != nil {
+	files, err := exports(external)
+	if err != nil {
 		return nil, err
 	}
 	paths := make([]string, len(units))
@@ -203,14 +222,10 @@ func check(dir string, units []unit, exports map[string]string, allowErrors bool
 	imp := &universe{
 		local: make(map[string]*types.Package, len(units)),
 		gc: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-			file, ok := exports[path]
-			if !ok {
-				file = sharedExports.file(path)
-			}
-			if file == "" {
+			if files[path] == "" {
 				return nil, fmt.Errorf("no export data for %s", path)
 			}
-			return os.Open(file)
+			return os.Open(files[path])
 		}),
 	}
 	var out []*Package
@@ -243,50 +258,46 @@ func (u *universe) Import(path string) (*types.Package, error) {
 	return u.gc.Import(path)
 }
 
-// exportIndex maps the import paths that loads looked up beyond their
-// own listing to gc export data files ("" when go list found none). It
-// is keyed by path alone: those paths are fixture and test-only imports,
-// in practice the standard library, which resolves alike from every
-// directory.
+// exportIndex maps the imports of fixture loads (the standard library,
+// in practice) to gc export data files, keyed by the directory the
+// lookup ran in and the import path; "" records that go list found none.
 type exportIndex struct {
 	mu    sync.Mutex
-	files map[string]string
+	files map[[2]string]string
 }
 
-// sharedExports is shared by every load in the process, so each such
-// path is listed once.
-var sharedExports = &exportIndex{files: make(map[string]string)}
+// fixtureExports is shared by every LoadDirs call in the process, so
+// each fixture import is listed once per directory.
+var fixtureExports = &exportIndex{files: make(map[[2]string]string)}
 
-func (x *exportIndex) file(path string) string {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.files[path]
-}
-
-// list looks up, in one go list run from dir, the paths not yet indexed.
-func (x *exportIndex) list(dir string, paths []string) error {
+// lookup returns the export data file of each path, listing the paths
+// not yet indexed for dir in one go list run from dir.
+func (x *exportIndex) lookup(dir string, paths []string) (map[string]string, error) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	var todo []string
 	for _, p := range paths {
-		if _, ok := x.files[p]; !ok && p != "unsafe" && !slices.Contains(todo, p) {
+		if _, ok := x.files[[2]string{dir, p}]; !ok && p != "unsafe" && !slices.Contains(todo, p) {
 			todo = append(todo, p)
 		}
 	}
-	if len(todo) == 0 {
-		return nil
+	if len(todo) > 0 {
+		entries, err := goList(dir, todo)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range todo {
+			x.files[[2]string{dir, p}] = ""
+		}
+		for _, e := range entries {
+			x.files[[2]string{dir, e.ImportPath}] = e.Export
+		}
 	}
-	entries, err := goList(dir, todo)
-	if err != nil {
-		return err
+	out := make(map[string]string, len(paths))
+	for _, p := range paths {
+		out[p] = x.files[[2]string{dir, p}]
 	}
-	for _, p := range todo {
-		x.files[p] = ""
-	}
-	for _, e := range entries {
-		x.files[e.ImportPath] = e.Export
-	}
-	return nil
+	return out, nil
 }
 
 // topoSort orders paths so every package follows its local dependencies;
@@ -331,7 +342,7 @@ func topoSort(paths []string, deps map[string][]string) ([]string, error) {
 // error here.
 func goList(dir string, args []string) ([]listEntry, error) {
 	args = append([]string{"list", "-e", "-export",
-		"-json=ImportPath,Dir,Export,GoFiles,CgoFiles,TestGoFiles,DepOnly,Module,Error"}, args...)
+		"-json=ImportPath,Name,Dir,Export,GoFiles,CgoFiles,TestGoFiles,DepOnly,ForTest,Module,Error"}, args...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer

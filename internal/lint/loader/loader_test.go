@@ -1,6 +1,7 @@
 package loader
 
 import (
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -198,4 +199,39 @@ func TestLoadTests(t *testing.T) {
 		t.Error("TestA not in package scope")
 	}
 	assertOneUniverse(t, pkgs, "testmod/")
+}
+
+// TestLoadTestsNarrowPattern covers Options.Tests when the pattern names
+// only the importing package: b is imported only by a's test file and
+// itself imports c, which a.go imports too. b must be checked from
+// source against the same c, or a_test.go's b.B(A()) is a type error.
+func TestLoadTestsNarrowPattern(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"go.mod": "module narrowmod\n\ngo 1.21\n",
+		"a/a.go": "package a\n\nimport \"narrowmod/c\"\n\nfunc A() c.T { return c.T{N: 1} }\n",
+		"a/a_test.go": "package a\n\nimport (\n\t\"testing\"\n\n\t\"narrowmod/b\"\n)\n\n" +
+			"func TestA(t *testing.T) {\n\tif b.B(A()) != 1 {\n\t\tt.Fatal(\"mismatch\")\n\t}\n}\n",
+		"b/b.go": "package b\n\nimport \"narrowmod/c\"\n\nfunc B(t c.T) int { return t.N }\n",
+		"c/c.go": "package c\n\ntype T struct{ N int }\n",
+	})
+	pkgs, err := Load(dir, []string{"./a"}, Options{Tests: true})
+	if err != nil {
+		t.Fatalf("Load with Tests: %v", err)
+	}
+	if len(pkgs) != 1 || pkgs[0].PkgPath != "narrowmod/a" {
+		t.Fatalf("loaded %d packages, want only narrowmod/a", len(pkgs))
+	}
+	imports := make(map[string]*types.Package)
+	for _, imp := range pkgs[0].Pkg.Imports() {
+		imports[imp.Path()] = imp
+	}
+	b, c := imports["narrowmod/b"], imports["narrowmod/c"]
+	if b == nil || c == nil {
+		t.Fatalf("imports of narrowmod/a = %v, want narrowmod/b and narrowmod/c", pkgs[0].Pkg.Imports())
+	}
+	for _, imp := range b.Imports() {
+		if imp.Path() == "narrowmod/c" && imp != c {
+			t.Error("narrowmod/b imports a second *types.Package for narrowmod/c")
+		}
+	}
 }
