@@ -32,37 +32,6 @@ func (s Set) Or(t Set) {
 	}
 }
 
-// OrPlus sets s to the union s | t with element i added, in a single
-// word pass. It fuses the Add(i)+Or(t) sequence of the closure
-// propagation hot paths (package prefgraph) so the row is touched once.
-// t must not exceed s's capacity and i must be within it.
-func (s Set) OrPlus(t Set, i int) {
-	for w, v := range t {
-		s[w] |= v
-	}
-	s[i>>6] |= 1 << (uint(i) & 63)
-}
-
-// OrChanged is like Or but reports whether s changed.
-func (s Set) OrChanged(t Set) bool {
-	changed := false
-	for i, w := range t {
-		nw := s[i] | w
-		if nw != s[i] {
-			s[i] = nw
-			changed = true
-		}
-	}
-	return changed
-}
-
-// AndNot sets s to the difference s &^ t.
-func (s Set) AndNot(t Set) {
-	for i, w := range t {
-		s[i] &^= w
-	}
-}
-
 // Count returns the number of set bits.
 func (s Set) Count() int {
 	c := 0
@@ -70,25 +39,6 @@ func (s Set) Count() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// And sets s to the intersection s & t. Both sets must have the same
-// capacity.
-func (s Set) And(t Set) {
-	for i, w := range t {
-		s[i] &= w
-	}
-}
-
-// Equal reports whether s and t hold exactly the same elements. Both sets
-// must have the same capacity.
-func (s Set) Equal(t Set) bool {
-	for i, w := range t {
-		if s[i] != w {
-			return false
-		}
-	}
-	return true
 }
 
 // AndCount returns |s & t| without materializing the intersection.
@@ -118,35 +68,11 @@ func (s Set) Intersects(t Set) bool {
 	return false
 }
 
-// Clone returns an independent copy of s.
-func (s Set) Clone() Set {
-	c := make(Set, len(s))
-	copy(c, s)
-	return c
-}
-
 // Clear removes all elements.
 func (s Set) Clear() {
 	for i := range s {
 		s[i] = 0
 	}
-}
-
-// ForEach calls fn for every set bit in ascending order.
-func (s Set) ForEach(fn func(i int)) {
-	for wi, w := range s {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			fn(wi<<6 + b)
-			w &= w - 1
-		}
-	}
-}
-
-// Members appends the indices of all set bits to dst and returns it.
-func (s Set) Members(dst []int) []int {
-	s.ForEach(func(i int) { dst = append(dst, i) })
-	return dst
 }
 
 // Carve returns count independent n-bit Sets carved from one backing

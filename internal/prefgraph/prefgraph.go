@@ -7,9 +7,12 @@
 // inferable by transitivity — the machinery behind pruning P2 (Corollary 2)
 // and P3 (Section 3.4). Each class keeps its descendants as a bit-set row,
 // so every query is O(1). Ancestors are not stored: an insertion finds the
-// ones it changes by a pruned reverse search over the answered edges. Ternary "equally preferred" answers merge nodes
-// into equivalence classes via union–find, so a preference recorded for
-// either member holds for both.
+// ones it changes by a pruned reverse search over the answered edges, and
+// ORs into each only the nonzero words of the new descendant row (closure
+// rows are sparse, so most words are zero). Ternary "equally preferred"
+// answers merge nodes into equivalence classes via union–find, so a
+// preference recorded for either member holds for both; until the first
+// merge every node is its own class and the search skips union–find.
 //
 // Crowds make mistakes (Section 5), so an insertion may contradict what is
 // already known (s ≺ t arriving when t ≺ s is recorded or inferable). The
@@ -76,9 +79,11 @@ type Graph struct {
 
 	// Scratch for the reverse search, sized at New: a node is pushed at
 	// most once per search, so n stack slots suffice. seen marks the
-	// ancestors a merge has already visited.
+	// ancestors a merge has already visited. words holds the indices of
+	// the source row's nonzero words, one slot per row word.
 	stack []int32
 	seen  bitset.Set
+	words []int32
 
 	edges          int // accepted strict-preference insertions
 	unions         int // accepted equality insertions
@@ -91,12 +96,13 @@ type inEdge struct {
 }
 
 // New creates an empty preference graph over nodes 0..n-1. The n closure
-// rows and the search's seen row are carved from a single arena, and the
+// rows and the search's seen row are carved from a single arena, the
+// in-list heads and both search scratch slices share another, and the
 // edge arena is pre-sized to n edges, so a graph costs O(1) allocations
 // however many nodes it has.
 func New(n int) *Graph {
 	pr := make([]int, 2*n)
-	heads := make([]int32, 2*n)
+	heads := make([]int32, 2*n+(n+63)/64)
 	rows := bitset.Carve(n+1, n)
 	g := &Graph{
 		n:      n,
@@ -105,7 +111,8 @@ func New(n int) *Graph {
 		reach:  rows[:n],
 		seen:   rows[n],
 		inHead: heads[:n:n],
-		stack:  heads[n:],
+		stack:  heads[n : 2*n : 2*n],
+		words:  heads[2*n:],
 		arena:  make([]inEdge, 0, n),
 	}
 	g.Reset()
@@ -197,8 +204,9 @@ func (g *Graph) AddPrefer(s, t int) bool {
 	g.inHead[v] = int32(len(g.arena) - 1)
 	// v and its descendants become reachable from u and from every
 	// ancestor of u that does not reach v yet.
-	g.reach[u].OrPlus(g.reach[v], v)
-	g.raise(u, v, nil)
+	words := g.nonzero(v)
+	g.fold(u, v, words)
+	g.raise(u, v, words, nil)
 	return true
 }
 
@@ -245,8 +253,38 @@ func (g *Graph) AddEqual(s, t int) bool {
 	// ancestors in seen instead.
 	g.seen.Clear()
 	g.seen.Add(r)
-	g.raise(r, r, g.seen)
+	g.raise(r, r, g.nonzero(r), g.seen)
 	return true
+}
+
+// nonzero writes the indices of reach[v]'s nonzero words into the words
+// scratch and returns that prefix. It writes by index rather than
+// appending, so the scratch sized at New is never outgrown.
+//
+//skylint:hotpath
+func (g *Graph) nonzero(v int) []int32 {
+	row := g.reach[v]
+	words := g.words[:len(row)]
+	k := 0
+	for w, x := range row {
+		words[k] = int32(w) // kept only if x is nonzero: no branch to mispredict
+		if x != 0 {
+			k++
+		}
+	}
+	return words[:k]
+}
+
+// fold ORs reach[v]∪{v} into reach[p], touching only the given words of
+// reach[v] (its nonzero ones, from nonzero) and v's own bit.
+//
+//skylint:hotpath
+func (g *Graph) fold(p, v int, words []int32) {
+	dst, src := g.reach[p], g.reach[v]
+	for _, w := range words {
+		dst[w] |= src[w]
+	}
+	dst.Add(v)
 }
 
 // raise ORs reach[v]∪{v} into the ancestors of class x, found by walking
@@ -256,18 +294,30 @@ func (g *Graph) AddEqual(s, t int) bool {
 // updates exactly the ancestors that do not reach v yet. Otherwise every
 // ancestor is visited once, marked in seen.
 //
+// words lists reach[v]'s nonzero words (from nonzero), and each update
+// ORs only those. That is exact because the search never writes reach[v]:
+// T is acyclic, so v is not an ancestor of x when v ≠ x, and when v = x
+// (a merge) seen marks v before the search starts.
+//
+// While no class has merged, every stored in-edge source is its own
+// class's representative, so the search reads sources directly and only
+// canonicalizes them through find once a union has happened.
+//
 // The edge walk iterates the arena directly rather than through a
 // callback: a closure over (g, v, seen) would be re-created — and
 // heap-allocated — on every insertion, on the per-answer hot path.
 //
 //skylint:hotpath
-func (g *Graph) raise(x, v int, seen bitset.Set) {
-	row := g.reach[v]
+func (g *Graph) raise(x, v int, words []int32, seen bitset.Set) {
+	merged := g.unions != 0
 	g.stack[0] = int32(x)
 	for top := 1; top > 0; {
 		top--
 		for e := g.inHead[g.stack[top]]; e >= 0; e = g.arena[e].next {
-			p := g.find(int(g.arena[e].src))
+			p := int(g.arena[e].src)
+			if merged {
+				p = g.find(p)
+			}
 			switch {
 			case seen == nil:
 				if g.reach[p].Has(v) {
@@ -278,7 +328,7 @@ func (g *Graph) raise(x, v int, seen bitset.Set) {
 			default:
 				seen.Add(p)
 			}
-			g.reach[p].OrPlus(row, v)
+			g.fold(p, v, words)
 			g.stack[top] = int32(p)
 			top++
 		}

@@ -3,7 +3,6 @@ package prefgraph
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -148,6 +147,91 @@ func TestAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// TestUnionTransition replays a stream across the first merge: in-edges
+// are recorded while no class has merged, so their stored sources are
+// representatives; AddEqual then absorbs one of those sources, and the
+// next AddPrefer raises through the edge whose source is now stale, which
+// the search must canonicalize. A second merge absorbs a source one edge
+// further along, and the last raise walks through both stale sources.
+// testdata/fuzz/FuzzGraph/prefer-merge-prefer holds the same stream.
+func TestUnionTransition(t *testing.T) {
+	stream := []struct {
+		equal bool
+		a, b  int
+	}{
+		{false, 4, 0}, // 4 → 0: 0 gets an ancestor
+		{false, 0, 1}, // 0 → 1: stored source 0
+		{false, 5, 2}, // 5 → 2: the other side of the merge
+		{true, 2, 0},  // 0 joins 2's class; the edge into 1 is now stale
+		{false, 1, 3}, // raises 1 → (0 = 2) → {4, 5}
+		{false, 3, 6}, // raises through the stale source again, one level up
+		{true, 7, 1},  // 1 joins 7's class; the edge into 3 is now stale
+		{false, 6, 8}, // raises 6 → 3 → (1 = 7) → (0 = 2) → {4, 5}
+	}
+	const n = 10
+	g, ref := New(n), newRefGraph(n)
+	for i, a := range stream {
+		if err := ref.step(g, a.equal, a.a, a.b); err != nil {
+			t.Fatalf("answer %d: %v", i, err)
+		}
+	}
+}
+
+// TestAgainstBruteForceWide compares the graph against the reference on
+// 24-word rows, which FuzzGraph's n ≤ 200 never reaches. The answers
+// follow a latent two-attribute order (s is preferred over t when it is
+// at least as good in both attributes and better in one), so the closure
+// rows stay sparse, with runs of zero words between nonzero ones. About
+// one answer in 50 is an equality between twins, tuples with the same
+// latent point. The all-pairs check runs every 500 answers.
+func TestAgainstBruteForceWide(t *testing.T) {
+	const n, answers, every = 1500, 4500, 500
+	rng := rand.New(rand.NewSource(18))
+	x, y := make([]int, n), make([]int, n)
+	var twins [][2]int
+	for i := range x {
+		if i > 0 && rng.Intn(10) == 0 {
+			j := rng.Intn(i)
+			x[i], y[i] = x[j], y[j]
+			twins = append(twins, [2]int{i, j})
+			continue
+		}
+		x[i], y[i] = rng.Intn(1<<20), rng.Intn(1<<20)
+	}
+	better := func(a, b int) bool {
+		return x[a] >= x[b] && y[a] >= y[b] && (x[a] > x[b] || y[a] > y[b])
+	}
+	g, ref := New(n), newRefGraph(n)
+	for k := 1; k <= answers; {
+		var a, b int
+		equal := rng.Intn(50) == 0
+		if equal {
+			tw := twins[rng.Intn(len(twins))]
+			a, b = tw[0], tw[1]
+		} else {
+			a, b = rng.Intn(n), rng.Intn(n)
+			if better(b, a) {
+				a, b = b, a
+			}
+			if !better(a, b) {
+				continue // incomparable or twins: not an answer the order gives
+			}
+		}
+		if err := ref.answer(g, equal, a, b); err != nil {
+			t.Fatalf("answer %d: %v", k, err)
+		}
+		if k%every == 0 {
+			if err := ref.check(g); err != nil {
+				t.Fatalf("after %d answers: %v", k, err)
+			}
+		}
+		k++
+	}
+	if g.Unions() == 0 || g.Edges() < answers/2 {
+		t.Fatalf("stream too thin: %d edges, %d unions", g.Edges(), g.Unions())
+	}
+}
+
 // FuzzGraph drives Graph and the brute-force reference with the same
 // answer stream and checks them against each other after every answer.
 // The first byte picks n in [2, 200], so closure rows span up to four
@@ -178,19 +262,22 @@ func FuzzGraph(f *testing.F) {
 }
 
 // refGraph is the brute-force reference for Graph: the accepted edges
-// between class representatives and a union–find of its own, with the
-// closure recomputed from scratch after every answer.
+// between class representatives and a union–find of its own. Each answer
+// is judged by a depth-first search over those edges, and close recomputes
+// the full closure from scratch for the all-pairs comparison.
 type refGraph struct {
 	n      int
 	parent []int
 	edges  map[[2]int]bool
-	reach  [][]bool // reach[i][j]: representative i strictly preferred over j
+	succ   [][]int  // the edges as successor lists
+	reach  [][]bool // reach[i][j]: representative i strictly preferred over j; current after close
 
 	accepted, unions, contradictions int
 }
 
 func newRefGraph(n int) *refGraph {
-	r := &refGraph{n: n, parent: make([]int, n), edges: make(map[[2]int]bool), reach: make([][]bool, n)}
+	r := &refGraph{n: n, parent: make([]int, n), edges: make(map[[2]int]bool),
+		succ: make([][]int, n), reach: make([][]bool, n)}
 	for i := range r.parent {
 		r.parent[i] = i
 		r.reach[i] = make([]bool, n)
@@ -205,14 +292,31 @@ func (r *refGraph) find(x int) int {
 	return x
 }
 
+// prefers reports whether representative x is strictly preferred over
+// representative y: whether y is reachable from x over the edges.
+func (r *refGraph) prefers(x, y int) bool {
+	seen := make([]bool, r.n)
+	stack := []int{x}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, s := range r.succ[v] {
+			if s == y {
+				return true
+			}
+			if !seen[s] {
+				seen[s] = true
+				stack = append(stack, s)
+			}
+		}
+	}
+	return false
+}
+
 // close recomputes reach from the edge set: a representative's row is
 // the union of its successors and their rows, filled depth-first with
 // memoization (the edge set is acyclic, so the recursion terminates).
 func (r *refGraph) close() {
-	succ := make([][]int, r.n)
-	for e := range r.edges {
-		succ[e[0]] = append(succ[e[0]], e[1])
-	}
 	done := make([]bool, r.n)
 	var fill func(i int)
 	fill = func(i int) {
@@ -224,7 +328,7 @@ func (r *refGraph) close() {
 		for j := range row {
 			row[j] = false
 		}
-		for _, s := range succ[i] {
+		for _, s := range r.succ[i] {
 			fill(s)
 			row[s] = true
 			for j, ok := range r.reach[s] {
@@ -252,14 +356,14 @@ func (r *refGraph) known(x, y int) Relation {
 }
 
 // apply records one answer and reports whether it is consistent with
-// what is already known. reach must be current.
+// what is already known.
 func (r *refGraph) apply(equal bool, a, b int) bool {
 	ra, rb := r.find(a), r.find(b)
 	if equal {
 		if ra == rb {
 			return true
 		}
-		if r.reach[ra][rb] || r.reach[rb][ra] {
+		if r.prefers(ra, rb) || r.prefers(rb, ra) {
 			r.contradictions++
 			return false
 		}
@@ -267,37 +371,50 @@ func (r *refGraph) apply(equal bool, a, b int) bool {
 		// Union in the reference; redirect edges to the root.
 		r.parent[rb] = ra
 		redirected := make(map[[2]int]bool, len(r.edges))
+		for i := range r.succ {
+			r.succ[i] = r.succ[i][:0]
+		}
 		for e := range r.edges {
-			redirected[[2]int{r.find(e[0]), r.find(e[1])}] = true
+			e = [2]int{r.find(e[0]), r.find(e[1])}
+			if !redirected[e] {
+				redirected[e] = true
+				r.succ[e[0]] = append(r.succ[e[0]], e[1])
+			}
 		}
 		r.edges = redirected
 		return true
 	}
-	if ra == rb || r.reach[rb][ra] {
+	if ra == rb || r.prefers(rb, ra) {
 		r.contradictions++
 		return false
 	}
-	if !r.reach[ra][rb] {
+	if !r.prefers(ra, rb) {
 		r.accepted++
 		r.edges[[2]int{ra, rb}] = true
+		r.succ[ra] = append(r.succ[ra], rb)
 	}
 	return true
 }
 
-// step applies one answer to g and to the reference, then checks the
-// return value, the three counters and Known over all pairs.
-func (r *refGraph) step(g *Graph, equal bool, a, b int) error {
+// answer applies one answer to g and to the reference and checks that
+// both accept or both reject it.
+func (r *refGraph) answer(g *Graph, equal bool, a, b int) error {
 	var got bool
 	if equal {
 		got = g.AddEqual(a, b)
 	} else {
 		got = g.AddPrefer(a, b)
 	}
-	want := r.apply(equal, a, b)
-	r.close()
-	if got != want {
+	if want := r.apply(equal, a, b); got != want {
 		return fmt.Errorf("answer (equal=%v, %d, %d) accepted=%v, want %v", equal, a, b, got, want)
 	}
+	return nil
+}
+
+// check recomputes the reference closure and compares the three counters
+// and Known over all pairs.
+func (r *refGraph) check(g *Graph) error {
+	r.close()
 	if g.Edges() != r.accepted || g.Unions() != r.unions || g.Contradictions() != r.contradictions {
 		return fmt.Errorf("counters edges/unions/contradictions = %d/%d/%d, want %d/%d/%d",
 			g.Edges(), g.Unions(), g.Contradictions(), r.accepted, r.unions, r.contradictions)
@@ -312,14 +429,26 @@ func (r *refGraph) step(g *Graph, equal bool, a, b int) error {
 	return nil
 }
 
+// step applies one answer to g and to the reference, then checks the
+// return value, the three counters and Known over all pairs.
+func (r *refGraph) step(g *Graph, equal bool, a, b int) error {
+	if err := r.answer(g, equal, a, b); err != nil {
+		return err
+	}
+	return r.check(g)
+}
+
 func TestPreferredSet(t *testing.T) {
 	g := New(5)
 	g.AddPrefer(0, 1)
 	g.AddPrefer(1, 2)
 	g.AddPrefer(3, 4)
 	var got []int
-	g.PreferredSet(0).ForEach(func(i int) { got = append(got, i) })
-	sort.Ints(got)
+	for i, row := 0, g.PreferredSet(0); i < g.N(); i++ {
+		if row.Has(i) {
+			got = append(got, i)
+		}
+	}
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("PreferredSet(0) = %v, want [1 2]", got)
 	}
