@@ -88,7 +88,6 @@ func ops() []op {
 		{"steady_state_round", func(d *dataset.Dataset) func(*testing.B) {
 			return func(b *testing.B) {
 				rb := core.NewRoundBench(d, core.AllPruning(), 64)
-				defer rb.Close()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

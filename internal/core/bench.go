@@ -10,13 +10,14 @@ import (
 // (TestZeroAlloc) and the cmd/bench steady_state_round op — so the two
 // measure the identical code path. One Round is the inner loop of every
 // crowd-enabled algorithm: fold a batch of answers into the preference
-// graphs and the direct-answer record, re-check pair completeness, and
-// regenerate the outstanding requests into a reused buffer.
+// graphs (and the direct-answer record, without P2/P3), re-check pair
+// completeness, and regenerate the outstanding requests into a reused
+// buffer.
 //
 // The harness asks a perfect crowd once, up front, for a fixed batch of
 // dominating-set pairs; Round then replays those answers. After the
 // warm-up round every insertion takes the already-known fast path, every
-// map write hits an existing slot, and the request buffer has reached
+// direct-answer write hits an existing slot, and the request buffer has reached
 // its high-water mark: a steady-state Round performs zero allocations.
 type RoundBench struct {
 	ss      *session
@@ -78,6 +79,3 @@ func (rb *RoundBench) Round() int {
 	}
 	return unknown
 }
-
-// Close releases the session's pooled resources.
-func (rb *RoundBench) Close() { rb.ss.release() }

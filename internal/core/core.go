@@ -15,8 +15,16 @@
 //   - Unary (Section 6.1, Figure 11): the quantitative-question comparator
 //     simulating Lofi et al. [12].
 //
-// All algorithms exchange questions with a crowd.Platform and never touch
-// the latent attribute values.
+// The three crowd-enabled skyline algorithms share one per-tuple pipeline
+// (tupleEval: P1/P2 reduction, P3 probing, Q(t) with the C3 early break)
+// and one round driver (session.drive) that advances every active
+// pipeline, asks the pairs they wait on as one round, and reads out the
+// pipelines that completed. They differ only in the rule that admits
+// pipelines: CrowdSky starts the next tuple in P1 order once nothing is
+// active, ParallelDSet the next disjoint batch of one size group once
+// nothing is active, and ParallelSL every tuple whose immediate dominators
+// are all complete. All algorithms exchange questions with a
+// crowd.Platform and never touch the latent attribute values.
 package core
 
 import (
@@ -26,7 +34,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
 
 	"crowdsky/internal/crowd"
 	"crowdsky/internal/dataset"
@@ -68,10 +75,12 @@ type Options struct {
 	// BenchmarkAblationProbeOrder measures the difference.
 	ProbeOrder ProbeOrder
 	// MaxQuestions, when positive, caps the number of crowd questions
-	// (the fixed-budget setting of Lofi et al. [12]). When the budget
-	// runs out the algorithm stops asking and reads out optimistically:
-	// every tuple not yet proven dominated is reported in the skyline,
-	// and Result.Truncated is set.
+	// (the fixed-budget setting of Lofi et al. [12]); the round that
+	// reaches the cap is cut to fit it. Once the budget is spent, every
+	// algorithm still starts and advances its tuples through whatever the
+	// answers so far decide, and a tuple that then needs the crowd is read
+	// out optimistically, as not dominated. Result.Truncated is set when a
+	// question went unasked for want of budget.
 	MaxQuestions int
 	// Tracer receives the run's span tree: the run, its crowd rounds, the
 	// index build and per-tuple question generation, with P1/P2/P3
@@ -130,33 +139,38 @@ type Result struct {
 	// Contradictions counts crowd answers that conflicted with the
 	// preference tree and were dropped (only nonzero with noisy crowds).
 	Contradictions int
-	// Truncated reports that Options.MaxQuestions exhausted the budget
-	// before every tuple was complete; the skyline is then the optimistic
-	// readout (tuples not yet proven dominated).
+	// Truncated reports that a question went unasked because
+	// Options.MaxQuestions was spent; the skyline then holds every tuple
+	// not yet proven dominated (the optimistic readout).
 	Truncated bool
 }
 
 // session carries the machine-part state shared by every algorithm: the
 // dataset, the crowd platform, one preference graph per crowd attribute,
-// the voting policy, and the co-domination frequency counter.
+// the voting policy, the co-domination frequency counter, and every
+// tuple's readout.
 type session struct {
 	d      *dataset.Dataset
 	pf     crowd.Platform
+	opts   Options
 	graphs []*prefgraph.Graph
 	policy voting.Policy
 	fc     *skyline.FreqCounter
 	// ix is the dominance index of the run, built (or adopted from
-	// sharedIx) by prepMachine after the degenerate-case preprocessing.
-	ix *skyline.Index
-	// sharedIx is the caller-provided index from Options.Index.
-	sharedIx *skyline.Index
+	// Options.Index) by prepMachine after the degenerate-case
+	// preprocessing, and sets its alive-restricted dominating sets.
+	ix   *skyline.Index
+	sets [][]int
 
-	// roundRobin enables one-attribute-at-a-time questioning for pairs
-	// (Options.RoundRobinAC).
-	roundRobin bool
-	// maxQuestions caps the crowd budget; 0 means unlimited.
-	maxQuestions int
-	// exhausted is latched once the budget ran out.
+	// status is every tuple's readout, written by drive as pipelines
+	// complete; P1 reads the dominated ones.
+	status []status
+	// kept, when non-nil, receives each completed pipeline by tuple, for
+	// readouts that need more than the status (CrowdSkyProbabilistic).
+	kept []*tupleEval
+
+	// exhausted is latched once a question went unasked for want of
+	// budget.
 	exhausted bool
 	// progressTotal is the estimated total question count, used to feed
 	// progress-aware voting policies (voting.ProgressPolicy); 0 disables
@@ -190,12 +204,15 @@ type session struct {
 	// direct answers only.
 	useT bool
 
-	// direct records the raw aggregated answer of every asked question,
-	// keyed by (min tuple, max tuple, attribute) with the preference
-	// normalized to that orientation. Pruning variants that do not use
-	// the preference tree (DSet and P1 alone — the tree is introduced
-	// with P2, Section 3.3) decide completeness from these direct answers
-	// only, reproducing the paper's stage decomposition in Figures 6-7.
+	// direct records the raw aggregated answer of every question asked
+	// after prepMachine, keyed by (min tuple, max tuple, attribute) with
+	// the preference normalized to that orientation. Pruning variants
+	// that do not use the preference tree (DSet and P1 alone — the tree is
+	// introduced with P2, Section 3.3) decide completeness from these
+	// direct answers only, reproducing the paper's stage decomposition in
+	// Figures 6-7. It is nil under useT, where nothing reads it. The
+	// degenerate-case answers before prepMachine are not recorded: those
+	// pairs are equal in AK, so no dominating set relates them.
 	direct map[directKey]crowd.Preference
 
 	alive []bool // false for tuples removed by degenerate-case preprocessing
@@ -205,25 +222,6 @@ type session struct {
 // directKey identifies an asked question with a normalized orientation
 // (A < B).
 type directKey struct{ a, b, attr int }
-
-// directPool recycles direct-answer maps across sessions. A run's map
-// grows to one entry per asked question; serving many runs over the same
-// deployment (the experiment sweeps, the crowdserve loop) would otherwise
-// reallocate and regrow that table per run. Maps enter the pool cleared.
-var directPool = sync.Pool{
-	New: func() any { return make(map[directKey]crowd.Preference, 256) },
-}
-
-// release returns the session's pooled resources; call it once the
-// session will answer no further queries. Reads after release degrade
-// gracefully (a nil map reads as empty) but are a bug.
-func (ss *session) release() {
-	if ss.direct != nil {
-		clear(ss.direct)
-		directPool.Put(ss.direct)
-		ss.direct = nil
-	}
-}
 
 func newSession(d *dataset.Dataset, pf crowd.Platform, opts Options) *session {
 	policy := opts.Voting
@@ -235,18 +233,16 @@ func newSession(d *dataset.Dataset, pf crowd.Platform, opts Options) *session {
 		ctx = context.Background()
 	}
 	s := &session{
-		d:            d,
-		pf:           pf,
-		policy:       policy,
-		roundRobin:   opts.RoundRobinAC,
-		maxQuestions: opts.MaxQuestions,
-		useT:         opts.P2 || opts.P3,
-		trace:        opts.Tracer,
-		ctx:          ctx,
-		sharedIx:     opts.Index,
-		direct:       directPool.Get().(map[directKey]crowd.Preference),
-		alive:        make([]bool, d.N()),
-		twin:         make([]int, d.N()),
+		d:      d,
+		pf:     pf,
+		opts:   opts,
+		policy: policy,
+		useT:   opts.P2 || opts.P3,
+		trace:  opts.Tracer,
+		ctx:    ctx,
+		status: make([]status, d.N()),
+		alive:  make([]bool, d.N()),
+		twin:   make([]int, d.N()),
 	}
 	for i := range s.alive {
 		s.alive[i] = true
@@ -398,7 +394,7 @@ func (ss *session) unknownAttrs(s, t, backup int, reqs []crowd.Request) []crowd.
 	for j := range ss.graphs {
 		if !ss.attrKnown(s, t, j) {
 			reqs = append(reqs, crowd.Request{Q: crowd.Question{A: s, B: t, Attr: j}, Workers: workers})
-			if ss.roundRobin {
+			if ss.opts.RoundRobinAC {
 				break
 			}
 		}
@@ -457,10 +453,10 @@ func (ss *session) estimateTotalQuestions(sets [][]int) int {
 // budgetLeft reports whether more questions may be asked; it latches
 // exhaustion once the cap is hit.
 func (ss *session) budgetLeft() bool {
-	if ss.maxQuestions <= 0 {
+	if ss.opts.MaxQuestions <= 0 {
 		return true
 	}
-	if ss.pf.Stats().Questions() >= ss.maxQuestions {
+	if ss.pf.Stats().Questions() >= ss.opts.MaxQuestions {
 		ss.exhausted = true
 	}
 	return !ss.exhausted
@@ -504,8 +500,8 @@ func (ss *session) freq(s, t int) int {
 	return ss.fc.Freq(s, t)
 }
 
-// apply folds a round of crowd answers into the preference graphs and the
-// direct-answer record.
+// apply folds a round of crowd answers into the preference graphs and,
+// when one is kept, the direct-answer record.
 //
 //skylint:hotpath
 func (ss *session) apply(answers []crowd.Answer) {
@@ -518,6 +514,9 @@ func (ss *session) apply(answers []crowd.Answer) {
 			g.AddPrefer(a.Q.B, a.Q.A)
 		case crowd.Equal:
 			g.AddEqual(a.Q.A, a.Q.B)
+		}
+		if ss.direct == nil {
+			continue
 		}
 		key := directKey{a.Q.A, a.Q.B, a.Q.Attr}
 		pref := a.Pref
@@ -554,17 +553,6 @@ func (ss *session) directAnswer(s, t, attr int) (crowd.Preference, bool) {
 	return pref, true
 }
 
-// pairKnownDirect reports whether (s, t) was directly asked on every crowd
-// attribute.
-func (ss *session) pairKnownDirect(s, t int) bool {
-	for j := range ss.graphs {
-		if _, ok := ss.directAnswer(s, t, j); !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // directWeaklyPrefers reports s ⪯AC t using direct answers only: every
 // crowd attribute was asked and answered "s preferred" or "equal".
 func (ss *session) directWeaklyPrefers(s, t int) bool {
@@ -577,44 +565,19 @@ func (ss *session) directWeaklyPrefers(s, t int) bool {
 	return true
 }
 
-// askPairNow asks the unknown crowd attributes of the pair (s, t) as one
-// round and applies the answers (one attribute per round under
-// round-robin). It is the serial building block; parallel algorithms batch
-// unknownAttrs requests themselves. It respects the question budget.
-func (ss *session) askPairNow(s, t int) {
-	if !ss.budgetLeft() {
-		return
-	}
-	reqs := ss.unknownAttrs(s, t, 0, nil)
-	if len(reqs) == 0 {
-		return
-	}
-	if ss.maxQuestions > 0 {
-		if room := ss.maxQuestions - ss.pf.Stats().Questions(); len(reqs) > room {
-			reqs = reqs[:room]
-		}
-	}
-	ss.doAsk(reqs)
-}
-
-// askRound asks one parallel round of requests, truncating to the
-// remaining budget.
+// askRound asks one round of requests, cut to the remaining budget, and
+// applies the answers, wrapping the (potentially slow, potentially
+// real-money) platform call in a round span. It is the one ask path of
+// every algorithm.
 func (ss *session) askRound(reqs []crowd.Request) {
 	if len(reqs) == 0 || !ss.budgetLeft() {
 		return
 	}
-	if ss.maxQuestions > 0 {
-		if room := ss.maxQuestions - ss.pf.Stats().Questions(); len(reqs) > room {
+	if limit := ss.opts.MaxQuestions; limit > 0 {
+		if room := limit - ss.pf.Stats().Questions(); len(reqs) > room {
 			reqs = reqs[:room]
 		}
 	}
-	ss.doAsk(reqs)
-}
-
-// doAsk submits one round to the platform and applies the answers,
-// wrapping the (potentially slow, potentially real-money) platform call
-// in a round span.
-func (ss *session) doAsk(reqs []crowd.Request) {
 	if ss.trace == nil {
 		// Tracing off, but the caller's context still reaches the
 		// platform for cancellation.
@@ -703,7 +666,7 @@ func (ss *session) contradictions() int {
 // preference and the less preferred tuple is removed from R. A pair that
 // is equal in AC as well cannot dominate either way; the later tuple is
 // folded into the earlier one as a twin and re-added to the skyline at
-// readout. Each compared pair is one round, as in the serial algorithm.
+// readout. Each compared pair is one round.
 //
 // Pairs are visited in the order of the all-pairs scan (i ascending, then
 // j > i ascending), but only pairs that can qualify are looked at: equal
@@ -752,7 +715,7 @@ func (ss *session) preprocessDegenerate() {
 			if !ss.alive[j] {
 				continue
 			}
-			ss.askPairNow(i, j)
+			ss.askRound(ss.unknownAttrs(i, j, 0, nil))
 			switch c := ss.acCompare(i, j); {
 			case c > 0:
 				ss.alive[j] = false
@@ -776,19 +739,18 @@ func (ss *session) preprocessDegenerate() {
 	}
 }
 
-// finish assembles the Result from the session state and the skyline
-// membership flags (indexed by tuple; only alive tuples are consulted).
-// Twins of skyline tuples are re-added.
-func (ss *session) finish(inSkyline []bool) *Result {
+// finish assembles the Result from the session state and the tuples'
+// readouts (only alive tuples are consulted). Twins of skyline tuples are
+// re-added.
+func (ss *session) finish() *Result {
 	var sky []int
 	for t := 0; t < ss.d.N(); t++ {
-		if ss.alive[t] && inSkyline[t] {
+		if ss.alive[t] && ss.status[t] == inSkyline {
 			sky = append(sky, t)
-		} else if tw := ss.twin[t]; tw >= 0 && inSkyline[tw] {
+		} else if tw := ss.twin[t]; tw >= 0 && ss.status[tw] == inSkyline {
 			sky = append(sky, t)
 		}
 	}
-	sort.Ints(sky)
 	st := ss.pf.Stats().Snapshot()
 	if ss.runSpan != nil {
 		ss.runSpan.SetAttr("questions", strconv.Itoa(st.Questions))
@@ -800,7 +762,7 @@ func (ss *session) finish(inSkyline []bool) *Result {
 		ss.runSpan.SetAttr("vote_escalations", strconv.Itoa(ss.voteEscalations))
 		if ss.exhausted {
 			ss.runSpan.SetAttr("truncated", "true")
-			ss.runSpan.SetAttr("budget", strconv.Itoa(ss.maxQuestions))
+			ss.runSpan.SetAttr("budget", strconv.Itoa(ss.opts.MaxQuestions))
 		}
 		ss.runSpan.End()
 	}
@@ -819,9 +781,10 @@ func (ss *session) finish(inSkyline []bool) *Result {
 // degenerate-case preprocessing fixed the alive set: it builds (or adopts
 // from Options.Index) the dominance index, derives the alive-restricted
 // dominating sets and the frequency counter from its bitmap, seeds the
-// progress estimate, and pre-sizes the direct-answer map for the expected
-// question volume. Every algorithm calls it exactly once; nothing
-// downstream runs another pair-wise dominance test.
+// progress estimate, and, when completeness is decided from direct answers,
+// sizes the direct-answer map for the expected question volume. Every
+// algorithm calls it exactly once; nothing downstream runs another
+// pair-wise dominance test.
 func (ss *session) prepMachine() [][]int {
 	allAlive := true
 	for t := 0; t < ss.d.N(); t++ {
@@ -830,8 +793,8 @@ func (ss *session) prepMachine() [][]int {
 			break
 		}
 	}
-	if allAlive && ss.sharedIx != nil && ss.sharedIx.Matches(ss.d) {
-		ss.ix = ss.sharedIx
+	if shared := ss.opts.Index; allAlive && shared != nil && shared.Matches(ss.d) {
+		ss.ix = shared
 	} else {
 		var mask []bool
 		if !allAlive {
@@ -847,28 +810,11 @@ func (ss *session) prepMachine() [][]int {
 			ispan.End()
 		}
 	}
-	sets := ss.ix.DominatingSets()
+	ss.sets = ss.ix.DominatingSets()
 	ss.fc = ss.ix.FreqCounter()
-	ss.progressTotal = ss.estimateTotalQuestions(sets)
-	ss.presizeDirect()
-	return sets
-}
-
-// presizeDirect rebuilds the direct-answer map with room for the
-// estimated question volume, so the apply hot path does not rehash as
-// answers accumulate. The few entries recorded by the degenerate-case
-// preprocessing are carried over; the undersized map goes back to the
-// pool (its buckets stay at whatever size they grew to, so a recycled
-// map often makes this rebuild a no-op for the next run).
-func (ss *session) presizeDirect() {
-	if ss.progressTotal <= len(ss.direct) {
-		return
+	ss.progressTotal = ss.estimateTotalQuestions(ss.sets)
+	if !ss.useT {
+		ss.direct = make(map[directKey]crowd.Preference, ss.progressTotal)
 	}
-	m := make(map[directKey]crowd.Preference, ss.progressTotal)
-	for k, v := range ss.direct {
-		m[k] = v
-	}
-	clear(ss.direct)
-	directPool.Put(ss.direct)
-	ss.direct = m
+	return ss.sets
 }

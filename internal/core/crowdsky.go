@@ -16,50 +16,7 @@ import (
 // skyline over A (Theorem 1); with a noisy platform accuracy depends on
 // the voting policy in opts.
 func CrowdSky(d *dataset.Dataset, pf crowd.Platform, opts Options) *Result {
-	ss := newSession(d, pf, opts)
-	defer ss.release()
-	ss.startRun("crowdsky")
-	ss.preprocessDegenerate()
-	sets := ss.prepMachine()
-
-	n := d.N()
-	inSkyline := make([]bool, n)
-	nonSkyline := make([]bool, n)
-	var order []int
-	for t := 0; t < n; t++ {
-		if !ss.alive[t] {
-			continue
-		}
-		if len(sets[t]) == 0 {
-			// SKY_AK tuples are complete skyline tuples from the start
-			// (Example 2): nothing can dominate them in A.
-			inSkyline[t] = true
-			continue
-		}
-		order = append(order, t)
-	}
-	if opts.P1 {
-		// Lemma 3: ascending |DS(t)| guarantees every member of DS(t) is
-		// complete before t is evaluated.
-		sortByDSSize(order, sets)
-	}
-
-	for _, t := range order {
-		te := newTupleEval(ss, t, sets[t], opts, nonSkyline)
-		for {
-			p, ok := te.next(ss)
-			if !ok || !ss.budgetLeft() {
-				break
-			}
-			ss.askPairNow(p.a(), p.b())
-		}
-		if te.killed {
-			nonSkyline[t] = true
-		} else {
-			// Complete skyline tuple — or, with an exhausted budget, the
-			// optimistic readout: not yet proven dominated.
-			inSkyline[t] = true
-		}
-	}
-	return ss.finish(inSkyline)
+	ss, order := newRun(d, pf, opts, "crowdsky")
+	ss.serial(order)
+	return ss.finish()
 }

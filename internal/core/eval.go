@@ -18,9 +18,9 @@ import (
 //
 // The pipeline is driven by repeatedly calling next, which performs every
 // zero-cost step (answers already inferable from the preference tree) and
-// returns the next pair that actually needs crowd input. The caller asks
-// the pair (alone for the serial algorithm, batched with other tuples'
-// pairs for the parallel ones) and calls next again.
+// returns the next pair that actually needs crowd input. session.drive
+// asks the pair, batched with the other active pipelines' pairs, and
+// calls next again.
 type tupleEval struct {
 	t    int
 	ds   []int      // current dominating set, shrinking as probing resolves dominance
@@ -45,7 +45,7 @@ type tupleEval struct {
 // the preference tree (Corollary 2); when P3 is on, the probing question
 // list P(t) is generated and sorted by descending co-domination frequency
 // (Section 3.4).
-func newTupleEval(ss *session, t int, ds []int, opts Options, nonSkyline []bool) *tupleEval {
+func newTupleEval(ss *session, t int, ds []int) *tupleEval {
 	// The whole construction is the question-generation phase of tuple t;
 	// under tracing it becomes a "qgen" span with one sub-span per enabled
 	// pruning method, so skytrace can attribute machine time to P1/P2/P3.
@@ -56,13 +56,13 @@ func newTupleEval(ss *session, t int, ds []int, opts Options, nonSkyline []bool)
 		qspan.SetAttr("tuple", strconv.Itoa(t))
 	}
 	te := &tupleEval{t: t, inDS: bitset.New(ss.d.N())}
-	te.ds = ss.pruneDS(ds, opts, nonSkyline, qctx)
+	te.ds = ss.pruneDS(ds, qctx)
 	for _, s := range te.ds {
 		te.inDS.Add(s)
 	}
-	if opts.P3 && len(te.ds) > 1 {
+	if ss.opts.P3 && len(te.ds) > 1 {
 		p3span := ss.stageSpan(qctx, "p3_order")
-		te.probe = ss.probeOrder(te.ds, opts.ProbeOrder)
+		te.probe = ss.probeOrder(te.ds, ss.opts.ProbeOrder)
 		p3span.End()
 	}
 	qspan.SetAttr("ds", strconv.Itoa(len(te.ds)))
@@ -86,12 +86,12 @@ func (ss *session) stageSpan(qctx context.Context, name string) *telemetry.Span 
 // SKY_AC of the rest under the current preference tree (Corollary 2).
 // Each stage's removals are added to the run totals and, with a qgen
 // context, recorded on a "p1"/"p2" span under it.
-func (ss *session) pruneDS(ds []int, opts Options, nonSkyline []bool, qctx context.Context) []int {
+func (ss *session) pruneDS(ds []int, qctx context.Context) []int {
 	buf := ss.pruneBuf[:0]
-	if opts.P1 {
+	if ss.opts.P1 {
 		span := ss.stageSpan(qctx, "p1")
 		for _, s := range ds {
-			if !nonSkyline[s] {
+			if ss.status[s] != dominated {
 				buf = append(buf, s)
 			}
 		}
@@ -99,7 +99,7 @@ func (ss *session) pruneDS(ds []int, opts Options, nonSkyline []bool, qctx conte
 	} else {
 		buf = append(buf, ds...)
 	}
-	if opts.P2 {
+	if ss.opts.P2 {
 		span := ss.stageSpan(qctx, "p2")
 		before := len(buf)
 		buf = ss.acSkyline(buf)
@@ -236,7 +236,7 @@ func (te *tupleEval) next(ss *session) (p pair, ok bool) {
 		if !ss.pairKnown(pr.a(), pr.b()) {
 			// Under round-robin, a partially answered probe whose members
 			// are already known incomparable needs no further attributes.
-			if !(ss.roundRobin && ss.pairIncomparable(pr.a(), pr.b())) {
+			if !(ss.opts.RoundRobinAC && ss.pairIncomparable(pr.a(), pr.b())) {
 				te.pendingBackup = 0
 				return pr, true
 			}
@@ -271,7 +271,7 @@ func (te *tupleEval) next(ss *session) (p pair, ok bool) {
 			te.done = true
 			return 0, false
 		}
-		if ss.roundRobin && ss.cannotWeaklyPrefer(s, te.t) {
+		if ss.opts.RoundRobinAC && ss.cannotWeaklyPrefer(s, te.t) {
 			// Round-robin: t already won an attribute against s, so s can
 			// never dominate t; skip s's remaining attributes.
 			te.askAt++

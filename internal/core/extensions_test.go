@@ -1,12 +1,15 @@
 package core
 
 import (
+	"maps"
 	"testing"
 	"testing/quick"
 
+	"crowdsky/internal/crowd"
 	"crowdsky/internal/dataset"
 	"crowdsky/internal/metrics"
 	"crowdsky/internal/skyline"
+	"crowdsky/internal/voting"
 )
 
 // TestRoundRobinAC: the round-robin multi-attribute strategy (Section 6.1's
@@ -102,22 +105,32 @@ func TestBudgetCapMonotone(t *testing.T) {
 	}
 }
 
-// TestBudgetCapParallel: both parallel schedulers honor the budget too.
+// TestBudgetCapParallel: the parallel schedulers honor the budget too,
+// and every scheduler follows the one budget rule. Under a budget of 10 the
+// run flags truncation and its readout is a superset of the true skyline.
+// Under a budget of exactly the scheduler's unlimited question count, the
+// round that spends the last question is folded in like any other: the
+// skyline is the oracle's and nothing is truncated.
 func TestBudgetCapParallel(t *testing.T) {
+	algos := []struct {
+		name string
+		run  func(*dataset.Dataset, crowd.Platform, Options) *Result
+	}{
+		{"serial", CrowdSky},
+		{"dset", ParallelDSet},
+		{"sl", ParallelSL},
+	}
 	d := randomDataset(11, 70, 2, 1, dataset.Independent)
 	want := skyline.OracleSkyline(d)
-	for name, run := range map[string]func(opts Options) *Result{
-		"dset": func(opts Options) *Result { return ParallelDSet(d, perfect(d), opts) },
-		"sl":   func(opts Options) *Result { return ParallelSL(d, perfect(d), opts) },
-	} {
+	for _, a := range algos[1:] {
 		opts := AllPruning()
 		opts.MaxQuestions = 10
-		res := run(opts)
+		res := a.run(d, perfect(d), opts)
 		if res.Questions > 10 {
-			t.Errorf("%s: asked %d questions with budget 10", name, res.Questions)
+			t.Errorf("%s: asked %d questions with budget 10", a.name, res.Questions)
 		}
 		if !res.Truncated {
-			t.Errorf("%s: truncation not flagged", name)
+			t.Errorf("%s: truncation not flagged", a.name)
 		}
 		inRes := make(map[int]bool)
 		for _, s := range res.Skyline {
@@ -125,8 +138,59 @@ func TestBudgetCapParallel(t *testing.T) {
 		}
 		for _, s := range want {
 			if !inRes[s] {
-				t.Errorf("%s: true skyline tuple %d missing from optimistic readout", name, s)
+				t.Errorf("%s: true skyline tuple %d missing from optimistic readout", a.name, s)
 			}
+		}
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		d := randomDataset(seed, 70, 2, 1, dataset.Independent)
+		want := skyline.OracleSkyline(d)
+		for _, a := range algos {
+			opts := AllPruning()
+			opts.MaxQuestions = a.run(d, perfect(d), opts).Questions
+			res := a.run(d, perfect(d), opts)
+			if !metrics.SameSet(res.Skyline, want) || res.Truncated || res.Questions != opts.MaxQuestions {
+				t.Errorf("seed %d, %s, exact budget %d: skyline %v (oracle %v), truncated %v, %d questions",
+					seed, a.name, opts.MaxQuestions, res.Skyline, want, res.Truncated, res.Questions)
+			}
+		}
+	}
+}
+
+// backupRecorder is a context-aware voting policy that assigns one worker
+// and counts the questions it sees by their Backup.
+type backupRecorder map[int]int
+
+func (r backupRecorder) Workers(int) int { return 1 }
+
+func (r backupRecorder) WorkersFor(ctx voting.Context) int {
+	r[ctx.Backup]++
+	return 1
+}
+
+// TestBackupContextSameAcrossSchedulers: every scheduler tells a
+// context-aware policy how many dominators remain behind a question. Under
+// P1 alone the three ask the same questions, one per pair and pipeline, so
+// the policy must see the same Backup histogram from each; a scheduler
+// that passed Backup 0 regardless would leave voting.Smart's discount for
+// backed-up checks dead.
+func TestBackupContextSameAcrossSchedulers(t *testing.T) {
+	d := randomDataset(3, 200, 2, 1, dataset.AntiCorrelated)
+	hist := func(run func(*dataset.Dataset, crowd.Platform, Options) *Result) backupRecorder {
+		rec := backupRecorder{}
+		run(d, perfect(d), Options{P1: true, Voting: rec})
+		return rec
+	}
+	serial := hist(CrowdSky)
+	if serial[0] == 0 || len(serial) < 2 {
+		t.Fatalf("serial backup histogram %v: want questions both with and without backup", serial)
+	}
+	for name, run := range map[string]func(*dataset.Dataset, crowd.Platform, Options) *Result{
+		"dset": ParallelDSet,
+		"sl":   ParallelSL,
+	} {
+		if got := hist(run); !maps.Equal(got, serial) {
+			t.Errorf("%s backup histogram %v, serial %v", name, got, serial)
 		}
 	}
 }

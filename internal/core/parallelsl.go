@@ -19,118 +19,27 @@ import (
 // which can ask a few extra questions in exchange for far fewer rounds;
 // the paper measures the overhead at roughly 10%.
 func ParallelSL(d *dataset.Dataset, pf crowd.Platform, opts Options) *Result {
-	ss := newSession(d, pf, opts)
-	defer ss.release()
-	ss.startRun("parallel-sl")
-	ss.preprocessDegenerate()
-	sets := ss.prepMachine()
+	ss, waiting := newRun(d, pf, opts, "parallel-sl")
 	imm := ss.ix.ImmediateDominators()
-
-	n := d.N()
-	inSkyline := make([]bool, n)
-	nonSkyline := make([]bool, n)
-	complete := make([]bool, n)
-	var waiting []int
-	for t := 0; t < n; t++ {
-		if !ss.alive[t] {
-			continue
-		}
-		if len(sets[t]) == 0 {
-			// SL1 = SKY_AK(R): complete skyline tuples from the start
-			// (Algorithm 2, line 4).
-			inSkyline[t] = true
-			complete[t] = true
-			continue
-		}
-		waiting = append(waiting, t)
-	}
-
-	var active []*tupleEval
-	remaining := len(waiting)
-	for remaining > 0 {
-		// Settle: activate every tuple whose direct dominators are all
-		// complete, and retire every pipeline that can finish without
-		// further crowd input. Activation and zero-cost completion can
-		// cascade, so repeat until stable.
-		for {
-			progress := false
-			keepWaiting := waiting[:0]
-			for _, t := range waiting {
-				if allComplete(imm[t], complete) {
-					active = append(active, newTupleEval(ss, t, sets[t], opts, nonSkyline))
-					progress = true
-				} else {
-					keepWaiting = append(keepWaiting, t)
+	ss.drive(func(active []*tupleEval) []*tupleEval {
+		keep := waiting[:0]
+	next:
+		for _, t := range waiting {
+			for _, s := range imm[t] {
+				if ss.status[s] == undecided {
+					keep = append(keep, t)
+					continue next
 				}
 			}
-			waiting = keepWaiting
-			keepActive := active[:0]
-			for _, te := range active {
-				if _, ok := te.next(ss); !ok {
-					if te.killed {
-						nonSkyline[te.t] = true
-					} else {
-						inSkyline[te.t] = true
-					}
-					complete[te.t] = true
-					remaining--
-					progress = true
-				} else {
-					keepActive = append(keepActive, te)
-				}
-			}
-			active = keepActive
-			if !progress {
-				break
-			}
+			active = append(active, newTupleEval(ss, t, ss.sets[t]))
 		}
-		if !ss.budgetLeft() {
-			// Budget exhausted: optimistic readout for everything still
-			// open (active pipelines not killed, and tuples still waiting).
-			for _, te := range active {
-				if te.killed {
-					nonSkyline[te.t] = true
-				} else {
-					inSkyline[te.t] = true
-				}
-			}
-			for _, t := range waiting {
-				inSkyline[t] = true
-			}
-			break
+		waiting = keep
+		if len(active) == 0 && len(waiting) > 0 {
+			// Cannot happen: the dominance DAG is acyclic, so some waiting
+			// tuple always has all direct dominators complete.
+			panic(fmt.Sprintf("core: ParallelSL stalled with %d incomplete tuples", len(waiting)))
 		}
-		if len(active) == 0 {
-			if remaining > 0 {
-				// Cannot happen: the dominance DAG is acyclic, so some
-				// waiting tuple always has all direct dominators complete.
-				panic(fmt.Sprintf("core: ParallelSL stalled with %d incomplete tuples", remaining))
-			}
-			break
-		}
-		// One round: every active pipeline contributes its pending pair;
-		// duplicates across pipelines are asked once.
-		var reqs []crowd.Request
-		seen := make(map[pair]bool, len(active))
-		for _, te := range active {
-			p, ok := te.next(ss)
-			if !ok {
-				continue // completes in the next settle pass
-			}
-			if !seen[p] {
-				seen[p] = true
-				reqs = ss.unknownAttrs(p.a(), p.b(), te.pendingBackup, reqs)
-			}
-		}
-		ss.askRound(reqs)
-	}
-	return ss.finish(inSkyline)
-}
-
-func allComplete(ids []int, complete []bool) bool {
-	for _, s := range ids {
-		if !complete[s] {
-			return false
-		}
-	}
-	return true
+		return active
+	})
+	return ss.finish()
 }

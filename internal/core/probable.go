@@ -40,64 +40,22 @@ type ProbabilisticResult struct {
 // unlimited budget every tuple is complete and the probabilities collapse
 // to the exact skyline indicator.
 func CrowdSkyProbabilistic(d *dataset.Dataset, pf crowd.Platform, opts Options) *ProbabilisticResult {
-	ss := newSession(d, pf, opts)
-	defer ss.release()
-	ss.startRun("crowdsky-probabilistic")
-	ss.preprocessDegenerate()
-	sets := ss.prepMachine()
-
-	n := d.N()
-	inSkyline := make([]bool, n)
-	nonSkyline := make([]bool, n)
-	evals := make(map[int]*tupleEval, n)
-	var order []int
-	for t := 0; t < n; t++ {
-		if !ss.alive[t] {
-			continue
-		}
-		if len(sets[t]) == 0 {
-			inSkyline[t] = true
-			continue
-		}
-		order = append(order, t)
-	}
-	if opts.P1 {
-		sortByDSSize(order, sets)
-	}
-	for _, t := range order {
-		te := newTupleEval(ss, t, sets[t], opts, nonSkyline)
-		evals[t] = te
-		for {
-			p, ok := te.next(ss)
-			if !ok || !ss.budgetLeft() {
-				break
-			}
-			ss.askPairNow(p.a(), p.b())
-		}
-		if te.killed {
-			nonSkyline[t] = true
-		} else {
-			inSkyline[t] = true
-		}
-	}
-	base := ss.finish(inSkyline)
-
-	out := &ProbabilisticResult{Result: *base}
-	for t := 0; t < n; t++ {
-		if !ss.alive[t] {
-			continue
-		}
+	ss, order := newRun(d, pf, opts, "crowdsky-probabilistic")
+	ss.kept = make([]*tupleEval, d.N())
+	ss.serial(order)
+	out := &ProbabilisticResult{Result: *ss.finish()}
+	for t, te := range ss.kept {
 		tp := TupleProbability{Tuple: t}
 		switch {
-		case len(sets[t]) == 0:
+		case !ss.alive[t]:
+			continue
+		case te == nil:
 			tp.Probability = 1 // SKY_AK: complete skyline tuple
-		case nonSkyline[t]:
+		case ss.status[t] == dominated:
 			tp.Probability = 0
 		default:
-			te := evals[t]
-			survived, unresolved := te.tally(ss)
-			tp.Survived, tp.Unresolved = survived, unresolved
-			tp.Probability = float64(survived+1) / float64(survived+unresolved+1)
+			tp.Survived, tp.Unresolved = te.tally(ss)
+			tp.Probability = float64(tp.Survived+1) / float64(tp.Survived+tp.Unresolved+1)
 		}
 		out.Probabilities = append(out.Probabilities, tp)
 	}

@@ -183,7 +183,7 @@ func refPreprocessDegenerate(ss *session) {
 			if !ss.alive[j] || !skyline.EqualKnown(ss.d, i, j) {
 				continue
 			}
-			ss.askPairNow(i, j)
+			ss.askRound(ss.unknownAttrs(i, j, 0, nil))
 			switch {
 			case refACDominates(ss, i, j):
 				ss.alive[j] = false
@@ -280,7 +280,6 @@ func TestDegenerateScanMatchesAllPairs(t *testing.T) {
 			run := func(scan func(*session)) ([]crowd.Question, []bool, []int) {
 				pf := &askLog{Platform: perfect(d)}
 				ss := newSession(d, pf, opts)
-				defer ss.release()
 				scan(ss)
 				return pf.asked, ss.alive, ss.twin
 			}

@@ -43,7 +43,6 @@ func TestZeroAlloc(t *testing.T) {
 func TestZeroAllocSteadyStateRound(t *testing.T) {
 	d := randomDataset(6, 128, 3, 2, dataset.Independent)
 	rb := NewRoundBench(d, AllPruning(), 48)
-	defer rb.Close()
 	if unknown := rb.Round(); unknown != 0 {
 		t.Fatalf("warm round left %d pairs unknown", unknown)
 	}
