@@ -89,7 +89,8 @@ type Answer struct {
 type Platform interface {
 	// Ask submits a batch of questions as one round and returns one answer
 	// per request, in order. Asking an empty batch is a no-op that does
-	// not consume a round.
+	// not consume a round. Ask must not keep reqs once it returns: the
+	// algorithms reuse the slice for their next round.
 	Ask(reqs []Request) []Answer
 	// Stats returns the accounting accumulated so far.
 	Stats() *Stats
