@@ -16,17 +16,14 @@
 //	-tests           also analyze in-package _test.go files
 //	-json            print findings as a JSON array instead of text lines
 //	-sarif FILE      additionally write a SARIF 2.1.0 report ("-" = stdout)
-//	-baseline FILE   suppress findings matched by the baseline file; stale
-//	                 entries fail the run (defaults to .skylint-baseline.json
-//	                 when that file exists)
 //	-callgraph       dump the interprocedural call graph (one line per
 //	                 function, "[hot:scope]"-tagged, edges indented) and
 //	                 exit without running analyzers
 //
 // Text findings are file:line:col-prefixed, one per line, sorted by
 // (file, line, col, analyzer) so CI output is stable and diffable. See
-// docs/STATIC_ANALYSIS.md for what each analyzer enforces, the
-// `skylint:ignore` suppression comment, and the baseline format.
+// docs/STATIC_ANALYSIS.md for what each analyzer enforces and the
+// `skylint:ignore` suppression comment.
 package main
 
 import (
@@ -39,15 +36,12 @@ import (
 	"crowdsky/internal/lint/loader"
 )
 
-const defaultBaseline = ".skylint-baseline.json"
-
 func main() {
 	novet := flag.Bool("novet", false, "skip the go vet pass")
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	tests := flag.Bool("tests", false, "also analyze in-package _test.go files")
 	jsonOut := flag.Bool("json", false, "print findings as JSON")
 	sarifPath := flag.String("sarif", "", "write a SARIF 2.1.0 report to this file (\"-\" for stdout)")
-	baselinePath := flag.String("baseline", "", "baseline file of grandfathered findings (default "+defaultBaseline+" if present)")
 	dumpGraph := flag.Bool("callgraph", false, "dump the interprocedural call graph and exit")
 	flag.Parse()
 
@@ -90,28 +84,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "skylint: %v\n", err)
 		os.Exit(2)
-	}
-
-	// Baseline: explicit flag, or the default file when it exists.
-	bl := *baselinePath
-	if bl == "" {
-		if _, statErr := os.Stat(defaultBaseline); statErr == nil {
-			bl = defaultBaseline
-		}
-	}
-	if bl != "" {
-		entries, err := lint.LoadBaseline(bl)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skylint: %v\n", err)
-			os.Exit(2)
-		}
-		var stale []lint.BaselineEntry
-		findings, stale = lint.ApplyBaseline(findings, entries)
-		for _, e := range stale {
-			fmt.Fprintf(os.Stderr, "skylint: stale baseline entry in %s: %s %q in %s no longer fires — remove it\n",
-				bl, e.Analyzer, e.Message, e.File)
-			failed = true
-		}
 	}
 
 	if *sarifPath != "" {

@@ -29,8 +29,8 @@
 // res.Rounds and res.Cost report the budget spent.
 //
 // Real crowds plug in through the Platform interface; the package ships a
-// perfect oracle, a configurable noisy simulator, an interactive stdin
-// platform, and record/replay wrappers.
+// perfect oracle, a configurable noisy simulator and an interactive stdin
+// platform.
 package crowdsky
 
 import (
@@ -38,7 +38,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
 
 	"crowdsky/internal/core"
 	"crowdsky/internal/crowd"
@@ -235,33 +234,7 @@ func DynamicVoting(_ *Dataset, omega int) Policy {
 // still have backup dominators pending get omega−2. It beats static voting
 // on both precision and recall at roughly 10-20% more worker budget.
 func SmartVoting(d *Dataset, omega int) Policy {
-	ix := skyline.NewIndex(d)
-	sets := ix.DominatingSets()
-	fc := ix.FreqCounter()
-	var freqs []int
-	const probeCap = 32
-	for t, ds := range sets {
-		for _, s := range ds {
-			freqs = append(freqs, fc.Freq(s, t))
-		}
-		count := 0
-		for i := 0; i < len(ds) && count < probeCap; i++ {
-			for j := i + 1; j < len(ds) && count < probeCap; j++ {
-				freqs = append(freqs, fc.Freq(ds[i], ds[j]))
-				count++
-			}
-		}
-	}
-	sort.Ints(freqs)
-	beta := 0
-	if len(freqs) > 0 {
-		idx := int(0.95 * float64(len(freqs)))
-		if idx >= len(freqs) {
-			idx = len(freqs) - 1
-		}
-		beta = freqs[idx]
-	}
-	return voting.NewSmart(omega, beta)
+	return core.SmartVoting(skyline.NewIndex(d), omega)
 }
 
 // Run computes the crowd-enabled skyline of d, asking pf for every missing

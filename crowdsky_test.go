@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"crowdsky/internal/voting"
 )
 
 func TestRunAllParallelisms(t *testing.T) {
@@ -167,6 +169,32 @@ func TestDynamicVotingPolicy(t *testing.T) {
 	sp := SmartVoting(d, 5)
 	if sp.Workers(1000) <= sp.Workers(0) {
 		t.Errorf("smart policy does not favor important questions")
+	}
+}
+
+// TestSmartVotingBeta pins SmartVoting's calibration: β is the 95th
+// percentile of freq(u,v) over the dominating-set and probing questions.
+func TestSmartVotingBeta(t *testing.T) {
+	ind, err := Generate(GenerateConfig{N: 300, KnownDims: 4, CrowdDims: 1, Distribution: Independent},
+		rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		d    *Dataset
+		beta int
+	}{
+		{"toy", Toy(), 5},
+		{"ind-300-seed1", ind, 80},
+	} {
+		sp, ok := SmartVoting(tc.d, 5).(voting.Smart)
+		if !ok {
+			t.Fatalf("%s: SmartVoting is not a voting.Smart", tc.name)
+		}
+		if sp.Omega != 5 || sp.BetaFreq != tc.beta {
+			t.Errorf("%s: ω=%d β=%d, want ω=5 β=%d", tc.name, sp.Omega, sp.BetaFreq, tc.beta)
+		}
 	}
 }
 

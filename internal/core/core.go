@@ -120,6 +120,33 @@ const (
 // AllPruning returns the full CrowdSky configuration (P1+P2+P3).
 func AllPruning() Options { return Options{P1: true, P2: true, P3: true} }
 
+// SmartVoting calibrates voting.Smart for the dataset behind ix: β is the
+// 95th percentile of the importance freq(u,v) over the questions CrowdSky
+// may ask, every dominating-set question plus at most 32 probing pairs per
+// tuple.
+func SmartVoting(ix *skyline.Index, omega int) voting.Smart {
+	const probeCap = 32 // bounds the quadratic probe enumeration per tuple
+	fc := ix.FreqCounter()
+	var freqs []int
+	for t, ds := range ix.DominatingSets() {
+		for _, s := range ds {
+			freqs = append(freqs, fc.Freq(s, t))
+		}
+		count := 0
+		for i := 0; i < len(ds) && count < probeCap; i++ {
+			for j := i + 1; j < len(ds) && count < probeCap; j++ {
+				freqs = append(freqs, fc.Freq(ds[i], ds[j]))
+				count++
+			}
+		}
+	}
+	if len(freqs) == 0 {
+		return voting.NewSmart(omega, 0)
+	}
+	slices.Sort(freqs)
+	return voting.NewSmart(omega, freqs[min(int(0.95*float64(len(freqs))), len(freqs)-1)])
+}
+
 // Result is the outcome of a crowd-enabled skyline run.
 type Result struct {
 	// Skyline lists the indices of the crowdsourced skyline tuples in

@@ -3,8 +3,8 @@
 // reliability, a simulated platform that answers from latent ground truth
 // with Bernoulli worker noise (the paper's synthetic-crowd setup), a
 // perfect-oracle platform for the counting experiments of Sections 3-4, an
-// interactive stdin platform, record/replay wrappers, and the AMT cost
-// model of Section 6.2.
+// interactive stdin platform, a recording wrapper, and the AMT cost model
+// of Section 6.2.
 //
 // The unit of exchange is the round (Section 2.1, latency): one call to
 // Platform.Ask submits a batch of questions that run in parallel and
@@ -252,18 +252,4 @@ func (s *Stats) Cost(reward float64) float64 {
 		units += ((count + QuestionsPerHIT - 1) / QuestionsPerHIT) * w
 	}
 	return reward * float64(units)
-}
-
-// MaxRoundSize returns the largest number of questions asked in any single
-// round (the parallelism width).
-func (s *Stats) MaxRoundSize() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := 0
-	for _, r := range s.perRound {
-		if r.Questions > m {
-			m = r.Questions
-		}
-	}
-	return m
 }

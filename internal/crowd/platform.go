@@ -126,7 +126,8 @@ func (s *Simulated) Mistakes() int { return s.mistakes }
 // Interactive is a Platform that asks a human through a text prompt (used
 // by cmd/crowdsky to let the operator play the crowd). Each question is
 // printed on Out and a line is read from In: "1"/"a" prefers the first
-// tuple, "2"/"b" the second, "=" or "e" equal.
+// tuple, "2"/"b" the second, "=" or "e" equal. Ask panics, naming the
+// question, when In ends or fails before the question is answered.
 type Interactive struct {
 	In  io.Reader
 	Out io.Writer
@@ -158,34 +159,45 @@ func (ia *Interactive) Ask(reqs []Request) []Answer {
 	}
 	out := make([]Answer, len(reqs))
 	for i, r := range reqs {
-		fmt.Fprintf(ia.Out, "Which is preferred on %s?\n  [1] %s\n  [2] %s\n  [=] equally preferred\n> ",
-			attr(r.Q.Attr), desc(r.Q.A), desc(r.Q.B))
-		pref := Equal
-		for ia.scanner.Scan() {
-			switch strings.ToLower(strings.TrimSpace(ia.scanner.Text())) {
-			case "1", "a":
-				pref = First
-			case "2", "b":
-				pref = Second
-			case "=", "e", "equal":
-				pref = Equal
-			default:
-				fmt.Fprint(ia.Out, "please answer 1, 2 or =\n> ")
-				continue
-			}
-			break
+		on, a, b := attr(r.Q.Attr), desc(r.Q.A), desc(r.Q.B)
+		fmt.Fprintf(ia.Out, "Which is preferred on %s?\n  [1] %s\n  [2] %s\n  [=] equally preferred\n> ", on, a, b)
+		pref, err := ia.read()
+		if err != nil {
+			// Platform has no error channel. Any default answer would be a
+			// judgment the operator never made, and a journal would replay
+			// it as paid.
+			panic(fmt.Sprintf("crowd: no answer to %s vs %s on %s: %v", a, b, on, err))
 		}
 		out[i] = Answer{Q: r.Q, Pref: pref}
 	}
 	return out
 }
 
+// read returns the next valid answer line, re-prompting on invalid ones.
+// It fails at end of input (io.ErrUnexpectedEOF) or on a read error.
+func (ia *Interactive) read() (Preference, error) {
+	for ia.scanner.Scan() {
+		switch strings.ToLower(strings.TrimSpace(ia.scanner.Text())) {
+		case "1", "a":
+			return First, nil
+		case "2", "b":
+			return Second, nil
+		case "=", "e", "equal":
+			return Equal, nil
+		}
+		fmt.Fprint(ia.Out, "please answer 1, 2 or =\n> ")
+	}
+	if err := ia.scanner.Err(); err != nil {
+		return Equal, err
+	}
+	return Equal, io.ErrUnexpectedEOF
+}
+
 // Stats implements Platform.
 func (ia *Interactive) Stats() *Stats { return &ia.stats }
 
-// Recorder wraps a Platform and records every answer, so a crowd run (for
-// example an expensive interactive session) can be replayed later with
-// Replayer.
+// Recorder wraps a Platform and records every answer it returns, in
+// order.
 type Recorder struct {
 	Inner Platform
 	Log   []Answer
@@ -206,41 +218,3 @@ func (r *Recorder) AskCtx(ctx context.Context, reqs []Request) []Answer {
 
 // Stats implements Platform.
 func (r *Recorder) Stats() *Stats { return r.Inner.Stats() }
-
-// Replayer is a Platform that answers from a recorded log. Questions are
-// matched by (A, B, Attr), symmetric under flipping; asking a question that
-// was never recorded panics, which keeps replay honest.
-type Replayer struct {
-	answers map[Question]Preference
-	stats   Stats
-}
-
-// NewReplayer builds a replayer from a recorded answer log.
-func NewReplayer(log []Answer) *Replayer {
-	r := &Replayer{answers: make(map[Question]Preference, len(log))}
-	for _, a := range log {
-		r.answers[a.Q] = a.Pref
-		r.answers[Question{A: a.Q.B, B: a.Q.A, Attr: a.Q.Attr}] = a.Pref.Flip()
-	}
-	return r
-}
-
-// Ask implements Platform.
-func (r *Replayer) Ask(reqs []Request) []Answer {
-	if len(reqs) == 0 {
-		return nil
-	}
-	r.stats.record(reqs)
-	out := make([]Answer, len(reqs))
-	for i, req := range reqs {
-		pref, ok := r.answers[req.Q]
-		if !ok {
-			panic(fmt.Sprintf("crowd: replay has no answer for %+v", req.Q))
-		}
-		out[i] = Answer{Q: req.Q, Pref: pref}
-	}
-	return out
-}
-
-// Stats implements Platform.
-func (r *Replayer) Stats() *Stats { return &r.stats }

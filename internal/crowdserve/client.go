@@ -41,6 +41,11 @@ const (
 // submissions carry an Idempotency-Key header, so a retry of a POST whose
 // response was lost lands on the same server-side round — the marketplace
 // never charges twice for one logical round.
+//
+// A run's context reaches the client through AskCtx; Ask waits under
+// context.Background(). Since crowd.Platform has no error channel, a
+// cancelled wait or a request that exhausts its retries panics; callers
+// that need graceful cancellation recover at the run boundary.
 type Client struct {
 	// BaseURL is the marketplace root, e.g. "http://localhost:8800".
 	BaseURL string
@@ -62,11 +67,6 @@ type Client struct {
 	// MaxAttempts bounds attempts per request (first try included);
 	// defaults to 6.
 	MaxAttempts int
-	// Ctx, when non-nil, cancels waiting (a cancelled Ask panics with the
-	// context error, since crowd.Platform has no error channel; callers
-	// that need graceful cancellation should recover at the run boundary).
-	// AskCtx's context takes precedence when one is supplied per round.
-	Ctx context.Context
 
 	stats crowd.Stats
 	// retries counts retried work by cause; set by InstrumentMetrics.
@@ -89,13 +89,6 @@ func (c *Client) httpClient() *http.Client {
 		return c.HTTPClient
 	}
 	return http.DefaultClient
-}
-
-func (c *Client) ctx() context.Context {
-	if c.Ctx != nil {
-		return c.Ctx
-	}
-	return context.Background()
 }
 
 func (c *Client) pollInterval() time.Duration {
@@ -158,7 +151,7 @@ func (c *Client) countRetry(cause string) {
 
 // Ask implements crowd.Platform.
 func (c *Client) Ask(reqs []crowd.Request) []crowd.Answer {
-	return c.AskCtx(c.ctx(), reqs)
+	return c.AskCtx(context.Background(), reqs)
 }
 
 // AskCtx implements crowd.ContextPlatform: ctx cancels the round (both
@@ -171,7 +164,7 @@ func (c *Client) AskCtx(ctx context.Context, reqs []crowd.Request) []crowd.Answe
 		return nil
 	}
 	if ctx == nil {
-		ctx = c.ctx()
+		ctx = context.Background()
 	}
 	c.stats.Record(reqs)
 

@@ -173,28 +173,6 @@ func (d *Dataset) Index(name string) int {
 	return -1
 }
 
-// Subset returns a new dataset containing only the tuples whose indices are
-// listed in idx, in that order. Names and attribute names are carried over.
-func (d *Dataset) Subset(idx []int) *Dataset {
-	sub := &Dataset{
-		known:      make([][]float64, len(idx)),
-		latent:     make([][]float64, len(idx)),
-		knownNames: d.knownNames,
-		crowdNames: d.crowdNames,
-	}
-	if d.names != nil {
-		sub.names = make([]string, len(idx))
-	}
-	for k, i := range idx {
-		sub.known[k] = d.known[i]
-		sub.latent[k] = d.latent[i]
-		if d.names != nil {
-			sub.names[k] = d.names[i]
-		}
-	}
-	return sub
-}
-
 // String summarizes the dataset shape, e.g. "dataset(n=12, |AK|=2, |AC|=1)".
 func (d *Dataset) String() string {
 	var b strings.Builder

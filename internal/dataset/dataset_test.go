@@ -67,17 +67,6 @@ func TestAccessors(t *testing.T) {
 	}
 }
 
-func TestSubset(t *testing.T) {
-	d := MustNew([][]float64{{1}, {2}, {3}}, [][]float64{{4}, {5}, {6}})
-	if err := d.SetNames([]string{"a", "b", "c"}); err != nil {
-		t.Fatal(err)
-	}
-	s := d.Subset([]int{2, 0})
-	if s.N() != 2 || s.Known(0, 0) != 3 || s.Name(1) != "a" {
-		t.Errorf("subset wrong: %v %v %v", s.N(), s.Known(0, 0), s.Name(1))
-	}
-}
-
 func TestDistinctKnown(t *testing.T) {
 	d := MustNew([][]float64{{1, 2}, {1, 2}}, [][]float64{{0}, {0}})
 	if d.DistinctKnown() {

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"crowdsky/internal/core"
 	"crowdsky/internal/dataset"
+	"crowdsky/internal/skyline"
 	"crowdsky/internal/voting"
 )
 
@@ -303,7 +305,7 @@ func TestDynamicPolicySpread(t *testing.T) {
 	if pp.WorkersAt(0.1, 0) <= pp.WorkersAt(0.9, 0) {
 		t.Errorf("dynamic policy does not favor early questions")
 	}
-	sp := SmartPolicy(d, 5)
+	var sp voting.Policy = core.SmartVoting(skyline.NewIndex(d), 5)
 	cp, ok := sp.(voting.ContextPolicy)
 	if !ok {
 		t.Fatalf("smart policy is not context-aware")

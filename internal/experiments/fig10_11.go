@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"crowdsky/internal/core"
 	"crowdsky/internal/crowd"
@@ -26,60 +25,6 @@ const UnarySigma = 0.15
 // voting; see EXPERIMENTS.md for the measured recall/precision trade.
 func DynamicPolicy(_ *dataset.Dataset, omega int) voting.Policy {
 	return voting.NewAnnealed(omega)
-}
-
-// SmartPolicy returns the context-aware extension of dynamic voting: early
-// questions and very-high-importance questions (freq(u,v) in the top 5% of
-// the candidate distribution) get ω+2 workers, and checks with backup
-// dominators pending get ω−2. It dominates static voting on both precision
-// and recall at roughly 10-20% more worker budget (EXPERIMENTS.md).
-func SmartPolicy(d *dataset.Dataset, omega int) voting.Policy {
-	return SmartPolicyIndexed(skyline.NewIndex(d), omega)
-}
-
-// SmartPolicyIndexed is SmartPolicy calibrated from a prebuilt dominance
-// index, so callers that already pay for the index (the accuracy sweeps)
-// do not rebuild the quadratic machine part per policy.
-func SmartPolicyIndexed(ix *skyline.Index, omega int) voting.Policy {
-	freqs := candidateFreqs(ix)
-	return voting.NewSmart(omega, percentileInt(freqs, 0.95))
-}
-
-// candidateFreqs collects the importance values freq(u,v) of the questions
-// CrowdSky may ask: the dominating-set questions plus (capped) probing
-// pairs.
-func candidateFreqs(ix *skyline.Index) []int {
-	sets := ix.DominatingSets()
-	fc := ix.FreqCounter()
-	var freqs []int
-	const probeCap = 32 // bound the quadratic probe enumeration per tuple
-	for t, ds := range sets {
-		for _, s := range ds {
-			freqs = append(freqs, fc.Freq(s, t))
-		}
-		count := 0
-		for i := 0; i < len(ds) && count < probeCap; i++ {
-			for j := i + 1; j < len(ds) && count < probeCap; j++ {
-				freqs = append(freqs, fc.Freq(ds[i], ds[j]))
-				count++
-			}
-		}
-	}
-	return freqs
-}
-
-// percentileInt returns the q-quantile of vals (0 when empty).
-func percentileInt(vals []int, q float64) int {
-	if len(vals) == 0 {
-		return 0
-	}
-	sorted := append([]int(nil), vals...)
-	sort.Ints(sorted)
-	idx := int(q * float64(len(sorted)))
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 // accuracyMethod runs one method on one noisy dataset instance; ix is the
@@ -159,7 +104,7 @@ func Fig10(cfg Config, panel string) (*Figure, error) {
 		{"SmartVoting", func(d *dataset.Dataset, ix *skyline.Index, seed int64) []int {
 			pf := noisyPlatform(d, p, seed)
 			opts := core.AllPruning()
-			opts.Voting = SmartPolicyIndexed(ix, DefaultOmega)
+			opts.Voting = core.SmartVoting(ix, DefaultOmega)
 			opts.Index = ix
 			return core.CrowdSky(d, pf, opts).Skyline
 		}},
@@ -201,7 +146,7 @@ func Fig11(cfg Config, panel string) (*Figure, error) {
 		{"CrowdSky", func(d *dataset.Dataset, ix *skyline.Index, seed int64) []int {
 			pf := noisyPlatform(d, p, seed)
 			opts := core.AllPruning()
-			opts.Voting = SmartPolicyIndexed(ix, DefaultOmega)
+			opts.Voting = core.SmartVoting(ix, DefaultOmega)
 			opts.Index = ix
 			return core.CrowdSky(d, pf, opts).Skyline
 		}},

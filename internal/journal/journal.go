@@ -322,6 +322,3 @@ func (p *Platform) Stats() *crowd.Stats { return &p.stats }
 
 // Replayed returns how many questions were served from the journal.
 func (p *Platform) Replayed() int { return p.replayed }
-
-// LiveStats exposes the wrapped platform's accounting (the new spend).
-func (p *Platform) LiveStats() *crowd.Stats { return p.live.Stats() }

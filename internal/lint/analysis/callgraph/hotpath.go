@@ -183,9 +183,6 @@ func (r *Reach) Has(n *Node) bool {
 	return ok
 }
 
-// Root returns the root that first reached n, or nil.
-func (r *Reach) Root(n *Node) *Node { return r.root[n] }
-
 // Chain returns the discovery path from n's root to n, inclusive.
 func (r *Reach) Chain(n *Node) []*Node {
 	if !r.Has(n) {

@@ -1,10 +1,6 @@
 package ssa
 
-import (
-	"go/ast"
-	"go/constant"
-	"go/token"
-)
+import "go/token"
 
 // Problem is one forward value analysis over a Func: a join-semilattice
 // of facts E and a transfer function over values. Solve runs a sparse
@@ -162,116 +158,4 @@ func RefineTaint(pi *Value, in Taint) Taint {
 		}
 	}
 	return in
-}
-
-// ---------------------------------------------------------------------
-// Constant lattice
-
-// ConstFact is the classic three-level constant lattice: Bottom (no
-// information), a single known constant, or Top (conflicting values).
-// It is comparable, as Problem requires: lattice equality is semantic
-// (constant.Compare), arranged by konst() interning through the
-// solver's Join always returning its first argument on semantic
-// equality.
-type ConstFact struct {
-	level uint8 // 0 bottom, 1 constant, 2 top
-	val   constant.Value
-}
-
-// ConstTop is the "not a constant" element.
-var ConstTop = ConstFact{level: 2}
-
-// Const wraps a known constant value.
-func Const(v constant.Value) ConstFact {
-	if v == nil {
-		return ConstTop
-	}
-	return ConstFact{level: 1, val: v}
-}
-
-// IsConst reports whether the fact is a single known constant.
-func (c ConstFact) IsConst() bool { return c.level == 1 }
-
-// Value returns the constant, or nil.
-func (c ConstFact) Value() constant.Value {
-	if c.level == 1 {
-		return c.val
-	}
-	return nil
-}
-
-// JoinConst merges constant facts. Semantically equal constants join to
-// the first operand, keeping the result ==-stable across iterations
-// even when go/constant represents equal values by distinct pointers.
-func JoinConst(a, b ConstFact) ConstFact {
-	switch {
-	case a.level == 0:
-		return b
-	case b.level == 0:
-		return a
-	case a.level == 2 || b.level == 2:
-		return ConstTop
-	case a.val.Kind() == b.val.Kind() && constant.Compare(a.val, token.EQL, b.val):
-		return a
-	default:
-		return ConstTop
-	}
-}
-
-// ConstProblem is a ready-made constant-propagation Problem: constants
-// flow through conversions and binary/unary operations fold when both
-// operands are known. Everything else is Top.
-func ConstProblem() Problem[ConstFact] {
-	return Problem[ConstFact]{
-		Join: JoinConst,
-		Transfer: func(v *Value, get func(*Value) ConstFact) ConstFact {
-			switch v.Kind {
-			case KConst:
-				if v.ConstVal != nil {
-					return Const(v.ConstVal)
-				}
-				return ConstTop // nil / zero values: not a constant.Value
-			case KCall:
-				if v.IsConvert && len(v.Args) == 1 {
-					return get(v.Args[0])
-				}
-				return ConstTop
-			case KExpr:
-				return foldExpr(v, get)
-			case KUndef:
-				return ConstFact{}
-			default:
-				return ConstTop
-			}
-		},
-	}
-}
-
-func foldExpr(v *Value, get func(*Value) ConstFact) (out ConstFact) {
-	be, ok := v.Node.(*ast.BinaryExpr)
-	if !ok || len(v.Args) != 2 {
-		return ConstTop
-	}
-	x, y := get(v.Args[0]), get(v.Args[1])
-	if x.level == 0 || y.level == 0 {
-		return ConstFact{}
-	}
-	if !x.IsConst() || !y.IsConst() || x.val.Kind() != y.val.Kind() {
-		return ConstTop
-	}
-	// go/constant panics on malformed operations (mismatched kinds,
-	// overflow in shifts); Top is the right answer for anything it
-	// refuses to fold.
-	defer func() {
-		if recover() != nil {
-			out = ConstTop
-		}
-	}()
-	switch be.Op {
-	case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
-		return Const(constant.MakeBool(constant.Compare(x.val, be.Op, y.val)))
-	case token.ADD, token.SUB, token.MUL, token.OR, token.AND, token.XOR:
-		return Const(constant.BinaryOp(x.val, be.Op, y.val))
-	}
-	return ConstTop
 }

@@ -334,32 +334,6 @@ func f() int {
 	}
 }
 
-func TestConstProblem(t *testing.T) {
-	f, _, _ := buildSrc(t, `package p
-func f(c bool) int {
-	x := 3
-	y := x + 4
-	z := y
-	if c {
-		z = 7
-	}
-	return z
-}`, "f")
-	facts := ConstProblem().Solve(f)
-	var ret *ast.ReturnStmt
-	for rs := range f.ReturnVals {
-		ret = rs
-	}
-	v := f.ReturnVals[ret][0]
-	got := facts[v.ID]
-	if !got.IsConst() {
-		t.Fatalf("z at return = %+v, want constant", got)
-	}
-	if got.Value().String() != "7" {
-		t.Errorf("z = %s, want 7 (both arms assign 7)", got.Value())
-	}
-}
-
 func TestGotoSelfLoopVerifies(t *testing.T) {
 	// A self-looping label block: phi args can come from the same block;
 	// the verifier must accept it.

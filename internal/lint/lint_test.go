@@ -252,50 +252,3 @@ func TestToSARIFDedupAndRuleIndex(t *testing.T) {
 		}
 	}
 }
-
-// TestBaseline covers the load/apply cycle: matched entries are filtered,
-// unmatched findings are kept, and entries matching nothing are stale.
-func TestBaseline(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "baseline.json")
-	entries := []lint.BaselineEntry{
-		{File: "a.go", Analyzer: "ctxleak", Message: "old leak", Reason: "pre-existing, tracked in ROADMAP"},
-		{File: "gone.go", Analyzer: "floateq", Message: "fixed long ago", Reason: "obsolete"},
-	}
-	raw, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := lint.LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings := []lint.Finding{
-		{File: "a.go", Line: 3, Col: 1, Analyzer: "ctxleak", Message: "old leak"},
-		{File: "b.go", Line: 9, Col: 2, Analyzer: "ctxleak", Message: "new leak"},
-	}
-	kept, stale := lint.ApplyBaseline(findings, loaded)
-	if len(kept) != 1 || kept[0].Message != "new leak" {
-		t.Errorf("kept = %+v, want only the new leak", kept)
-	}
-	if len(stale) != 1 || stale[0].File != "gone.go" {
-		t.Errorf("stale = %+v, want the gone.go entry", stale)
-	}
-}
-
-// TestBaselineRequiresReason rejects entries without a justification: a
-// baseline is a debt register, and debt without a reason is just debt.
-func TestBaselineRequiresReason(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "baseline.json")
-	blob := `[{"file":"a.go","analyzer":"ctxleak","message":"m","reason":""}]`
-	if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lint.LoadBaseline(path); err == nil {
-		t.Error("baseline entry without a reason must not load")
-	}
-}

@@ -93,24 +93,6 @@ func finish(analyzers []*analysis.Analyzer, prog *analysis.Program) error {
 	return nil
 }
 
-// RunPackage runs the given analyzers (both phases) over one loaded
-// package and returns the surviving findings in deterministic order.
-// Cross-package analyzers see a single-package program.
-func RunPackage(pkg *loader.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	var findings []Finding
-	prog := analysis.NewProgram()
-	for _, a := range analyzers {
-		if err := runOne(pkg, a, prog, &findings); err != nil {
-			return nil, err
-		}
-	}
-	if err := finish(analyzers, prog); err != nil {
-		return nil, err
-	}
-	SortFindings(findings)
-	return findings, nil
-}
-
 // Run loads the packages matching patterns under dir and runs every
 // analyzer over each (Run per package, then one Finish per analyzer over
 // the whole program), returning all findings sorted by (file, line, col,

@@ -59,14 +59,6 @@ func (p *parser) expectKeyword(kw string) error {
 	return nil
 }
 
-func (p *parser) expectSymbol(sym string) error {
-	tok := p.advance()
-	if tok.kind != tokSymbol || tok.text != sym {
-		return p.errorf(tok, "expected %q, found %q", sym, tok.text)
-	}
-	return nil
-}
-
 func (p *parser) expectIdent() (string, error) {
 	tok := p.advance()
 	if tok.kind != tokIdent {

@@ -58,42 +58,6 @@ func (a Annealed) String() string {
 		a.Omega, a.HiFrac*100, a.LoFrac*100)
 }
 
-// AnnealedFreq combines the positional annealing with the freq(u,v)
-// importance rule: a question gets the larger of the two assignments, and
-// the positional tail reduction only applies to unimportant questions.
-// This is the strongest of the Section 5 variants in our evaluation.
-type AnnealedFreq struct {
-	Annealed
-	Freq DynamicAlphaBeta
-}
-
-// NewAnnealedFreq builds the combined policy from the paper's 30/30
-// positional tuning and α/β frequency thresholds.
-func NewAnnealedFreq(omega int, freqs []int) AnnealedFreq {
-	return AnnealedFreq{
-		Annealed: NewAnnealed(omega),
-		Freq:     NewDynamicPercentile(omega, freqs, 0.3, 0.3),
-	}
-}
-
-// WorkersAt implements ProgressPolicy.
-func (af AnnealedFreq) WorkersAt(progress float64, freq int) int {
-	pos := af.Annealed.WorkersAt(progress, freq)
-	byFreq := af.Freq.Workers(freq)
-	if byFreq > pos {
-		return byFreq
-	}
-	return pos
-}
-
-// Workers implements Policy.
-func (af AnnealedFreq) Workers(freq int) int { return af.Freq.Workers(freq) }
-
-// String names the policy for experiment output.
-func (af AnnealedFreq) String() string {
-	return fmt.Sprintf("DynamicVoting(ω=%d, positional+freq)", af.Omega)
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a

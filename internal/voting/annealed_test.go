@@ -43,32 +43,6 @@ func TestAnnealedBudgetNeutral(t *testing.T) {
 	}
 }
 
-func TestAnnealedFreq(t *testing.T) {
-	freqs := make([]int, 100)
-	for i := range freqs {
-		freqs[i] = i
-	}
-	af := NewAnnealedFreq(5, freqs)
-	// Early and unimportant: positional boost wins.
-	if af.WorkersAt(0.1, 0) != 7 {
-		t.Errorf("early boost missing")
-	}
-	// Late but very important: frequency boost overrides the tail cut.
-	if af.WorkersAt(0.9, 99) != 7 {
-		t.Errorf("important late question not protected")
-	}
-	// Late and unimportant: cut.
-	if af.WorkersAt(0.9, 0) != 3 {
-		t.Errorf("unimportant late question not cut")
-	}
-	if af.Workers(99) != 7 || af.Workers(50) != 5 {
-		t.Errorf("Workers fallback wrong")
-	}
-	if !strings.Contains(af.String(), "positional+freq") {
-		t.Errorf("String = %q", af.String())
-	}
-}
-
 func TestSmart(t *testing.T) {
 	s := NewSmart(5, 100)
 	// Early questions boosted regardless of importance.
