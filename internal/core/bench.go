@@ -5,10 +5,10 @@ import (
 	"crowdsky/internal/dataset"
 )
 
-// RoundBench drives the session's per-round serving step in a steady
+// roundBench drives the session's per-round serving step in a steady
 // state, as one reusable harness shared by the zero-alloc gate
-// (TestZeroAlloc) and the cmd/bench steady_state_round op — so the two
-// measure the identical code path. One Round is the inner loop of every
+// (TestZeroAllocSteadyStateRound) and BenchmarkRound — so the two measure
+// the identical code path. One Round is the inner loop of every
 // crowd-enabled algorithm: fold a batch of answers into the preference
 // graphs (and the direct-answer record, without P2/P3), re-check pair
 // completeness, and regenerate the outstanding requests into a reused
@@ -19,25 +19,25 @@ import (
 // warm-up round every insertion takes the already-known fast path, every
 // direct-answer write hits an existing slot, and the request buffer has reached
 // its high-water mark: a steady-state Round performs zero allocations.
-type RoundBench struct {
+type roundBench struct {
 	ss      *session
 	pairs   []pair
 	answers []crowd.Answer
 	reqs    []crowd.Request
 }
 
-// NewRoundBench builds the session (index included) over d, selects up
+// newRoundBench builds the session (index included) over d, selects up
 // to maxPairs dominating-set pairs, obtains their ground-truth answers
 // from a perfect platform, and runs the warm-up round. A non-positive
 // maxPairs defaults to 64.
-func NewRoundBench(d *dataset.Dataset, opts Options, maxPairs int) *RoundBench {
+func newRoundBench(d *dataset.Dataset, opts Options, maxPairs int) *roundBench {
 	if maxPairs <= 0 {
 		maxPairs = 64
 	}
 	pf := crowd.NewPerfect(crowd.DatasetTruth{Data: d})
 	ss := newSession(d, pf, opts)
 	sets := ss.prepMachine()
-	rb := &RoundBench{ss: ss}
+	rb := &roundBench{ss: ss}
 	for t, ds := range sets {
 		for _, s := range ds {
 			rb.pairs = append(rb.pairs, makePair(s, t))
@@ -60,13 +60,10 @@ func NewRoundBench(d *dataset.Dataset, opts Options, maxPairs int) *RoundBench {
 	return rb
 }
 
-// Pairs returns the number of pairs a Round serves.
-func (rb *RoundBench) Pairs() int { return len(rb.pairs) }
-
 // Round executes one serving round over the fixed batch and returns the
 // number of pairs still unknown afterwards (zero once warm — the batch's
 // answers have all been folded in). Allocation-free in the steady state.
-func (rb *RoundBench) Round() int {
+func (rb *roundBench) Round() int {
 	ss := rb.ss
 	ss.apply(rb.answers)
 	rb.reqs = rb.reqs[:0]

@@ -38,11 +38,11 @@ func TestZeroAlloc(t *testing.T) {
 }
 
 // TestZeroAllocSteadyStateRound gates the full serving round: the same
-// RoundBench harness the bench op measures must not allocate once warm —
+// roundBench harness BenchmarkRound times must not allocate once warm —
 // answer folding, completeness checks, and request regeneration included.
 func TestZeroAllocSteadyStateRound(t *testing.T) {
 	d := randomDataset(6, 128, 3, 2, dataset.Independent)
-	rb := NewRoundBench(d, AllPruning(), 48)
+	rb := newRoundBench(d, AllPruning(), 48)
 	if unknown := rb.Round(); unknown != 0 {
 		t.Fatalf("warm round left %d pairs unknown", unknown)
 	}

@@ -317,9 +317,10 @@ func (staticTruth) Answer(crowd.Question) crowd.Preference { return crowd.First 
 func (staticTruth) Value(i, j int) float64                 { return float64(i) }
 
 // flakyHost serves a marketplace whose process can be "killed" and
-// replaced mid-round: after restartAfter POSTed rounds it snapshots the
-// current server, builds a fresh one from the snapshot (as a restarted
-// daemon would from its state file), and swaps it in under the same URL.
+// replaced mid-round: after restartAfter POSTed rounds (never, when it is
+// 0) it snapshots the current server, builds a fresh one from the snapshot
+// (as a restarted daemon would from its state file), and swaps it in under
+// the same URL.
 type flakyHost struct {
 	t            *testing.T
 	restartAfter int
@@ -350,7 +351,7 @@ func (f *flakyHost) maybeRestart() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.posts++
-	if f.restarted || f.posts < f.restartAfter {
+	if f.restarted || f.restartAfter == 0 || f.posts < f.restartAfter {
 		return
 	}
 	f.restarted = true
@@ -410,22 +411,97 @@ func (r *askRecorder) Ask(reqs []crowd.Request) []crowd.Answer {
 func (r *askRecorder) Stats() *crowd.Stats { return r.inner.Stats() }
 
 // TestChaosKillRestartMidRound is the full resilience story: a journaled
-// requester session crashes mid-run with a torn journal write, the
-// marketplace daemon itself is killed and restarted from its snapshot
-// mid-round, and the resumed session must still produce the oracle
-// skyline without re-purchasing any answer that survived in the journal.
+// requester session crashes mid-run with a torn journal write, and the
+// resumed session must still produce the oracle skyline without
+// re-purchasing any answer that survived in the journal. Each case adds
+// its own faults on top: a marketplace daemon killed and restarted from
+// its snapshot mid-round, or a lossy network plus a misbehaving worker
+// fleet.
 func TestChaosKillRestartMidRound(t *testing.T) {
+	for _, tc := range []killRestartCase{
+		{
+			name:  "daemon-restart",
+			seed:  2026,
+			lease: 60 * time.Millisecond,
+			// Restart the daemon right after the resumed session posts its
+			// first live round (session 1 posts rounds 1..3).
+			restartAfter: 4,
+			workerSeed:   13,
+		},
+		{
+			name:       "network-and-worker-faults",
+			seed:       1234,
+			lease:      250 * time.Millisecond,
+			workerSeed: 1235,
+			transport: &faultinject.TransportConfig{
+				PResetBefore: 0.05,
+				PResetAfter:  0.05,
+				P503:         0.05,
+				PTruncate:    0.05,
+				PLatency:     0.10,
+				MaxLatency:   2 * time.Millisecond,
+			},
+			workerFaults: &faultinject.WorkerFaults{
+				PNoShow:    0.10,
+				PDuplicate: 0.10,
+				PStale:     0.05,
+				StaleDelay: 400 * time.Millisecond,
+			},
+			retryMax:    50 * time.Millisecond,
+			maxAttempts: 12,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) { runKillRestart(t, tc) })
+	}
+}
+
+// killRestartCase configures one crash-and-resume session. Zero fields
+// leave the corresponding fault out (or the client default in place).
+type killRestartCase struct {
+	name         string
+	seed         int64 // fault plan seed
+	lease        time.Duration
+	restartAfter int // restart the daemon after this many posted rounds; 0 never does
+	workerSeed   int64
+	transport    *faultinject.TransportConfig
+	workerFaults *faultinject.WorkerFaults // Plan is filled in per run
+	retryMax     time.Duration
+	maxAttempts  int
+}
+
+var (
+	transportKinds = []faultinject.Kind{faultinject.KindConnResetBefore, faultinject.KindConnResetAfter,
+		faultinject.KindHTTP503, faultinject.KindLatency, faultinject.KindTruncateBody}
+	workerKinds = []faultinject.Kind{faultinject.KindWorkerNoShow, faultinject.KindWorkerDuplicate,
+		faultinject.KindWorkerStale}
+)
+
+// fired reports whether counts holds at least one fault of kinds.
+func fired(counts map[faultinject.Kind]uint64, kinds []faultinject.Kind) bool {
+	for _, k := range kinds {
+		if counts[k] > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+func runKillRestart(t *testing.T, tc killRestartCase) {
 	d := dataset.Toy()
-	plan := faultinject.NewPlan(2026)
+	plan := faultinject.NewPlan(tc.seed)
 
 	srv := NewServer()
-	srv.SetLease(60 * time.Millisecond)
-	// Restart the daemon right after the resumed session posts its first
-	// live round (session 1 posts rounds 1..3).
-	host := newFlakyHost(t, srv, 4, 60*time.Millisecond)
+	srv.SetLease(tc.lease)
+	host := newFlakyHost(t, srv, tc.restartAfter, tc.lease)
 	ts := httptest.NewServer(host)
 	defer ts.Close()
 
+	var wf *faultinject.WorkerFaults
+	if tc.workerFaults != nil {
+		f := *tc.workerFaults
+		f.Plan = plan
+		wf = &f
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	workersDone := make(chan struct{})
@@ -436,14 +512,20 @@ func TestChaosKillRestartMidRound(t *testing.T) {
 			Truth:        crowd.DatasetTruth{Data: d},
 			Reliability:  1,
 			PollInterval: time.Millisecond,
-			Seed:         13,
+			Seed:         tc.workerSeed,
+			Faults:       wf,
 		})
 	}()
 
 	newClient := func() *Client {
 		c := NewClient(ts.URL)
+		if tc.transport != nil {
+			c.HTTPClient = &http.Client{Transport: &faultinject.Transport{Plan: plan, Config: *tc.transport}}
+		}
 		c.PollInterval = 2 * time.Millisecond
 		c.RetryBase = time.Millisecond
+		c.RetryMax = tc.retryMax
+		c.MaxAttempts = tc.maxAttempts
 		return c
 	}
 
@@ -480,8 +562,7 @@ func TestChaosKillRestartMidRound(t *testing.T) {
 	t.Logf("recovered %d journal records (%d bytes intact, %d lines dropped)", len(recovered), st.IntactBytes, st.Dropped)
 
 	// Session 2: resume from the recovered prefix. The live platform is
-	// wrapped in a recorder so we can prove no recovered pair is re-asked;
-	// the daemon restarts mid-round via the flaky host.
+	// wrapped in a recorder so we can prove no recovered pair is re-asked.
 	rec := &askRecorder{inner: newClient()}
 	var log2 bytes.Buffer
 	p2, err := journal.NewPlatform(rec, recovered, journal.NewWriter(&log2))
@@ -510,12 +591,21 @@ func TestChaosKillRestartMidRound(t *testing.T) {
 			t.Errorf("recovered pair (%d,%d,attr=%d) was purchased again", q.A, q.B, q.Attr)
 		}
 	}
-	if !host.restarted {
-		t.Error("the daemon never restarted; the mid-round kill was not exercised")
+	if host.restarted != (tc.restartAfter > 0) {
+		t.Errorf("daemon restarted = %v, want %v", host.restarted, tc.restartAfter > 0)
 	}
 	// The resumed session journaled its live answers with checksums; its
 	// own journal must read back clean.
 	if entries, err := journal.Read(bytes.NewReader(log2.Bytes())); err != nil || len(entries) != len(rec.asked) {
 		t.Errorf("session-2 journal: %d entries, %v (asked %d live)", len(entries), err, len(rec.asked))
+	}
+
+	counts := plan.Counts()
+	t.Logf("faults injected: %v", counts)
+	if tc.transport != nil && !fired(counts, transportKinds) {
+		t.Error("no transport fault fired; the network was never lossy")
+	}
+	if tc.workerFaults != nil && !fired(counts, workerKinds) {
+		t.Error("no worker fault fired; the fleet never misbehaved")
 	}
 }

@@ -8,9 +8,8 @@
 // oracle skyline while no answered pair is ever re-purchased — must hold
 // not only on the happy path but across network blips, worker
 // misbehaviour, and crashes. This package supplies the faults; the chaos
-// suite (internal/crowdserve chaos tests, `cmd/bench -chaos`) drives full
-// sessions under them and asserts the invariant via the differential
-// oracle. See docs/ROBUSTNESS.md for the fault matrix and the recovery
+// suite (the internal/crowdserve chaos tests) drives full sessions under
+// them and asserts the invariant against the oracle skyline. See docs/ROBUSTNESS.md for the fault matrix and the recovery
 // guarantees each injection point exercises.
 //
 // Everything is driven by a Plan: one seed fans out into independent

@@ -2,6 +2,7 @@ package skyline
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"crowdsky/internal/dataset"
@@ -38,6 +39,19 @@ func BenchmarkKnownSkyline(b *testing.B) {
 	}
 }
 
+// sweepSizes are the cardinalities of the kernel scaling sweep.
+var sweepSizes = []int{1000, 5000, 10000, 20000}
+
+// sweep runs fn as one sub-benchmark per sweep size over the machine-part
+// workload of the paper's evaluation: 4 known and 2 crowd attributes,
+// independent distribution.
+func sweep(b *testing.B, fn func(b *testing.B, d *dataset.Dataset)) {
+	for _, n := range sweepSizes {
+		d := randData(1, n, 4, 2, dataset.Independent)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { fn(b, d) })
+	}
+}
+
 func BenchmarkDominatingSets(b *testing.B) {
 	d := benchData(b, 4000, 4, dataset.Independent)
 	b.Run("naive", func(b *testing.B) {
@@ -46,37 +60,49 @@ func BenchmarkDominatingSets(b *testing.B) {
 		}
 	})
 	b.Run("index", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			NewIndex(d).DominatingSets()
-		}
+		sweep(b, func(b *testing.B, d *dataset.Dataset) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				NewIndex(d).DominatingSets()
+			}
+		})
 	})
 }
 
 // BenchmarkIndexBuild isolates the one-time cost of the columnar engine:
-// layout, sort, tiled bitmap kernel, and transpose.
+// layout, sort, tiled bitmap kernel, and transpose. Each size runs at
+// 1, 2, 4, … workers up to runtime.NumCPU(); serial ÷ parallel at equal n
+// is the build's speedup.
 func BenchmarkIndexBuild(b *testing.B) {
-	for _, n := range []int{1000, 4000, 10000} {
-		d := benchData(b, n, 4, dataset.Independent)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			var pairs int
-			for i := 0; i < b.N; i++ {
-				pairs = NewIndex(d).Stats().Pairs
-			}
-			b.ReportMetric(float64(pairs), "pairs")
-		})
+	var workers []int
+	for w := 1; w < runtime.NumCPU(); w *= 2 {
+		workers = append(workers, w)
 	}
+	workers = append(workers, runtime.NumCPU())
+	sweep(b, func(b *testing.B, d *dataset.Dataset) {
+		for _, w := range workers {
+			b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+				defer setMaxWorkers(setMaxWorkers(w))
+				b.ReportAllocs()
+				var pairs int
+				for i := 0; i < b.N; i++ {
+					pairs = NewIndex(d).Stats().Pairs
+				}
+				b.ReportMetric(float64(pairs), "pairs")
+			})
+		}
+	})
 }
 
 // BenchmarkImmediateDominators times the index's covered walk, index
 // build included.
 func BenchmarkImmediateDominators(b *testing.B) {
-	d := benchData(b, 4000, 4, dataset.Independent)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		NewIndex(d).ImmediateDominators()
-	}
+	sweep(b, func(b *testing.B, d *dataset.Dataset) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			NewIndex(d).ImmediateDominators()
+		}
+	})
 }
 
 // BenchmarkOracleSkyline compares the sharded scan oracle with the
@@ -90,10 +116,12 @@ func BenchmarkOracleSkyline(b *testing.B) {
 		}
 	})
 	b.Run("index", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			NewIndex(d).OracleSkyline()
-		}
+		sweep(b, func(b *testing.B, d *dataset.Dataset) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				NewIndex(d).OracleSkyline()
+			}
+		})
 	})
 }
 

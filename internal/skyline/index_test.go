@@ -388,7 +388,7 @@ func requireBitIdentical(t *testing.T, ref, got *Index, workers int) {
 func TestIndexWorkerCountDeterminism(t *testing.T) {
 	oldT := parallelThreshold
 	parallelThreshold = 1
-	t.Cleanup(func() { parallelThreshold = oldT; SetMaxWorkers(0) })
+	t.Cleanup(func() { parallelThreshold = oldT; setMaxWorkers(0) })
 	shapes := map[string]*dataset.Dataset{
 		"IND":  randData(71, 260, 4, 0, dataset.Independent),
 		"ANT":  randData(72, 300, 3, 0, dataset.AntiCorrelated),
@@ -402,13 +402,13 @@ func TestIndexWorkerCountDeterminism(t *testing.T) {
 	}
 	for name, d := range shapes {
 		t.Run(name, func(t *testing.T) {
-			SetMaxWorkers(1)
+			setMaxWorkers(1)
 			ref := NewIndex(d)
 			for _, w := range []int{2, 3, 4, 8} {
-				SetMaxWorkers(w)
+				setMaxWorkers(w)
 				requireBitIdentical(t, ref, NewIndex(d), w)
 			}
-			SetMaxWorkers(0)
+			setMaxWorkers(0)
 		})
 	}
 }

@@ -17,18 +17,17 @@ import (
 var parallelThreshold = 2048
 
 // maxWorkers caps the build/derivation parallelism; 0 means
-// runtime.NumCPU(). See SetMaxWorkers.
+// runtime.NumCPU(). See setMaxWorkers.
 var maxWorkers = 0
 
-// SetMaxWorkers caps the number of workers the sharded kernels and the
+// setMaxWorkers caps the number of workers the sharded kernels and the
 // parallel index build use (0 restores the runtime.NumCPU() default) and
 // returns the previous cap. Every kernel writes disjoint output slots, so
 // the result is bit-for-bit identical for every worker count — the knob
-// exists for the bench harness (serial-vs-parallel build rows, the
-// core-scaling curve) and for the differential tests that prove that
-// invariant. It is not synchronized with in-flight builds; set it between
-// builds only.
-func SetMaxWorkers(n int) (prev int) {
+// exists for the differential tests that prove that invariant and for
+// BenchmarkIndexBuild's workers= rows. It is not synchronized with
+// in-flight builds; set it between builds only.
+func setMaxWorkers(n int) (prev int) {
 	prev = maxWorkers
 	maxWorkers = n
 	return prev

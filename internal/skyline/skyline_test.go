@@ -278,7 +278,7 @@ func TestSortedOutputs(t *testing.T) {
 // the index build and the oracle scan — are bit-identical to their serial
 // counterparts, below and above the sharding threshold.
 func TestParallelConstructionsMatchSerial(t *testing.T) {
-	t.Cleanup(func() { SetMaxWorkers(0) })
+	t.Cleanup(func() { setMaxWorkers(0) })
 	for _, n := range []int{50, 2100} {
 		d := randData(19, n, 3, 1, dataset.AntiCorrelated)
 		serialSets := DominatingSets(d)
@@ -289,9 +289,9 @@ func TestParallelConstructionsMatchSerial(t *testing.T) {
 		if !reflect.DeepEqual(ix.ImmediateDominators(), ImmediateDominators(d, serialSets)) {
 			t.Fatalf("n=%d: index ImmediateDominators differ from the naive c(t)", n)
 		}
-		SetMaxWorkers(1)
+		setMaxWorkers(1)
 		so := OracleSkyline(d)
-		SetMaxWorkers(0)
+		setMaxWorkers(0)
 		if po := OracleSkyline(d); !reflect.DeepEqual(so, po) {
 			t.Fatalf("n=%d: sharded oracle %v, one-worker oracle %v", n, po, so)
 		}

@@ -114,8 +114,6 @@ var metricSchemas = map[string][]string{
 	"crowdserve_client_retries_total": {"cause"},
 	// Fault injection (faultinject.Plan.InstrumentMetrics).
 	"crowdserve_faults_injected_total": {"kind"},
-	// Journal recovery (cmd/bench -chaos, cmd/crowdsky -resume).
-	"journal_recovered_records_total": {},
 }
 
 // MetricSchemaOf returns the registered label names for metric family

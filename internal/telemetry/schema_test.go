@@ -44,7 +44,6 @@ func TestValidateMetric(t *testing.T) {
 		{"crowdserve_client_retries_total", "cause"},
 		{"crowdserve_faults_injected_total", "kind"},
 		{"crowdserve_http_requests_total", "route", "method", "code"},
-		{"journal_recovered_records_total"},
 	}
 	for _, c := range ok {
 		name := c[0].(string)
