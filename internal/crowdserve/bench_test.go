@@ -12,41 +12,57 @@ import (
 // BenchmarkJudgment measures one judgment over loopback HTTP, from a
 // worker's point of view: fetch+answer is the two-exchange protocol
 // (GET /api/work, then POST /api/answers), answer+next the one-exchange
-// protocol that SimulateWorkers speaks (the answer leases the next job).
+// protocol (the answer leases the next job), and hit5 the protocol that
+// SimulateWorkers speaks (one batched answer carries five judgments and
+// leases the next five). Every sub-benchmark counts one op per judgment.
 func BenchmarkJudgment(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		next bool
-	}{{"fetch+answer", false}, {"answer+next", true}} {
-		b.Run(bc.name, func(b *testing.B) {
+	for _, name := range []string{"fetch+answer", "answer+next", "hit5"} {
+		b.Run(name, func(b *testing.B) {
 			srv := NewServer()
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
 			ctx := context.Background()
 			client := &http.Client{}
-			// One single-worker question per judgment, plus a spare so
-			// the last answer+next still finds a job.
-			qs := make([]QuestionJSON, b.N+1)
+			// One single-worker question per judgment, plus a spare HIT
+			// so the last chained answer still finds its jobs.
+			qs := make([]QuestionJSON, b.N+crowd.QuestionsPerHIT)
 			for i := range qs {
 				qs[i] = QuestionJSON{A: i, B: i + 1, Workers: 1}
 			}
 			postJSON(b, ts.URL+"/api/rounds", map[string]any{"questions": qs}).Body.Close()
-			var job workItem
-			ok := true
-			if bc.next {
-				// The worker's first job comes from a poll; every later
+			var held []workItem
+			if name != "fetch+answer" {
+				// The worker's first jobs come from a poll; every later
 				// one rides on an answer.
-				job, ok = fetchWork(ctx, client, ts.URL, "w1")
+				held = fetchWork(ctx, client, ts.URL, "w1")
 			}
+			judgments := make([]judgmentJSON, 0, crowd.QuestionsPerHIT)
+			ok := true
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N && ok; i++ {
-				if bc.next {
-					job, ok, _ = submitAnswer(ctx, client, ts.URL, "w1", job.AssignmentID, crowd.First, true)
-					continue
-				}
-				if job, ok = fetchWork(ctx, client, ts.URL, "w1"); ok {
-					_, _, ok = submitAnswer(ctx, client, ts.URL, "w1", job.AssignmentID, crowd.First, false)
+			for i := 0; i < b.N && ok; {
+				switch name {
+				case "fetch+answer":
+					var job workItem
+					if job, ok = getWork(b, ts.URL, "w1"); ok {
+						_, ok = submitAnswers(ctx, client, ts.URL,
+							answerRequest{AssignmentID: job.AssignmentID, Worker: "w1", Pref: "first"})
+					}
+					i++
+				case "answer+next":
+					held, ok = submitAnswers(ctx, client, ts.URL,
+						answerRequest{AssignmentID: held[0].AssignmentID, Worker: "w1", Pref: "first", Next: true})
+					ok = ok && len(held) == 1
+					i++
+				case "hit5":
+					judgments = judgments[:0]
+					for _, job := range held[:min(len(held), b.N-i)] {
+						judgments = append(judgments, judgmentJSON{AssignmentID: job.AssignmentID, Pref: "first"})
+					}
+					held, ok = submitAnswers(ctx, client, ts.URL,
+						answerRequest{Worker: "w1", Judgments: judgments, Max: crowd.QuestionsPerHIT})
+					ok = ok && len(held) > 0
+					i += len(judgments)
 				}
 			}
 			if !ok {

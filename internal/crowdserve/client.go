@@ -191,18 +191,9 @@ func (c *Client) AskCtx(ctx context.Context, reqs []crowd.Request) []crowd.Answe
 		}
 		if done {
 			wait.SetAttr("polls", fmt.Sprintf("%d", polls))
-			// The server answers in question order; map back onto the
-			// request order (identical by construction).
-			out := make([]crowd.Answer, len(reqs))
-			for i, a := range answers {
-				pref, err := parsePref(a.Pref)
-				if err != nil {
-					panic(fmt.Sprintf("crowdserve: %v", err))
-				}
-				out[i] = crowd.Answer{
-					Q:    crowd.Question{A: a.A, B: a.B, Attr: a.Attr},
-					Pref: pref,
-				}
+			out, err := matchAnswers(reqs, answers)
+			if err != nil {
+				panic(fmt.Sprintf("crowdserve: round %d: %v", roundID, err))
 			}
 			return out
 		}
@@ -220,6 +211,29 @@ func (c *Client) AskCtx(ctx context.Context, reqs []crowd.Request) []crowd.Answe
 			interval = c.maxPollInterval()
 		}
 	}
+}
+
+// matchAnswers maps a done round's answers onto the requests. The server
+// answers in question order, so answer i must be request i's question: a
+// short reply would leave zero-value answers (and re-ask the dropped
+// pairs), a long or reordered one would answer questions never asked.
+func matchAnswers(reqs []crowd.Request, answers []AnswerJSON) ([]crowd.Answer, error) {
+	if len(answers) != len(reqs) {
+		return nil, fmt.Errorf("%d answers for %d questions", len(answers), len(reqs))
+	}
+	out := make([]crowd.Answer, len(reqs))
+	for i, a := range answers {
+		q := crowd.Question{A: a.A, B: a.B, Attr: a.Attr}
+		if q != reqs[i].Q {
+			return nil, fmt.Errorf("answer %d is for %+v, want %+v", i, q, reqs[i].Q)
+		}
+		pref, err := parsePref(a.Pref)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = crowd.Answer{Q: q, Pref: pref}
+	}
+	return out, nil
 }
 
 // Stats implements crowd.Platform.

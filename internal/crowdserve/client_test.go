@@ -2,6 +2,10 @@ package crowdserve
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -63,5 +67,53 @@ func TestClientCancellationDuringPoll(t *testing.T) {
 	exposition := sb.String()
 	if strings.Contains(exposition, "crowdserve_client_retries_total 0\n") {
 		t.Errorf("no re-polls counted despite several poll cycles:\n%s", exposition)
+	}
+}
+
+// TestClientRejectsMismatchedAnswers: a done round whose answers do not
+// match the questions asked, one for one and in order, fails the round
+// with a message naming it. A short reply must not hand the algorithm
+// zero-value answers, and a long one must not index past the requests.
+func TestClientRejectsMismatchedAnswers(t *testing.T) {
+	reqs := []crowd.Request{
+		{Q: crowd.Question{A: 0, B: 1}, Workers: 1},
+		{Q: crowd.Question{A: 2, B: 3, Attr: 1}, Workers: 1},
+	}
+	first := AnswerJSON{A: 0, B: 1, Pref: "first"}
+	second := AnswerJSON{A: 2, B: 3, Attr: 1, Pref: "second"}
+	for _, c := range []struct {
+		name    string
+		answers []AnswerJSON
+		want    string
+	}{
+		{"short", []AnswerJSON{first}, "1 answers for 2 questions"},
+		{"long", []AnswerJSON{first, second, first}, "3 answers for 2 questions"},
+		{"reordered", []AnswerJSON{second, first}, "answer 0 is for"},
+		{"wrong attribute", []AnswerJSON{first, {A: 2, B: 3, Pref: "second"}}, "answer 1 is for"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch {
+				case r.Method == http.MethodPost && r.URL.Path == "/api/rounds":
+					w.WriteHeader(http.StatusCreated)
+					fmt.Fprint(w, `{"round_id":7}`)
+				case r.Method == http.MethodGet && r.URL.Path == "/api/rounds/7":
+					if err := json.NewEncoder(w).Encode(map[string]any{"done": true, "answers": c.answers}); err != nil {
+						t.Error(err)
+					}
+				default:
+					http.NotFound(w, r)
+				}
+			}))
+			defer stub.Close()
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				NewClient(stub.URL).Ask(reqs)
+				return ""
+			}()
+			if !strings.Contains(msg, "round 7") || !strings.Contains(msg, c.want) {
+				t.Errorf("Ask panicked with %q, want a failure of round 7 saying %q", msg, c.want)
+			}
+		})
 	}
 }

@@ -15,8 +15,12 @@
 //	POST /api/rounds            {questions: [{a,b,attr,workers}]} → {round_id}
 //	GET  /api/rounds/{id}       → {done, answers: [{a,b,attr,pref}]}
 //	GET  /api/work?worker=W     → {assignment_id, a, b, attr} or 204
+//	GET  /api/work?worker=W&max=K
+//	                            → {leases: [{assignment_id, a, b, attr}]} or 204
 //	POST /api/answers           {assignment_id, worker, pref, next?}
 //	                            → {ok, next?: {assignment_id, a, b, attr}}
+//	POST /api/answers           {worker, judgments: [{assignment_id, pref}], max?}
+//	                            → {ok, accepted: [bool], leases?: [...]}
 //	GET  /api/stats             → {rounds, questions, judgments, open,
 //	                               lease_requeues, judgments_by_worker}
 //	GET  /metrics               → Prometheus text exposition
@@ -25,11 +29,20 @@
 // assignment that is not answered within the lease duration is silently
 // requeued for another worker, so stalled workers cannot wedge a round.
 //
-// An answer with "next": true also leases the worker's next assignment,
-// exactly as a GET /api/work right after it would, so a busy worker spends
-// one exchange per judgment. next is omitted from the reply when nothing
-// compatible is open, and a rejected answer (400, 403, 409) leases
-// nothing. Without "next" the reply is {"ok": true}.
+// A worker exchange carries up to one HIT's worth of work
+// (crowd.QuestionsPerHIT): max, from 1 to QuestionsPerHIT, leases up to
+// that many assignments under one lock hold, in the order that many
+// single leases would grant them, and judgments holds at most
+// QuestionsPerHIT judgments. Each judgment is checked on its own; the
+// reply flags it in accepted, in order, and a rejected judgment does not
+// stop the others from counting. Without max a batched answer leases
+// nothing.
+//
+// The single-judgment answer is the one-element case of the same path.
+// With "next": true it also leases the worker's next assignment, as a
+// GET /api/work right after it would. next is omitted from the reply when
+// nothing compatible is open, and a rejected single answer (400, 403,
+// 409) leases nothing. Without "next" the reply is {"ok": true}.
 package crowdserve
 
 import (
@@ -76,20 +89,40 @@ type workItem struct {
 	Attr         int   `json:"attr"`
 }
 
-// answerRequest is the body of POST /api/answers.
-type answerRequest struct {
+// leaseBatch is the body of a 200 from GET /api/work with max.
+type leaseBatch struct {
+	Leases []workItem `json:"leases"`
+}
+
+// judgmentJSON is one judgment of a batched answer.
+type judgmentJSON struct {
 	AssignmentID int64  `json:"assignment_id"`
-	Worker       string `json:"worker"`
 	Pref         string `json:"pref"`
+}
+
+// answerRequest is the body of POST /api/answers in either form: one
+// judgment in AssignmentID and Pref, or a batch in Judgments.
+type answerRequest struct {
+	AssignmentID int64  `json:"assignment_id,omitempty"`
+	Worker       string `json:"worker"`
+	Pref         string `json:"pref,omitempty"`
 	// Next asks the server to lease the worker's next assignment once
 	// this judgment is accepted.
 	Next bool `json:"next,omitempty"`
+	// Judgments is the batched form: up to crowd.QuestionsPerHIT
+	// judgments, each accepted or rejected on its own.
+	Judgments []judgmentJSON `json:"judgments,omitempty"`
+	// Max asks a batched answer to lease up to Max new assignments.
+	Max int `json:"max,omitempty"`
 }
 
-// answerAck is the reply to an accepted judgment.
+// answerAck is the reply to an accepted answer. A single judgment gets OK
+// and Next; a batch gets OK, one Accepted flag per judgment, and Leases.
 type answerAck struct {
-	OK   bool      `json:"ok"`
-	Next *workItem `json:"next,omitempty"`
+	OK       bool       `json:"ok"`
+	Next     *workItem  `json:"next,omitempty"`
+	Accepted []bool     `json:"accepted,omitempty"`
+	Leases   []workItem `json:"leases,omitempty"`
 }
 
 // prefToString and back.
@@ -472,26 +505,62 @@ func (s *Server) handleGetRound(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, out)
 }
 
-// handleGetWork leases the next compatible assignment to the polling
-// worker, or answers 204 when there is none. Idle workers poll here in a
-// loop; busy ones lease through POST /api/answers instead.
+// handleGetWork leases the polling worker's next compatible assignment,
+// or up to max of them, or answers 204 when there is none. Idle workers
+// poll here in a loop; busy ones lease through POST /api/answers instead.
 //
 //skylint:hotpath serve
 func (s *Server) handleGetWork(w http.ResponseWriter, r *http.Request) {
-	worker, ok := cleanWorkerID(r.URL.Query().Get("worker"))
+	q := r.URL.Query()
+	worker, ok := cleanWorkerID(q.Get("worker"))
 	if !ok {
 		s.writeError(w, http.StatusBadRequest, "missing or invalid worker id")
 		return
 	}
+	batched := q.Has("max")
+	limit := 1
+	if batched {
+		if limit, ok = parseMax(q.Get("max")); !ok {
+			s.writeError(w, http.StatusBadRequest, "max must be an integer from 1 to 5")
+			return
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	job, ok := s.leaseNextLocked(worker)
-	if !ok {
+	var jobs [crowd.QuestionsPerHIT]workItem
+	n := s.leaseLocked(worker, jobs[:limit])
+	if n == 0 {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
+	if batched {
+		//skylint:alloc-ok one response object per granted lease batch; the JSON encoder behind it allocates anyway
+		s.writeJSON(w, http.StatusOK, leaseBatch{Leases: jobs[:n]})
+		return
+	}
 	//skylint:alloc-ok one response object per granted lease; the JSON encoder behind it allocates anyway
-	s.writeJSON(w, http.StatusOK, job)
+	s.writeJSON(w, http.StatusOK, jobs[0])
+}
+
+// parseMax validates a wire lease count: an integer from 1 to
+// crowd.QuestionsPerHIT.
+func parseMax(raw string) (int, bool) {
+	n, err := strconv.Atoi(raw)
+	return n, err == nil && n >= 1 && n <= crowd.QuestionsPerHIT
+}
+
+// leaseLocked fills jobs with the worker's next leases, one
+// leaseNextLocked call each, and returns how many it granted; it stops at
+// the first miss.
+func (s *Server) leaseLocked(worker string, jobs []workItem) int {
+	for i := range jobs {
+		job, ok := s.leaseNextLocked(worker)
+		if !ok {
+			return i
+		}
+		jobs[i] = job
+	}
+	return len(jobs)
 }
 
 // leaseNextLocked leases the first open assignment, in FIFO order, that
@@ -583,11 +652,13 @@ func (s *Server) reapExpiredLocked() {
 	}
 }
 
-// handlePostAnswer accepts one worker judgment and, when the worker asks
-// for it, leases the worker's next assignment under the same lock hold.
-// It runs once per judgment: vote recording appends into capacity
-// reserved at round creation, and only telemetry and the response
-// allocate.
+// handlePostAnswer accepts a worker's judgments, one or a batch, and
+// then, when the worker asks for it, leases the worker's next
+// assignments under the same lock hold. The single form is the
+// one-element case of the batch: it differs only in its reply, and in
+// that a rejected judgment fails the request and leases nothing. Vote
+// recording appends into capacity reserved at round creation, and only
+// telemetry and the response allocate.
 //
 //skylint:hotpath serve
 func (s *Server) handlePostAnswer(w http.ResponseWriter, r *http.Request) {
@@ -597,10 +668,38 @@ func (s *Server) handlePostAnswer(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
 		return
 	}
-	pref, err := parsePref(body.Pref)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
+	batched := body.Judgments != nil
+	judgments, limit := body.Judgments, body.Max
+	var one [1]judgmentJSON
+	switch {
+	case !batched:
+		if limit != 0 {
+			s.writeError(w, http.StatusBadRequest, "max needs a judgments list")
+			return
+		}
+		one[0] = judgmentJSON{AssignmentID: body.AssignmentID, Pref: body.Pref}
+		judgments = one[:]
+		if body.Next {
+			limit = 1
+		}
+	case body.AssignmentID != 0 || body.Pref != "" || body.Next:
+		s.writeError(w, http.StatusBadRequest, "a batched answer carries its judgments only in judgments")
 		return
+	case len(judgments) == 0 || len(judgments) > crowd.QuestionsPerHIT:
+		s.writeError(w, http.StatusBadRequest, "judgments must hold 1 to 5 judgments")
+		return
+	case limit < 0 || limit > crowd.QuestionsPerHIT:
+		s.writeError(w, http.StatusBadRequest, "max must be absent or an integer from 1 to 5")
+		return
+	}
+	var prefs [crowd.QuestionsPerHIT]crowd.Preference
+	for i, j := range judgments {
+		pref, err := parsePref(j.Pref)
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		prefs[i] = pref
 	}
 	worker, ok := cleanWorkerID(body.Worker)
 	if !ok {
@@ -609,22 +708,53 @@ func (s *Server) handlePostAnswer(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	a, ok := s.leased[body.AssignmentID]
+	var accepted [crowd.QuestionsPerHIT]bool
+	for i, j := range judgments {
+		status := s.recordJudgmentLocked(worker, j.AssignmentID, prefs[i], j.Pref)
+		if !batched && status != http.StatusOK {
+			s.writeError(w, status, rejectReason(status))
+			return
+		}
+		accepted[i] = status == http.StatusOK
+	}
+	var jobs [crowd.QuestionsPerHIT]workItem
+	n := s.leaseLocked(worker, jobs[:limit])
+	ack := answerAck{OK: true}
+	switch {
+	case batched:
+		ack.Accepted = accepted[:len(judgments)]
+		ack.Leases = jobs[:n]
+	case n == 1:
+		ack.Next = &jobs[0]
+	}
+	//skylint:alloc-ok one acknowledgement object per accepted answer
+	s.writeJSON(w, http.StatusOK, ack)
+}
+
+// recordJudgmentLocked records one judgment when the assignment is
+// leased, not yet answered, leased to this worker, and the worker has not
+// voted on its question yet. It returns http.StatusOK when it recorded
+// the vote and the status a single answer is rejected with otherwise.
+//
+//skylint:hotpath serve
+func (s *Server) recordJudgmentLocked(worker string, id int64, pref crowd.Preference, wirePref string) int {
+	a, ok := s.leased[id]
 	if !ok || a.done {
-		s.writeError(w, http.StatusConflict, "assignment not leased (expired or already answered)")
-		return
+		return http.StatusConflict
 	}
 	if a.leasedTo != worker {
-		s.writeError(w, http.StatusForbidden, "assignment leased to another worker")
-		return
+		return http.StatusForbidden
+	}
+	rd := s.rounds[a.roundID]
+	if rd.voters[a.qIndex][worker] {
+		return http.StatusConflict
 	}
 	a.done = true
-	delete(s.leased, body.AssignmentID)
-	rd := s.rounds[a.roundID]
+	delete(s.leased, id)
 	if !a.leasedAt.IsZero() {
 		s.mJudgeLatency.ObserveExemplar(s.now().Sub(a.leasedAt).Seconds(), rd.traceID)
 	}
-	a.judgeSpan.SetAttr("pref", body.Pref)
+	a.judgeSpan.SetAttr("pref", wirePref)
 	a.judgeSpan.End()
 	a.judgeSpan = nil
 	//skylint:alloc-ok capacity for every vote is reserved at round creation; this append never grows
@@ -639,14 +769,15 @@ func (s *Server) handlePostAnswer(w http.ResponseWriter, r *http.Request) {
 	s.judgments++
 	s.perWorker[worker]++
 	s.mJudgments.Inc()
-	ack := answerAck{OK: true}
-	if body.Next {
-		if next, ok := s.leaseNextLocked(worker); ok {
-			ack.Next = &next
-		}
+	return http.StatusOK
+}
+
+// rejectReason is the error message of a rejected single answer.
+func rejectReason(status int) string {
+	if status == http.StatusForbidden {
+		return "assignment leased to another worker"
 	}
-	//skylint:alloc-ok one acknowledgement object per accepted judgment
-	s.writeJSON(w, http.StatusOK, ack)
+	return "assignment not leased (expired or already answered)"
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

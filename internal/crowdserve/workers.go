@@ -41,10 +41,12 @@ type WorkerConfig struct {
 // workers have stopped. Errors from individual requests are retried after
 // the poll interval — workers on flaky networks must not wedge.
 //
-// A worker submits each judgment with "next": true, so the reply carries
-// its next lease and a busy worker spends one exchange per judgment. It
+// A worker works one HIT at a time: it holds up to crowd.QuestionsPerHIT
+// leases and submits their judgments in one batched answer that asks for
+// as many new leases, so a busy worker spends one exchange per HIT. A
+// faulted lease leaves the batch and misbehaves on its own. The worker
 // polls GET /api/work only when it holds no job: at start, once the queue
-// ran dry, and after a rejected answer or an injected fault.
+// ran dry, and after a failed answer or a HIT whose every lease faulted.
 func SimulateWorkers(ctx context.Context, baseURL string, cfg WorkerConfig) {
 	poll := cfg.PollInterval
 	if poll <= 0 {
@@ -61,43 +63,49 @@ func SimulateWorkers(ctx context.Context, baseURL string, cfg WorkerConfig) {
 			worker := crowd.Worker{ID: id, Reliability: cfg.Reliability}
 			name := fmt.Sprintf("sim-%d", id)
 			client := &http.Client{Timeout: 10 * time.Second}
-			var job workItem // the held lease, when have is set
-			have := false
+			var held []workItem      // the leases of the HIT in hand
+			var batch []judgmentJSON // its well-behaved judgments
 			for ctx.Err() == nil {
-				if !have {
-					if job, have = fetchWork(ctx, client, baseURL, name); !have {
+				if len(held) == 0 {
+					if held = fetchWork(ctx, client, baseURL, name); len(held) == 0 {
 						pause(ctx, poll)
 						continue
 					}
 				}
-				truth := cfg.Truth.Answer(crowd.Question{A: job.A, B: job.B, Attr: job.Attr})
-				answer := worker.Judge(truth, rng)
-				var fault faultinject.Kind
-				if cfg.Faults != nil {
-					fault = cfg.Faults.Next(rng)
+				batch = batch[:0]
+				for _, job := range held {
+					truth := cfg.Truth.Answer(crowd.Question{A: job.A, B: job.B, Attr: job.Attr})
+					j := answerRequest{AssignmentID: job.AssignmentID, Worker: name, Pref: worker.Judge(truth, rng).String()}
+					var fault faultinject.Kind
+					if cfg.Faults != nil {
+						fault = cfg.Faults.Next(rng)
+					}
+					switch fault {
+					case faultinject.KindWorkerNoShow:
+						// Walk away with the lease; the server must requeue the
+						// slot once it lapses.
+					case faultinject.KindWorkerDuplicate:
+						submitAnswers(ctx, client, baseURL, j)
+						submitAnswers(ctx, client, baseURL, j)
+					case faultinject.KindWorkerStale:
+						// Outlive the lease, then submit; the server must reject
+						// the late judgment (the slot belongs to someone else).
+						if pause(ctx, cfg.Faults.Delay()) {
+							submitAnswers(ctx, client, baseURL, j)
+						}
+					default:
+						batch = append(batch, judgmentJSON{AssignmentID: j.AssignmentID, Pref: j.Pref})
+					}
 				}
-				// Every fault path drops the job and fetches afresh.
-				have = false
-				switch fault {
-				case faultinject.KindWorkerNoShow:
-					// Walk away with the lease; the server must requeue the
-					// slot once it lapses.
-				case faultinject.KindWorkerDuplicate:
-					submitAnswer(ctx, client, baseURL, name, job.AssignmentID, answer, false)
-					submitAnswer(ctx, client, baseURL, name, job.AssignmentID, answer, false)
-				case faultinject.KindWorkerStale:
-					// Outlive the lease, then submit; the server must reject
-					// the late judgment (the slot belongs to someone else).
-					if pause(ctx, cfg.Faults.Delay()) {
-						submitAnswer(ctx, client, baseURL, name, job.AssignmentID, answer, false)
-					}
-				default:
-					var accepted bool
-					job, have, accepted = submitAnswer(ctx, client, baseURL, name, job.AssignmentID, answer, true)
-					if accepted && !have {
-						// Nothing is open for this worker: wait as after a 204.
-						pause(ctx, poll)
-					}
+				held = nil
+				if len(batch) == 0 {
+					continue
+				}
+				req := answerRequest{Worker: name, Judgments: batch, Max: crowd.QuestionsPerHIT}
+				var accepted bool
+				if held, accepted = submitAnswers(ctx, client, baseURL, req); accepted && len(held) == 0 {
+					// Nothing is open for this worker: wait as after a 204.
+					pause(ctx, poll)
 				}
 			}
 		}(w)
@@ -116,56 +124,59 @@ func pause(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// fetchWork polls GET /api/work; ok is false on a 204 or any failure.
-func fetchWork(ctx context.Context, client *http.Client, baseURL, worker string) (job workItem, ok bool) {
+// fetchWork leases up to one HIT of assignments through GET /api/work;
+// it returns none on a 204 or any failure.
+func fetchWork(ctx context.Context, client *http.Client, baseURL, worker string) []workItem {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		baseURL+"/api/work?worker="+worker, nil)
+		fmt.Sprintf("%s/api/work?worker=%s&max=%d", baseURL, worker, crowd.QuestionsPerHIT), nil)
 	if err != nil {
-		return workItem{}, false
+		return nil
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return workItem{}, false
+		return nil
 	}
 	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		return workItem{}, false
+		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
-		return workItem{}, false
+	var batch leaseBatch
+	if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil {
+		return nil
 	}
-	return job, true
+	return batch.Leases
 }
 
-// submitAnswer posts one judgment and reports whether the server accepted
-// it. With next set, the server also leases the worker's next assignment,
-// returned as job with leased true.
-func submitAnswer(ctx context.Context, client *http.Client, baseURL, worker string,
-	assignment int64, pref crowd.Preference, next bool) (job workItem, leased, accepted bool) {
-	body, err := json.Marshal(answerRequest{
-		AssignmentID: assignment, Worker: worker, Pref: pref.String(), Next: next,
-	})
+// submitAnswers posts one answer, single or batched, and reports whether
+// the server accepted it and its reply arrived whole; a batch is accepted
+// even when some of its judgments are not. leases are the ones the reply
+// carries.
+func submitAnswers(ctx context.Context, client *http.Client, baseURL string, body answerRequest) (leases []workItem, accepted bool) {
+	data, err := json.Marshal(body)
 	if err != nil {
-		return workItem{}, false, false
+		return nil, false
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		baseURL+"/api/answers", bytes.NewReader(body))
+		baseURL+"/api/answers", bytes.NewReader(data))
 	if err != nil {
-		return workItem{}, false, false
+		return nil, false
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := client.Do(req)
 	if err != nil {
-		return workItem{}, false, false
+		return nil, false
 	}
 	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		return workItem{}, false, false
+		return nil, false
 	}
 	var ack answerAck
-	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil || ack.Next == nil {
-		// A torn reply may have stranded a lease; it lapses and requeues.
-		return workItem{}, false, err == nil
+	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+		// A torn reply may have stranded leases; they lapse and requeue.
+		return nil, false
 	}
-	return *ack.Next, true, true
+	if ack.Next != nil {
+		return []workItem{*ack.Next}, true
+	}
+	return ack.Leases, true
 }
