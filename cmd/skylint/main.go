@@ -1,10 +1,8 @@
 // Command skylint is the repository's static-analysis gate: it runs the
-// fourteen CrowdSky-specific analyzers of internal/lint — the AST
-// contract checks (detrange, floateq, errdrop), the flow-sensitive
-// concurrency/trace checks (lockorder, ctxleak, wgbalance, goroleak,
-// traceschema), the interprocedural hot-path checks (hotalloc, recvcopy,
-// purity) and the SSA value-flow checks (nilness, lockset, crowdtaint) —
-// and, by default, `go vet`, over the given package patterns. A
+// seven CrowdSky-specific analyzers of internal/lint — the AST contract
+// checks (detrange, floateq, errdrop), the flow-sensitive concurrency
+// checks (lockorder, goroleak) and the interprocedural checks on the call
+// graph (lockset, crowdtaint) — and, by default, `go vet`, over the given package patterns. A
 // non-empty finding set exits 1, so CI can require it:
 //
 //	go run ./cmd/skylint ./...
@@ -17,8 +15,8 @@
 //	-json            print findings as a JSON array instead of text lines
 //	-sarif FILE      additionally write a SARIF 2.1.0 report ("-" = stdout)
 //	-callgraph       dump the interprocedural call graph (one line per
-//	                 function, "[hot:scope]"-tagged, edges indented) and
-//	                 exit without running analyzers
+//	                 function, edges indented) and exit without running
+//	                 analyzers
 //
 // Text findings are file:line:col-prefixed, one per line, sorted by
 // (file, line, col, analyzer) so CI output is stable and diffable. See

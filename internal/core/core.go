@@ -364,8 +364,6 @@ func (p pair) b() int { return int(p & 0xffffffff) }
 
 // pairKnown reports whether the relation between s and t is known on every
 // crowd attribute, under the current inference mode (see useT).
-//
-//skylint:hotpath
 func (ss *session) pairKnown(s, t int) bool {
 	for j := range ss.graphs {
 		if !ss.attrKnown(s, t, j) {
@@ -379,8 +377,6 @@ func (ss *session) pairKnown(s, t int) bool {
 // available to the current pruning configuration: from stored crowd values
 // (the partial-missing scenario), via the preference tree when useT, or
 // via a direct answer otherwise.
-//
-//skylint:hotpath
 func (ss *session) attrKnown(s, t, j int) bool {
 	if _, ok := ss.seededAnswer(s, t, j); ok {
 		return true
@@ -529,8 +525,6 @@ func (ss *session) freq(s, t int) int {
 
 // apply folds a round of crowd answers into the preference graphs and,
 // when one is kept, the direct-answer record.
-//
-//skylint:hotpath
 func (ss *session) apply(answers []crowd.Answer) {
 	for _, a := range answers {
 		g := ss.graphs[a.Q.Attr]
@@ -558,8 +552,6 @@ func (ss *session) apply(answers []crowd.Answer) {
 // directAnswer returns the recorded raw answer for (s, t) on attr, oriented
 // so that First means s is preferred. Stored-value (seeded) relations
 // count as direct answers: they are certain and free.
-//
-//skylint:hotpath
 func (ss *session) directAnswer(s, t, attr int) (crowd.Preference, bool) {
 	if pref, ok := ss.seededAnswer(s, t, attr); ok {
 		return pref, true
@@ -639,8 +631,6 @@ func (ss *session) acWeaklyPrefers(s, t int) bool {
 // s ≺AC t (weak preference on every crowd attribute, strict on at least
 // one), -1 when t ≺AC s, and 0 when neither is known. It reads each
 // attribute's relation once and answers both directions.
-//
-//skylint:hotpath
 func (ss *session) acCompare(s, t int) int {
 	sWeak, tWeak := true, true
 	sStrict, tStrict := false, false

@@ -9,12 +9,16 @@ import (
 
 // TestZeroAlloc is the CI gate for the per-round session step: folding an
 // already-seen batch of answers back into the preference graphs and the
-// direct-answer record, then running the completeness checks, must not
-// allocate. Fresh insertions write into pre-sized bit sets and an existing
-// map slot, so re-apply exercises the same code paths deterministically.
+// direct-answer record, then running the completeness and AC-dominance
+// checks, must not allocate. Fresh insertions write into pre-sized bit
+// sets and an existing map slot, so re-apply exercises the same code paths
+// deterministically. attrKnown runs on both of its paths: the preference
+// tree (P2 on) and the direct-answer record (no P2 or P3).
 func TestZeroAlloc(t *testing.T) {
 	d := randomDataset(5, 64, 3, 2, dataset.Independent)
 	ss := newSession(d, perfect(d), Options{P2: true})
+	direct := newSession(d, perfect(d), Options{})
+	direct.direct = make(map[directKey]crowd.Preference)
 	var answers []crowd.Answer
 	for i := 0; i < 16; i++ {
 		for j := 0; j < d.CrowdDims(); j++ {
@@ -25,11 +29,27 @@ func TestZeroAlloc(t *testing.T) {
 		}
 	}
 	ss.apply(answers) // populate the direct map and the graphs once
+	direct.apply(answers)
+	if !ss.useT || direct.useT {
+		t.Fatalf("useT = %v (graph session), %v (direct session); want true, false", ss.useT, direct.useT)
+	}
+	if got := ss.acCompare(0, 1); got != 1 {
+		t.Fatalf("acCompare(0, 1) = %d after 0 was preferred on every attribute; want 1", got)
+	}
+	if !direct.attrKnown(0, 1, 0) || direct.attrKnown(0, 2, 0) {
+		t.Fatal("direct-answer attrKnown must see answered pairs only")
+	}
 	step := func() {
 		ss.apply(answers)
+		direct.apply(answers)
 		for i := 0; i < 15; i++ {
 			_ = ss.pairKnown(i, i+1)
 			_, _ = ss.directAnswer(i, i+1, 0)
+			_ = ss.acCompare(i, i+1)
+			for j := 0; j < d.CrowdDims(); j++ {
+				_ = ss.attrKnown(i, i+1, j)
+				_ = direct.attrKnown(i, i+1, j)
+			}
 		}
 	}
 	if avg := testing.AllocsPerRun(100, step); avg != 0 {

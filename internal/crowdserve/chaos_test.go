@@ -229,6 +229,41 @@ func TestIdempotentRoundReplay(t *testing.T) {
 	}
 }
 
+// TestIdempotencyKeyRejected: an Idempotency-Key outside the token
+// charset and one over the 200-byte cap are each answered 400, and
+// neither posts a round or parks a key in the replay cache.
+func TestIdempotencyKeyRejected(t *testing.T) {
+	srv, ts := newTestServer(t)
+	for name, key := range map[string]string{
+		"malformed": "key with spaces;and=punctuation",
+		"201 bytes": strings.Repeat("k", 201),
+	} {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/api/rounds",
+			strings.NewReader(`{"questions":[{"a":0,"b":1,"attr":0,"workers":1}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Idempotency-Key", key)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s key: status = %s, want 400", name, resp.Status)
+		}
+	}
+	if st := serverStats(t, ts.URL); st.Rounds != 0 || st.Questions != 0 {
+		t.Errorf("rejected submissions posted work: %+v", st)
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	if len(srv.idem) != 0 {
+		t.Errorf("replay cache holds %d keys after only rejected submissions", len(srv.idem))
+	}
+}
+
 // TestClientRetriesTransientFailure pins the client-side retry contract:
 // a POST whose first attempt dies on the wire is retried with the same
 // idempotency key, so the server processes exactly one round.

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"slices"
 	"strings"
 	"sync"
@@ -18,8 +19,10 @@ import (
 	"crowdsky/internal/core"
 	"crowdsky/internal/crowd"
 	"crowdsky/internal/dataset"
+	"crowdsky/internal/faultinject"
 	"crowdsky/internal/metrics"
 	"crowdsky/internal/skyline"
+	"crowdsky/internal/telemetry"
 )
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
@@ -427,6 +430,147 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(body, line+"\n") {
 			t.Errorf("metrics missing %q", line)
+		}
+	}
+}
+
+// TestMetricFamiliesMatchSchema puts a marketplace (its HTTP middleware
+// included), a client and a fault plan on one registry, drives each until
+// every family has a sample, and checks every family in the exposition
+// against the schema with telemetry.ValidateMetric, label names included.
+// Every schema family must be present too, so renaming or relabelling any
+// registration fails here, not only the lines TestMetricsEndpoint pins.
+func TestMetricFamiliesMatchSchema(t *testing.T) {
+	srv, ts := newTestServer(t)
+	reg := srv.Metrics()
+	c := NewClient(ts.URL)
+	c.PollInterval = time.Millisecond
+	c.InstrumentMetrics(reg)
+	plan := faultinject.NewPlan(1)
+	plan.InstrumentMetrics(reg)
+	plan.Record(faultinject.KindHTTP503)
+
+	// The round stays open until the client has re-polled it, so the
+	// client's retry family has a sample before the answer lands.
+	asked := make(chan []crowd.Answer, 1)
+	go func() {
+		asked <- c.Ask([]crowd.Request{{Q: crowd.Question{A: 0, B: 1}, Workers: 1}})
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for !strings.Contains(scrape(t, reg), "crowdserve_client_retries_total{") {
+		if time.Now().After(deadline) {
+			t.Fatal("the client never re-polled its open round")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	job, ok := getWork(t, ts.URL, "w1")
+	if !ok {
+		t.Fatal("no work for the posted round")
+	}
+	postJSON(t, ts.URL+"/api/answers", map[string]any{
+		"assignment_id": job.AssignmentID, "worker": "w1", "pref": "first",
+	}).Body.Close()
+	if got := <-asked; len(got) != 1 {
+		t.Fatalf("Ask returned %d answers, want 1", len(got))
+	}
+
+	kinds := make(map[string]string)    // family -> its TYPE
+	labels := make(map[string][]string) // family -> label names of its samples
+	labelRE := regexp.MustCompile(`([a-zA-Z_][a-zA-Z0-9_]*)="(?:[^"\\]|\\.)*"`)
+	for _, line := range strings.Split(scrape(t, reg), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, kind, _ := strings.Cut(rest, " ")
+			kinds[name] = kind
+			continue
+		}
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		series, _, _ := strings.Cut(line, " ")
+		name, rest, _ := strings.Cut(series, "{")
+		family := name
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if base, ok := strings.CutSuffix(name, suffix); ok && kinds[base] == "histogram" {
+				family = base
+			}
+		}
+		if _, ok := kinds[family]; !ok {
+			t.Errorf("sample %q belongs to no declared family", line)
+			continue
+		}
+		var names []string
+		for _, m := range labelRE.FindAllStringSubmatch(rest, -1) {
+			if m[1] != "le" {
+				names = append(names, m[1])
+			}
+		}
+		if prev, seen := labels[family]; seen && !slices.Equal(prev, names) {
+			t.Errorf("%s: samples disagree on labels: %v vs %v", family, prev, names)
+		}
+		labels[family] = names
+	}
+	families := make([]string, 0, len(kinds))
+	for family := range kinds {
+		families = append(families, family)
+	}
+	slices.Sort(families)
+	for _, family := range families {
+		names, sampled := labels[family]
+		if !sampled {
+			t.Errorf("%s has no sample, so its labels went unchecked", family)
+			continue
+		}
+		if err := telemetry.ValidateMetric(family, names...); err != nil {
+			t.Error(err)
+		}
+	}
+	for _, name := range telemetry.MetricNames() {
+		if _, ok := kinds[name]; !ok {
+			t.Errorf("schema family %s is not registered", name)
+		}
+	}
+}
+
+// scrape renders reg in the Prometheus text format.
+func scrape(t *testing.T, reg *telemetry.Registry) string {
+	t.Helper()
+	var sb strings.Builder
+	if _, err := reg.WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+// TestStatsDuringWork polls GET /api/stats while simulated workers answer
+// a round over HTTP, so the race detector checks that the stats handler
+// reads the marketplace counters under the server lock.
+func TestStatsDuringWork(t *testing.T) {
+	_, ts := newTestServer(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	fleet := make(chan struct{})
+	go func() {
+		SimulateWorkers(ctx, ts.URL, WorkerConfig{
+			Count: 3, Truth: staticTruth{}, Reliability: 1, PollInterval: time.Millisecond, Seed: 1,
+		})
+		close(fleet)
+	}()
+	defer func() {
+		cancel()
+		<-fleet
+	}()
+	var qs []QuestionJSON
+	for i := 0; i < 60; i++ {
+		qs = append(qs, QuestionJSON{A: i, B: i + 1, Workers: 2})
+	}
+	postJSON(t, ts.URL+"/api/rounds", map[string]any{"questions": qs}).Body.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st := serverStats(t, ts.URL)
+		if st.Judgments == 2*len(qs) {
+			break
+		}
+		if st.Judgments > 2*len(qs) || time.Now().After(deadline) {
+			t.Fatalf("judgments = %d, want %d", st.Judgments, 2*len(qs))
 		}
 	}
 }

@@ -356,6 +356,43 @@ func TestLostMultiLeaseReplyRequeues(t *testing.T) {
 	}
 }
 
+// TestLapsedLeasesRequeueInIDOrder: eight leases that lapse together go
+// back in line in ascending assignment-id order, whatever order the
+// leased-set map yields them in, so identical state hands out work
+// identically. Each trial is a fresh server, so a map order that happens
+// to be sorted cannot pass every trial.
+func TestLapsedLeasesRequeueInIDOrder(t *testing.T) {
+	var qs []QuestionJSON
+	for i := 0; i < 8; i++ {
+		qs = append(qs, QuestionJSON{A: 2 * i, B: 2*i + 1, Workers: 1})
+	}
+	for trial := 0; trial < 5; trial++ {
+		srv, clock := newClockedServer()
+		h := srv.Handler()
+		postRound(t, h, qs)
+		var want []int64
+		for _, hit := range [][]workItem{leaseHIT(t, h, "w1", 5), leaseHIT(t, h, "w1", 3)} {
+			for _, job := range hit {
+				want = append(want, job.AssignmentID)
+			}
+		}
+		if len(want) != len(qs) {
+			t.Fatalf("leased %d assignments, want %d", len(want), len(qs))
+		}
+		slices.Sort(want)
+		*clock = clock.Add(DefaultLease + time.Second)
+		var got []int64
+		for _, hit := range [][]workItem{leaseHIT(t, h, "w2", 5), leaseHIT(t, h, "w2", 5)} {
+			for _, job := range hit {
+				got = append(got, job.AssignmentID)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: lapsed leases re-leased as %v, want ascending %v", trial, got, want)
+		}
+	}
+}
+
 // FuzzWorkerProtocol drives the worker side of the marketplace in process
 // with one to three workers: random sequences of single and multi-leases,
 // single and batched answers (repeats, foreign ids and lapsed leases

@@ -142,7 +142,6 @@ func parsePref(s string) (crowd.Preference, error) {
 	case "equal":
 		return crowd.Equal, nil
 	}
-	//skylint:alloc-ok malformed-preference error path; rejected requests are not the steady state
 	return 0, fmt.Errorf("crowdserve: unknown preference %q", s)
 }
 
@@ -361,7 +360,6 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {
-	//skylint:alloc-ok error responses are off the steady-state path
 	s.writeJSON(w, status, map[string]string{"error": msg})
 }
 
@@ -508,8 +506,6 @@ func (s *Server) handleGetRound(w http.ResponseWriter, r *http.Request) {
 // handleGetWork leases the polling worker's next compatible assignment,
 // or up to max of them, or answers 204 when there is none. Idle workers
 // poll here in a loop; busy ones lease through POST /api/answers instead.
-//
-//skylint:hotpath serve
 func (s *Server) handleGetWork(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	worker, ok := cleanWorkerID(q.Get("worker"))
@@ -534,11 +530,9 @@ func (s *Server) handleGetWork(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if batched {
-		//skylint:alloc-ok one response object per granted lease batch; the JSON encoder behind it allocates anyway
 		s.writeJSON(w, http.StatusOK, leaseBatch{Leases: jobs[:n]})
 		return
 	}
-	//skylint:alloc-ok one response object per granted lease; the JSON encoder behind it allocates anyway
 	s.writeJSON(w, http.StatusOK, jobs[0])
 }
 
@@ -568,8 +562,6 @@ func (s *Server) leaseLocked(worker string, jobs []workItem) int {
 // nothing compatible is open. It is the one place a lease is granted, whether the worker polled
 // GET /api/work or asked for its next job with an answer. Steady-state
 // lease bookkeeping and queue rotation must not allocate.
-//
-//skylint:hotpath serve
 func (s *Server) leaseNextLocked(worker string) (job workItem, ok bool) {
 	s.reapExpiredLocked()
 	for i, a := range s.queue {
@@ -609,7 +601,6 @@ func (s *Server) workerHasQuestionLocked(worker string, a *assignment) bool {
 	if rd, ok := s.rounds[a.roundID]; ok && rd.voters[a.qIndex][worker] {
 		return true
 	}
-	//skylint:alloc-ok the double-lease check must scan every active lease; the map stays small
 	for _, l := range s.leased {
 		if l.leasedTo == worker && !l.done && l.roundID == a.roundID && l.qIndex == a.qIndex {
 			return true
@@ -625,13 +616,13 @@ func (s *Server) workerHasQuestionLocked(worker string, a *assignment) bool {
 func (s *Server) reapExpiredLocked() {
 	now := s.now()
 	expired := s.reapScratch[:0]
-	for _, a := range s.leased { //skylint:alloc-ok map iteration is bounded by active leases; order restored by the sort below
+	for _, a := range s.leased {
 		if !a.done && a.leaseExpiry.Before(now) {
-			expired = append(expired, a) //skylint:alloc-ok grows the reused reap scratch buffer, amortized across polls
+			expired = append(expired, a)
 		}
 	}
 	s.reapScratch = expired[:0]
-	sort.Slice(expired, func(i, j int) bool { return expired[i].id < expired[j].id }) //skylint:alloc-ok rare lapsed-lease path; sort closure and boxing are off the steady state
+	sort.Slice(expired, func(i, j int) bool { return expired[i].id < expired[j].id })
 	for _, a := range expired {
 		a.leasedTo = ""
 		delete(s.leased, a.id)
@@ -645,7 +636,6 @@ func (s *Server) reapExpiredLocked() {
 		if rd, ok := s.rounds[a.roundID]; ok {
 			a.waitSpan = s.startAssignmentSpan(rd, a, "lease_wait")
 		}
-		//skylint:alloc-ok requeue happens only for lapsed leases, off the steady state
 		s.queue = append(s.queue, a)
 		s.requeues++
 		s.mRequeues.Inc()
@@ -659,12 +649,9 @@ func (s *Server) reapExpiredLocked() {
 // that a rejected judgment fails the request and leases nothing. Vote
 // recording appends into capacity reserved at round creation, and only
 // telemetry and the response allocate.
-//
-//skylint:hotpath serve
 func (s *Server) handlePostAnswer(w http.ResponseWriter, r *http.Request) {
 	var body answerRequest
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		//skylint:alloc-ok malformed-request error path
 		s.writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
 		return
 	}
@@ -727,7 +714,6 @@ func (s *Server) handlePostAnswer(w http.ResponseWriter, r *http.Request) {
 	case n == 1:
 		ack.Next = &jobs[0]
 	}
-	//skylint:alloc-ok one acknowledgement object per accepted answer
 	s.writeJSON(w, http.StatusOK, ack)
 }
 
@@ -735,8 +721,6 @@ func (s *Server) handlePostAnswer(w http.ResponseWriter, r *http.Request) {
 // leased, not yet answered, leased to this worker, and the worker has not
 // voted on its question yet. It returns http.StatusOK when it recorded
 // the vote and the status a single answer is rejected with otherwise.
-//
-//skylint:hotpath serve
 func (s *Server) recordJudgmentLocked(worker string, id int64, pref crowd.Preference, wirePref string) int {
 	a, ok := s.leased[id]
 	if !ok || a.done {
@@ -757,7 +741,7 @@ func (s *Server) recordJudgmentLocked(worker string, id int64, pref crowd.Prefer
 	a.judgeSpan.SetAttr("pref", wirePref)
 	a.judgeSpan.End()
 	a.judgeSpan = nil
-	//skylint:alloc-ok capacity for every vote is reserved at round creation; this append never grows
+	// Capacity for every vote is reserved at round creation: this append never grows.
 	rd.votes[a.qIndex] = append(rd.votes[a.qIndex], pref)
 	rd.voters[a.qIndex][worker] = true
 	rd.remaining--

@@ -123,7 +123,6 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 type injectedError struct{ kind Kind }
 
 func (e *injectedError) Error() string {
-	//skylint:alloc-ok error rendering runs only after a fault actually fired, never on the clean path
 	return "faultinject: " + string(e.kind)
 }
 func (e *injectedError) Unwrap() error { return ErrInjected }

@@ -23,13 +23,7 @@
 //     reachable whenever its creator is.
 //
 // Calls that leave the program (standard library, unresolved dynamics)
-// are kept per caller as External records so effect analyzers (purity)
-// can classify them without re-walking bodies.
-//
-// The graph also carries the hot-path annotation state scanned from
-// source (see hotpath.go): //skylint:hotpath roots and
-// //skylint:alloc-ok site waivers, which the hotalloc/recvcopy/purity
-// analyzers consume.
+// get no edge.
 package callgraph
 
 import (
@@ -82,13 +76,11 @@ type Node struct {
 	// ID is the stable identity: "pkg/path.Func", "pkg/path.(T).Method",
 	// or "<parent id>.funcN" for the N-th literal in parent's body.
 	ID string
-	// Name is the short form used in reported call chains:
+	// Name is the short form used in findings:
 	// "core.apply", "(skyline.Index).Dominates", "core.apply.func1".
 	Name string
 	// PkgPath is the import path of the defining package.
 	PkgPath string
-	// Pos is the declaration position (the "func" keyword).
-	Pos token.Pos
 	// Decl is the declaration for named functions; nil for literals.
 	Decl *ast.FuncDecl
 	// Lit is the literal for closure nodes; nil for named functions.
@@ -98,17 +90,9 @@ type Node struct {
 	// Pass is the analysis pass of the defining package — the one whose
 	// Info covers Body and whose suppression comments apply here.
 	Pass *analysis.Pass
-	// Hot is the annotation scope if this node carries a
-	// //skylint:hotpath comment (HotNone otherwise).
-	Hot HotScope
-	// HotRaw preserves an unrecognized scope argument so analyzers can
-	// report the typo instead of silently ignoring the annotation.
-	HotRaw string
 	// Out are the resolved call edges, sorted by site position then
 	// callee ID. Deterministic across runs.
 	Out []*Edge
-	// External are the calls that leave the program, sorted by position.
-	External []*External
 
 	sig          string // signature string, receiver excluded
 	methodName   string // method name if this is a method, else ""
@@ -120,60 +104,19 @@ func (n *Node) IsMethod() bool { return n.methodName != "" }
 
 // Edge is one resolved call (or closure-containment) relation.
 type Edge struct {
-	Caller *Node
 	Callee *Node
 	// Site is the position of the call expression (or the literal, for
-	// closure edges) inside Caller.
+	// closure edges) inside the caller.
 	Site token.Pos
 	Kind EdgeKind
 }
 
-// External is a call whose target is outside the analyzed program.
-type External struct {
-	// Site is the call position inside the caller.
-	Site token.Pos
-	// PkgPath is the target's package path ("sync", "fmt"); empty for
-	// unresolved dynamic calls and for universe members (error.Error).
-	PkgPath string
-	// Recv is the receiver type's name for method calls ("Mutex"),
-	// empty for package functions.
-	Recv string
-	// Name is the function or method name ("Lock", "Sprintf").
-	Name string
-	// Interface reports whether the call went through an interface.
-	Interface bool
-}
-
-// String renders the external target compactly: "sync.(Mutex).Lock".
-func (e *External) String() string {
-	switch {
-	case e.PkgPath == "" && e.Recv == "":
-		return e.Name
-	case e.Recv == "":
-		return e.PkgPath + "." + e.Name
-	case e.PkgPath == "":
-		return "(" + e.Recv + ")." + e.Name
-	default:
-		return e.PkgPath + ".(" + e.Recv + ")." + e.Name
-	}
-}
-
-// Graph is the finished call graph plus the hot-path annotation state.
+// Graph is the finished call graph.
 type Graph struct {
 	// Nodes is every program function, sorted by ID.
 	Nodes []*Node
-	// Fset positions every Node.Pos and Edge.Site.
-	Fset *token.FileSet
 
-	byID    map[string]*Node
-	allocOK map[posKey]*AllocOK
-}
-
-// posKey addresses one source line, matching the suppression-comment
-// convention of analysis.Pass.BuildIgnores.
-type posKey struct {
-	file string
-	line int
+	byID map[string]*Node
 }
 
 // Lookup returns the node with the given ID, or nil.
@@ -222,8 +165,7 @@ func (b *Builder) Graph() *Graph {
 		return b.graph
 	}
 	g := &Graph{
-		byID:    make(map[string]*Node),
-		allocOK: make(map[posKey]*AllocOK),
+		byID: make(map[string]*Node),
 	}
 	// Passes in deterministic order regardless of analyzer scheduling.
 	passes := append([]*analysis.Pass(nil), b.passes...)
@@ -232,9 +174,6 @@ func (b *Builder) Graph() *Graph {
 	var sc scanner
 	sc.graph = g
 	for _, pass := range passes {
-		if g.Fset == nil {
-			g.Fset = pass.Fset
-		}
 		sc.collectNodes(pass)
 	}
 	sort.Slice(g.Nodes, func(i, j int) bool { return g.Nodes[i].ID < g.Nodes[j].ID })
@@ -248,12 +187,6 @@ func (b *Builder) Graph() *Graph {
 				return n.Out[i].Site < n.Out[j].Site
 			}
 			return n.Out[i].Callee.ID < n.Out[j].Callee.ID
-		})
-		sort.Slice(n.External, func(i, j int) bool {
-			if n.External[i].Site != n.External[j].Site {
-				return n.External[i].Site < n.External[j].Site
-			}
-			return n.External[i].String() < n.External[j].String()
 		})
 	}
 	b.graph = g
@@ -280,20 +213,15 @@ type pendingCall struct {
 	name string
 	// sig is the signature string of the callee (receiver excluded).
 	sig string
-	// ext describes the interface's declared method for the External
-	// record when the interface itself is from outside the program.
-	ext *External
 }
 
 // collectNodes creates one node per declared function and per function
-// literal of the package, and scans hotpath/alloc-ok annotations.
+// literal of the package.
 func (sc *scanner) collectNodes(pass *analysis.Pass) {
 	if sc.litNodes == nil {
 		sc.litNodes = make(map[*ast.FuncLit]*Node)
 	}
-	g := sc.graph
 	for _, file := range pass.Files {
-		scanAllocOK(pass, file, g.allocOK)
 		for _, decl := range file.Decls {
 			switch decl := decl.(type) {
 			case *ast.FuncDecl:
@@ -332,7 +260,6 @@ func (sc *scanner) addDecl(pass *analysis.Pass, decl *ast.FuncDecl) *Node {
 	obj, _ := pass.Info.Defs[decl.Name].(*types.Func)
 	n := &Node{
 		PkgPath: pass.PkgPath,
-		Pos:     decl.Pos(),
 		Decl:    decl,
 		Body:    decl.Body,
 		Pass:    pass,
@@ -352,7 +279,6 @@ func (sc *scanner) addDecl(pass *analysis.Pass, decl *ast.FuncDecl) *Node {
 			n.sig = sigString(sig)
 		}
 	}
-	n.Hot, n.HotRaw = hotpathDirective(decl.Doc)
 	sc.graph.byID[n.ID] = n
 	sc.graph.Nodes = append(sc.graph.Nodes, n)
 	return n
@@ -377,7 +303,6 @@ func (sc *scanner) addLits(pass *analysis.Pass, parent *Node, root ast.Node) {
 				ID:      fmt.Sprintf("%s.func%d", par.ID, count),
 				Name:    fmt.Sprintf("%s.func%d", par.Name, count),
 				PkgPath: pass.PkgPath,
-				Pos:     lit.Pos(),
 				Lit:     lit,
 				Body:    lit.Body,
 				Pass:    pass,
@@ -488,7 +413,7 @@ func (sc *scanner) addEdge(caller, callee *Node, site token.Pos, kind EdgeKind) 
 	if caller == nil || callee == nil {
 		return
 	}
-	caller.Out = append(caller.Out, &Edge{Caller: caller, Callee: callee, Site: site, Kind: kind})
+	caller.Out = append(caller.Out, &Edge{Callee: callee, Site: site, Kind: kind})
 }
 
 // recordCall classifies one call expression inside n.
@@ -548,8 +473,8 @@ func (sc *scanner) recordCall(n *Node, call *ast.CallExpr) {
 	}
 }
 
-// staticCall links n to a named function: an edge when the target is in
-// the program, an External record otherwise.
+// staticCall links n to a named function when the target is in the
+// program.
 func (sc *scanner) staticCall(n *Node, site token.Pos, callee *types.Func, viaIface bool) {
 	if target := sc.graph.byID[funcID(callee)]; target != nil {
 		kind := EdgeStatic
@@ -557,15 +482,11 @@ func (sc *scanner) staticCall(n *Node, site token.Pos, callee *types.Func, viaIf
 			kind = EdgeInterface
 		}
 		sc.addEdge(n, target, site, kind)
-		return
 	}
-	n.External = append(n.External, externalFor(site, callee, viaIface))
 }
 
 // interfaceCall defers name+signature matching until all packages are
-// scanned, and records the interface's own package as an External target
-// (io.Writer.Write is an I/O effect even if no program type implements
-// it).
+// scanned.
 func (sc *scanner) interfaceCall(n *Node, site token.Pos, callee *types.Func) {
 	sig, _ := callee.Type().(*types.Signature)
 	if sig == nil {
@@ -576,7 +497,6 @@ func (sc *scanner) interfaceCall(n *Node, site token.Pos, callee *types.Func) {
 		site:   site,
 		name:   callee.Name(),
 		sig:    sigString(sig),
-		ext:    externalFor(site, callee, true),
 	})
 }
 
@@ -613,18 +533,11 @@ func (sc *scanner) resolve() {
 		for _, target := range methods[c.name+c.sig] {
 			sc.addEdge(c.caller, target, c.site, EdgeInterface)
 		}
-		if c.ext != nil {
-			c.caller.External = append(c.caller.External, c.ext)
-		}
 	}
 	for i := range sc.dynCalls {
 		c := &sc.dynCalls[i]
-		targets := taken[c.sig]
-		for _, target := range targets {
+		for _, target := range taken[c.sig] {
 			sc.addEdge(c.caller, target, c.site, EdgeDynamic)
-		}
-		if len(targets) == 0 {
-			c.caller.External = append(c.caller.External, &External{Site: c.site, Name: "func" + c.sig})
 		}
 	}
 }
@@ -663,21 +576,6 @@ func funcID(fn *types.Func) string {
 		return pkgPath + ".(?)." + fn.Name()
 	}
 	return pkgPath + "." + fn.Name()
-}
-
-// externalFor builds the External record for a call that leaves the
-// program.
-func externalFor(site token.Pos, fn *types.Func, viaIface bool) *External {
-	ext := &External{Site: site, Name: fn.Name(), Interface: viaIface}
-	if fn.Pkg() != nil {
-		ext.PkgPath = fn.Pkg().Path()
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		if named := analysis.NamedOf(sig.Recv().Type()); named != nil {
-			ext.Recv = named.Obj().Name()
-		}
-	}
-	return ext
 }
 
 // recvTypeName extracts the receiver type's name from its AST (the
@@ -735,20 +633,13 @@ func sigString(sig *types.Signature) string {
 }
 
 // Dump writes the graph in a stable text form: one line per node
-// ("[hot:<scope>] id"), indented lines per outgoing edge and external
-// call. cmd/skylint -callgraph prints this.
+// (its ID) and an indented line per outgoing edge. cmd/skylint
+// -callgraph prints this.
 func (g *Graph) Dump(w *strings.Builder) {
 	for _, n := range g.Nodes {
-		if n.Hot != HotNone {
-			fmt.Fprintf(w, "%s [hot:%s]\n", n.ID, n.Hot)
-		} else {
-			fmt.Fprintf(w, "%s\n", n.ID)
-		}
+		fmt.Fprintf(w, "%s\n", n.ID)
 		for _, e := range n.Out {
 			fmt.Fprintf(w, "  -> %s (%s)\n", e.Callee.ID, e.Kind)
-		}
-		for _, ext := range n.External {
-			fmt.Fprintf(w, "  ~> %s\n", ext)
 		}
 	}
 }

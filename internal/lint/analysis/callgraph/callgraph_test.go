@@ -24,7 +24,7 @@ func testGraph(t *testing.T, nodes []string, edges [][2]string) *Graph {
 		if caller == nil || callee == nil {
 			t.Fatalf("edge %v names an unknown node", e)
 		}
-		caller.Out = append(caller.Out, &Edge{Caller: caller, Callee: callee, Kind: EdgeStatic})
+		caller.Out = append(caller.Out, &Edge{Callee: callee, Kind: EdgeStatic})
 	}
 	return g
 }
@@ -165,12 +165,12 @@ func TestBottomUpFixpoint(t *testing.T) {
 	}
 }
 
-// TestGraphBuildDeterministic loads the hotalloc fixture twice into
+// TestGraphBuildDeterministic loads the crowdtaint fixture twice into
 // independent programs and demands byte-identical dumps: node IDs, edge
 // order and external calls may not depend on map iteration or pointer
 // identity.
 func TestGraphBuildDeterministic(t *testing.T) {
-	dir := filepath.Join("..", "..", "testdata", "hotalloc")
+	dir := filepath.Join("..", "..", "testdata", "crowdtaint")
 	build := func() string {
 		pkgs, err := loader.LoadDirs(filepath.Dir(dir), []string{filepath.Base(dir)})
 		if err != nil {

@@ -1,7 +1,7 @@
 // Bottom-up function-summary framework.
 //
 // An interprocedural analyzer models each function by a summary value
-// (purity uses an effect bitmask) computed from the function's own body
+// (lockset uses the set of mutexes a *Locked function requires) computed from the function's own body
 // plus the summaries of its callees. Processing components of the
 // condensation in callee-first order makes a single pass sufficient for
 // acyclic call structure; mutual recursion (a multi-node component, or a

@@ -336,8 +336,8 @@ func TestForSelectWithoutExitUnreachable(t *testing.T) {
 	}
 }
 
-// TestMustDataflowCancelCoverage runs the path query on the shape ctxleak
-// cares about: is cancel called on every path to exit? The call on only
+// TestMustDataflowCancelCoverage runs the path query on a must-call
+// shape: is cancel called on every path to exit? The call on only
 // one branch is not a guarantee; a defer right after creation is.
 func TestMustDataflowCancelCoverage(t *testing.T) {
 	run := func(src string) bool {

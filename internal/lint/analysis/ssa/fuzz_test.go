@@ -17,12 +17,15 @@ import (
 // information real broken code produces — it must degrade to opaque
 // values, never crash, and never emit a structurally invalid Func.
 //
-// The seed corpus is the skylint fixture tree: real analyzer inputs
-// with the control-flow shapes the analyzers care about.
+// The seed corpus is the skylint fixture tree, real analyzer inputs with
+// the control-flow shapes the analyzers care about, plus testdata/*.go:
+// the fixtures of retired analyzers (defer/cancel pairs, WaitGroup
+// fan-out, nil guards, hot loops), kept for their shapes alone.
 func FuzzSSABuild(f *testing.F) {
 	seeds, _ := filepath.Glob("../../testdata/*/*.go")
 	more, _ := filepath.Glob("../../testdata/*/*/*.go")
-	for _, path := range append(seeds, more...) {
+	retired, _ := filepath.Glob("testdata/*.go")
+	for _, path := range append(append(seeds, more...), retired...) {
 		if data, err := os.ReadFile(path); err == nil {
 			f.Add(string(data))
 		}

@@ -82,56 +82,6 @@ func (p Problem[E]) Solve(f *Func) []E {
 }
 
 // ---------------------------------------------------------------------
-// Nilness lattice
-
-// Nilness is a bitmask fact about a value's nil-ness: which of {nil,
-// non-nil, unknown-provenance} the value may be on some path. Zero is
-// bottom ("unreached"). Join is bitwise or.
-type Nilness uint8
-
-const (
-	// NilBit: the value is nil on at least one path.
-	NilBit Nilness = 1 << iota
-	// NonNilBit: the value is non-nil on at least one path.
-	NonNilBit
-	// UnknownBit: the value's provenance gives no nil information
-	// (parameter, field load, external call, ...).
-	UnknownBit
-)
-
-// MayBeNil reports whether a nil path or unknown provenance reaches the
-// value — i.e. it is not proven non-nil.
-func (n Nilness) MayBeNil() bool { return n != 0 && n&NonNilBit != n }
-
-// IsNil reports whether the value is nil on every known path.
-func (n Nilness) IsNil() bool { return n != 0 && n == NilBit }
-
-// JoinNilness is the Nilness join (bitwise or).
-func JoinNilness(a, b Nilness) Nilness { return a | b }
-
-// RefineNilness interprets a pi predicate over the nilness fact: a
-// comparison against nil narrows the mask on the refined edge.
-func RefineNilness(pi *Value, in Nilness) Nilness {
-	r := pi.Refine
-	if r == nil || r.Y == nil || !r.Y.IsNil {
-		return in
-	}
-	switch r.Op {
-	case token.NEQ: // x != nil holds here
-		if in == 0 {
-			return 0
-		}
-		return NonNilBit
-	case token.EQL: // x == nil holds here
-		if in == 0 {
-			return 0
-		}
-		return NilBit
-	}
-	return in
-}
-
-// ---------------------------------------------------------------------
 // Taint lattice
 
 // Taint tracks untrusted data: Tainted means the value derives from an

@@ -13,8 +13,8 @@
 // Tracked variables are the function's receiver, parameters, named
 // results and body-level locals that are never address-taken outside a
 // direct call argument and never captured by a closure, plus selector
-// paths (x.f.g) that the function compares against nil — the pattern the
-// nilness analyzer's guard refinement needs. Everything else evaluates
+// paths (x.f.g) that the function compares against nil, so a guard on a
+// field refines it like a local. Everything else evaluates
 // to opaque values, which the lattices treat as unknown: the builder
 // trades completeness for never claiming a fact it cannot prove.
 //

@@ -211,21 +211,32 @@ func f(p *int) *int {
 	return p
 }`, "f")
 	// After the early return, p is refined non-nil on the fallthrough.
-	facts := Problem[Nilness]{
-		Join:   JoinNilness,
-		Refine: RefineNilness,
-		Transfer: func(v *Value, get func(*Value) Nilness) Nilness {
-			switch v.Kind {
-			case KConst:
-				if v.IsNil {
-					return NilBit
-				}
-				return NonNilBit
-			case KParam, KUndef:
-				return UnknownBit
-			default:
-				return UnknownBit
+	// A two-bit nil lattice: a comparison against nil narrows the
+	// refined edge to one bit.
+	const isNil, nonNil, unknown = 1, 2, 4
+	facts := Problem[uint8]{
+		Join: func(a, b uint8) uint8 { return a | b },
+		Refine: func(pi *Value, in uint8) uint8 {
+			r := pi.Refine
+			if in == 0 || r == nil || r.Y == nil || !r.Y.IsNil {
+				return in
 			}
+			switch r.Op {
+			case token.NEQ:
+				return nonNil
+			case token.EQL:
+				return isNil
+			}
+			return in
+		},
+		Transfer: func(v *Value, get func(*Value) uint8) uint8 {
+			if v.Kind == KConst {
+				if v.IsNil {
+					return isNil
+				}
+				return nonNil
+			}
+			return unknown
 		},
 	}.Solve(f)
 	// The final return's value must be proven non-nil.
@@ -244,8 +255,8 @@ func f(p *int) *int {
 	if len(vals) != 1 {
 		t.Fatalf("return vals = %d, want 1", len(vals))
 	}
-	if got := facts[vals[0].ID]; got != NonNilBit {
-		t.Errorf("nilness of `return p` after nil-check = %v, want NonNilBit", got)
+	if got := facts[vals[0].ID]; got != nonNil {
+		t.Errorf("nilness of `return p` after nil-check = %v, want non-nil (%v)", got, nonNil)
 	}
 }
 

@@ -10,11 +10,11 @@ import (
 )
 
 // DumpCallGraph loads the packages matching patterns under dir and
-// renders the CHA call graph the interprocedural analyzers (hotalloc,
-// recvcopy, purity) share, in callgraph.Dump's stable text form. It is
-// the implementation behind `skylint -callgraph`, a debugging aid for
-// answering "why does this function count as hot?" without staging a
-// finding.
+// renders the CHA call graph the interprocedural analyzers (lockset,
+// crowdtaint) share, in callgraph.Dump's stable text form. It is the
+// implementation behind `skylint -callgraph`, a debugging aid for
+// answering "which callees does this call site resolve to?" without
+// staging a finding.
 func DumpCallGraph(dir string, patterns []string, opts loader.Options) (string, error) {
 	pkgs, err := loader.Load(dir, patterns, opts)
 	if err != nil {
@@ -27,7 +27,7 @@ func DumpCallGraph(dir string, patterns []string, opts loader.Options) (string, 
 	var b *callgraph.Builder
 	for _, pkg := range pkgs {
 		pass := &analysis.Pass{
-			Analyzer: HotAlloc,
+			Analyzer: Lockset,
 			Fset:     pkg.Fset,
 			Files:    pkg.Files,
 			Pkg:      pkg.Pkg,

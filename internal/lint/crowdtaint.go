@@ -44,7 +44,7 @@ var CrowdTaint = &analysis.Analyzer{
 
 func crowdtaintRun(pass *analysis.Pass) error {
 	callgraph.Shared(pass)
-	hotPasses(pass, "crowdtaint.passes")
+	finishPasses(pass, "crowdtaint.passes")
 	sanitizers := pass.Program().Fact("crowdtaint.sanitizers", func() any {
 		return make(map[string]bool)
 	}).(map[string]bool)
@@ -79,7 +79,17 @@ func crowdtaintFinish(prog *analysis.Program) error {
 		return make(map[string]bool)
 	}).(map[string]bool)
 	g := b.Graph()
-	cache := sharedSSA(prog)
+	// Both phases solve over every body, so each node's SSA is built once
+	// and memoized here.
+	built := make(map[*callgraph.Node]*ssa.Func)
+	ssaOf := func(n *callgraph.Node) *ssa.Func {
+		f, ok := built[n]
+		if !ok {
+			f = buildSSA(n)
+			built[n] = f
+		}
+		return f
+	}
 
 	// Phase 1: bottom-up per-function result-taint summaries, so taint
 	// minted inside a helper (a journal read, a formatted composite of a
@@ -87,7 +97,7 @@ func crowdtaintFinish(prog *analysis.Program) error {
 	// is handled at the call site by joining argument taint directly, so
 	// the summary only has to cover taint the callee generates.
 	summaries := g.BottomUp(func(n *callgraph.Node, get func(*callgraph.Node) any) any {
-		f := cache.Func(n)
+		f := ssaOf(n)
 		if f == nil || n.Pass == nil {
 			return taintSummaryUnknown
 		}
@@ -127,13 +137,43 @@ func crowdtaintFinish(prog *analysis.Program) error {
 		if pass == nil || n.Body == nil {
 			continue
 		}
-		f := cache.Func(n)
+		f := ssaOf(n)
 		if f == nil {
 			continue
 		}
 		tc := &taintCtx{f: f, info: pass.Info, sanitizers: sanitizers, summaryOf: finalSummary}
 		c := &crowdtaintCheck{pass: pass, f: f, facts: tc.solve()}
 		c.walk(n.Body)
+	}
+	return nil
+}
+
+// buildSSA builds the SSA form of n's body. Nodes without a body or
+// without a defining pass (external declarations, the per-package init
+// pseudo-node) yield nil.
+func buildSSA(n *callgraph.Node) *ssa.Func {
+	switch {
+	case n.Pass == nil || n.Body == nil:
+		return nil
+	case n.Decl != nil:
+		return ssa.BuildFunc(n.Decl, n.Pass.Info)
+	case n.Lit != nil:
+		return ssa.BuildLit(n.Lit, n.Pass.Info)
+	}
+	return nil
+}
+
+// nodeSignature resolves the type signature of a call-graph node.
+func nodeSignature(n *callgraph.Node) *types.Signature {
+	switch {
+	case n.Decl != nil && n.Pass != nil:
+		if obj, ok := n.Pass.Info.Defs[n.Decl.Name].(*types.Func); ok {
+			sig, _ := obj.Type().(*types.Signature)
+			return sig
+		}
+	case n.Lit != nil && n.Pass != nil:
+		sig, _ := n.Pass.Info.TypeOf(n.Lit).(*types.Signature)
+		return sig
 	}
 	return nil
 }

@@ -5,11 +5,12 @@
 // The paper's guarantees are fragile cross-cutting invariants: the
 // |DS|-ascending evaluation order of Lemma 3 must be deterministic (so a
 // map iteration feeding an ordered slice is a latent bug), the crowd
-// accounting in crowd.Stats must only be touched under its mutex, trace
-// emission must stay nil-safe on the hot path, and dominance code must
-// never compare attribute floats with == (the epsilon comparator exists
-// for that). Each analyzer machine-checks one such contract; cmd/skylint
-// runs them all, next to go vet, over the whole tree in CI.
+// accounting in crowd.Stats must only be touched under its mutex, worker
+// input must be validated before it keys server state, and dominance code
+// must never compare attribute floats with == (the epsilon comparator
+// exists for that). Each analyzer machine-checks one such contract that
+// no test, go vet or -race run catches; cmd/skylint runs them all, next
+// to go vet, over the whole tree in CI.
 //
 // Suppression: a finding is silenced by a comment on the same line or the
 // line directly above:
@@ -25,30 +26,32 @@ import (
 	"crowdsky/internal/lint/analysis"
 )
 
-// All returns every skylint analyzer, in stable order: the first
-// generation of lexical checks, then the CFG generation
-// (lockorder through goroleak), the cross-package schema check, the
-// interprocedural hot-path generation built on the call graph
-// (hotalloc through purity), and the SSA value-flow generation
-// (nilness through crowdtaint), which subsumed the original niltrace
-// and guardedby analyzers.
+// All returns every skylint analyzer, in stable order: the lexical
+// checks (detrange, floateq, errdrop), the flow-sensitive concurrency
+// checks (lockorder, goroleak), and the interprocedural value-flow
+// checks on the call graph (lockset, crowdtaint).
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		DetRange,
 		FloatEq,
 		ErrDrop,
 		LockOrder,
-		CtxLeak,
-		WgBalance,
 		GoroLeak,
-		TraceSchema,
-		HotAlloc,
-		RecvCopy,
-		Purity,
-		Nilness,
 		Lockset,
 		CrowdTaint,
 	}
+}
+
+// finishPasses returns the analyzer-specific pkg-path → Pass map stored
+// under key. Finish-phase reporting must go through a Pass whose
+// Analyzer is the reporting analyzer and whose package owns the
+// position, so each interprocedural analyzer keeps its own map.
+func finishPasses(pass *analysis.Pass, key string) map[string]*analysis.Pass {
+	m := pass.Program().Fact(key, func() any {
+		return make(map[string]*analysis.Pass)
+	}).(map[string]*analysis.Pass)
+	m[pass.PkgPath] = pass
+	return m
 }
 
 // inScope reports whether the package belongs to one of the named

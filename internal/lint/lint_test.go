@@ -25,13 +25,14 @@ func TestAnalyzerFixtures(t *testing.T) {
 	}
 }
 
-// TestCrossPackageChain runs hotalloc over the two-package fixture: the
-// root is in package hot, the allocation two hops down in package
-// kernel, and the finding must carry the full cross-package chain. This
-// is the acceptance check for interprocedural summary propagation.
+// TestCrossPackageChain runs lockset over the two-package fixture: the
+// guarded field is in package callee behind two *Locked helpers, the
+// unlocked call in package caller, and the finding must land at that call.
+// This is the acceptance check for interprocedural summary propagation
+// across a package boundary.
 func TestCrossPackageChain(t *testing.T) {
 	analysistest.RunMulti(t, filepath.Join("testdata", "callgraph"),
-		[]string{"hot", "kernel"}, lint.HotAlloc)
+		[]string{"caller", "callee"}, lint.Lockset)
 }
 
 // TestCrowdTaintJournal runs crowdtaint over the two-package recovery
@@ -98,9 +99,8 @@ func Bump(s *a.S) { s.N++ }
 func TestAnalyzerRegistry(t *testing.T) {
 	want := []string{
 		"detrange", "floateq", "errdrop",
-		"lockorder", "ctxleak", "wgbalance", "goroleak", "traceschema",
-		"hotalloc", "recvcopy", "purity",
-		"nilness", "lockset", "crowdtaint",
+		"lockorder", "goroleak",
+		"lockset", "crowdtaint",
 	}
 	all := lint.All()
 	if len(all) != len(want) {
@@ -156,7 +156,7 @@ func TestSortFindings(t *testing.T) {
 // with a physical location.
 func TestToSARIF(t *testing.T) {
 	findings := []lint.Finding{
-		{File: "internal/crowd/crowd.go", Line: 12, Col: 3, Analyzer: "ctxleak", Message: "leak"},
+		{File: "internal/crowd/crowd.go", Line: 12, Col: 3, Analyzer: "lockset", Message: "unlocked"},
 		{File: "internal/core/skyline.go", Line: 40, Col: 9, Analyzer: "floateq", Message: "eq"},
 	}
 	raw, err := lint.ToSARIF(findings, lint.All())
@@ -190,7 +190,7 @@ func TestToSARIF(t *testing.T) {
 		t.Fatalf("results = %d, want %d", len(results), len(findings))
 	}
 	first := results[0].(map[string]any)
-	if first["ruleId"] != "ctxleak" {
+	if first["ruleId"] != "lockset" {
 		t.Errorf("ruleId = %v", first["ruleId"])
 	}
 	locs := first["locations"].([]any)
@@ -211,7 +211,7 @@ func TestToSARIF(t *testing.T) {
 // rules array — which is All() order, so indexes cannot drift between
 // runs or flag combinations.
 func TestToSARIFDedupAndRuleIndex(t *testing.T) {
-	dup := lint.Finding{File: "internal/crowd/crowd.go", Line: 12, Col: 3, Analyzer: "ctxleak", Message: "leak"}
+	dup := lint.Finding{File: "internal/crowd/crowd.go", Line: 12, Col: 3, Analyzer: "lockset", Message: "unlocked"}
 	findings := []lint.Finding{
 		dup,
 		dup, // same package loaded under a second root

@@ -48,7 +48,7 @@ var Lockset = &analysis.Analyzer{
 
 func locksetRun(pass *analysis.Pass) error {
 	callgraph.Shared(pass)
-	hotPasses(pass, "lockset.passes")
+	finishPasses(pass, "lockset.passes")
 	guarded := collectGuardAnnotations(pass, func(pos token.Pos, mu string) {
 		pass.Reportf(pos, "skylint:guardedby names %q, but the struct has no such field", mu)
 	})

@@ -15,11 +15,12 @@ import (
 // reported repo-relative with forward slashes, so two checkouts of the
 // same tree under different absolute roots produce byte-identical findings.
 func TestFindingsAcrossRoots(t *testing.T) {
-	const src = `package p
+	const src = `package crowdserve
 
-//skylint:hotpath
-func Hot() map[int]int {
-	return make(map[int]int)
+import "os"
+
+func Drop() {
+	os.Remove("x")
 }
 `
 	writeFixture := func(t *testing.T) string {
@@ -28,17 +29,17 @@ func Hot() map[int]int {
 		if err := os.WriteFile(filepath.Join(root, "go.mod"), []byte("module fixture\n\ngo 1.22\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.Mkdir(filepath.Join(root, "p"), 0o755); err != nil {
+		if err := os.Mkdir(filepath.Join(root, "crowdserve"), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(root, "p", "p.go"), []byte(src), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(root, "crowdserve", "p.go"), []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return root
 	}
 	run := func(t *testing.T, root string) []lint.Finding {
 		t.Helper()
-		findings, err := lint.Run(root, []string{"./..."}, []*analysis.Analyzer{lint.HotAlloc}, loader.Options{})
+		findings, err := lint.Run(root, []string{"./..."}, []*analysis.Analyzer{lint.ErrDrop}, loader.Options{})
 		if err != nil {
 			t.Fatalf("lint.Run under %s: %v", root, err)
 		}
@@ -53,7 +54,7 @@ func Hot() map[int]int {
 	if !reflect.DeepEqual(f1, f2) {
 		t.Fatalf("findings differ across roots:\n%v\nvs\n%v", f1, f2)
 	}
-	if want := "p/p.go"; f1[0].File != want {
+	if want := "crowdserve/p.go"; f1[0].File != want {
 		t.Fatalf("finding path = %q, want repo-relative slash path %q", f1[0].File, want)
 	}
 

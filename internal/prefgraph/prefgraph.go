@@ -147,8 +147,6 @@ func (g *Graph) find(x int) int {
 }
 
 // Known returns the recorded-or-inferable relation between s and t.
-//
-//skylint:hotpath
 func (g *Graph) Known(s, t int) Relation {
 	rs, rt := g.find(s), g.find(t)
 	switch {
@@ -165,16 +163,12 @@ func (g *Graph) Known(s, t int) Relation {
 
 // Prefers reports whether s is strictly preferred over t (directly or by
 // transitivity).
-//
-//skylint:hotpath
 func (g *Graph) Prefers(s, t int) bool {
 	rs, rt := g.find(s), g.find(t)
 	return rs != rt && g.reach[rs].Has(rt)
 }
 
 // WeaklyPrefers reports s ⪯ t: s strictly preferred over t, or equal.
-//
-//skylint:hotpath
 func (g *Graph) WeaklyPrefers(s, t int) bool {
 	rs, rt := g.find(s), g.find(t)
 	return rs == rt || g.reach[rs].Has(rt)
@@ -187,8 +181,6 @@ func (g *Graph) Comparable(s, t int) bool { return g.Known(s, t) != Unknown }
 // false when the answer contradicts the current graph (t already preferred
 // over s); the contradiction is counted and the graph is unchanged. Adding
 // an already-known preference is a no-op returning true.
-//
-//skylint:hotpath
 func (g *Graph) AddPrefer(s, t int) bool {
 	u, v := g.find(s), g.find(t)
 	if u == v || g.reach[v].Has(u) {
@@ -199,7 +191,7 @@ func (g *Graph) AddPrefer(s, t int) bool {
 		return true // already known
 	}
 	g.edges++
-	//skylint:alloc-ok the arena is pre-sized to n edges; past that it doubles, amortized O(1) per accepted answer
+	// The arena is pre-sized to n edges; past that it doubles, amortized O(1) per accepted answer.
 	g.arena = append(g.arena, inEdge{src: int32(u), next: g.inHead[v]})
 	g.inHead[v] = int32(len(g.arena) - 1)
 	// v and its descendants become reachable from u and from every
@@ -214,8 +206,6 @@ func (g *Graph) AddPrefer(s, t int) bool {
 // merging their equivalence classes. It returns false (counting a
 // contradiction, graph unchanged) when a strict preference between the two
 // is already known.
-//
-//skylint:hotpath
 func (g *Graph) AddEqual(s, t int) bool {
 	u, v := g.find(s), g.find(t)
 	if u == v {
@@ -260,8 +250,6 @@ func (g *Graph) AddEqual(s, t int) bool {
 // nonzero writes the indices of reach[v]'s nonzero words into the words
 // scratch and returns that prefix. It writes by index rather than
 // appending, so the scratch sized at New is never outgrown.
-//
-//skylint:hotpath
 func (g *Graph) nonzero(v int) []int32 {
 	row := g.reach[v]
 	words := g.words[:len(row)]
@@ -277,8 +265,6 @@ func (g *Graph) nonzero(v int) []int32 {
 
 // fold ORs reach[v]∪{v} into reach[p], touching only the given words of
 // reach[v] (its nonzero ones, from nonzero) and v's own bit.
-//
-//skylint:hotpath
 func (g *Graph) fold(p, v int, words []int32) {
 	dst, src := g.reach[p], g.reach[v]
 	for _, w := range words {
@@ -306,8 +292,6 @@ func (g *Graph) fold(p, v int, words []int32) {
 // The edge walk iterates the arena directly rather than through a
 // callback: a closure over (g, v, seen) would be re-created — and
 // heap-allocated — on every insertion, on the per-answer hot path.
-//
-//skylint:hotpath
 func (g *Graph) raise(x, v int, words []int32, seen bitset.Set) {
 	merged := g.unions != 0
 	g.stack[0] = int32(x)

@@ -79,7 +79,6 @@ type lexError struct {
 }
 
 func (e *lexError) Error() string {
-	//skylint:alloc-ok malformed-query error path; formatting runs once per rejected query
 	return fmt.Sprintf("query: %s at offset %d", e.msg, e.pos)
 }
 

@@ -87,8 +87,6 @@ func NewFreqCounter(d *dataset.Dataset, sets [][]int) *FreqCounter {
 // Freq returns freq(u,v), the number of tuples dominated by both u and v
 // on the known attributes. Tuples excluded from an alive-restricted index
 // dominate nothing, so any query involving one returns 0.
-//
-//skylint:hotpath
 func (fc *FreqCounter) Freq(u, v int) int {
 	if fc.pos != nil {
 		u, v = fc.pos[u], fc.pos[v]

@@ -570,8 +570,6 @@ func (ix *Index) Matches(d *dataset.Dataset) bool { return ix.d == d && ix.alive
 
 // Dominates reports order-theoretic dominance s ≺AK t straight from the
 // bitmap. Dead tuples dominate nothing and are dominated by nothing.
-//
-//skylint:hotpath
 func (ix *Index) Dominates(s, t int) bool {
 	ps, pt := ix.pos[s], ix.pos[t]
 	if ps < 0 || pt < 0 {

@@ -187,7 +187,6 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 // the child lookup key.
 func labelKey(labels, values []string) string {
 	if len(values) != len(labels) {
-		//skylint:alloc-ok arity-bug panic path; never runs when callers pass one value per label
 		panic(fmt.Sprintf("telemetry: got %d label values for labels %v", len(values), labels))
 	}
 	var b strings.Builder

@@ -12,19 +12,13 @@ import (
 // carries. Consumers of `crowdsky -trace` output (dashboards, the
 // EXPERIMENTS.md notebooks, ad-hoc jq) parse against these names, so an
 // emitter drifting from the registry is a wire-format break even though
-// everything still compiles. Two mechanisms hold the line:
-//
-//   - statically, the skylint traceschema analyzer proves every
-//     constructor in this package and every telemetry.Event literal in the
-//     tree populates exactly the registered fields of its event type;
-//   - at runtime, ValidateEvent lets tests and trace tooling reject events
-//     that carry an unknown type or stray fields.
+// everything still compiles. ValidateEvent holds the line at runtime:
+// tests (TestConstructorsMatchSchema) and trace tooling reject events
+// that carry an unknown type or stray fields.
 
 // eventSchemas maps every trace event type to the JSON field names its
 // emitters must populate. Bookkeeping fields (seq, time, type) are
 // implicit and never listed.
-//
-// skylint:eventschema
 var eventSchemas = map[EventType][]string{
 	EventSpanStart: {"trace_id", "span_id", "parent_id", "name"},
 	EventSpanEnd:   {"trace_id", "span_id", "name", "duration_ms", "attrs"},
@@ -58,8 +52,7 @@ func EventTypes() []EventType {
 // registered, and every non-zero field must be either implicit or listed
 // in the type's schema. (The converse — required fields being non-zero —
 // is not checked here, because empty is legitimate for fields like a
-// root span's `parent_id`; the static traceschema analyzer proves the
-// constructors assign every required field.)
+// root span's `parent_id`.)
 func ValidateEvent(e Event) error {
 	schema, ok := eventSchemas[e.Type]
 	if !ok {
@@ -88,14 +81,9 @@ func ValidateEvent(e Event) error {
 // single authoritative statement of the /metrics vocabulary: dashboards
 // and alerts key on these names and labels, so a registration site
 // drifting from the registry is a monitoring break even though the code
-// still compiles. The skylint traceschema analyzer proves every
-// constant-named Registry.New* call in the tree registers a name listed
-// here with exactly these labels; ValidateMetric gives tests and tooling
-// the same check at runtime. Metrics whose names are computed (the
-// prefix-parameterised HTTP middleware) are listed for documentation and
-// runtime validation but are invisible to the static pass.
-//
-// skylint:metricschema
+// still compiles. ValidateMetric checks a family against it at runtime,
+// and TestMetricFamiliesMatchSchema runs that check over every family a
+// marketplace, its HTTP middleware, a client and a fault plan register.
 var metricSchemas = map[string][]string{
 	// HTTP middleware (prefix-parameterised; crowdserve's instances).
 	"crowdserve_http_requests_total":  {"route", "method", "code"},

@@ -5,9 +5,8 @@ import (
 	"time"
 )
 
-// TestConstructorsMatchSchema is the runtime mirror of the static
-// traceschema analyzer: every constructor's output must validate against
-// the registry.
+// TestConstructorsMatchSchema pins the trace wire format: every
+// constructor's output must validate against the registry.
 func TestConstructorsMatchSchema(t *testing.T) {
 	events := map[string]Event{
 		"SpanStart": SpanStart(testSC, "00f067aa0ba902b7", "round", time.Now()),
@@ -86,7 +85,6 @@ func TestMetricNamesSorted(t *testing.T) {
 }
 
 func TestValidateEventRejects(t *testing.T) {
-	// skylint:ignore traceschema intentionally unregistered type for the negative test
 	if err := ValidateEvent(Event{Type: "mystery"}); err == nil {
 		t.Errorf("unknown event type must not validate")
 	}

@@ -166,9 +166,8 @@ func (s *Span) End() {
 	attrs := s.attrs
 	s.mu.Unlock()
 	end := time.Now().UTC()
-	if s.tracer != nil {
-		s.tracer.Emit(SpanEnd(s.sc, s.name, attrs, end, end.Sub(s.start)))
-	}
+	// StartSpan builds a span only for a non-nil tracer.
+	s.tracer.Emit(SpanEnd(s.sc, s.name, attrs, end, end.Sub(s.start)))
 }
 
 // Context keys for the active span and for a remote (cross-process)
@@ -178,7 +177,6 @@ type remoteKey struct{}
 
 // ContextWithSpan returns a context carrying span as the active span.
 func ContextWithSpan(ctx context.Context, span *Span) context.Context {
-	//skylint:alloc-ok the zero-size key boxes to the runtime's shared zerobase, not the heap
 	return context.WithValue(ctx, spanKey{}, span)
 }
 
@@ -187,7 +185,6 @@ func SpanFromContext(ctx context.Context) *Span {
 	if ctx == nil {
 		return nil
 	}
-	//skylint:alloc-ok the zero-size key boxes to the runtime's shared zerobase, not the heap
 	s, _ := ctx.Value(spanKey{}).(*Span)
 	return s
 }
@@ -230,7 +227,6 @@ func StartSpan(ctx context.Context, tracer Tracer, name string) (context.Context
 		if tracer == nil {
 			tracer = parent.tracer
 		}
-		//skylint:alloc-ok the zero-size key boxes to the runtime's shared zerobase, not the heap
 	} else if rsc, ok := ctx.Value(remoteKey{}).(SpanContext); ok && rsc.Valid() {
 		traceID, parentID = rsc.TraceID, rsc.SpanID
 	}
