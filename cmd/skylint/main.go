@@ -1,9 +1,10 @@
 // Command skylint is the repository's static-analysis gate: it runs the
-// seven CrowdSky-specific analyzers of internal/lint — the AST contract
+// six CrowdSky-specific analyzers of internal/lint — the AST contract
 // checks (detrange, floateq, errdrop), the flow-sensitive concurrency
-// checks (lockorder, goroleak) and the interprocedural checks on the call
-// graph (lockset, crowdtaint) — and, by default, `go vet`, over the given package patterns. A
-// non-empty finding set exits 1, so CI can require it:
+// checks (lockorder, goroleak) and the interprocedural lock check on the
+// call graph (lockset) — and, by default, `go vet`, over the given
+// package patterns. A non-empty finding set exits 1, so CI can require
+// it:
 //
 //	go run ./cmd/skylint ./...
 //

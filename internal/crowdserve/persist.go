@@ -122,10 +122,13 @@ func (s *Server) Snapshot(w io.Writer) error {
 }
 
 // Restore replaces the server state with a snapshot produced by Snapshot.
-// A snapshot that is inconsistent — a per-question array whose length
-// differs from the round's questions, more votes than workers, or an
-// open slot with no room left for its vote — is rejected with an error
-// and the server is left as it was.
+// A snapshot that is inconsistent — a repeated round or assignment id, a
+// per-question array whose length differs from the round's questions, a
+// question whose votes and open slots do not add up to its workers, a
+// round whose remaining count is not its open slots, or an idempotency
+// key naming a missing round — is rejected with an error and the server
+// is left as it was. New rounds and assignments get ids above every
+// restored one, so they never replace restored work.
 func (s *Server) Restore(r io.Reader) error {
 	var snap snapshot
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
@@ -133,9 +136,12 @@ func (s *Server) Restore(r io.Reader) error {
 	}
 	rounds := make(map[int64]*round, len(snap.Rounds))
 	// free counts, per round and question, the vote slots not yet filled;
-	// every open assignment must take one of them.
+	// every open assignment must take one of them, and none may be left.
 	free := make(map[int64][]int, len(snap.Rounds))
 	for _, rs := range snap.Rounds {
+		if _, dup := rounds[rs.ID]; dup {
+			return fmt.Errorf("crowdserve: snapshot repeats round %d", rs.ID)
+		}
 		n := len(rs.Questions)
 		if len(rs.Votes) != n || len(rs.Voters) != n || len(rs.Needed) != n {
 			return fmt.Errorf("crowdserve: snapshot round %d has %d questions but %d vote lists, %d voter sets and %d worker counts",
@@ -179,7 +185,12 @@ func (s *Server) Restore(r io.Reader) error {
 	// them.
 	now := s.now()
 	queue := make([]*assignment, 0, len(snap.Open))
+	seen := make(map[int64]bool, len(snap.Open))
 	for _, a := range snap.Open {
+		if seen[a.ID] {
+			return fmt.Errorf("crowdserve: snapshot repeats assignment %d", a.ID)
+		}
+		seen[a.ID] = true
 		rd, ok := rounds[a.RoundID]
 		if !ok || a.QIndex < 0 || a.QIndex >= len(rd.questions) {
 			return fmt.Errorf("crowdserve: snapshot assignment %d references missing round/question", a.ID)
@@ -194,6 +205,28 @@ func (s *Server) Restore(r io.Reader) error {
 			question:   rd.questions[a.QIndex],
 			enqueuedAt: now,
 		})
+		snap.NextAssign = max(snap.NextAssign, a.ID)
+	}
+	// Every unanswered vote needs an open slot, or the round never
+	// completes and its requester polls forever.
+	for _, rs := range snap.Rounds {
+		open := 0
+		for i, f := range free[rs.ID] {
+			if f != 0 {
+				return fmt.Errorf("crowdserve: snapshot round %d question %d lacks %d open slots", rs.ID, i, f)
+			}
+			open += rs.Needed[i] - len(rs.Votes[i])
+		}
+		if rs.Remaining != open {
+			return fmt.Errorf("crowdserve: snapshot round %d has remaining %d but %d open slots",
+				rs.ID, rs.Remaining, open)
+		}
+		snap.NextRoundID = max(snap.NextRoundID, rs.ID)
+	}
+	for k, id := range snap.Idempotency {
+		if rounds[id] == nil {
+			return fmt.Errorf("crowdserve: snapshot idempotency key %q names missing round %d", k, id)
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -204,6 +205,26 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 			t.Errorf("over-full question accepted: %s", snap)
 		}
 	}
+	// Too few open slots, a remaining count that disagrees with the open
+	// slots, a repeated id, or a replay key for a missing round: the
+	// round would never complete, one slot or round would shadow another,
+	// or a retried post would get back a round that does not exist.
+	for _, snap := range []string{
+		`{"rounds":[{"id":1,"questions":[{"a":0,"b":1,"workers":2}],"votes":[[]],"voters":[{}],"needed":[2],"remaining":2}],` +
+			`"open":[{"id":1,"round_id":1,"q_index":0}]}`,
+		`{"rounds":[{"id":1,"questions":[{"a":0,"b":1,"workers":2}],"votes":[[]],"voters":[{}],"needed":[2],"remaining":1}],` +
+			`"open":[{"id":1,"round_id":1,"q_index":0},{"id":2,"round_id":1,"q_index":0}]}`,
+		`{"rounds":[{"id":1,"questions":[{"a":0,"b":1,"workers":2}],"votes":[[]],"voters":[{}],"needed":[2],"remaining":2}],` +
+			`"open":[{"id":1,"round_id":1,"q_index":0},{"id":1,"round_id":1,"q_index":0}]}`,
+		`{"rounds":[{"id":1,"questions":[{"a":0,"b":1,"workers":1}],"votes":[["first"]],"voters":[{"w1":true}],"needed":[1],"remaining":0},` +
+			`{"id":1,"questions":[{"a":2,"b":3,"workers":1}],"votes":[[]],"voters":[{}],"needed":[1],"remaining":1}],` +
+			`"open":[{"id":2,"round_id":1,"q_index":0}]}`,
+		`{"idempotency":{"k-1":7},"rounds":[]}`,
+	} {
+		if err := srv.Restore(strings.NewReader(snap)); err == nil {
+			t.Errorf("unfinishable or ambiguous snapshot accepted: %s", snap)
+		}
+	}
 	// Rejected snapshots leave the server as it was.
 	if q, l := queueState(srv); len(q) != 0 || l != 0 {
 		t.Errorf("rejected snapshots left work behind: queue %v, %d leases", q, l)
@@ -220,5 +241,59 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	defer srv.mu.Unlock()
 	if votes := srv.rounds[1].votes[0]; len(votes) != 1 || cap(votes) != 3 {
 		t.Errorf("restored votes len %d cap %d, want 1 and 3", len(votes), cap(votes))
+	}
+}
+
+// TestRoundAfterRestoreKeepsRestored: a snapshot whose counters lag its
+// rounds and assignments (next ids 0) must not let a new round or slot
+// reuse a restored id. The restored round keeps its paid vote, and both
+// rounds complete with their own questions.
+func TestRoundAfterRestoreKeepsRestored(t *testing.T) {
+	srv, ts := newTestServer(t)
+	if err := srv.Restore(strings.NewReader(
+		`{"next_round_id":0,"next_assign":0,"rounds":[{"id":1,"questions":[{"a":0,"b":1,"workers":2}],` +
+			`"votes":[["first"]],"voters":[{"w1":true}],"needed":[2],"remaining":1}],` +
+			`"open":[{"id":1,"round_id":1,"q_index":0}]}`)); err != nil {
+		t.Fatal(err)
+	}
+	resp := postJSON(t, ts.URL+"/api/rounds", map[string]any{
+		"questions": []QuestionJSON{{A: 5, B: 6, Workers: 1}},
+	})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("post round: %s", resp.Status)
+	}
+	if id := decode[map[string]int64](t, resp)["round_id"]; id != 2 {
+		t.Fatalf("new round got id %d, want 2 (restored round 1 replaced)", id)
+	}
+	r, err := http.Get(ts.URL + "/api/work?worker=w2&max=5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	leases := decode[leaseBatch](t, r).Leases
+	if len(leases) != 2 || leases[0].AssignmentID == leases[1].AssignmentID {
+		t.Fatalf("leases %+v, want two slots with distinct ids", leases)
+	}
+	ack := decode[answerAck](t, postJSON(t, ts.URL+"/api/answers", map[string]any{
+		"worker": "w2",
+		"judgments": []judgmentJSON{
+			{AssignmentID: leases[0].AssignmentID, Pref: "first"},
+			{AssignmentID: leases[1].AssignmentID, Pref: "first"},
+		},
+	}))
+	if len(ack.Accepted) != 2 || !ack.Accepted[0] || !ack.Accepted[1] {
+		t.Fatalf("judgments accepted %v, want both", ack.Accepted)
+	}
+	for id, want := range map[int64]AnswerJSON{1: {A: 0, B: 1, Pref: "first"}, 2: {A: 5, B: 6, Pref: "first"}} {
+		r, err := http.Get(ts.URL + "/api/rounds/" + strconv.FormatInt(id, 10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := decode[struct {
+			Done    bool         `json:"done"`
+			Answers []AnswerJSON `json:"answers"`
+		}](t, r)
+		if !got.Done || len(got.Answers) != 1 || got.Answers[0] != want {
+			t.Errorf("round %d = %+v, want done with %+v", id, got, want)
+		}
 	}
 }

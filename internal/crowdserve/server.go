@@ -131,8 +131,6 @@ func prefString(p crowd.Preference) string { return p.String() }
 // parsePref maps a wire preference to its enum, rejecting anything
 // outside the three literals — crowd input never reaches crowd.Preference
 // unvalidated.
-//
-// skylint:sanitizer
 func parsePref(s string) (crowd.Preference, error) {
 	switch s {
 	case "first":
@@ -150,8 +148,6 @@ func parsePref(s string) (crowd.Preference, error) {
 // non-empty, at most 128 bytes, restricted to [A-Za-z0-9._-]. The
 // simulated workers ("sim-0", "sim-1", ...) and every human-assigned id
 // in the fleet fit; anything else is rejected with a 400 by the caller.
-//
-// skylint:sanitizer
 func cleanWorkerID(s string) (string, bool) {
 	if s == "" || len(s) > 128 || !safeToken(s) {
 		return "", false
@@ -163,8 +159,6 @@ func cleanWorkerID(s string) (string, bool) {
 // the replay map. Client-minted keys are a hex session id plus a
 // sequence number ("3f..e2-17"), well inside the same token charset; the
 // length cap bounds what one client can park in s.idem per entry.
-//
-// skylint:sanitizer
 func cleanIdemKey(s string) (string, bool) {
 	if s == "" || len(s) > 200 || !safeToken(s) {
 		return "", false

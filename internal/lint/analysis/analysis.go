@@ -32,7 +32,7 @@ type Analyzer struct {
 	Run func(pass *Pass) error
 	// Finish, when non-nil, runs once after Run has seen every package of
 	// the skylint invocation. Program-wide analyzers (lockorder,
-	// lockset, crowdtaint) accumulate facts in pass.Program().Fact during Run and
+	// lockset) accumulate facts in pass.Program().Fact during Run and
 	// report from here, through the Pass each fact was recorded under, so
 	// suppression comments keep working.
 	Finish func(prog *Program) error

@@ -3,9 +3,8 @@
 //
 // Nodes are keyed by stable string IDs — "pkg/path.Func",
 // "pkg/path.(Type).Method", "pkg/path.Func.func1" — not by types.Object:
-// the IDs sort into a deterministic node order, read as-is in the
-// `skylint -callgraph` dump, and let an analyzer holding only a
-// *types.Func reach its node (FuncID). Dynamic call targets are matched
+// the IDs sort into a deterministic node order and read as-is in the
+// `skylint -callgraph` dump. Dynamic call targets are matched
 // by signature *strings* (rendered with a package-path qualifier) for the
 // same determinism.
 //
@@ -118,9 +117,6 @@ type Graph struct {
 
 	byID map[string]*Node
 }
-
-// Lookup returns the node with the given ID, or nil.
-func (g *Graph) Lookup(id string) *Node { return g.byID[id] }
 
 // Builder accumulates passes and constructs the Graph once.
 //
@@ -553,12 +549,6 @@ func containsFuncLit(nd ast.Node) bool {
 	})
 	return found
 }
-
-// FuncID derives the stable node ID for a named function object, for
-// Graph.Lookup: analyzers that resolve call targets from their own walks
-// (the SSA value-flow analyzers record static callees as *types.Func) use
-// it to reach the callee's node and summary.
-func FuncID(fn *types.Func) string { return funcID(fn) }
 
 // funcID derives the stable node ID for a named function object. It only
 // uses package paths and names, so the ID is the same in every run and

@@ -159,18 +159,17 @@ func TestBottomUpFixpoint(t *testing.T) {
 	})
 	want := map[string]bool{"main": true, "even": true, "odd": true, "sink": true, "stray": false}
 	for id, w := range want {
-		if v, _ := got[g.Lookup(id)].(bool); v != w {
+		if v, _ := got[g.byID[id]].(bool); v != w {
 			t.Errorf("summary[%s] = %v, want %v", id, v, w)
 		}
 	}
 }
 
-// TestGraphBuildDeterministic loads the crowdtaint fixture twice into
-// independent programs and demands byte-identical dumps: node IDs, edge
-// order and external calls may not depend on map iteration or pointer
-// identity.
+// TestGraphBuildDeterministic loads the lockset fixture twice into
+// independent programs and demands byte-identical dumps: node IDs and
+// edge order may not depend on map iteration or pointer identity.
 func TestGraphBuildDeterministic(t *testing.T) {
-	dir := filepath.Join("..", "..", "testdata", "crowdtaint")
+	dir := filepath.Join("..", "..", "testdata", "lockset")
 	build := func() string {
 		pkgs, err := loader.LoadDirs(filepath.Dir(dir), []string{filepath.Base(dir)})
 		if err != nil {

@@ -10,8 +10,8 @@ import (
 )
 
 // DumpCallGraph loads the packages matching patterns under dir and
-// renders the CHA call graph the interprocedural analyzers (lockset,
-// crowdtaint) share, in callgraph.Dump's stable text form. It is the
+// renders the CHA call graph that lockset's interprocedural pass runs
+// on, in callgraph.Dump's stable text form. It is the
 // implementation behind `skylint -callgraph`, a debugging aid for
 // answering "which callees does this call site resolve to?" without
 // staging a finding.

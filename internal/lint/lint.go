@@ -5,10 +5,9 @@
 // The paper's guarantees are fragile cross-cutting invariants: the
 // |DS|-ascending evaluation order of Lemma 3 must be deterministic (so a
 // map iteration feeding an ordered slice is a latent bug), the crowd
-// accounting in crowd.Stats must only be touched under its mutex, worker
-// input must be validated before it keys server state, and dominance code
-// must never compare attribute floats with == (the epsilon comparator
-// exists for that). Each analyzer machine-checks one such contract that
+// accounting in crowd.Stats must only be touched under its mutex, and
+// dominance code must never compare attribute floats with == (the
+// epsilon comparator exists for that). Each analyzer machine-checks one such contract that
 // no test, go vet or -race run catches; cmd/skylint runs them all, next
 // to go vet, over the whole tree in CI.
 //
@@ -28,8 +27,8 @@ import (
 
 // All returns every skylint analyzer, in stable order: the lexical
 // checks (detrange, floateq, errdrop), the flow-sensitive concurrency
-// checks (lockorder, goroleak), and the interprocedural value-flow
-// checks on the call graph (lockset, crowdtaint).
+// checks (lockorder, goroleak), and the interprocedural lock check on
+// the call graph (lockset).
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		DetRange,
@@ -38,7 +37,6 @@ func All() []*analysis.Analyzer {
 		LockOrder,
 		GoroLeak,
 		Lockset,
-		CrowdTaint,
 	}
 }
 

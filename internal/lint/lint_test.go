@@ -35,14 +35,6 @@ func TestCrossPackageChain(t *testing.T) {
 		[]string{"caller", "callee"}, lint.Lockset)
 }
 
-// TestCrowdTaintJournal runs crowdtaint over the two-package recovery
-// fixture: journal.Read results are a taint source in the consuming
-// package, reaching a persistent map key and a slice index.
-func TestCrowdTaintJournal(t *testing.T) {
-	analysistest.RunMulti(t, filepath.Join("testdata", "crowdtaintjournal"),
-		[]string{"journal", "replay"}, lint.CrowdTaint)
-}
-
 // TestLocksetCrossPackage runs lockset over a two-package module: a
 // field guarded in package a and written without its mutex from package
 // b must be reported in b. The guarded-field table is keyed by
@@ -100,7 +92,7 @@ func TestAnalyzerRegistry(t *testing.T) {
 	want := []string{
 		"detrange", "floateq", "errdrop",
 		"lockorder", "goroleak",
-		"lockset", "crowdtaint",
+		"lockset",
 	}
 	all := lint.All()
 	if len(all) != len(want) {

@@ -172,6 +172,20 @@ func TestLoadImportIdentity(t *testing.T) {
 	assertOneUniverse(t, pkgs, "idmod/")
 }
 
+// TestRepoWideLoad loads the whole repository and checks the one package
+// universe over it: every in-repo import is the *types.Package loaded for
+// that path.
+func TestRepoWideLoad(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads and type-checks the whole repository")
+	}
+	pkgs, err := Load("../../..", []string{"./..."}, Options{})
+	if err != nil {
+		t.Fatalf("loading repository: %v", err)
+	}
+	assertOneUniverse(t, pkgs, "crowdsky/")
+}
+
 // TestLoadTests covers Options.Tests: an in-package test file importing
 // "testing" (not a dependency of any non-test file) and an in-module
 // package that only the test imports must load, the latter resolving to
