@@ -1,6 +1,6 @@
 // Command skylint is the repository's static-analysis gate: it runs the
-// six CrowdSky-specific analyzers of internal/lint — the AST contract
-// checks (detrange, floateq, errdrop), the flow-sensitive concurrency
+// five CrowdSky-specific analyzers of internal/lint — the AST contract
+// checks (detrange, errdrop), the flow-sensitive concurrency
 // checks (lockorder, goroleak) and the interprocedural lock check on the
 // call graph (lockset) — and, by default, `go vet`, over the given
 // package patterns. A non-empty finding set exits 1, so CI can require

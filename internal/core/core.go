@@ -326,7 +326,7 @@ func (ss *session) seedStoredValues() {
 		g := ss.graphs[j]
 		for k := 1; k < len(stored); k++ {
 			prev, cur := stored[k-1], stored[k]
-			if skyline.EqEps(d.Latent(prev, j), d.Latent(cur, j)) {
+			if d.Latent(prev, j) == d.Latent(cur, j) {
 				g.AddEqual(prev, cur)
 			} else {
 				g.AddPrefer(prev, cur)
@@ -687,10 +687,10 @@ func (ss *session) contradictions() int {
 //
 // Pairs are visited in the order of the all-pairs scan (i ascending, then
 // j > i ascending), but only pairs that can qualify are looked at: equal
-// known rows are within skyline.Eps on the first known attribute, so with
-// the tuples sorted by that attribute the partners of i lie in the
-// contiguous run of keys within Eps of i's. Without known attributes every
-// pair is identical in AK, and a constant key makes every pair a candidate.
+// known rows are equal on the first known attribute, so with the tuples
+// sorted by that attribute the partners of i lie in the contiguous run of
+// keys equal to i's. Without known attributes every pair is identical in
+// AK, and a constant key makes every pair a candidate.
 func (ss *session) preprocessDegenerate() {
 	d := ss.d
 	n := d.N()
@@ -721,7 +721,7 @@ func (ss *session) preprocessDegenerate() {
 		partners = partners[:0]
 		ki := key(i)
 		for _, step := range [2]int{-1, 1} {
-			for r := rank[i] + step; r >= 0 && r < n && skyline.EqEps(key(byKey[r]), ki); r += step {
+			for r := rank[i] + step; r >= 0 && r < n && key(byKey[r]) == ki; r += step {
 				if j := byKey[r]; j > i && skyline.EqualKnown(d, i, j) {
 					partners = append(partners, j)
 				}

@@ -214,7 +214,8 @@ func (l *askLog) Ask(reqs []crowd.Request) []crowd.Answer {
 }
 
 // degenerateDatasets are the shapes the sorted scan must get right: exact
-// duplicates, near-duplicates within Eps, an Eps chain a≈b≈c with a≉c,
+// duplicates, near-duplicates a billionth apart (distinct under the exact
+// equality of the degenerate case), a chain of such near-duplicates,
 // groups interleaved by index, rows that tie on the sort key but differ
 // elsewhere, random near-collisions, and no known attribute at all.
 func degenerateDatasets() map[string]*dataset.Dataset {
@@ -234,17 +235,17 @@ func degenerateDatasets() map[string]*dataset.Dataset {
 		{1, 5},           // 0: group A
 		{2, 3},           // 1: group B
 		{1, 5},           // 2: exact duplicate of 0
-		{2 + 0.6*e, 3},   // 3: within Eps of 1
-		{1 + 0.5*e, 5},   // 4: within Eps of 0
-		{2 + 1.2*e, 3},   // 5: within Eps of 3 but not of 1
+		{2 + 0.6*e, 3},   // 3: near 1, not equal
+		{1 + 0.5*e, 5},   // 4: near 0, not equal
+		{2 + 1.2*e, 3},   // 5: near 3, farther from 1
 		{7, 0},           // 6: group C
 		{1, 5},           // 7: group A again
-		{2, 3 + 0.9*e},   // 8: group B, off on the second attribute
+		{2, 3 + 0.9*e},   // 8: group B's key, off on the second attribute
 		{0, 0},           // 9: alone
 		{7, 0},           // 10: duplicate of 6
 		{1, 6},           // 11: ties group A's key, differs elsewhere
-		{1 - 0.7*e, 5},   // 12: group A from below
-		{2 + 0.3*e, 3.0}, // 13: group B
+		{1 - 0.7*e, 5},   // 12: just below group A
+		{2 + 0.3*e, 3.0}, // 13: just above group B
 	}
 	out := map[string]*dataset.Dataset{
 		"shaped-1ac": dataset.MustNew(shaped, latent(len(shaped), 1)),

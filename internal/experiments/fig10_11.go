@@ -50,13 +50,12 @@ func accuracySweep(cfg Config, methods []accuracyMethod, metric string, figID st
 		vals := make([][]float64, len(methods))
 		for run := 0; run < cfg.Runs; run++ {
 			// Every method sees the same dataset instance, so one index
-			// serves all of them plus the ground-truth and known-skyline
-			// grading.
+			// serves all of them.
 			seed := cfg.Seed + int64(run)
 			d := dataset.MustGenerate(gen, rand.New(rand.NewSource(seed)))
 			ix := skyline.NewIndex(d)
-			want := ix.OracleSkyline()
-			known := ix.KnownSkyline()
+			want := skyline.OracleSkyline(d)
+			known := skyline.KnownSkyline(d)
 			for mi, m := range methods {
 				got := m.run(d, ix, seed*1000+int64(mi))
 				prec, rec := metrics.PrecisionRecall(got, want, known)

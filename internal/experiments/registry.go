@@ -11,49 +11,33 @@ import (
 type Runner func(cfg Config, w io.Writer) error
 
 // Registry maps experiment identifiers (figure/table numbers as the paper
-// names them) to runners. cmd/experiments exposes it via -fig.
-var Registry = map[string]Runner{
-	"table1": func(cfg Config, w io.Writer) error { return RenderTable1(w) },
-	"table2": func(cfg Config, w io.Writer) error { return RenderTable2(w) },
-	"table3": func(cfg Config, w io.Writer) error { return RenderTable3(w) },
+// names them) to runners. cmd/experiments exposes it via -fig. It holds
+// every FigureBuilders entry, rendered as text, plus the toy tables and
+// q-accuracy, which render text only.
+var Registry = func() map[string]Runner {
+	r := map[string]Runner{
+		"table1": func(cfg Config, w io.Writer) error { return RenderTable1(w) },
+		"table2": func(cfg Config, w io.Writer) error { return RenderTable2(w) },
+		"table3": func(cfg Config, w io.Writer) error { return RenderTable3(w) },
 
-	"6a": figRunner(func(cfg Config) (*Figure, error) { return Fig6(cfg, "a") }),
-	"6b": figRunner(func(cfg Config) (*Figure, error) { return Fig6(cfg, "b") }),
-	"6c": figRunner(func(cfg Config) (*Figure, error) { return Fig6(cfg, "c") }),
-	"7a": figRunner(func(cfg Config) (*Figure, error) { return Fig7(cfg, "a") }),
-	"7b": figRunner(func(cfg Config) (*Figure, error) { return Fig7(cfg, "b") }),
-	"7c": figRunner(func(cfg Config) (*Figure, error) { return Fig7(cfg, "c") }),
-	"8a": figRunner(func(cfg Config) (*Figure, error) { return Fig8(cfg, "a") }),
-	"8b": figRunner(func(cfg Config) (*Figure, error) { return Fig8(cfg, "b") }),
-	"9a": figRunner(func(cfg Config) (*Figure, error) { return Fig9(cfg, "a") }),
-	"9b": figRunner(func(cfg Config) (*Figure, error) { return Fig9(cfg, "b") }),
-
-	"10a": figRunner(func(cfg Config) (*Figure, error) { return Fig10(cfg, "a") }),
-	"10b": figRunner(func(cfg Config) (*Figure, error) { return Fig10(cfg, "b") }),
-	"11a": figRunner(func(cfg Config) (*Figure, error) { return Fig11(cfg, "a") }),
-	"11b": figRunner(func(cfg Config) (*Figure, error) { return Fig11(cfg, "b") }),
-
-	"12a": figRunner(func(cfg Config) (*Figure, error) { return Fig12(cfg, "a") }),
-	"12b": figRunner(func(cfg Config) (*Figure, error) { return Fig12(cfg, "b") }),
-
-	"ext-roundrobin": figRunner(ExtRoundRobin),
-	"ext-budget":     figRunner(ExtBudget),
-	"ext-sorters":    figRunner(ExtSorters),
-	"ext-screening":  figRunner(ExtScreening),
-
-	"q-accuracy": func(cfg Config, w io.Writer) error {
-		results, err := RealAccuracy(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "Section 6.2 accuracy on real-life queries (CrowdSky, ω=5):")
-		for _, r := range results {
-			fmt.Fprintf(w, "  %s: precision %.3f, recall %.3f\n", r.Query, r.Precision, r.Recall)
-			fmt.Fprintf(w, "      skyline: %s\n", strings.Join(r.Skyline, "; "))
-		}
-		return nil
-	},
-}
+		"q-accuracy": func(cfg Config, w io.Writer) error {
+			results, err := RealAccuracy(cfg)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(w, "Section 6.2 accuracy on real-life queries (CrowdSky, ω=5):")
+			for _, r := range results {
+				fmt.Fprintf(w, "  %s: precision %.3f, recall %.3f\n", r.Query, r.Precision, r.Recall)
+				fmt.Fprintf(w, "      skyline: %s\n", strings.Join(r.Skyline, "; "))
+			}
+			return nil
+		},
+	}
+	for id, build := range FigureBuilders {
+		r[id] = figRunner(build)
+	}
+	return r
+}()
 
 func figRunner(f func(Config) (*Figure, error)) Runner {
 	return func(cfg Config, w io.Writer) error {
@@ -65,10 +49,9 @@ func figRunner(f func(Config) (*Figure, error)) Runner {
 	}
 }
 
-// FigureBuilders maps the ids of figure-producing experiments (a subset of
-// Registry — the toy tables and q-accuracy render text only) to their
+// FigureBuilders maps the ids of figure-producing experiments to their
 // builders, for callers that want the structured Figure (CSV export,
-// plotting).
+// plotting). Registry renders each of them as text.
 var FigureBuilders = map[string]func(Config) (*Figure, error){
 	"6a": func(cfg Config) (*Figure, error) { return Fig6(cfg, "a") },
 	"6b": func(cfg Config) (*Figure, error) { return Fig6(cfg, "b") },

@@ -177,12 +177,6 @@ func (p *Pass) SetReporter(fn func(Diagnostic)) { p.report = fn }
 // TypeOf returns the type of expression e, or nil when unknown.
 func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 
-// IsFloat reports whether t's underlying type is float32 or float64.
-func IsFloat(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
-}
-
 // NamedOf unwraps pointers and returns the named type behind t, or nil.
 func NamedOf(t types.Type) *types.Named {
 	if ptr, ok := t.(*types.Pointer); ok {

@@ -76,7 +76,7 @@ type Node struct {
 	// or "<parent id>.funcN" for the N-th literal in parent's body.
 	ID string
 	// Name is the short form used in findings:
-	// "core.apply", "(skyline.Index).Dominates", "core.apply.func1".
+	// "core.apply", "(skyline.Index).FreqCounter", "core.apply.func1".
 	Name string
 	// PkgPath is the import path of the defining package.
 	PkgPath string

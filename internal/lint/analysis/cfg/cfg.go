@@ -21,8 +21,7 @@
 // Forward analyses that ask "is f guaranteed to be called once we pass
 // this point" can treat the registration as the call, because a registered
 // defer runs on every subsequent exit from the function, normal or
-// panicking. The deferred calls are additionally collected in
-// Graph.Defers for analyses that care.
+// panicking.
 package cfg
 
 import (
@@ -51,8 +50,6 @@ type Graph struct {
 	Blocks []*Block
 	Entry  *Block
 	Exit   *Block
-	// Defers lists every defer statement in the function, in source order.
-	Defers []*ast.DeferStmt
 }
 
 // New builds the control-flow graph of body. Pass the body of an
@@ -288,10 +285,6 @@ func (b *builder) stmt(cur *Block, s ast.Stmt) *Block {
 		b.pendingLabel = nil
 		return end
 
-	case *ast.DeferStmt:
-		b.g.Defers = append(b.g.Defers, s)
-		return b.append(cur, s)
-
 	case *ast.ExprStmt:
 		cur = b.append(cur, s)
 		if IsTerminatingCall(s.X) {
@@ -305,8 +298,8 @@ func (b *builder) stmt(cur *Block, s ast.Stmt) *Block {
 		return cur
 
 	default:
-		// Assignments, declarations, sends, go statements, inc/dec:
-		// straight-line nodes.
+		// Assignments, declarations, sends, go and defer statements,
+		// inc/dec: straight-line nodes.
 		return b.append(cur, s)
 	}
 }

@@ -4,12 +4,13 @@
 //
 // The paper's guarantees are fragile cross-cutting invariants: the
 // |DS|-ascending evaluation order of Lemma 3 must be deterministic (so a
-// map iteration feeding an ordered slice is a latent bug), the crowd
-// accounting in crowd.Stats must only be touched under its mutex, and
-// dominance code must never compare attribute floats with == (the
-// epsilon comparator exists for that). Each analyzer machine-checks one such contract that
-// no test, go vet or -race run catches; cmd/skylint runs them all, next
-// to go vet, over the whole tree in CI.
+// map iteration feeding an ordered slice is a latent bug), and the crowd
+// accounting in crowd.Stats must only be touched under its mutex. The five
+// analyzers are the lexical checks (detrange, errdrop), the CFG checks
+// (lockorder, goroleak) and the call-graph check (lockset). Each
+// machine-checks one such contract that no test, go vet or -race run
+// catches; cmd/skylint runs them all, next to go vet, over the whole tree
+// in CI.
 //
 // Suppression: a finding is silenced by a comment on the same line or the
 // line directly above:
@@ -26,13 +27,12 @@ import (
 )
 
 // All returns every skylint analyzer, in stable order: the lexical
-// checks (detrange, floateq, errdrop), the flow-sensitive concurrency
+// checks (detrange, errdrop), the flow-sensitive concurrency
 // checks (lockorder, goroleak), and the interprocedural lock check on
 // the call graph (lockset).
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		DetRange,
-		FloatEq,
 		ErrDrop,
 		LockOrder,
 		GoroLeak,

@@ -90,7 +90,7 @@ func Bump(s *a.S) { s.N++ }
 // silently removes a correctness contract from CI.
 func TestAnalyzerRegistry(t *testing.T) {
 	want := []string{
-		"detrange", "floateq", "errdrop",
+		"detrange", "errdrop",
 		"lockorder", "goroleak",
 		"lockset",
 	}
@@ -149,7 +149,7 @@ func TestSortFindings(t *testing.T) {
 func TestToSARIF(t *testing.T) {
 	findings := []lint.Finding{
 		{File: "internal/crowd/crowd.go", Line: 12, Col: 3, Analyzer: "lockset", Message: "unlocked"},
-		{File: "internal/core/skyline.go", Line: 40, Col: 9, Analyzer: "floateq", Message: "eq"},
+		{File: "internal/core/core.go", Line: 40, Col: 9, Analyzer: "errdrop", Message: "dropped"},
 	}
 	raw, err := lint.ToSARIF(findings, lint.All())
 	if err != nil {
@@ -207,7 +207,7 @@ func TestToSARIFDedupAndRuleIndex(t *testing.T) {
 	findings := []lint.Finding{
 		dup,
 		dup, // same package loaded under a second root
-		{File: "internal/core/skyline.go", Line: 40, Col: 9, Analyzer: "floateq", Message: "eq"},
+		{File: "internal/core/core.go", Line: 40, Col: 9, Analyzer: "errdrop", Message: "dropped"},
 	}
 	raw, err := lint.ToSARIF(findings, lint.All())
 	if err != nil {

@@ -52,8 +52,8 @@ func SFS(d *dataset.Dataset) []int {
 	return sky
 }
 
-// KnownSkyline computes SKY_AK(R) with SFS. It is the naive reference for
-// (*Index).KnownSkyline; Layers(d)[0] is an independent cross-check.
+// KnownSkyline computes SKY_AK(R) with SFS; Layers(d)[0] is an
+// independent cross-check.
 func KnownSkyline(d *dataset.Dataset) []int { return SFS(d) }
 
 // Layers computes the skyline layers SL1, SL2, ... of Definition 6: SL1 is

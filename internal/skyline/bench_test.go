@@ -16,26 +16,17 @@ func benchData(b *testing.B, n, dk int, dist dataset.Distribution) *dataset.Data
 	return randData(1, n, dk, 0, dist)
 }
 
-// BenchmarkKnownSkyline compares the SFS reference with the index
-// readout (index build included).
+// BenchmarkKnownSkyline times the SFS skyline over the known attributes.
 func BenchmarkKnownSkyline(b *testing.B) {
 	for _, dist := range []dataset.Distribution{dataset.Independent, dataset.AntiCorrelated} {
 		d := benchData(b, 2000, 4, dist)
-		for _, a := range []struct {
-			name string
-			run  func(*dataset.Dataset) []int
-		}{
-			{"SFS", SFS},
-			{"index", func(d *dataset.Dataset) []int { return NewIndex(d).KnownSkyline() }},
-		} {
-			b.Run(fmt.Sprintf("%s/%s", a.name, dist), func(b *testing.B) {
-				var size int
-				for i := 0; i < b.N; i++ {
-					size = len(a.run(d))
-				}
-				b.ReportMetric(float64(size), "skyline_size")
-			})
-		}
+		b.Run(fmt.Sprintf("SFS/%s", dist), func(b *testing.B) {
+			var size int
+			for i := 0; i < b.N; i++ {
+				size = len(SFS(d))
+			}
+			b.ReportMetric(float64(size), "skyline_size")
+		})
 	}
 }
 
@@ -105,24 +96,13 @@ func BenchmarkImmediateDominators(b *testing.B) {
 	})
 }
 
-// BenchmarkOracleSkyline compares the sharded scan oracle with the
-// bitmap-backed readout (index build included).
+// BenchmarkOracleSkyline times the sharded ground-truth scan.
 func BenchmarkOracleSkyline(b *testing.B) {
 	d := randData(1, 4000, 4, 2, dataset.Independent)
-	b.Run("scan", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			OracleSkyline(d)
-		}
-	})
-	b.Run("index", func(b *testing.B) {
-		sweep(b, func(b *testing.B, d *dataset.Dataset) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				NewIndex(d).OracleSkyline()
-			}
-		})
-	})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		OracleSkyline(d)
+	}
 }
 
 func BenchmarkLayers(b *testing.B) {

@@ -7,11 +7,19 @@
 //
 // Index (engine.go) computes the dominance relation once per run and
 // derives every construction from its bitmap; it is what package core
-// uses. Each construction also has one naive reference here —
-// DominatingSets, ImmediateDominators, NewFreqCounter, KnownSkyline and
-// OracleSkyline — against which the differential tests check the index.
-// Everything here runs without crowds; the experiments and the tests use
-// the oracle for accuracy measurement.
+// uses. Each construction also has one naive reference —
+// DominatingSets, ImmediateDominators and NewFreqCounter — against which
+// index_test.go checks the index.
+//
+// Equality is exact throughout: dominance and Algorithm 1's degenerate
+// case are defined on identical values, so EqualKnown, DominatesKnown and
+// the index kernel all compare with ==, <, > and agree bit for bit.
+//
+// OracleSkyline is the one ground-truth skyline. It compares values
+// directly and never reads an Index, so it can grade the index and every
+// session built on it; the experiments use it for accuracy and package
+// core's differential tests for exactness. Everything here runs without
+// crowds.
 package skyline
 
 import "crowdsky/internal/dataset"
@@ -38,7 +46,7 @@ func DominatesKnown(d *dataset.Dataset, s, t int) bool {
 func EqualKnown(d *dataset.Dataset, s, t int) bool {
 	sr, tr := d.KnownRow(s), d.KnownRow(t)
 	for j := range sr {
-		if !EqEps(sr[j], tr[j]) {
+		if sr[j] != tr[j] {
 			return false
 		}
 	}

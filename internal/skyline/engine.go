@@ -14,11 +14,11 @@ import (
 
 // This file is the columnar dominance engine. Every crowd-enabled run
 // needs the same quadratic machine part — dominating sets (Definition 5),
-// immediate dominators (Figure 5), co-domination frequencies (Sections 3.4
-// and 5) and ground-truth grading — and the naive references in
-// domsets.go/dominance.go recompute the underlying pair-wise dominance
-// tests for each construction independently. Index computes the dominance
-// relation exactly once, as a bitmap, and derives everything else from it:
+// immediate dominators (Figure 5) and co-domination frequencies (Sections
+// 3.4 and 5) — and the naive references in domsets.go recompute the
+// underlying pair-wise dominance tests for each construction
+// independently. Index computes the dominance relation exactly once, as a
+// bitmap, and derives everything else from it:
 //
 //   - the known attributes are materialized into a flat column-major (SoA)
 //     float64 layout, so the kernel streams contiguous memory instead of
@@ -40,12 +40,13 @@ import (
 //   - DominatingSets is an exact-size counting transpose (no
 //     append-regrow), ImmediateDominators is a covered walk down each
 //     target's dominator row that tests only the surviving candidates
-//     instead of an O(|DS|²·d) rescan,
-//     FreqCounter wraps the transposed bitmap for free, and OracleSkyline
-//     grades from the bitmap plus the latent values.
+//     instead of an O(|DS|²·d) rescan, and FreqCounter wraps the
+//     transposed bitmap for free.
 //
 // The derivations are bit-for-bit identical to the naive constructions;
-// index_test.go and the differential oracle fuzz harness enforce that.
+// index_test.go enforces that, and the differential oracle in package
+// core grades every session built on the index against OracleSkyline,
+// which never reads the index.
 
 // indexCandChunk is the number of candidate positions per cache block.
 // The rank kernel materializes (indexCandChunk+1) sorted-prefix bitmap
@@ -91,13 +92,6 @@ type Index struct {
 	cols     []float64 // column-major over positions: cols[j*m+p]
 	runStart []int     // per position: start of its equal-score run
 	runEnd   []int     // per position: end (exclusive) of its equal-score run
-
-	// dupOf[p] is the exact-duplicate group of position p (-1 when its
-	// known row is unique); dupGroups lists each group's member
-	// positions. The build clears the groups out of the weak-dominance
-	// rows, and OracleSkyline decides AK-identical tuples by AC alone.
-	dupOf     []int32
-	dupGroups [][]int32
 
 	// domBy[p] = {q : order[q] ≺AK order[p]} with bits keyed by position.
 	// Rows are truncated to the words covering [0, runEnd[p]): no
@@ -178,7 +172,8 @@ func (ix *Index) layout() {
 		score[t] = s
 	}
 	sort.Slice(order, func(x, y int) bool {
-		// skylint:ignore floateq exact score ties define the runs; an epsilon would break the prefix invariant
+		// Exact score ties define the runs; a tolerance would break the
+		// prefix invariant.
 		if score[order[x]] != score[order[y]] {
 			return score[order[x]] < score[order[y]]
 		}
@@ -202,7 +197,7 @@ func (ix *Index) layout() {
 	runEnd := make([]int, m)
 	for lo := 0; lo < m; {
 		hi := lo + 1
-		// skylint:ignore floateq runs are exact-score ties by construction
+		// Runs are exact-score ties by construction.
 		for hi < m && score[order[hi]] == score[order[lo]] {
 			hi++
 		}
@@ -261,10 +256,6 @@ func (ix *Index) buildBitmap() {
 		off += rowWords[p]
 	}
 	ix.counts = make([]int, m)
-	ix.dupOf = make([]int32, m)
-	for p := range ix.dupOf {
-		ix.dupOf[p] = -1
-	}
 	if m == 0 || dims == 0 {
 		// No attributes means no strict preference anywhere: empty rows.
 		return
@@ -306,20 +297,14 @@ func (ix *Index) buildBitmap() {
 		}
 	}
 
-	ix.buildDupGroups()
+	ix.clearDuplicates()
 
 	var acc indexAccum
 	shard(m, func(lo, hi int) {
 		localPairs := 0
 		for p := lo; p < hi; p++ {
 			row := ix.domBy[p]
-			if g := ix.dupOf[p]; g >= 0 {
-				for _, q := range ix.dupGroups[g] {
-					row.Remove(int(q)) // duplicates (incl. self) are weak only
-				}
-			} else {
-				row.Remove(p)
-			}
+			row.Remove(p) // self is a weak dominator only
 			c := row.Count()
 			ix.counts[p] = c
 			localPairs += c
@@ -392,7 +377,7 @@ func (ix *Index) buildChunk(cbase int, attrOrder [][]int32, prefix []uint64, ran
 		for lo := 0; lo < m; {
 			hi := lo + 1
 			v := col[ord[lo]]
-			// skylint:ignore floateq rank groups mirror the exact <=/< of DominatesKnown
+			// Rank groups mirror the exact <=/< of DominatesKnown.
 			for hi < m && col[ord[hi]] == v {
 				hi++
 			}
@@ -442,11 +427,11 @@ func (ix *Index) buildChunk(cbase int, attrOrder [][]int32, prefix []uint64, ran
 	return true
 }
 
-// buildDupGroups computes the exact-duplicate groups: tuples with
-// bit-identical known rows are mutually weakly-dominating but never
-// strictly, and they necessarily share an equal-score run, so only
-// multi-tuple runs need the row comparison.
-func (ix *Index) buildDupGroups() {
+// clearDuplicates clears every exact-duplicate pair out of the dominator
+// rows: tuples with bit-identical known rows are mutually
+// weakly-dominating but never strictly, and they necessarily share an
+// equal-score run, so only multi-tuple runs need the row comparison.
+func (ix *Index) clearDuplicates() {
 	var members []int32
 	for lo := 0; lo < ix.m; lo = ix.runEnd[lo] {
 		hi := ix.runEnd[lo]
@@ -463,12 +448,10 @@ func (ix *Index) buildDupGroups() {
 			for b < len(members) && ix.rowEqual(int(members[a]), int(members[b])) {
 				b++
 			}
-			if b-a >= 2 {
-				g := append([]int32(nil), members[a:b]...)
-				for _, p := range g {
-					ix.dupOf[p] = int32(len(ix.dupGroups))
+			for _, p := range members[a:b] {
+				for _, q := range members[a:b] {
+					ix.domBy[p].Remove(int(q))
 				}
-				ix.dupGroups = append(ix.dupGroups, g)
 			}
 			a = b
 		}
@@ -479,7 +462,7 @@ func (ix *Index) buildDupGroups() {
 func (ix *Index) rowLess(p, q int) bool {
 	for j := 0; j < ix.dims; j++ {
 		pv, qv := ix.cols[j*ix.m+p], ix.cols[j*ix.m+q]
-		// skylint:ignore floateq duplicate grouping must be bit-exact to match DominatesKnown
+		// Duplicate grouping must be bit-exact to match DominatesKnown.
 		if pv != qv {
 			return pv < qv
 		}
@@ -490,7 +473,6 @@ func (ix *Index) rowLess(p, q int) bool {
 // rowEqual reports bit-exact equality of two positions' known rows.
 func (ix *Index) rowEqual(p, q int) bool {
 	for j := 0; j < ix.dims; j++ {
-		// skylint:ignore floateq duplicate grouping must be bit-exact to match DominatesKnown
 		if ix.cols[j*ix.m+p] != ix.cols[j*ix.m+q] {
 			return false
 		}
@@ -560,23 +542,10 @@ func transpose64(a *[64]uint64) {
 // Stats returns the build statistics.
 func (ix *Index) Stats() IndexStats { return ix.stats }
 
-// N returns the number of tuples indexed (alive).
-func (ix *Index) N() int { return ix.m }
-
 // Matches reports whether the index covers exactly this dataset — built
 // over it with no alive restriction — i.e. whether a caller holding d may
 // adopt it wholesale.
 func (ix *Index) Matches(d *dataset.Dataset) bool { return ix.d == d && ix.alive == nil }
-
-// Dominates reports order-theoretic dominance s ≺AK t straight from the
-// bitmap. Dead tuples dominate nothing and are dominated by nothing.
-func (ix *Index) Dominates(s, t int) bool {
-	ps, pt := ix.pos[s], ix.pos[t]
-	if ps < 0 || pt < 0 {
-		return false
-	}
-	return ps>>6 < len(ix.domBy[pt]) && ix.domBy[pt].Has(ps)
-}
 
 // DominatingSets returns DS(t) = {s : s ≺AK t} for every tuple, indexed
 // by original tuple index with dominators in ascending index order —
@@ -697,99 +666,4 @@ func (ix *Index) ImmediateDominators() [][]int {
 // index's bitmap; building it costs nothing beyond the index itself.
 func (ix *Index) FreqCounter() *FreqCounter {
 	return &FreqCounter{dominated: ix.dom, pos: ix.pos}
-}
-
-// KnownSkyline returns SKY_AK over the indexed tuples — exactly the
-// alive tuples with empty dominating sets — in ascending index order.
-func (ix *Index) KnownSkyline() []int {
-	var sky []int
-	for t := 0; t < ix.n; t++ {
-		if p := ix.pos[t]; p >= 0 && ix.counts[p] == 0 {
-			sky = append(sky, t)
-		}
-	}
-	return sky
-}
-
-// OracleSkyline computes SKY_A(R) from the bitmap plus the latent crowd
-// values, identical to the naive OracleSkyline: a tuple is dominated over
-// A = AK ∪ AC iff some AK-dominator also weakly precedes it on every
-// crowd attribute, or some AK-identical tuple strictly precedes it in AC.
-// AK-identical tuples are exactly the members of the target's duplicate
-// group, so the second case walks the persisted group instead of
-// re-comparing rows. Like the naive oracle it may only be used for
-// grading, never by a crowd-enabled algorithm.
-func (ix *Index) OracleSkyline() []int {
-	if ix.alive != nil {
-		panic("skyline: OracleSkyline needs an unrestricted index")
-	}
-	d, m := ix.d, ix.m
-	dc := d.CrowdDims()
-	inSky := make([]bool, m)
-	shard(m, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			t := ix.order[p]
-			dominated := false
-		scan:
-			for wi, w := range ix.domBy[p] {
-				for w != 0 {
-					s := ix.order[wi<<6+bits.TrailingZeros64(w)]
-					w &= w - 1
-					// s ≺AK t already holds, so s ≺A t iff s is nowhere
-					// worse on the crowd attributes.
-					if latentWeaklyPrefers(d, s, t, dc) {
-						dominated = true
-						break scan
-					}
-				}
-			}
-			if g := ix.dupOf[p]; g >= 0 && !dominated {
-				for _, qp := range ix.dupGroups[g] {
-					q := int(qp)
-					if q == p {
-						continue
-					}
-					if latentStrictlyDominates(d, ix.order[q], t, dc) {
-						dominated = true
-						break
-					}
-				}
-			}
-			inSky[p] = !dominated
-		}
-	})
-	var sky []int
-	for t := 0; t < ix.n; t++ {
-		if inSky[ix.pos[t]] {
-			sky = append(sky, t)
-		}
-	}
-	return sky
-}
-
-// latentWeaklyPrefers reports that s is no worse than t on every crowd
-// attribute.
-func latentWeaklyPrefers(d *dataset.Dataset, s, t, dc int) bool {
-	for j := 0; j < dc; j++ {
-		if d.Latent(s, j) > d.Latent(t, j) {
-			return false
-		}
-	}
-	return true
-}
-
-// latentStrictlyDominates reports s ≺AC t: no worse everywhere, strictly
-// better somewhere.
-func latentStrictlyDominates(d *dataset.Dataset, s, t, dc int) bool {
-	strict := false
-	for j := 0; j < dc; j++ {
-		sv, tv := d.Latent(s, j), d.Latent(t, j)
-		if sv > tv {
-			return false
-		}
-		if sv < tv {
-			strict = true
-		}
-	}
-	return strict
 }

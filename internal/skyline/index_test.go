@@ -159,20 +159,6 @@ func checkIndexAgainstNaive(t *testing.T, d *dataset.Dataset) {
 		}
 	}
 
-	if got, want := ix.OracleSkyline(), OracleSkyline(d); !reflect.DeepEqual(got, want) {
-		t.Fatalf("OracleSkyline: index %v, naive %v", got, want)
-	}
-	if got, want := ix.KnownSkyline(), KnownSkyline(d); !sameMembers(got, want) {
-		t.Fatalf("KnownSkyline: index %v, naive %v", got, want)
-	}
-	for s := 0; s < n; s++ {
-		for tt := 0; tt < n; tt++ {
-			if got, want := ix.Dominates(s, tt), s != tt && DominatesKnown(d, s, tt); got != want {
-				t.Fatalf("Dominates(%d,%d) = %v, DominatesKnown %v", s, tt, got, want)
-			}
-		}
-	}
-
 	st := ix.Stats()
 	pairs := 0
 	for _, s := range wantSets {
@@ -184,22 +170,6 @@ func checkIndexAgainstNaive(t *testing.T, d *dataset.Dataset) {
 	if !ix.Matches(d) || ix.Matches(randData(99, 4, 2, 0, dataset.Independent)) {
 		t.Fatalf("Matches wrong")
 	}
-}
-
-func sameMembers(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	seen := make(map[int]bool, len(a))
-	for _, x := range a {
-		seen[x] = true
-	}
-	for _, x := range b {
-		if !seen[x] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestIndexMatchesNaive(t *testing.T) {
@@ -214,9 +184,9 @@ func TestIndexMatchesNaive(t *testing.T) {
 
 // checkAliveAgainstNaive asserts that an alive-restricted index agrees
 // with the naive constructions over the alive tuples: the pair-wise
-// dominance relation, the dominating sets, c(t), freq(u,v), the known
-// skyline and the tuple count — every derivation ParallelSL reads after
-// the degenerate-case preprocessing removed tuples.
+// dominating sets, c(t), freq(u,v) and the tuple count — every derivation
+// ParallelSL reads after the degenerate-case preprocessing removed
+// tuples.
 func checkAliveAgainstNaive(t *testing.T, d *dataset.Dataset, alive []bool) {
 	t.Helper()
 	n := d.N()
@@ -224,52 +194,28 @@ func checkAliveAgainstNaive(t *testing.T, d *dataset.Dataset, alive []bool) {
 
 	wantSets := make([][]int, n)
 	aliveCount := 0
-	var known, latent [][]float64
-	var subIdx []int
 	for tt := 0; tt < n; tt++ {
 		if !alive[tt] {
 			continue
 		}
 		aliveCount++
-		known = append(known, d.KnownRow(tt))
-		latent = append(latent, make([]float64, d.CrowdDims()))
-		subIdx = append(subIdx, tt)
 		for s := 0; s < n; s++ {
 			if s != tt && alive[s] && DominatesKnown(d, s, tt) {
 				wantSets[tt] = append(wantSets[tt], s)
 			}
 		}
 	}
-	if got := ix.N(); got != aliveCount {
-		t.Fatalf("alive N() = %d, want %d", got, aliveCount)
+	if got := ix.Stats().N; got != aliveCount {
+		t.Fatalf("alive Stats().N = %d, want %d", got, aliveCount)
 	}
 	if got := ix.Matches(d); got != (aliveCount == n) {
 		t.Fatalf("alive Matches(d) = %v with %d of %d tuples alive", got, aliveCount, n)
-	}
-	for s := 0; s < n; s++ {
-		for tt := 0; tt < n; tt++ {
-			want := alive[s] && alive[tt] && s != tt && DominatesKnown(d, s, tt)
-			if got := ix.Dominates(s, tt); got != want {
-				t.Fatalf("alive Dominates(%d,%d) = %v, want %v", s, tt, got, want)
-			}
-		}
 	}
 	if got := ix.DominatingSets(); !reflect.DeepEqual(got, wantSets) {
 		t.Fatalf("alive DominatingSets: index disagrees with naive restriction\n got %v\nwant %v", got, wantSets)
 	}
 	if got, want := ix.ImmediateDominators(), ImmediateDominators(d, wantSets); !reflect.DeepEqual(got, want) {
 		t.Fatalf("alive ImmediateDominators: index disagrees with naive\n got %v\nwant %v", got, want)
-	}
-	// The naive known skyline of the alive tuples alone, mapped back to
-	// the original indices.
-	var wantSky []int
-	if aliveCount > 0 {
-		for _, i := range KnownSkyline(dataset.MustNew(known, latent)) {
-			wantSky = append(wantSky, subIdx[i])
-		}
-	}
-	if got := ix.KnownSkyline(); !reflect.DeepEqual(got, wantSky) {
-		t.Fatalf("alive KnownSkyline = %v, naive %v", got, wantSky)
 	}
 	fc := ix.FreqCounter()
 	for u := 0; u < n; u++ {
@@ -302,16 +248,6 @@ func TestIndexAliveMatchesNaive(t *testing.T) {
 		}
 		checkAliveAgainstNaive(t, d, alive)
 	}
-
-	d := randData(34, 40, 2, 1, dataset.Independent)
-	alive := make([]bool, d.N())
-	alive[0] = true
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("OracleSkyline on a restricted index should panic")
-		}
-	}()
-	NewIndexAlive(d, alive).OracleSkyline()
 }
 
 func TestIndexAliveAllTrueMatchesUnrestricted(t *testing.T) {
@@ -324,7 +260,6 @@ func TestIndexAliveAllTrueMatchesUnrestricted(t *testing.T) {
 	if !ix.Matches(d) {
 		t.Fatalf("all-true mask should normalize to unrestricted")
 	}
-	ix.OracleSkyline() // must not panic
 }
 
 // TestIndexParallelPath forces the sharded kernels on a small dataset so
@@ -349,9 +284,6 @@ func TestIndexManyChunks(t *testing.T) {
 	ix := NewIndex(d)
 	if got, want := ix.DominatingSets(), DominatingSets(d); !reflect.DeepEqual(got, want) {
 		t.Fatalf("DominatingSets disagrees across chunk boundary")
-	}
-	if got, want := ix.OracleSkyline(), OracleSkyline(d); !reflect.DeepEqual(got, want) {
-		t.Fatalf("OracleSkyline disagrees across chunk boundary")
 	}
 }
 
