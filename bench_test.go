@@ -70,16 +70,18 @@ func BenchmarkTable2CrowdSkyToy(b *testing.B) {
 	d := dataset.Toy()
 	var res *core.Result
 	for i := 0; i < b.N; i++ {
-		res = core.CrowdSky(d, crowd.NewPerfect(crowd.DatasetTruth{Data: d}), core.AllPruning())
+		res = core.Run(d, crowd.NewPerfect(crowd.DatasetTruth{Data: d}), core.AllPruning())
 	}
 	b.ReportMetric(float64(res.Questions), "questions") // 12 per Example 6
 }
 
 func BenchmarkTable3ParallelSLToy(b *testing.B) {
 	d := dataset.Toy()
+	opts := core.AllPruning()
+	opts.Schedule = core.BySkylineLayers
 	var res *core.Result
 	for i := 0; i < b.N; i++ {
-		res = core.ParallelSL(d, crowd.NewPerfect(crowd.DatasetTruth{Data: d}), core.AllPruning())
+		res = core.Run(d, crowd.NewPerfect(crowd.DatasetTruth{Data: d}), opts)
 	}
 	b.ReportMetric(float64(res.Questions), "questions") // 12 per Example 8
 	b.ReportMetric(float64(res.Rounds), "rounds")       // 6 per Example 8
@@ -230,7 +232,7 @@ func BenchmarkAblationPruning(b *testing.B) {
 			var res *core.Result
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res = core.CrowdSky(d, crowd.NewPerfect(crowd.DatasetTruth{Data: d}), cfg.opts)
+				res = core.Run(d, crowd.NewPerfect(crowd.DatasetTruth{Data: d}), cfg.opts)
 			}
 			b.ReportMetric(float64(res.Questions), "questions")
 		})
@@ -266,7 +268,7 @@ func BenchmarkMachinePartThroughput(b *testing.B) {
 	}, rand.New(rand.NewSource(2)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.CrowdSky(d, crowd.NewPerfect(crowd.DatasetTruth{Data: d}), core.AllPruning())
+		core.Run(d, crowd.NewPerfect(crowd.DatasetTruth{Data: d}), core.AllPruning())
 	}
 }
 
@@ -295,7 +297,7 @@ func BenchmarkVotingAccuracyTradeoff(b *testing.B) {
 				pf := crowd.NewSimulated(crowd.DatasetTruth{Data: d}, pool, rng)
 				opts := core.AllPruning()
 				opts.Voting = p.policy
-				res := core.CrowdSky(d, pf, opts)
+				res := core.Run(d, pf, opts)
 				prec, rec = metrics.PrecisionRecall(res.Skyline, skyline.OracleSkyline(d), skyline.KnownSkyline(d))
 			}
 			b.ReportMetric(prec, "precision")
@@ -326,7 +328,7 @@ func BenchmarkAblationProbeOrder(b *testing.B) {
 			var res *core.Result
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res = core.CrowdSky(d, crowd.NewPerfect(crowd.DatasetTruth{Data: d}), opts)
+				res = core.Run(d, crowd.NewPerfect(crowd.DatasetTruth{Data: d}), opts)
 			}
 			b.ReportMetric(float64(res.Questions), "questions")
 		})

@@ -32,6 +32,7 @@ import (
 	"strings"
 
 	"crowdsky"
+	"crowdsky/internal/core"
 	"crowdsky/internal/crowdserve"
 	"crowdsky/internal/journal"
 )
@@ -114,17 +115,12 @@ func main() {
 			}
 		}()
 	}
-	switch *parallel {
-	case "serial":
-		cfg.Parallelism = crowdsky.Serial
-	case "dset":
-		cfg.Parallelism = crowdsky.ByDominatingSets
-	case "sl":
-		cfg.Parallelism = crowdsky.BySkylineLayers
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -parallel %q (want serial, dset or sl)\n", *parallel)
+	sched, err := core.ParseSchedule(*parallel)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "-parallel:", err)
 		os.Exit(2)
 	}
+	cfg.Parallelism = sched
 	if *workers > 1 {
 		if *dynamic {
 			cfg.Voting = crowdsky.DynamicVoting(d, *workers)

@@ -44,22 +44,17 @@ func main() {
 		os.Exit(2)
 	}
 
-	opt := query.ExecOptions{}
-	switch *schedule {
-	case "serial":
-		opt.Scheduling = query.ScheduleSerial
-	case "dset":
-		opt.Scheduling = query.ScheduleDominatingSets
-	case "sl":
-		opt.Scheduling = query.ScheduleSkylineLayers
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -schedule %q\n", *schedule)
+	sched, err := core.ParseSchedule(*schedule)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "-schedule:", err)
 		os.Exit(2)
 	}
+	opt := query.ExecOptions{}
 	if *workers > 1 {
 		opt.Options = core.AllPruning()
 		opt.Options.Voting = voting.Static{Omega: *workers}
 	}
+	opt.Options.Schedule = sched
 	switch {
 	case *interactive:
 		opt.Platform = func(d *dataset.Dataset) crowd.Platform {

@@ -138,36 +138,16 @@ func Movies() *Dataset { return dataset.Movies() }
 // crowdsourced.
 func MLBPitchers() *Dataset { return dataset.MLBPitchers() }
 
-// Parallelism selects how questions are scheduled into rounds.
-type Parallelism int
+// Parallelism selects how questions are scheduled into rounds. Its String
+// names the strategy: serial, parallel-dset or parallel-sl.
+type Parallelism = core.Schedule
 
+// Scheduling strategies.
 const (
-	// Serial asks one pair-wise comparison per round (Algorithm 1). It
-	// minimizes monetary cost but has the highest latency.
-	Serial Parallelism = iota
-	// ByDominatingSets partitions tuples by dominating-set size and runs
-	// disjoint pipelines in shared rounds (Section 4.1). Same questions as
-	// Serial, about an order of magnitude fewer rounds.
-	ByDominatingSets
-	// BySkylineLayers starts a tuple's pipeline as soon as its direct
-	// dominators are complete (Algorithm 2, Section 4.2). Fewest rounds;
-	// may ask a few percent more questions.
-	BySkylineLayers
+	Serial           = core.Serial           // Algorithm 1: one pair per round, lowest cost, highest latency
+	ByDominatingSets = core.ByDominatingSets // Section 4.1: Serial's questions in ~10x fewer rounds
+	BySkylineLayers  = core.BySkylineLayers  // Algorithm 2: fewest rounds, a few percent more questions
 )
-
-// String names the strategy.
-func (p Parallelism) String() string {
-	switch p {
-	case Serial:
-		return "serial"
-	case ByDominatingSets:
-		return "parallel-dset"
-	case BySkylineLayers:
-		return "parallel-sl"
-	default:
-		return fmt.Sprintf("Parallelism(%d)", int(p))
-	}
-}
 
 // Pruning toggles the paper's three question-pruning methods. The zero
 // value disables all three (pure dominating-set questioning); use
@@ -247,28 +227,23 @@ func Run(d *Dataset, pf Platform, cfg RunConfig) (*Result, error) {
 	if pf == nil {
 		return nil, fmt.Errorf("crowdsky: nil platform")
 	}
+	if err := cfg.Parallelism.Check(); err != nil {
+		return nil, fmt.Errorf("crowdsky: %w", err)
+	}
 	pruning := cfg.Pruning
 	if pruning == (Pruning{}) && !cfg.DisableDefaultPruning {
 		pruning = AllPruning()
 	}
 	opts := core.Options{
 		P1: pruning.P1, P2: pruning.P2, P3: pruning.P3,
+		Schedule:     cfg.Parallelism,
 		Voting:       cfg.Voting,
 		RoundRobinAC: cfg.RoundRobinAC,
 		MaxQuestions: cfg.Budget,
 		Tracer:       cfg.Tracer,
 		Context:      cfg.Context,
 	}
-	switch cfg.Parallelism {
-	case Serial:
-		return core.CrowdSky(d, pf, opts), nil
-	case ByDominatingSets:
-		return core.ParallelDSet(d, pf, opts), nil
-	case BySkylineLayers:
-		return core.ParallelSL(d, pf, opts), nil
-	default:
-		return nil, fmt.Errorf("crowdsky: unknown parallelism %v", cfg.Parallelism)
-	}
+	return core.Run(d, pf, opts), nil
 }
 
 // RunBaseline computes the skyline with the paper's sort-based baseline
@@ -291,8 +266,6 @@ type CrowdConfig struct {
 	PoolSize int
 	// SpammerFraction is the fraction of pool workers answering randomly.
 	SpammerFraction float64
-	// Epsilon widens the latent-value band considered "equally preferred".
-	Epsilon float64
 	// Screen enables agreement-based worker screening (the programmatic
 	// AMT "Masters" filter): workers who persistently disagree with the
 	// majority stop receiving questions.
@@ -314,9 +287,9 @@ func NewSimulatedCrowd(d *Dataset, cfg CrowdConfig) Platform {
 	if err != nil {
 		// Invalid probabilities; fall back to a perfect crowd rather than
 		// panic, surfacing the issue through deterministic answers.
-		return crowd.NewPerfect(crowd.DatasetTruth{Data: d, Epsilon: cfg.Epsilon})
+		return crowd.NewPerfect(crowd.DatasetTruth{Data: d})
 	}
-	pf := crowd.NewSimulated(crowd.DatasetTruth{Data: d, Epsilon: cfg.Epsilon}, pool, rng)
+	pf := crowd.NewSimulated(crowd.DatasetTruth{Data: d}, pool, rng)
 	if cfg.Screen {
 		pf.Quality = crowd.NewQuality()
 	}

@@ -49,8 +49,9 @@ func main() {
 	// 3-worker majority voting, every question travelling over HTTP.
 	client := crowdserve.NewClient(ts.URL)
 	opts := core.AllPruning()
+	opts.Schedule = core.BySkylineLayers
 	opts.Voting = voting.Static{Omega: 3}
-	res := core.ParallelSL(d, client, opts)
+	res := core.Run(d, client, opts)
 
 	cancel()
 	<-done

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"crowdsky"
+	"crowdsky/internal/core"
 	"crowdsky/internal/crowd"
 	"crowdsky/internal/dataset"
 	"crowdsky/internal/query"
@@ -44,7 +45,7 @@ func main() {
 	fmt.Println()
 
 	res, err := query.Run(sql, cat, query.ExecOptions{
-		Scheduling: query.ScheduleSkylineLayers,
+		Options: core.Options{Schedule: core.BySkylineLayers},
 		Platform: func(d *dataset.Dataset) crowd.Platform {
 			// 90%-reliable workers; in production this would be an
 			// interactive or crowdserve-backed platform.

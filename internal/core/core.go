@@ -1,28 +1,25 @@
 // Package core implements the paper's crowd-enabled skyline algorithms:
 //
-//   - CrowdSky (Algorithm 1): the serial cost-minimizing algorithm with the
-//     dominating-set question generation and the three pruning methods P1
-//     (early pruning of complete non-skyline tuples, Section 3.2), P2
-//     (transitive reduction of dominating sets in AC, Section 3.3) and P3
-//     (probing dominating sets, Section 3.4), each independently
-//     toggleable for the ablations of Figures 6-7.
-//   - ParallelDSet (Section 4.1): latency reduction by partitioning on
-//     dominating-set sizes and disjointness.
-//   - ParallelSL (Algorithm 2, Section 4.2): latency reduction by skyline
-//     layers and immediate-dominator dependencies.
+//   - Run: the dominating-set questions of Algorithm 1 with the pruning
+//     methods P1 (Section 3.2), P2 (Section 3.3) and P3 (Section 3.4),
+//     each toggleable for the ablations of Figures 6-7, under the
+//     Options.Schedule that decides when each tuple starts: Serial
+//     (Algorithm 1), ByDominatingSets (Section 4.1) or BySkylineLayers
+//     (Algorithm 2, Section 4.2). CrowdSkyProbabilistic adds a per-tuple
+//     skyline probability readout for the fixed-budget setting.
 //   - Baseline (Section 6.1): crowd-powered tournament sort over the crowd
 //     attributes followed by a machine skyline.
 //   - Unary (Section 6.1, Figure 11): the quantitative-question comparator
 //     simulating Lofi et al. [12].
 //
-// The three crowd-enabled skyline algorithms share one per-tuple pipeline
-// (tupleEval: P1/P2 reduction, P3 probing, Q(t) with the C3 early break)
-// and one round driver (session.drive) that advances every active
-// pipeline, asks the pairs they wait on as one round, and reads out the
-// pipelines that completed. They differ only in the rule that admits
-// pipelines: CrowdSky starts the next tuple in P1 order once nothing is
-// active, ParallelDSet the next disjoint batch of one size group once
-// nothing is active, and ParallelSL every tuple whose immediate dominators
+// Every schedule shares one per-tuple pipeline (tupleEval: P1/P2
+// reduction, P3 probing, Q(t) with the C3 early break) and one round
+// driver (session.drive) that advances every active pipeline, asks the
+// pairs they wait on as one round, and reads out the pipelines that
+// completed. The schedules differ only in the rule that admits pipelines:
+// Serial starts the next tuple in P1 order once nothing is active,
+// ByDominatingSets the next disjoint batch of one size group once nothing
+// is active, and BySkylineLayers every tuple whose immediate dominators
 // are all complete. All algorithms exchange questions with a
 // crowd.Platform and never touch the latent attribute values.
 package core
@@ -45,6 +42,9 @@ import (
 
 // Options configures a crowd-enabled skyline run.
 type Options struct {
+	// Schedule selects when each tuple's question pipeline may start, and
+	// so how questions are arranged into rounds. The zero value is Serial.
+	Schedule Schedule
 	// P1 enables early pruning for non-skyline tuples in A (Section 3.2):
 	// tuples are evaluated in ascending |DS(t)| order and complete
 	// non-skyline tuples are removed from pending dominating sets.
@@ -117,7 +117,8 @@ const (
 	PairOrder
 )
 
-// AllPruning returns the full CrowdSky configuration (P1+P2+P3).
+// AllPruning returns the full CrowdSky configuration (P1+P2+P3) under the
+// Serial schedule.
 func AllPruning() Options { return Options{P1: true, P2: true, P3: true} }
 
 // SmartVoting calibrates voting.Smart for the dataset behind ix: β is the
@@ -283,8 +284,9 @@ func newSession(d *dataset.Dataset, pf crowd.Platform, opts Options) *session {
 	return s
 }
 
-// startRun opens the run's root span for the named algorithm; every
-// round and machine-phase span parents under it, and finish closes it.
+// startRun opens the run's root span, whose algo attribute names the
+// schedule; every round and machine-phase span parents under it, and
+// finish closes it.
 func (ss *session) startRun(algo string) {
 	ss.runCtx, ss.runSpan = telemetry.StartSpan(ss.ctx, ss.trace, "run")
 	if ss.runSpan != nil {

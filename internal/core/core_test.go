@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -24,6 +25,13 @@ func perfect(d *dataset.Dataset) *crowd.Perfect {
 	return crowd.NewPerfect(crowd.DatasetTruth{Data: d})
 }
 
+// scheduled returns the full pruning configuration under schedule s.
+func scheduled(s Schedule) Options {
+	opts := AllPruning()
+	opts.Schedule = s
+	return opts
+}
+
 // TestCrowdSkyMatchesOracle is the Theorem 1 property: under a perfect
 // crowd, every pruning configuration returns exactly the ground-truth
 // skyline over A, on random datasets of both distributions and several
@@ -36,7 +44,7 @@ func TestCrowdSkyMatchesOracle(t *testing.T) {
 		dist := dataset.Distribution(int(rawDist) % 3)
 		d := randomDataset(seed, n, dk, dc, dist)
 		want := skyline.OracleSkyline(d)
-		res := CrowdSky(d, perfect(d), Options{P1: p1, P2: p2, P3: p3})
+		res := Run(d, perfect(d), Options{P1: p1, P2: p2, P3: p3})
 		if !metrics.SameSet(res.Skyline, want) {
 			t.Logf("seed=%d n=%d dk=%d dc=%d dist=%v p=%v%v%v: got %v want %v",
 				seed, n, dk, dc, dist, p1, p2, p3, res.Skyline, want)
@@ -60,9 +68,9 @@ func TestParallelMatchesOracle(t *testing.T) {
 		want := skyline.OracleSkyline(d)
 		var res *Result
 		if useSL {
-			res = ParallelSL(d, perfect(d), AllPruning())
+			res = Run(d, perfect(d), scheduled(BySkylineLayers))
 		} else {
-			res = ParallelDSet(d, perfect(d), AllPruning())
+			res = Run(d, perfect(d), scheduled(ByDominatingSets))
 		}
 		return metrics.SameSet(res.Skyline, want)
 	}
@@ -80,7 +88,7 @@ func TestPruningMonotonicity(t *testing.T) {
 		var dset, p1, p12, p123 int
 		for seed := int64(0); seed < 25; seed++ {
 			d := randomDataset(seed, 50, 2, 1, dist)
-			q := func(opts Options) int { return CrowdSky(d, perfect(d), opts).Questions }
+			q := func(opts Options) int { return Run(d, perfect(d), opts).Questions }
 			dset += q(Options{})
 			p1 += q(Options{P1: true})
 			p12 += q(Options{P1: true, P2: true})
@@ -111,8 +119,8 @@ func TestP3PaysOffAtScale(t *testing.T) {
 		t.Skip("paper-scale cardinality; skipped with -short")
 	}
 	d := randomDataset(0, 4000, 4, 1, dataset.Independent)
-	p12 := CrowdSky(d, perfect(d), Options{P1: true, P2: true}).Questions
-	p123 := CrowdSky(d, perfect(d), AllPruning()).Questions
+	p12 := Run(d, perfect(d), Options{P1: true, P2: true}).Questions
+	p123 := Run(d, perfect(d), AllPruning()).Questions
 	if p123 >= p12 {
 		t.Errorf("at n=4000: P1+P2+P3 asked %d >= P1+P2 %d", p123, p12)
 	}
@@ -123,7 +131,7 @@ func TestP3PaysOffAtScale(t *testing.T) {
 // Figure 8).
 func TestSerialRoundsEqualQuestions(t *testing.T) {
 	d := randomDataset(7, 50, 2, 1, dataset.Independent)
-	res := CrowdSky(d, perfect(d), AllPruning())
+	res := Run(d, perfect(d), AllPruning())
 	if res.Rounds != res.Questions {
 		t.Errorf("serial: rounds %d != questions %d", res.Rounds, res.Questions)
 	}
@@ -139,9 +147,9 @@ func TestParallelRoundsOrdering(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		for _, dist := range []dataset.Distribution{dataset.Independent, dataset.AntiCorrelated} {
 			d := randomDataset(seed, 60, 3, 1, dist)
-			serial := CrowdSky(d, perfect(d), AllPruning())
-			pd := ParallelDSet(d, perfect(d), AllPruning())
-			psl := ParallelSL(d, perfect(d), AllPruning())
+			serial := Run(d, perfect(d), AllPruning())
+			pd := Run(d, perfect(d), scheduled(ByDominatingSets))
+			psl := Run(d, perfect(d), scheduled(BySkylineLayers))
 			if pd.Rounds > serial.Rounds {
 				t.Errorf("seed %d %v: ParallelDSet rounds %d > serial %d", seed, dist, pd.Rounds, serial.Rounds)
 			}
@@ -181,7 +189,7 @@ func TestBaselineMatchesOracle(t *testing.T) {
 func TestBaselineAsksMore(t *testing.T) {
 	d := randomDataset(3, 100, 4, 1, dataset.Independent)
 	base := Baseline(d, perfect(d), TournamentSort, nil)
-	cs := CrowdSky(d, perfect(d), AllPruning())
+	cs := Run(d, perfect(d), AllPruning())
 	if cs.Questions >= base.Questions {
 		t.Errorf("CrowdSky asked %d questions, baseline %d; want CrowdSky < baseline",
 			cs.Questions, base.Questions)
@@ -215,7 +223,7 @@ func TestDegeneratePreprocessing(t *testing.T) {
 	}
 	latent := [][]float64{{0.9}, {0.1}, {0.5}, {0.3}}
 	d := dataset.MustNew(known, latent)
-	res := CrowdSky(d, perfect(d), AllPruning())
+	res := Run(d, perfect(d), AllPruning())
 	want := skyline.OracleSkyline(d)
 	if !metrics.SameSet(res.Skyline, want) {
 		t.Errorf("skyline %v, want %v", res.Skyline, want)
@@ -231,7 +239,7 @@ func TestDegenerateTwins(t *testing.T) {
 	}
 	latent := [][]float64{{0.5}, {0.5}, {0.7}}
 	d := dataset.MustNew(known, latent)
-	res := CrowdSky(d, perfect(d), AllPruning())
+	res := Run(d, perfect(d), AllPruning())
 	want := skyline.OracleSkyline(d)
 	if !metrics.SameSet(res.Skyline, want) {
 		t.Errorf("skyline %v, want %v (twins must share fate)", res.Skyline, want)
@@ -249,7 +257,7 @@ func TestNoisyCrowdStillReasonable(t *testing.T) {
 		t.Fatal(err)
 	}
 	pf := crowd.NewSimulated(crowd.DatasetTruth{Data: d}, pool, rng)
-	res := CrowdSky(d, pf, Options{P1: true, P2: true, P3: true, Voting: voting.Static{Omega: 5}})
+	res := Run(d, pf, Options{P1: true, P2: true, P3: true, Voting: voting.Static{Omega: 5}})
 	want := skyline.OracleSkyline(d)
 	known := skyline.KnownSkyline(d)
 	prec, rec := metrics.PrecisionRecall(res.Skyline, want, known)
@@ -264,12 +272,12 @@ func TestNoisyCrowdStillReasonable(t *testing.T) {
 // TestEmptyAndTinyDatasets: degenerate sizes run cleanly.
 func TestEmptyAndTinyDatasets(t *testing.T) {
 	empty := dataset.MustNew(nil, nil)
-	res := CrowdSky(empty, perfect(empty), AllPruning())
+	res := Run(empty, perfect(empty), AllPruning())
 	if len(res.Skyline) != 0 || res.Questions != 0 {
 		t.Errorf("empty dataset: %+v", res)
 	}
 	one := dataset.MustNew([][]float64{{1}}, [][]float64{{1}})
-	res = CrowdSky(one, perfect(one), AllPruning())
+	res = Run(one, perfect(one), AllPruning())
 	if len(res.Skyline) != 1 || res.Questions != 0 {
 		t.Errorf("singleton dataset: %+v", res)
 	}
@@ -280,7 +288,7 @@ func TestEmptyAndTinyDatasets(t *testing.T) {
 func TestMultiCrowdAttrQuestionCounting(t *testing.T) {
 	d := randomDataset(13, 30, 2, 3, dataset.Independent)
 	pf := perfect(d)
-	res := CrowdSky(d, pf, AllPruning())
+	res := Run(d, pf, AllPruning())
 	if res.Questions%1 != 0 && res.Rounds == 0 {
 		t.Fatal("unreachable")
 	}
@@ -335,8 +343,39 @@ func TestSharedIndexVersionAware(t *testing.T) {
 	for _, shared := range []*skyline.Index{restricted, other} {
 		opts := AllPruning()
 		opts.Index = shared
-		if got := CrowdSky(d, perfect(d), opts); !slices.Equal(got.Skyline, want) {
+		if got := Run(d, perfect(d), opts); !slices.Equal(got.Skyline, want) {
 			t.Fatalf("skyline with non-adoptable shared index: got %v, want %v", got.Skyline, want)
 		}
 	}
+}
+
+// TestScheduleNames: every schedule parses back from its String and from
+// its short command-line form; a value past the list fails Check, and Run
+// panics on it before asking the crowd anything.
+func TestScheduleNames(t *testing.T) {
+	for s := range Schedule(len(schedules)) {
+		for _, name := range []string{s.String(), strings.TrimPrefix(s.String(), "parallel-")} {
+			if got, err := ParseSchedule(name); err != nil || got != s {
+				t.Errorf("ParseSchedule(%q) = %v, %v; want %v", name, got, err, s)
+			}
+		}
+	}
+	if _, err := ParseSchedule("crowdsky"); err == nil {
+		t.Error("ParseSchedule accepted an unknown name")
+	}
+	bad := Schedule(len(schedules))
+	if bad.Check() == nil || !strings.Contains(bad.String(), "3") {
+		t.Errorf("schedule %d: Check passed or String %q hides the value", int(bad), bad.String())
+	}
+	d := dataset.Toy()
+	pf := perfect(d)
+	defer func() {
+		if recover() == nil {
+			t.Error("Run accepted an unknown schedule")
+		}
+		if q := pf.Stats().Questions(); q != 0 {
+			t.Errorf("Run asked %d questions before rejecting the schedule", q)
+		}
+	}()
+	Run(d, pf, Options{Schedule: bad})
 }

@@ -86,34 +86,26 @@ func checkSkyline(res *Result, d *dataset.Dataset, truth []int, stats crowd.Snap
 	return nil
 }
 
-// differential runs all 2³ P1/P2/P3 settings of every scheme on d under a
+// differential runs all 2³ P1/P2/P3 settings of every schedule on d under a
 // perfect crowd, checks each result with checkSkyline against the oracle,
 // and requires every result, and the tournament baseline, to be exactly
 // the oracle's skyline.
 func differential(d *dataset.Dataset) error {
 	truth := skyline.OracleSkyline(d)
-	// One dominance index serves all 24 runs; every scheme adopts it via
+	// One dominance index serves all 24 runs; every schedule adopts it via
 	// Options.Index instead of recomputing the quadratic machine part.
 	ix := skyline.NewIndex(d)
-	schemes := []struct {
-		name string
-		run  func(*dataset.Dataset, crowd.Platform, Options) *Result
-	}{
-		{"CrowdSky", CrowdSky},
-		{"ParallelDSet", ParallelDSet},
-		{"ParallelSL", ParallelSL},
-	}
-	for _, sc := range schemes {
+	for s := range Schedule(len(schedules)) {
 		for bits := 0; bits < 8; bits++ {
-			opts := Options{P1: bits&1 != 0, P2: bits&2 != 0, P3: bits&4 != 0, Index: ix}
+			opts := Options{Schedule: s, P1: bits&1 != 0, P2: bits&2 != 0, P3: bits&4 != 0, Index: ix}
 			pf := perfect(d)
-			res := sc.run(d, pf, opts)
+			res := Run(d, pf, opts)
 			if err := checkSkyline(res, d, truth, pf.Stats().Snapshot()); err != nil {
-				return fmt.Errorf("%s{P1:%v P2:%v P3:%v}: %w", sc.name, opts.P1, opts.P2, opts.P3, err)
+				return fmt.Errorf("%v{P1:%v P2:%v P3:%v}: %w", s, opts.P1, opts.P2, opts.P3, err)
 			}
 			if !slices.Equal(res.Skyline, truth) {
-				return fmt.Errorf("%s{P1:%v P2:%v P3:%v}: skyline %v differs from truth %v",
-					sc.name, opts.P1, opts.P2, opts.P3, res.Skyline, truth)
+				return fmt.Errorf("%v{P1:%v P2:%v P3:%v}: skyline %v differs from truth %v",
+					s, opts.P1, opts.P2, opts.P3, res.Skyline, truth)
 			}
 		}
 	}
@@ -214,7 +206,7 @@ func TestOracleRejectsBadResults(t *testing.T) {
 	truth := skyline.OracleSkyline(d)
 	run := func() (*Result, crowd.Snapshot) {
 		pf := perfect(d)
-		res := CrowdSky(d, pf, AllPruning())
+		res := Run(d, pf, AllPruning())
 		return res, pf.Stats().Snapshot()
 	}
 

@@ -17,14 +17,19 @@ const (
 	dominated
 )
 
-// newRun opens the session of the named algorithm and pays everything
-// before its first pipeline: the degenerate-case preprocessing, the machine
-// part, and the readout of the SKY_AK tuples, which are complete skyline
-// tuples from the start (Example 2; Algorithm 2, line 4). It returns the
-// session and the alive tuples left to evaluate, in index order.
-func newRun(d *dataset.Dataset, pf crowd.Platform, opts Options, algo string) (*session, []int) {
+// newRun opens the session and pays everything before its first pipeline:
+// the degenerate-case preprocessing, the machine part, and the readout of
+// the SKY_AK tuples, which are complete skyline tuples from the start
+// (Example 2; Algorithm 2, line 4). It returns the session and the
+// admission rule of opts.Schedule over the alive tuples left to evaluate.
+// The run span's algo attribute is the schedule's name plus readout.
+func newRun(d *dataset.Dataset, pf crowd.Platform, opts Options, readout string) (*session, admitRule) {
+	if err := opts.Schedule.Check(); err != nil {
+		panic("core: " + err.Error())
+	}
+	sched := schedules[opts.Schedule]
 	ss := newSession(d, pf, opts)
-	ss.startRun(algo)
+	ss.startRun(sched.name + readout)
 	ss.preprocessDegenerate()
 	ss.prepMachine()
 	var open []int
@@ -37,11 +42,11 @@ func newRun(d *dataset.Dataset, pf crowd.Platform, opts Options, algo string) (*
 			open = append(open, t)
 		}
 	}
-	return ss, open
+	return ss, sched.admit(ss, open)
 }
 
-// drive is the round driver of every algorithm. admit is the algorithm's
-// scheduling rule: given the active pipelines, it appends the ones it
+// drive is the round driver of every schedule. admit is the schedule's
+// admission rule: given the active pipelines, it appends the ones it
 // starts now and returns the list.
 //
 // Each round, every active pipeline calls next once, which takes the steps
@@ -55,7 +60,7 @@ func newRun(d *dataset.Dataset, pf crowd.Platform, opts Options, algo string) (*
 //
 // Once the budget is spent, a pipeline that needs the crowd is read out as
 // not dominated; admission and the free steps go on as before.
-func (ss *session) drive(admit func(active []*tupleEval) []*tupleEval) {
+func (ss *session) drive(admit admitRule) {
 	var active []*tupleEval
 	// The round's requests and the pairs they cover, both reused from
 	// round to round (crowd.Platform.Ask does not keep reqs).
@@ -108,16 +113,16 @@ func (ss *session) drive(admit func(active []*tupleEval) []*tupleEval) {
 // serial is Algorithm 1's admission rule: the next tuple of order, in
 // ascending |DS(t)| under P1 (Lemma 3: every member of DS(t) is then
 // complete before t starts), once nothing is active.
-func (ss *session) serial(order []int) {
+func (ss *session) serial(order []int) admitRule {
 	if ss.opts.P1 {
 		sortByDSSize(order, ss.sets)
 	}
-	ss.drive(func(active []*tupleEval) []*tupleEval {
+	return func(active []*tupleEval) []*tupleEval {
 		if len(active) > 0 || len(order) == 0 {
 			return active
 		}
 		t := order[0]
 		order = order[1:]
 		return append(active, newTupleEval(ss, t, ss.sets[t]))
-	})
+	}
 }

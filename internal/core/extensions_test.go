@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"crowdsky/internal/crowd"
 	"crowdsky/internal/dataset"
 	"crowdsky/internal/metrics"
 	"crowdsky/internal/skyline"
@@ -23,7 +22,7 @@ func TestRoundRobinAC(t *testing.T) {
 
 		rr := AllPruning()
 		rr.RoundRobinAC = true
-		resRR := CrowdSky(d, perfect(d), rr)
+		resRR := Run(d, perfect(d), rr)
 
 		if !metrics.SameSet(resRR.Skyline, want) {
 			t.Logf("seed %d: round-robin skyline %v != oracle %v", seed, resRR.Skyline, want)
@@ -44,10 +43,10 @@ func TestRoundRobinSavesOnMultiAttr(t *testing.T) {
 	var plain, rrTotal int
 	for seed := int64(0); seed < 10; seed++ {
 		d := randomDataset(seed, 120, 3, 3, dataset.Independent)
-		plain += CrowdSky(d, perfect(d), AllPruning()).Questions
+		plain += Run(d, perfect(d), AllPruning()).Questions
 		rr := AllPruning()
 		rr.RoundRobinAC = true
-		rrTotal += CrowdSky(d, perfect(d), rr).Questions
+		rrTotal += Run(d, perfect(d), rr).Questions
 	}
 	if rrTotal >= plain {
 		t.Errorf("round-robin asked %d questions on average, want fewer than %d", rrTotal, plain)
@@ -60,13 +59,13 @@ func TestRoundRobinSavesOnMultiAttr(t *testing.T) {
 // wrongly killed.
 func TestBudgetCap(t *testing.T) {
 	d := randomDataset(5, 80, 2, 1, dataset.Independent)
-	full := CrowdSky(d, perfect(d), AllPruning())
+	full := Run(d, perfect(d), AllPruning())
 	want := skyline.OracleSkyline(d)
 
 	for _, budget := range []int{1, 5, full.Questions / 2, full.Questions} {
 		opts := AllPruning()
 		opts.MaxQuestions = budget
-		res := CrowdSky(d, perfect(d), opts)
+		res := Run(d, perfect(d), opts)
 		if res.Questions > budget {
 			t.Errorf("budget %d: asked %d questions", budget, res.Questions)
 		}
@@ -83,7 +82,7 @@ func TestBudgetCap(t *testing.T) {
 		}
 		for _, s := range want {
 			if !inRes[s] {
-				t.Errorf("budget %d: true skyline tuple %d missing from optimistic readout", budget, s)
+				t.Errorf("budget %d: true skyline sple %d missing from optimistic readout", budget, s)
 			}
 		}
 	}
@@ -97,7 +96,7 @@ func TestBudgetCapMonotone(t *testing.T) {
 	for _, budget := range []int{2, 8, 32, 128, 1 << 20} {
 		opts := AllPruning()
 		opts.MaxQuestions = budget
-		res := CrowdSky(d, perfect(d), opts)
+		res := Run(d, perfect(d), opts)
 		if len(res.Skyline) > prev {
 			t.Errorf("budget %d: skyline grew from %d to %d", budget, prev, len(res.Skyline))
 		}
@@ -112,25 +111,17 @@ func TestBudgetCapMonotone(t *testing.T) {
 // round that spends the last question is folded in like any other: the
 // skyline is the oracle's and nothing is truncated.
 func TestBudgetCapParallel(t *testing.T) {
-	algos := []struct {
-		name string
-		run  func(*dataset.Dataset, crowd.Platform, Options) *Result
-	}{
-		{"serial", CrowdSky},
-		{"dset", ParallelDSet},
-		{"sl", ParallelSL},
-	}
 	d := randomDataset(11, 70, 2, 1, dataset.Independent)
 	want := skyline.OracleSkyline(d)
-	for _, a := range algos[1:] {
-		opts := AllPruning()
+	for sc := ByDominatingSets; sc < Schedule(len(schedules)); sc++ {
+		opts := scheduled(sc)
 		opts.MaxQuestions = 10
-		res := a.run(d, perfect(d), opts)
+		res := Run(d, perfect(d), opts)
 		if res.Questions > 10 {
-			t.Errorf("%s: asked %d questions with budget 10", a.name, res.Questions)
+			t.Errorf("%v: asked %d questions with budget 10", sc, res.Questions)
 		}
 		if !res.Truncated {
-			t.Errorf("%s: truncation not flagged", a.name)
+			t.Errorf("%v: truncation not flagged", sc)
 		}
 		inRes := make(map[int]bool)
 		for _, s := range res.Skyline {
@@ -138,20 +129,20 @@ func TestBudgetCapParallel(t *testing.T) {
 		}
 		for _, s := range want {
 			if !inRes[s] {
-				t.Errorf("%s: true skyline tuple %d missing from optimistic readout", a.name, s)
+				t.Errorf("%v: true skyline tuple %d missing from optimistic readout", sc, s)
 			}
 		}
 	}
 	for seed := int64(1); seed <= 6; seed++ {
 		d := randomDataset(seed, 70, 2, 1, dataset.Independent)
 		want := skyline.OracleSkyline(d)
-		for _, a := range algos {
-			opts := AllPruning()
-			opts.MaxQuestions = a.run(d, perfect(d), opts).Questions
-			res := a.run(d, perfect(d), opts)
+		for sc := range Schedule(len(schedules)) {
+			opts := scheduled(sc)
+			opts.MaxQuestions = Run(d, perfect(d), opts).Questions
+			res := Run(d, perfect(d), opts)
 			if !metrics.SameSet(res.Skyline, want) || res.Truncated || res.Questions != opts.MaxQuestions {
-				t.Errorf("seed %d, %s, exact budget %d: skyline %v (oracle %v), truncated %v, %d questions",
-					seed, a.name, opts.MaxQuestions, res.Skyline, want, res.Truncated, res.Questions)
+				t.Errorf("seed %d, %v, exact budget %d: skyline %v (oracle %v), truncated %v, %d questions",
+					seed, sc, opts.MaxQuestions, res.Skyline, want, res.Truncated, res.Questions)
 			}
 		}
 	}
@@ -176,45 +167,50 @@ func (r backupRecorder) WorkersFor(ctx voting.Context) int {
 // backed-up checks dead.
 func TestBackupContextSameAcrossSchedulers(t *testing.T) {
 	d := randomDataset(3, 200, 2, 1, dataset.AntiCorrelated)
-	hist := func(run func(*dataset.Dataset, crowd.Platform, Options) *Result) backupRecorder {
+	hist := func(s Schedule) backupRecorder {
 		rec := backupRecorder{}
-		run(d, perfect(d), Options{P1: true, Voting: rec})
+		Run(d, perfect(d), Options{Schedule: s, P1: true, Voting: rec})
 		return rec
 	}
-	serial := hist(CrowdSky)
+	serial := hist(Serial)
 	if serial[0] == 0 || len(serial) < 2 {
 		t.Fatalf("serial backup histogram %v: want questions both with and without backup", serial)
 	}
-	for name, run := range map[string]func(*dataset.Dataset, crowd.Platform, Options) *Result{
-		"dset": ParallelDSet,
-		"sl":   ParallelSL,
-	} {
-		if got := hist(run); !maps.Equal(got, serial) {
-			t.Errorf("%s backup histogram %v, serial %v", name, got, serial)
+	for s := ByDominatingSets; s < Schedule(len(schedules)); s++ {
+		if got := hist(s); !maps.Equal(got, serial) {
+			t.Errorf("%v backup histogram %v, serial %v", s, got, serial)
 		}
 	}
 }
 
-// TestProbabilisticCollapsesWithFullBudget: with no budget cap every tuple
-// is complete and the probabilities are the exact 0/1 skyline indicator.
+// TestProbabilisticCollapsesWithFullBudget: under every schedule with no
+// budget cap every tuple is complete and the probabilities are the exact
+// 0/1 skyline indicator.
 func TestProbabilisticCollapsesWithFullBudget(t *testing.T) {
 	d := randomDataset(31, 60, 2, 1, dataset.Independent)
-	res := CrowdSkyProbabilistic(d, perfect(d), AllPruning())
 	want := make(map[int]bool)
 	for _, s := range skyline.OracleSkyline(d) {
 		want[s] = true
 	}
-	for _, tp := range res.Probabilities {
-		wantP := 0.0
-		if want[tp.Tuple] {
-			wantP = 1.0
+	for sc := range Schedule(len(schedules)) {
+		res := CrowdSkyProbabilistic(d, perfect(d), scheduled(sc))
+		// The readout runs the same schedule dispatch as Run.
+		if plain := Run(d, perfect(d), scheduled(sc)); res.Questions != plain.Questions || res.Rounds != plain.Rounds {
+			t.Errorf("%v: %d questions in %d rounds, Run asks %d in %d",
+				sc, res.Questions, res.Rounds, plain.Questions, plain.Rounds)
 		}
-		if tp.Probability != wantP {
-			t.Errorf("tuple %d: probability %.2f, want %.0f", tp.Tuple, tp.Probability, wantP)
+		for _, tp := range res.Probabilities {
+			wantP := 0.0
+			if want[tp.Tuple] {
+				wantP = 1.0
+			}
+			if tp.Probability != wantP {
+				t.Errorf("%v, tuple %d: probability %.2f, want %.0f", sc, tp.Tuple, tp.Probability, wantP)
+			}
 		}
-	}
-	if !metrics.SameSet(res.Skyline, skyline.OracleSkyline(d)) {
-		t.Errorf("probabilistic run changed the skyline")
+		if !metrics.SameSet(res.Skyline, skyline.OracleSkyline(d)) {
+			t.Errorf("%v: probabilistic run changed the skyline", sc)
+		}
 	}
 }
 
@@ -224,7 +220,7 @@ func TestProbabilisticCollapsesWithFullBudget(t *testing.T) {
 // tuples (the ranking is informative).
 func TestProbabilisticUnderBudget(t *testing.T) {
 	d := randomDataset(33, 120, 2, 1, dataset.Independent)
-	full := CrowdSky(d, perfect(d), AllPruning())
+	full := Run(d, perfect(d), AllPruning())
 	opts := AllPruning()
 	opts.MaxQuestions = full.Questions / 3
 	res := CrowdSkyProbabilistic(d, perfect(d), opts)
@@ -266,7 +262,7 @@ func TestProbabilisticUnderBudget(t *testing.T) {
 // fraction, reaching zero when everything is stored.
 func TestPartialMissingValues(t *testing.T) {
 	d := randomDataset(41, 80, 2, 1, dataset.Independent)
-	baseline := CrowdSky(d, perfect(d), AllPruning()).Questions
+	baseline := Run(d, perfect(d), AllPruning()).Questions
 	want := skyline.OracleSkyline(d)
 
 	prev := baseline + 1
@@ -278,7 +274,7 @@ func TestPartialMissingValues(t *testing.T) {
 		if err := d.SetCrowdKnown(mask); err != nil {
 			t.Fatal(err)
 		}
-		res := CrowdSky(d, perfect(d), AllPruning())
+		res := Run(d, perfect(d), AllPruning())
 		if !metrics.SameSet(res.Skyline, want) {
 			t.Errorf("frac %.1f: skyline mismatch", frac)
 		}
@@ -314,7 +310,7 @@ func TestPartialMissingDirectVariants(t *testing.T) {
 		"DSet": {},
 		"P1":   {P1: true},
 	} {
-		res := CrowdSky(d, perfect(d), opts)
+		res := Run(d, perfect(d), opts)
 		if !metrics.SameSet(res.Skyline, want) {
 			t.Errorf("%s: skyline mismatch with stored values", name)
 		}

@@ -31,19 +31,15 @@ func noisyPool(t *testing.T, cfg crowd.PoolConfig, seed int64) (*crowd.Pool, *ra
 // all schedulers.
 func TestAdversarialCrowdTerminates(t *testing.T) {
 	d := randomDataset(21, 50, 2, 1, dataset.Independent)
-	for name, run := range map[string]func(pf crowd.Platform) *Result{
-		"serial": func(pf crowd.Platform) *Result { return CrowdSky(d, pf, AllPruning()) },
-		"dset":   func(pf crowd.Platform) *Result { return ParallelDSet(d, pf, AllPruning()) },
-		"sl":     func(pf crowd.Platform) *Result { return ParallelSL(d, pf, AllPruning()) },
-	} {
+	for s := range Schedule(len(schedules)) {
 		pool, rng := noisyPool(t, crowd.PoolConfig{Reliability: 0}, 1)
 		pf := crowd.NewSimulated(crowd.DatasetTruth{Data: d}, pool, rng)
-		res := run(pf)
+		res := Run(d, pf, scheduled(s))
 		if res.Questions <= 0 || res.Rounds <= 0 {
-			t.Errorf("%s: adversarial run asked nothing: %+v", name, res)
+			t.Errorf("%v: adversarial run asked nothing: %+v", s, res)
 		}
 		if len(res.Skyline) == 0 {
-			t.Errorf("%s: adversarial run returned an empty skyline", name)
+			t.Errorf("%v: adversarial run returned an empty skyline", s)
 		}
 	}
 }
@@ -64,7 +60,7 @@ func TestSpammerHeavyPool(t *testing.T) {
 		var totalF1 float64
 		const runs = 5
 		for i := 0; i < runs; i++ {
-			res := CrowdSky(d, pf, opts)
+			res := Run(d, pf, opts)
 			p, r := metrics.PrecisionRecall(res.Skyline, want, known)
 			totalF1 += metrics.F1(p, r)
 		}
@@ -82,24 +78,30 @@ func TestContradictionAccounting(t *testing.T) {
 	d := randomDataset(25, 100, 2, 1, dataset.AntiCorrelated)
 	pool, rng := noisyPool(t, crowd.PoolConfig{Reliability: 0.6}, 3)
 	pf := crowd.NewSimulated(crowd.DatasetTruth{Data: d}, pool, rng)
-	res := CrowdSky(d, pf, AllPruning())
+	res := Run(d, pf, AllPruning())
 	if res.Contradictions < 0 {
 		t.Errorf("negative contradictions")
 	}
 	// A perfect-crowd run never records contradictions.
-	res = CrowdSky(d, perfect(d), AllPruning())
+	res = Run(d, perfect(d), AllPruning())
 	if res.Contradictions != 0 {
 		t.Errorf("perfect crowd produced %d contradictions", res.Contradictions)
 	}
 }
 
-// TestEpsilonEqualityBand: a wide equality band makes the crowd declare
-// everything equal in AC; every tuple then shares the fate of its
-// AK-dominators, leaving exactly SKY_AK as the result.
-func TestEpsilonEqualityBand(t *testing.T) {
+// allEqual is a crowd truth that declares every pair equally preferred.
+type allEqual struct{}
+
+func (allEqual) Answer(crowd.Question) crowd.Preference { return crowd.Equal }
+func (allEqual) Value(int, int) float64                 { return 0 }
+
+// TestAllEqualCrowdLeavesKnownSkyline: a crowd that declares everything
+// equal in AC makes every tuple share the fate of its AK-dominators,
+// leaving exactly SKY_AK as the result.
+func TestAllEqualCrowdLeavesKnownSkyline(t *testing.T) {
 	d := randomDataset(27, 40, 2, 1, dataset.Independent)
-	pf := crowd.NewPerfect(crowd.DatasetTruth{Data: d, Epsilon: 1e9})
-	res := CrowdSky(d, pf, AllPruning())
+	pf := crowd.NewPerfect(allEqual{})
+	res := Run(d, pf, AllPruning())
 	if !metrics.SameSet(res.Skyline, skyline.KnownSkyline(d)) {
 		t.Errorf("all-equal crowd should reduce the skyline to SKY_AK: got %v want %v",
 			res.Skyline, skyline.KnownSkyline(d))
@@ -114,8 +116,8 @@ func TestParallelSLOverheadBounded(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		for _, dist := range []dataset.Distribution{dataset.Independent, dataset.AntiCorrelated} {
 			d := randomDataset(seed, 150, 4, 1, dist)
-			serialQ += CrowdSky(d, perfect(d), AllPruning()).Questions
-			slQ += ParallelSL(d, perfect(d), AllPruning()).Questions
+			serialQ += Run(d, perfect(d), AllPruning()).Questions
+			slQ += Run(d, perfect(d), scheduled(BySkylineLayers)).Questions
 		}
 	}
 	if slQ > serialQ*125/100 {
@@ -131,7 +133,7 @@ func TestWorkerAnswerAccountingAcrossPolicies(t *testing.T) {
 	opts.Voting = voting.Static{Omega: 7}
 	pool, rng := noisyPool(t, crowd.PoolConfig{Reliability: 0.9}, 9)
 	pf := crowd.NewSimulated(crowd.DatasetTruth{Data: d}, pool, rng)
-	res := CrowdSky(d, pf, opts)
+	res := Run(d, pf, opts)
 	if res.WorkerAnswers != 7*res.Questions {
 		t.Errorf("worker answers %d != 7 × %d questions", res.WorkerAnswers, res.Questions)
 	}

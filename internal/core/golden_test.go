@@ -175,37 +175,24 @@ var goldenStreams = map[string]string{
 	"sl/ties/static5":               "0ace1a7289d1cf0d",
 }
 
-// TestRequestStreamGolden pins every algorithm's request stream round for
+// TestRequestStreamGolden pins every schedule's request stream round for
 // round, and its result, under perfect and noisy crowds, every pruning
-// configuration, and (serial algorithms) fixed budgets. The schedulers may
-// be restructured freely as long as what they ask, and when, is unchanged.
+// configuration, and (Serial, with and without the probabilistic readout)
+// fixed budgets. The schedules may be restructured freely as long as what
+// they ask, and when, is unchanged.
 func TestRequestStreamGolden(t *testing.T) {
-	algos := []struct {
-		name   string
-		serial bool
-		run    func(*dataset.Dataset, crowd.Platform, Options) *Result
-	}{
-		{"crowdsky", true, CrowdSky},
-		{"probabilistic", true, func(d *dataset.Dataset, pf crowd.Platform, opts Options) *Result {
-			res := CrowdSkyProbabilistic(d, pf, opts)
-			h := pf.(*streamHasher).h
-			for _, tp := range res.Probabilities {
-				fmt.Fprintf(h, "prob %d %v %d %d\n", tp.Tuple, tp.Probability, tp.Survived, tp.Unresolved)
-			}
-			return &res.Result
-		}},
-		{"dset", false, ParallelDSet},
-		{"sl", false, ParallelSL},
-	}
+	// goldenName keys each schedule's cases in goldenStreams.
+	goldenName := [...]string{Serial: "crowdsky", ByDominatingSets: "dset", BySkylineLayers: "sl"}
 	got := make(map[string]string)
-	for _, a := range algos {
+	record := func(name string, sched Schedule, algo func(*dataset.Dataset, crowd.Platform, Options) *Result) {
 		for _, ds := range goldenDatasets() {
 			for _, c := range goldenCrowds {
 				h := sha256.New()
 				run := func(label string, opts Options) *Result {
 					fmt.Fprintf(h, "case %s budget=%d\n", label, opts.MaxQuestions)
+					opts.Schedule = sched
 					opts.Voting = c.policy
-					res := a.run(ds.d, &streamHasher{Platform: goldenPlatform(ds.d, c.noisy), h: h}, opts)
+					res := algo(ds.d, &streamHasher{Platform: goldenPlatform(ds.d, c.noisy), h: h}, opts)
 					hashResult(h, res)
 					return res
 				}
@@ -214,7 +201,7 @@ func TestRequestStreamGolden(t *testing.T) {
 						continue
 					}
 					full := run(o.name, o.opts)
-					if !a.serial {
+					if sched != Serial {
 						continue
 					}
 					for _, budget := range []int{1, 5, full.Questions / 2} {
@@ -223,10 +210,21 @@ func TestRequestStreamGolden(t *testing.T) {
 						run(o.name, opts)
 					}
 				}
-				got[a.name+"/"+ds.name+"/"+c.name] = hex.EncodeToString(h.Sum(nil)[:8])
+				got[name+"/"+ds.name+"/"+c.name] = hex.EncodeToString(h.Sum(nil)[:8])
 			}
 		}
 	}
+	for s := range Schedule(len(schedules)) {
+		record(goldenName[s], s, Run)
+	}
+	record("probabilistic", Serial, func(d *dataset.Dataset, pf crowd.Platform, opts Options) *Result {
+		res := CrowdSkyProbabilistic(d, pf, opts)
+		h := pf.(*streamHasher).h
+		for _, tp := range res.Probabilities {
+			fmt.Fprintf(h, "prob %d %v %d %d\n", tp.Tuple, tp.Probability, tp.Survived, tp.Unresolved)
+		}
+		return &res.Result
+	})
 	if *updateGolden {
 		keys := make([]string, 0, len(got))
 		for k := range got {

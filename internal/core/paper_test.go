@@ -118,14 +118,14 @@ func TestPaperExample2Skyline(t *testing.T) {
 		name string
 		run  func(d *dataset.Dataset, pf crowd.Platform) *Result
 	}{
-		{"DSet", func(d *dataset.Dataset, pf crowd.Platform) *Result { return CrowdSky(d, pf, Options{}) }},
-		{"P1", func(d *dataset.Dataset, pf crowd.Platform) *Result { return CrowdSky(d, pf, Options{P1: true}) }},
+		{"DSet", func(d *dataset.Dataset, pf crowd.Platform) *Result { return Run(d, pf, Options{}) }},
+		{"P1", func(d *dataset.Dataset, pf crowd.Platform) *Result { return Run(d, pf, Options{P1: true}) }},
 		{"P1P2", func(d *dataset.Dataset, pf crowd.Platform) *Result {
-			return CrowdSky(d, pf, Options{P1: true, P2: true})
+			return Run(d, pf, Options{P1: true, P2: true})
 		}},
-		{"P1P2P3", func(d *dataset.Dataset, pf crowd.Platform) *Result { return CrowdSky(d, pf, AllPruning()) }},
-		{"ParallelDSet", func(d *dataset.Dataset, pf crowd.Platform) *Result { return ParallelDSet(d, pf, AllPruning()) }},
-		{"ParallelSL", func(d *dataset.Dataset, pf crowd.Platform) *Result { return ParallelSL(d, pf, AllPruning()) }},
+		{"P1P2P3", func(d *dataset.Dataset, pf crowd.Platform) *Result { return Run(d, pf, AllPruning()) }},
+		{"ParallelDSet", func(d *dataset.Dataset, pf crowd.Platform) *Result { return Run(d, pf, scheduled(ByDominatingSets)) }},
+		{"ParallelSL", func(d *dataset.Dataset, pf crowd.Platform) *Result { return Run(d, pf, scheduled(BySkylineLayers)) }},
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -145,7 +145,7 @@ func TestPaperExample2Skyline(t *testing.T) {
 func TestPaperExample6(t *testing.T) {
 	d := dataset.Toy()
 	rec := &crowd.Recorder{Inner: crowd.NewPerfect(crowd.DatasetTruth{Data: d})}
-	res := CrowdSky(d, rec, AllPruning())
+	res := Run(d, rec, AllPruning())
 	if res.Questions != 12 {
 		t.Errorf("questions = %d, want 12 (Example 6)", res.Questions)
 	}
@@ -182,12 +182,12 @@ func TestPaperExample6(t *testing.T) {
 func TestPaperFigure3(t *testing.T) {
 	d := dataset.ToyAnti()
 	pfNoP3 := crowd.NewPerfect(crowd.DatasetTruth{Data: d})
-	res := CrowdSky(d, pfNoP3, Options{P1: true, P2: true})
+	res := Run(d, pfNoP3, Options{P1: true, P2: true})
 	if res.Questions != 24 {
 		t.Errorf("questions without P3 = %d, want 24 (Section 3.4)", res.Questions)
 	}
 	pfP3 := crowd.NewPerfect(crowd.DatasetTruth{Data: d})
-	res = CrowdSky(d, pfP3, AllPruning())
+	res = Run(d, pfP3, AllPruning())
 	if res.Questions != 9 {
 		t.Errorf("questions with P3 = %d, want 9 (Section 3.4)", res.Questions)
 	}
@@ -201,7 +201,7 @@ func TestPaperFigure3(t *testing.T) {
 // with 12 questions in 9 rounds.
 func TestPaperExample7(t *testing.T) {
 	d, pf := perfectToy()
-	res := ParallelDSet(d, pf, AllPruning())
+	res := Run(d, pf, scheduled(ByDominatingSets))
 	if res.Questions != 12 {
 		t.Errorf("questions = %d, want 12 (Example 7)", res.Questions)
 	}
@@ -216,7 +216,7 @@ func TestPaperExample7(t *testing.T) {
 func TestPaperExample8(t *testing.T) {
 	d := dataset.Toy()
 	pf := crowd.NewPerfect(crowd.DatasetTruth{Data: d})
-	res := ParallelSL(d, pf, AllPruning())
+	res := Run(d, pf, scheduled(BySkylineLayers))
 	if res.Questions != 12 {
 		t.Errorf("questions = %d, want 12 (Example 8)", res.Questions)
 	}

@@ -1,29 +1,24 @@
 package core
 
-import (
-	"crowdsky/internal/crowd"
-	"crowdsky/internal/dataset"
-)
-
-// ParallelDSet runs the dominating-set partitioning parallelization of
-// Section 4.1. Tuples are grouped by the size of their (initial)
-// dominating sets — same-size tuples cannot dominate each other (Lemma 3),
-// removing dependency C1 — and each group is split into batches of tuples
-// with pair-wise disjoint dominating sets, removing dependency C2. Groups
-// and batches run sequentially; within a batch, every tuple contributes its
-// next question to a shared round, so the batch's latency is the longest
-// single-tuple pipeline rather than the sum (Example 7).
+// byDominatingSets is the admission rule of the dominating-set
+// partitioning of Section 4.1. Tuples are grouped by the size of their
+// (initial) dominating sets — same-size tuples cannot dominate each other
+// (Lemma 3), removing dependency C1 — and each group is split into batches
+// of tuples with pair-wise disjoint dominating sets, removing dependency
+// C2. Groups and batches start one after another once nothing is active;
+// within a batch, every tuple contributes its next question to a shared
+// round, so the batch's latency is the longest single-tuple pipeline
+// rather than the sum (Example 7).
 //
-// The questions asked are exactly those of the serial CrowdSky run with the
+// The questions asked are exactly those of the Serial schedule with the
 // same pruning options; only their arrangement into rounds differs.
-func ParallelDSet(d *dataset.Dataset, pf crowd.Platform, opts Options) *Result {
-	ss, order := newRun(d, pf, opts, "parallel-dset")
+func (ss *session) byDominatingSets(order []int) admitRule {
 	// Group by initial dominating-set size, ascending (the partitioning of
 	// Section 4.1; sizes are taken before pruning so Lemma 3 applies).
 	sortByDSSize(order, ss.sets)
 	var batches [][]int
-	pruned := make([][]int, d.N()) // per tuple, its set as pruned at batching
-	ss.drive(func(active []*tupleEval) []*tupleEval {
+	pruned := make([][]int, ss.d.N()) // per tuple, its set as pruned at batching
+	return func(active []*tupleEval) []*tupleEval {
 		if len(active) > 0 {
 			return active
 		}
@@ -48,14 +43,13 @@ func ParallelDSet(d *dataset.Dataset, pf crowd.Platform, opts Options) *Result {
 		}
 		batches = batches[1:]
 		return active
-	})
-	return ss.finish()
+	}
 }
 
 // disjointBatches greedily partitions a same-size group into batches whose
 // members have pair-wise disjoint dominating sets. The disjointness check
-// uses the sets as CrowdSky would see them at question-generation time —
-// after the P1 removal of complete non-skyline members and the P2
+// uses the sets as the Serial schedule would see them at question
+// generation — after the P1 removal of complete non-skyline members and the P2
 // reduction to SKY_AC (Algorithm 1, line 9) — because dependency C2 only
 // concerns the members that can still appear in probing and Q(t)
 // questions. Checking the reduced sets admits much larger batches on

@@ -26,13 +26,14 @@ type ProbabilisticResult struct {
 	Probabilities []TupleProbability
 }
 
-// CrowdSkyProbabilistic runs the serial CrowdSky algorithm (typically with
-// Options.MaxQuestions set) and estimates each tuple's skyline probability
-// under a rank model: if a tuple is already known more preferred than m of
-// its remaining dominating-set members and k members are unresolved, the
-// chance that it is the most preferred of the whole group is
-// (m+1)/(m+k+1) — the probability that a uniformly ranked item that is
-// already the minimum of m+1 items stays minimal when k more items join.
+// CrowdSkyProbabilistic runs like Run, under the same schedule dispatch
+// (typically with Options.MaxQuestions set), and estimates each tuple's
+// skyline probability under a rank model: if a tuple is already known more
+// preferred than m of its remaining dominating-set members and k members
+// are unresolved, the chance that it is the most preferred of the whole
+// group is (m+1)/(m+k+1) — the probability that a uniformly ranked item
+// that is already the minimum of m+1 items stays minimal when k more items
+// join.
 // With several crowd attributes the per-attribute probabilities multiply
 // (independence across attributes, matching the synthetic generator).
 //
@@ -40,9 +41,9 @@ type ProbabilisticResult struct {
 // unlimited budget every tuple is complete and the probabilities collapse
 // to the exact skyline indicator.
 func CrowdSkyProbabilistic(d *dataset.Dataset, pf crowd.Platform, opts Options) *ProbabilisticResult {
-	ss, order := newRun(d, pf, opts, "crowdsky-probabilistic")
+	ss, admit := newRun(d, pf, opts, "-probabilistic")
 	ss.kept = make([]*tupleEval, d.N())
-	ss.serial(order)
+	ss.drive(admit)
 	out := &ProbabilisticResult{Result: *ss.finish()}
 	for t, te := range ss.kept {
 		tp := TupleProbability{Tuple: t}

@@ -46,7 +46,7 @@ func TestTraceEventsOnToyDataset(t *testing.T) {
 	var tr telemetry.Collector
 	opts := AllPruning()
 	opts.Tracer = &tr
-	res := CrowdSky(d, perfect(d), opts)
+	res := Run(d, perfect(d), opts)
 
 	events := tr.Events()
 	for _, e := range events {
@@ -60,7 +60,7 @@ func TestTraceEventsOnToyDataset(t *testing.T) {
 	}
 
 	run := runSpanOf(t, &tr)
-	if run.Attrs["algo"] != "crowdsky" {
+	if run.Attrs["algo"] != "serial" {
 		t.Errorf("run algo = %q", run.Attrs["algo"])
 	}
 	for key, want := range map[string]int{
@@ -98,34 +98,26 @@ func TestTraceEventsOnToyDataset(t *testing.T) {
 }
 
 // TestTraceP3AndParallel pins the run-span pruning totals on the toy
-// dataset for each algorithm. The expected values are the removal sums and
+// dataset for each schedule. The expected values are the removal sums and
 // escalation counts that the earlier per-prune and per-escalation trace
 // events reported on the same runs, so moving them onto the run span lost
 // nothing.
 func TestTraceP3AndParallel(t *testing.T) {
-	cases := []struct {
-		algo       string
-		run        func(*dataset.Dataset, Options) *Result
-		escalation int
-	}{
-		{"crowdsky", func(d *dataset.Dataset, o Options) *Result { return CrowdSky(d, perfect(d), o) }, 3},
-		{"parallel-dset", func(d *dataset.Dataset, o Options) *Result { return ParallelDSet(d, perfect(d), o) }, 4},
-		{"parallel-sl", func(d *dataset.Dataset, o Options) *Result { return ParallelSL(d, perfect(d), o) }, 4},
-	}
-	for _, c := range cases {
-		t.Run(c.algo, func(t *testing.T) {
+	escalations := [...]int{Serial: 3, ByDominatingSets: 4, BySkylineLayers: 4}
+	for s := range Schedule(len(schedules)) {
+		t.Run(s.String(), func(t *testing.T) {
 			d := dataset.Toy()
 			var tr telemetry.Collector
-			opts := AllPruning()
+			opts := scheduled(s)
 			opts.Tracer = &tr
 			opts.Voting = voting.NewAnnealed(5)
-			c.run(d, opts)
+			Run(d, perfect(d), opts)
 			run := runSpanOf(t, &tr)
-			if run.Attrs["algo"] != c.algo {
-				t.Errorf("run algo = %q, want %q", run.Attrs["algo"], c.algo)
+			if run.Attrs["algo"] != s.String() {
+				t.Errorf("run algo = %q, want %q", run.Attrs["algo"], s.String())
 			}
 			for key, want := range map[string]int{
-				"p1_removed": 8, "p2_removed": 6, "p3_removed": 4, "vote_escalations": c.escalation,
+				"p1_removed": 8, "p2_removed": 6, "p3_removed": 4, "vote_escalations": escalations[s],
 			} {
 				if got := attrInt(t, run, key); got != want {
 					t.Errorf("run %s = %d, want %d", key, got, want)
@@ -143,7 +135,7 @@ func TestTraceBudgetTruncation(t *testing.T) {
 	opts := AllPruning()
 	opts.Tracer = &tr
 	opts.MaxQuestions = 5
-	res := CrowdSky(d, perfect(d), opts)
+	res := Run(d, perfect(d), opts)
 	if !res.Truncated {
 		t.Fatal("budget of 5 not exhausted on the toy dataset")
 	}
@@ -163,7 +155,7 @@ func TestTraceVoteEscalation(t *testing.T) {
 		opts := AllPruning()
 		opts.Tracer = &tr
 		opts.Voting = policy
-		CrowdSky(d, perfect(d), opts)
+		Run(d, perfect(d), opts)
 		return runSpanOf(t, &tr).Attrs["vote_escalations"]
 	}
 	if n, _ := strconv.Atoi(escalations(voting.NewAnnealed(5))); n == 0 {
@@ -194,7 +186,7 @@ func BenchmarkCrowdSkyNoTrace(b *testing.B) {
 	d := benchDataset(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		CrowdSky(d, perfect(d), AllPruning())
+		Run(d, perfect(d), AllPruning())
 	}
 }
 
@@ -207,6 +199,6 @@ func BenchmarkCrowdSkyTraced(b *testing.B) {
 		var tr telemetry.Collector
 		opts := AllPruning()
 		opts.Tracer = &tr
-		CrowdSky(d, perfect(d), opts)
+		Run(d, perfect(d), opts)
 	}
 }

@@ -43,11 +43,6 @@ func TestDatasetTruth(t *testing.T) {
 	if tr.Value(f, 0) != d.Latent(f, 0) {
 		t.Errorf("Value accessor wrong")
 	}
-	// Epsilon widens the equality band.
-	eps := DatasetTruth{Data: d, Epsilon: 100}
-	if eps.Answer(Question{A: f, B: e}) != Equal {
-		t.Errorf("epsilon band ignored")
-	}
 }
 
 func TestPerfectPlatform(t *testing.T) {

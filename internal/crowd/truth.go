@@ -15,23 +15,20 @@ type Truth interface {
 }
 
 // DatasetTruth answers questions from a dataset's latent crowd-attribute
-// values. Two values within Epsilon of each other are reported as equally
-// preferred; the default 0 means only exact ties are equal, matching the
-// continuous synthetic data where ties have probability zero.
+// values. Only identical values are reported as equally preferred, the
+// equality that dominance and skyline.OracleSkyline use.
 type DatasetTruth struct {
-	Data    *dataset.Dataset
-	Epsilon float64
+	Data *dataset.Dataset
 }
 
 // Answer implements Truth.
 func (t DatasetTruth) Answer(q Question) Preference {
 	a := t.Data.Latent(q.A, q.Attr)
 	b := t.Data.Latent(q.B, q.Attr)
-	diff := a - b
 	switch {
-	case diff < -t.Epsilon:
+	case a < b:
 		return First
-	case diff > t.Epsilon:
+	case b < a:
 		return Second
 	default:
 		return Equal

@@ -84,7 +84,7 @@ func TestChaosTransportFaults(t *testing.T) {
 	client.InstrumentMetrics(reg)
 	plan.InstrumentMetrics(reg)
 
-	res := core.ParallelSL(d, client, core.AllPruning())
+	res := core.Run(d, client, slOptions())
 	cancel()
 	<-workersDone
 
@@ -138,7 +138,7 @@ func TestChaosWorkerFaults(t *testing.T) {
 
 	client := NewClient(ts.URL)
 	client.PollInterval = 2 * time.Millisecond
-	res := core.ParallelSL(d, client, core.AllPruning())
+	res := core.Run(d, client, slOptions())
 	cancel()
 	<-workersDone
 
@@ -578,7 +578,7 @@ func runKillRestart(t *testing.T, tc killRestartCase) {
 				panic(r)
 			}
 		}()
-		core.CrowdSky(d, &abortPlatform{inner: p1, maxRounds: 3}, core.AllPruning())
+		core.Run(d, &abortPlatform{inner: p1, maxRounds: 3}, core.AllPruning())
 		t.Fatal("session 1 finished; the abort platform never fired")
 	}()
 	if !tw.Torn() {
@@ -604,7 +604,7 @@ func runKillRestart(t *testing.T, tc killRestartCase) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.CrowdSky(d, p2, core.AllPruning())
+	res := core.Run(d, p2, core.AllPruning())
 	cancel()
 	<-workersDone
 

@@ -58,6 +58,14 @@ func decode[T any](t testing.TB, resp *http.Response) T {
 
 // TestMarketplaceLifecycle drives one round through the raw HTTP API:
 // post, fetch work, answer, collect.
+// slOptions is the full pruning configuration under skyline-layer
+// scheduling, the requester setting of the end-to-end tests.
+func slOptions() core.Options {
+	opts := core.AllPruning()
+	opts.Schedule = core.BySkylineLayers
+	return opts
+}
+
 func TestMarketplaceLifecycle(t *testing.T) {
 	_, ts := newTestServer(t)
 
@@ -261,7 +269,7 @@ func TestEndToEndSkylineOverHTTP(t *testing.T) {
 
 	client := NewClient(ts.URL)
 	client.PollInterval = 2 * time.Millisecond
-	res := core.ParallelSL(d, client, core.AllPruning())
+	res := core.Run(d, client, slOptions())
 
 	cancel()
 	<-workersDone
@@ -299,7 +307,7 @@ func TestEndToEndMajorityVotingOverHTTP(t *testing.T) {
 	client.PollInterval = 2 * time.Millisecond
 	opts := core.AllPruning()
 	opts.Voting = staticPolicy{3}
-	res := core.CrowdSky(d, client, opts)
+	res := core.Run(d, client, opts)
 
 	cancel()
 	<-workersDone
@@ -891,7 +899,7 @@ func TestExchangeBudget(t *testing.T) {
 	}()
 	client := NewClient(ts.URL)
 	client.PollInterval = time.Millisecond
-	res := core.ParallelSL(d, client, core.AllPruning())
+	res := core.Run(d, client, slOptions())
 	cancel()
 	<-workersDone
 

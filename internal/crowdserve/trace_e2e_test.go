@@ -40,9 +40,9 @@ func TestCrossProcessTrace(t *testing.T) {
 	client := NewClient(ts.URL)
 	client.PollInterval = 2 * time.Millisecond
 	clientTrace := &telemetry.Collector{}
-	opts := core.AllPruning()
+	opts := slOptions()
 	opts.Tracer = clientTrace
-	res := core.ParallelSL(d, client, opts)
+	res := core.Run(d, client, opts)
 
 	cancel()
 	<-workersDone

@@ -33,10 +33,10 @@ func ExtRoundRobin(cfg Config) (*Figure, error) {
 		var qPlain, qRR float64
 		for run := 0; run < cfg.Runs; run++ {
 			d := dataset.MustGenerate(gen, rand.New(rand.NewSource(cfg.Seed+int64(run))))
-			qPlain += float64(core.CrowdSky(d, perfectPlatform(d), core.AllPruning()).Questions)
+			qPlain += float64(core.Run(d, perfectPlatform(d), core.AllPruning()).Questions)
 			opts := core.AllPruning()
 			opts.RoundRobinAC = true
-			qRR += float64(core.CrowdSky(d, perfectPlatform(d), opts).Questions)
+			qRR += float64(core.Run(d, perfectPlatform(d), opts).Questions)
 		}
 		plain.X = append(plain.X, float64(dc))
 		plain.Y = append(plain.Y, qPlain/float64(cfg.Runs))
@@ -68,14 +68,14 @@ func ExtBudget(cfg Config) (*Figure, error) {
 		var ps, rs float64
 		for run := 0; run < cfg.Runs; run++ {
 			d := dataset.MustGenerate(gen, rand.New(rand.NewSource(cfg.Seed+int64(run))))
-			full := core.CrowdSky(d, perfectPlatform(d), core.AllPruning())
+			full := core.Run(d, perfectPlatform(d), core.AllPruning())
 			budget := int(frac * float64(full.Questions))
 			if budget < 1 {
 				budget = 1
 			}
 			opts := core.AllPruning()
 			opts.MaxQuestions = budget
-			res := core.CrowdSky(d, perfectPlatform(d), opts)
+			res := core.Run(d, perfectPlatform(d), opts)
 			p, r := metrics.PrecisionRecall(res.Skyline, skyline.OracleSkyline(d), skyline.KnownSkyline(d))
 			ps += p
 			rs += r
@@ -167,7 +167,7 @@ func ExtScreening(cfg Config) (*Figure, error) {
 				}
 				opts := core.AllPruning()
 				opts.Voting = voting.Static{Omega: DefaultOmega}
-				res := core.CrowdSky(d, pf, opts)
+				res := core.Run(d, pf, opts)
 				p, r := metrics.PrecisionRecall(res.Skyline, want, known)
 				return metrics.F1(p, r)
 			}

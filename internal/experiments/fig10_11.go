@@ -91,21 +91,21 @@ func Fig10(cfg Config, panel string) (*Figure, error) {
 			opts := core.AllPruning()
 			opts.Voting = voting.Static{Omega: DefaultOmega}
 			opts.Index = ix
-			return core.CrowdSky(d, pf, opts).Skyline
+			return core.Run(d, pf, opts).Skyline
 		}},
 		{"DynamicVoting", func(d *dataset.Dataset, ix *skyline.Index, seed int64) []int {
 			pf := noisyPlatform(d, p, seed)
 			opts := core.AllPruning()
 			opts.Voting = DynamicPolicy(d, DefaultOmega)
 			opts.Index = ix
-			return core.CrowdSky(d, pf, opts).Skyline
+			return core.Run(d, pf, opts).Skyline
 		}},
 		{"SmartVoting", func(d *dataset.Dataset, ix *skyline.Index, seed int64) []int {
 			pf := noisyPlatform(d, p, seed)
 			opts := core.AllPruning()
 			opts.Voting = core.SmartVoting(ix, DefaultOmega)
 			opts.Index = ix
-			return core.CrowdSky(d, pf, opts).Skyline
+			return core.Run(d, pf, opts).Skyline
 		}},
 	}
 	return &Figure{
@@ -147,7 +147,7 @@ func Fig11(cfg Config, panel string) (*Figure, error) {
 			opts := core.AllPruning()
 			opts.Voting = core.SmartVoting(ix, DefaultOmega)
 			opts.Index = ix
-			return core.CrowdSky(d, pf, opts).Skyline
+			return core.Run(d, pf, opts).Skyline
 		}},
 	}
 	return &Figure{

@@ -58,7 +58,7 @@ func fig12Cost(cfg Config) (*Figure, error) {
 			d = q.Data()
 			opts := core.AllPruning()
 			opts.Voting = omega
-			cs = append(cs, core.CrowdSky(d, noisyPlatform(d, workerReliability, seed), opts).Cost)
+			cs = append(cs, core.Run(d, noisyPlatform(d, workerReliability, seed), opts).Cost)
 		}
 		series[0].X = append(series[0].X, x)
 		series[0].Y = append(series[0].Y, metrics.Summarize(base).Mean)
@@ -78,6 +78,14 @@ func fig12Cost(cfg Config) (*Figure, error) {
 
 func fig12Rounds(cfg Config) (*Figure, error) {
 	omega := voting.Static{Omega: DefaultOmega}
+	rounds := func(s core.Schedule) func(d *dataset.Dataset, seed int64) int {
+		return func(d *dataset.Dataset, seed int64) int {
+			opts := core.AllPruning()
+			opts.Schedule = s
+			opts.Voting = omega
+			return core.Run(d, noisyPlatform(d, workerReliability, seed), opts).Rounds
+		}
+	}
 	methods := []struct {
 		name string
 		run  func(d *dataset.Dataset, seed int64) int
@@ -85,16 +93,8 @@ func fig12Rounds(cfg Config) (*Figure, error) {
 		{"Baseline", func(d *dataset.Dataset, seed int64) int {
 			return core.Baseline(d, noisyPlatform(d, workerReliability, seed), core.TournamentSort, omega).Rounds
 		}},
-		{"ParallelDSet", func(d *dataset.Dataset, seed int64) int {
-			opts := core.AllPruning()
-			opts.Voting = omega
-			return core.ParallelDSet(d, noisyPlatform(d, workerReliability, seed), opts).Rounds
-		}},
-		{"ParallelSL", func(d *dataset.Dataset, seed int64) int {
-			opts := core.AllPruning()
-			opts.Voting = omega
-			return core.ParallelSL(d, noisyPlatform(d, workerReliability, seed), opts).Rounds
-		}},
+		{"ParallelDSet", rounds(core.ByDominatingSets)},
+		{"ParallelSL", rounds(core.BySkylineLayers)},
 	}
 	series := make([]Series, len(methods))
 	for mi, m := range methods {
@@ -143,7 +143,7 @@ func RealAccuracy(cfg Config) ([]RealAccuracyResult, error) {
 			d := q.Data()
 			opts := core.AllPruning()
 			opts.Voting = voting.Static{Omega: DefaultOmega}
-			res := core.CrowdSky(d, noisyPlatform(d, workerReliability, seed), opts)
+			res := core.Run(d, noisyPlatform(d, workerReliability, seed), opts)
 			prec, rec := metrics.PrecisionRecall(res.Skyline, skyline.OracleSkyline(d), skyline.KnownSkyline(d))
 			precs = append(precs, prec)
 			recs = append(recs, rec)

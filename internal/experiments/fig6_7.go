@@ -19,16 +19,16 @@ var questionMethods = []struct {
 		return core.Baseline(d, perfectPlatform(d), core.TournamentSort, nil).Questions
 	}},
 	{"DSet", func(d *dataset.Dataset) int {
-		return core.CrowdSky(d, perfectPlatform(d), core.Options{}).Questions
+		return core.Run(d, perfectPlatform(d), core.Options{}).Questions
 	}},
 	{"P1", func(d *dataset.Dataset) int {
-		return core.CrowdSky(d, perfectPlatform(d), core.Options{P1: true}).Questions
+		return core.Run(d, perfectPlatform(d), core.Options{P1: true}).Questions
 	}},
 	{"P1+P2", func(d *dataset.Dataset) int {
-		return core.CrowdSky(d, perfectPlatform(d), core.Options{P1: true, P2: true}).Questions
+		return core.Run(d, perfectPlatform(d), core.Options{P1: true, P2: true}).Questions
 	}},
 	{"P1+P2+P3", func(d *dataset.Dataset) int {
-		return core.CrowdSky(d, perfectPlatform(d), core.AllPruning()).Questions
+		return core.Run(d, perfectPlatform(d), core.AllPruning()).Questions
 	}},
 }
 
@@ -116,7 +116,7 @@ func Fig7(cfg Config, variant string) (*Figure, error) {
 func sanitySkylineCheck(gen dataset.GenerateConfig, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	d := dataset.MustGenerate(gen, rng)
-	res := core.CrowdSky(d, perfectPlatform(d), core.AllPruning())
+	res := core.Run(d, perfectPlatform(d), core.AllPruning())
 	if !metrics.SameSet(res.Skyline, skyline.OracleSkyline(d)) {
 		return fmt.Errorf("experiments: skyline mismatch on %+v seed %d", gen, seed)
 	}

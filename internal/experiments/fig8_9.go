@@ -16,15 +16,18 @@ var roundMethods = []struct {
 	{"Baseline", func(d *dataset.Dataset) int {
 		return core.Baseline(d, perfectPlatform(d), core.TournamentSort, nil).Rounds
 	}},
-	{"Serial", func(d *dataset.Dataset) int {
-		return core.CrowdSky(d, perfectPlatform(d), core.AllPruning()).Rounds
-	}},
-	{"ParallelDSet", func(d *dataset.Dataset) int {
-		return core.ParallelDSet(d, perfectPlatform(d), core.AllPruning()).Rounds
-	}},
-	{"ParallelSL", func(d *dataset.Dataset) int {
-		return core.ParallelSL(d, perfectPlatform(d), core.AllPruning()).Rounds
-	}},
+	{"Serial", scheduleRounds(core.Serial)},
+	{"ParallelDSet", scheduleRounds(core.ByDominatingSets)},
+	{"ParallelSL", scheduleRounds(core.BySkylineLayers)},
+}
+
+// scheduleRounds counts the rounds of a full-pruning run under s.
+func scheduleRounds(s core.Schedule) func(d *dataset.Dataset) int {
+	return func(d *dataset.Dataset) int {
+		opts := core.AllPruning()
+		opts.Schedule = s
+		return core.Run(d, perfectPlatform(d), opts).Rounds
+	}
 }
 
 func roundSweep(cfg Config, xs []float64, configs []dataset.GenerateConfig, figID string) []Series {

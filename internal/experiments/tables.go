@@ -70,7 +70,7 @@ func RenderTable2(w io.Writer) error {
 	rec := &crowd.Recorder{Inner: crowd.NewPerfect(crowd.DatasetTruth{Data: d})}
 	opts := core.AllPruning()
 	opts.Index = ix
-	res := core.CrowdSky(d, rec, opts)
+	res := core.Run(d, rec, opts)
 	if _, err := fmt.Fprintln(w, "Questions asked with P1+P2+P3 (Figure 4a):"); err != nil {
 		return err
 	}
@@ -94,7 +94,9 @@ func RenderTable3(w io.Writer) error {
 	d := dataset.Toy()
 	pf := crowd.NewPerfect(crowd.DatasetTruth{Data: d})
 	rec := &crowd.Recorder{Inner: pf}
-	res := core.ParallelSL(d, rec, core.AllPruning())
+	opts := core.AllPruning()
+	opts.Schedule = core.BySkylineLayers
+	res := core.Run(d, rec, opts)
 	if _, err := fmt.Fprintln(w, "Table 3: ParallelSL round schedule on the toy dataset"); err != nil {
 		return err
 	}

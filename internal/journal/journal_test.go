@@ -198,7 +198,7 @@ func TestResumeReplaysForFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1 := core.CrowdSky(d, p1, core.AllPruning())
+	res1 := core.Run(d, p1, core.AllPruning())
 	if res1.Questions != 12 || p1.Replayed() != 0 {
 		t.Fatalf("first run: %d questions, %d replayed", res1.Questions, p1.Replayed())
 	}
@@ -216,7 +216,7 @@ func TestResumeReplaysForFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2 := core.CrowdSky(d, p2, core.AllPruning())
+	res2 := core.Run(d, p2, core.AllPruning())
 	if !metrics.SameSet(res1.Skyline, res2.Skyline) {
 		t.Errorf("resumed skyline differs: %v vs %v", res1.Skyline, res2.Skyline)
 	}
@@ -237,7 +237,7 @@ func TestResumeMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.CrowdSky(d, p1, core.AllPruning())
+	core.Run(d, p1, core.AllPruning())
 
 	entries, err := Read(bytes.NewReader(log.Bytes()))
 	if err != nil {
@@ -251,7 +251,7 @@ func TestResumeMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.CrowdSky(d, p2, core.AllPruning())
+	res := core.Run(d, p2, core.AllPruning())
 	if p2.Replayed() != 7 {
 		t.Errorf("replayed %d, want 7", p2.Replayed())
 	}

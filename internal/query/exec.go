@@ -10,16 +10,6 @@ import (
 	"crowdsky/internal/dataset"
 )
 
-// Scheduling selects how the executor arranges crowd questions into rounds.
-type Scheduling int
-
-// Scheduling strategies (see core's CrowdSky, ParallelDSet, ParallelSL).
-const (
-	ScheduleSerial Scheduling = iota
-	ScheduleDominatingSets
-	ScheduleSkylineLayers
-)
-
 // ExecOptions configures query execution.
 type ExecOptions struct {
 	// Platform builds the crowd platform for the constructed dataset. The
@@ -27,14 +17,10 @@ type ExecOptions struct {
 	// Nil defaults to a perfect simulated crowd answering from those
 	// latent columns (which must then exist).
 	Platform func(d *dataset.Dataset) crowd.Platform
-	// Options forwards the CrowdSky algorithm configuration; the zero
-	// value enables full pruning.
+	// Options forwards the CrowdSky algorithm configuration, the schedule
+	// included; Options with no pruning method set runs full pruning
+	// (P1+P2+P3).
 	Options core.Options
-	// DefaultPruning applies P1+P2+P3 when Options has no pruning set.
-	// It defaults to true; set Options explicitly for ablations.
-	DisableDefaultPruning bool
-	// Scheduling selects serial or parallel rounds.
-	Scheduling Scheduling
 }
 
 // Result is the outcome of a crowd-enabled skyline query.
@@ -171,20 +157,13 @@ func Execute(q *Query, cat Catalog, opt ExecOptions) (*Result, error) {
 
 	// Run the crowd-enabled skyline.
 	opts := opt.Options
-	if !opts.P1 && !opts.P2 && !opts.P3 && !opt.DisableDefaultPruning {
+	if err := opts.Schedule.Check(); err != nil {
+		return nil, fmt.Errorf("query: %w", err)
+	}
+	if !opts.P1 && !opts.P2 && !opts.P3 {
 		opts.P1, opts.P2, opts.P3 = true, true, true
 	}
-	var res *core.Result
-	switch opt.Scheduling {
-	case ScheduleSerial:
-		res = core.CrowdSky(d, pf, opts)
-	case ScheduleDominatingSets:
-		res = core.ParallelDSet(d, pf, opts)
-	case ScheduleSkylineLayers:
-		res = core.ParallelSL(d, pf, opts)
-	default:
-		return nil, fmt.Errorf("query: unknown scheduling %d", opt.Scheduling)
-	}
+	res := core.Run(d, pf, opts)
 
 	// Render.
 	out := &Result{

@@ -4,6 +4,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"crowdsky/internal/core"
 )
 
 func TestParseExample1(t *testing.T) {
@@ -124,9 +126,9 @@ func TestExecuteExample1(t *testing.T) {
 
 func TestExecuteSchedulingAndLimit(t *testing.T) {
 	cat := MemCatalog{"movie_db": movieTable(t)}
-	for _, sched := range []Scheduling{ScheduleSerial, ScheduleDominatingSets, ScheduleSkylineLayers} {
+	for _, sched := range []core.Schedule{core.Serial, core.ByDominatingSets, core.BySkylineLayers} {
 		res, err := Run("SELECT * FROM movie_db SKYLINE OF box_office MAX, romantic MAX LIMIT 1",
-			cat, ExecOptions{Scheduling: sched})
+			cat, ExecOptions{Options: core.Options{Schedule: sched}})
 		if err != nil {
 			t.Fatalf("scheduling %v: %v", sched, err)
 		}
@@ -134,7 +136,7 @@ func TestExecuteSchedulingAndLimit(t *testing.T) {
 			t.Errorf("scheduling %v: LIMIT 1 returned %d rows", sched, len(res.Rows))
 		}
 	}
-	if _, err := Run("SELECT * FROM movie_db SKYLINE OF box_office", cat, ExecOptions{Scheduling: Scheduling(9)}); err == nil {
+	if _, err := Run("SELECT * FROM movie_db SKYLINE OF box_office", cat, ExecOptions{Options: core.Options{Schedule: 9}}); err == nil {
 		t.Errorf("bad scheduling accepted")
 	}
 }
