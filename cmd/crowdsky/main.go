@@ -56,6 +56,10 @@ func main() {
 		verbose     = flag.Bool("v", false, "verbose (debug-level) logging")
 	)
 	flag.Parse()
+	if err := checkReliability(*reliability); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	level := slog.LevelWarn
 	if *verbose {
@@ -237,4 +241,13 @@ func describeTuple(d *crowdsky.Dataset, t int) string {
 	}
 	b.WriteString(")")
 	return b.String()
+}
+
+// checkReliability rejects a -reliability outside [0,1]. NaN fails every
+// comparison, so the test is written as !(in range) to reject it too.
+func checkReliability(r float64) error {
+	if !(r >= 0 && r <= 1) {
+		return fmt.Errorf("-reliability %v: want a probability in [0,1]", r)
+	}
+	return nil
 }

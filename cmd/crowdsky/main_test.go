@@ -1,7 +1,9 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -62,5 +64,34 @@ func TestDescribeTuple(t *testing.T) {
 	got := describeTuple(d, d.Index("b"))
 	if !strings.Contains(got, "b (") || !strings.Contains(got, "A1=1") {
 		t.Errorf("describeTuple = %q", got)
+	}
+}
+
+// TestInvalidReliabilityExits runs the command (this test binary, re-run
+// with CROWDSKY_RELIABILITY set) with out-of-range and NaN -reliability
+// values: each must exit 2 with an error naming the flag, instead of
+// running a crowd nobody asked for.
+func TestInvalidReliabilityExits(t *testing.T) {
+	if r := os.Getenv("CROWDSKY_RELIABILITY"); r != "" {
+		os.Args = []string{"crowdsky", "-demo", "toy", "-reliability", r}
+		main()
+		return
+	}
+	for _, r := range []string{"-1", "1.5", "NaN"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestInvalidReliabilityExits$")
+		cmd.Env = append(os.Environ(), "CROWDSKY_RELIABILITY="+r)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("-reliability %s: err = %v, want exit status 2; output:\n%s", r, err, out)
+		}
+		if !strings.Contains(string(out), "-reliability") {
+			t.Errorf("-reliability %s: output does not name the flag:\n%s", r, out)
+		}
+	}
+	for _, p := range []float64{0, 0.9, 1} {
+		if err := checkReliability(p); err != nil {
+			t.Errorf("checkReliability(%v) = %v, want nil", p, err)
+		}
 	}
 }

@@ -39,6 +39,10 @@ func main() {
 		schedule    = flag.String("schedule", "sl", "round scheduling: serial, dset or sl")
 	)
 	flag.Parse()
+	if !(*reliability >= 0 && *reliability <= 1) { // NaN fails both comparisons
+		fmt.Fprintf(os.Stderr, "-reliability %v: want a probability in [0,1]\n", *reliability)
+		os.Exit(2)
+	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: crowdsql [flags] \"SELECT * FROM ... SKYLINE OF ...\"")
 		os.Exit(2)

@@ -1,8 +1,8 @@
 // Command skylint is the repository's static-analysis gate: it runs the
 // five CrowdSky-specific analyzers of internal/lint — the AST contract
-// checks (detrange, errdrop), the flow-sensitive concurrency
-// checks (lockorder, goroleak) and the interprocedural lock check on the
-// call graph (lockset) — and, by default, `go vet`, over the given
+// checks (detrange, errdrop), the CFG goroutine-leak check (goroleak) and
+// the two lock checks on the call graph and one lock model (lockorder,
+// lockset) — and, by default, `go vet`, over the given
 // package patterns. A non-empty finding set exits 1, so CI can require
 // it:
 //

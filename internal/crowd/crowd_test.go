@@ -2,6 +2,7 @@ package crowd
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -162,6 +163,12 @@ func TestPoolAssignment(t *testing.T) {
 	}
 	if _, err := NewPool(PoolConfig{Reliability: 0.5, SpammerFraction: -1}, rng); err == nil {
 		t.Errorf("invalid spammer fraction accepted")
+	}
+	if _, err := NewPool(PoolConfig{Reliability: math.NaN()}, rng); err == nil {
+		t.Errorf("NaN reliability accepted")
+	}
+	if _, err := NewPool(PoolConfig{Reliability: 0.5, SpammerFraction: math.NaN()}, rng); err == nil {
+		t.Errorf("NaN spammer fraction accepted")
 	}
 }
 

@@ -54,10 +54,12 @@ type Pool struct {
 
 // NewPool builds a pool from cfg, using rng to place spammers.
 func NewPool(cfg PoolConfig, rng *rand.Rand) (*Pool, error) {
-	if cfg.Reliability < 0 || cfg.Reliability > 1 {
+	// Written as !(in range) so that NaN, which fails every comparison,
+	// is rejected too.
+	if !(cfg.Reliability >= 0 && cfg.Reliability <= 1) {
 		return nil, fmt.Errorf("crowd: reliability %v outside [0,1]", cfg.Reliability)
 	}
-	if cfg.SpammerFraction < 0 || cfg.SpammerFraction > 1 {
+	if !(cfg.SpammerFraction >= 0 && cfg.SpammerFraction <= 1) {
 		return nil, fmt.Errorf("crowd: spammer fraction %v outside [0,1]", cfg.SpammerFraction)
 	}
 	p := &Pool{uniform: Worker{ID: -1, Reliability: cfg.Reliability}}

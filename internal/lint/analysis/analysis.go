@@ -54,7 +54,7 @@ func NewProgram() *Program { return &Program{facts: make(map[string]any)} }
 
 // Fact returns the fact value stored under key, creating it with init on
 // first use. Keys are conventionally the analyzer name; an analyzer that
-// stores several fact kinds suffixes the key ("lockorder.edges").
+// stores several fact kinds suffixes the key ("lockset.guarded").
 func (p *Program) Fact(key string, init func() any) any {
 	v, ok := p.facts[key]
 	if !ok {

@@ -1,6 +1,6 @@
 // Package cfg builds intraprocedural control-flow graphs over the
 // standard library's go/ast, for the flow-sensitive skylint analyzers
-// (goroleak, lockset). Like the rest of internal/lint it is a
+// (goroleak, lockorder, lockset). Like the rest of internal/lint it is a
 // dependency-free miniature of its x/tools counterpart
 // (golang.org/x/tools/go/cfg), covering the statement shapes that occur in
 // this repository: if/else, for (with init/cond/post), range, switch and

@@ -1,7 +1,6 @@
-// Shared machinery for the "skylint:guardedby <mutex>" field
-// annotation. The enforcement itself lives in the lockset analyzer
-// (lockset.go); lockorder reuses the annotation scan to seed its
-// ordering graph, so the collection helpers live here on their own.
+// The "skylint:guardedby <mutex>" field annotation: a struct field names
+// the mutex field of its own struct that guards it. The lockset analyzer
+// (lockset.go) enforces it; lockorder does not read it.
 package lint
 
 import (
@@ -15,17 +14,20 @@ import (
 
 var guardedByRE = regexp.MustCompile(`skylint:guardedby\s+([A-Za-z_][A-Za-z0-9_]*)`)
 
-// collectGuardAnnotations maps annotated field objects to their mutex
-// field name, validating that the mutex field exists in the same struct.
-// The report callback receives annotations naming a missing mutex field
-// (lockset diagnoses them; lockorder, which shares the annotations,
-// passes nil to avoid double-reporting).
-func collectGuardAnnotations(pass *analysis.Pass, report func(pos token.Pos, mu string)) map[types.Object]string {
-	guarded := make(map[types.Object]string)
+// collectGuardAnnotations adds the package's annotated field objects to
+// guarded, each mapped to the mutex key of its guard: `mu` on a field of
+// struct type T guards with key pkg.T.mu (mutexKey). An annotation
+// naming no field of its struct goes to report instead.
+func collectGuardAnnotations(pass *analysis.Pass, guarded map[types.Object]string, report func(pos token.Pos, mu string)) {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
+			ts, ok := n.(*ast.TypeSpec)
 			if !ok {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			tn, _ := pass.Info.Defs[ts.Name].(*types.TypeName)
+			if !ok || tn == nil {
 				return true
 			}
 			for _, field := range st.Fields.List {
@@ -33,22 +35,20 @@ func collectGuardAnnotations(pass *analysis.Pass, report func(pos token.Pos, mu 
 				if mu == "" {
 					continue
 				}
-				if !structHasField(st, mu) {
-					if report != nil {
-						report(field.Pos(), mu)
-					}
+				f, _, _ := types.LookupFieldOrMethod(tn.Type(), false, tn.Pkg(), mu)
+				if v, ok := f.(*types.Var); !ok || !v.IsField() {
+					report(field.Pos(), mu)
 					continue
 				}
 				for _, name := range field.Names {
 					if obj := pass.Info.Defs[name]; obj != nil {
-						guarded[obj] = mu
+						guarded[obj] = mutexKey(tn, mu)
 					}
 				}
 			}
 			return true
 		})
 	}
-	return guarded
 }
 
 func guardAnnotation(field *ast.Field) string {
@@ -63,22 +63,4 @@ func guardAnnotation(field *ast.Field) string {
 		}
 	}
 	return ""
-}
-
-func structHasField(st *ast.StructType, name string) bool {
-	for _, f := range st.Fields.List {
-		for _, n := range f.Names {
-			if n.Name == name {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func funcDesc(fd *ast.FuncDecl) string {
-	if fd.Name != nil {
-		return fd.Name.Name
-	}
-	return "this function"
 }

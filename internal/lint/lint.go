@@ -6,8 +6,9 @@
 // |DS|-ascending evaluation order of Lemma 3 must be deterministic (so a
 // map iteration feeding an ordered slice is a latent bug), and the crowd
 // accounting in crowd.Stats must only be touched under its mutex. The five
-// analyzers are the lexical checks (detrange, errdrop), the CFG checks
-// (lockorder, goroleak) and the call-graph check (lockset). Each
+// analyzers are the lexical checks (detrange, errdrop), the CFG check
+// (goroleak) and the call-graph lock checks (lockorder, lockset) on one
+// lock model (lockset.go). Each
 // machine-checks one such contract that no test, go vet or -race run
 // catches; cmd/skylint runs them all, next to go vet, over the whole tree
 // in CI.
@@ -26,10 +27,10 @@ import (
 	"crowdsky/internal/lint/analysis"
 )
 
-// All returns every skylint analyzer, in stable order: the lexical
-// checks (detrange, errdrop), the flow-sensitive concurrency
-// checks (lockorder, goroleak), and the interprocedural lock check on
-// the call graph (lockset).
+// All returns every skylint analyzer in a fixed order, which SARIF rule
+// indexes follow. They group as the lexical checks (detrange, errdrop),
+// the CFG check (goroleak) and the lock checks on the call graph
+// (lockorder, lockset).
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		DetRange,

@@ -35,11 +35,14 @@ func TestCrossPackageChain(t *testing.T) {
 		[]string{"caller", "callee"}, lint.Lockset)
 }
 
-// TestLocksetCrossPackage runs lockset over a two-package module: a
-// field guarded in package a and written without its mutex from package
-// b must be reported in b. The guarded-field table is keyed by
-// types.Object, so this holds only when b's import of a is the very
-// *types.Package the loader checked for a.
+// TestLocksetCrossPackage runs both lock analyzers over a two-package
+// module. A field guarded in package a and written without its mutex
+// from package b must be reported in b by lockset: the guarded-field
+// table is keyed by types.Object, so this holds only when b's import of
+// a is the very *types.Package the loader checked for a. Package a
+// nests Outer then Inner and package b nests them the other way, so the
+// lock-order cycle, whose edges sit in two packages, must be reported by
+// lockorder at the edge in b (a.Inner sorts before a.Outer).
 func TestLocksetCrossPackage(t *testing.T) {
 	root := t.TempDir()
 	files := map[string]string{
@@ -54,12 +57,28 @@ type S struct {
 }
 
 func (s *S) Reset() { s.N = 0 }
+
+var Outer, Inner sync.Mutex
+
+func Nest() {
+	Outer.Lock()
+	Inner.Lock()
+	Inner.Unlock()
+	Outer.Unlock()
+}
 `,
 		"b/b.go": `package b
 
 import "lockmod/a"
 
 func Bump(s *a.S) { s.N++ }
+
+func Reverse() {
+	a.Inner.Lock()
+	a.Outer.Lock()
+	a.Outer.Unlock()
+	a.Inner.Unlock()
+}
 `,
 	}
 	for rel, src := range files {
@@ -71,18 +90,17 @@ func Bump(s *a.S) { s.N++ }
 			t.Fatal(err)
 		}
 	}
-	findings, err := lint.Run(root, []string{"./..."}, []*analysis.Analyzer{lint.Lockset}, loader.Options{})
+	findings, err := lint.Run(root, []string{"./..."}, []*analysis.Analyzer{lint.Lockset, lint.LockOrder}, loader.Options{})
 	if err != nil {
 		t.Fatalf("lint.Run: %v", err)
 	}
 	var got []string
 	for _, f := range findings {
-		got = append(got, fmt.Sprintf("%s:%d", f.File, f.Line))
+		got = append(got, fmt.Sprintf("%s:%d %s", f.File, f.Line, f.Analyzer))
 	}
-	for _, want := range []string{"a/a.go:10", "b/b.go:5"} {
-		if !slices.Contains(got, want) {
-			t.Errorf("no lockset finding at %s; got %v", want, got)
-		}
+	want := []string{"a/a.go:10 lockset", "b/b.go:5 lockset", "b/b.go:9 lockorder"}
+	if !slices.Equal(got, want) {
+		t.Errorf("findings = %v, want %v", got, want)
 	}
 }
 

@@ -1,13 +1,12 @@
 package lint
 
 import (
-	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 
 	"crowdsky/internal/lint/analysis"
+	"crowdsky/internal/lint/analysis/callgraph"
 )
 
 // LockOrder builds a cross-package lock-acquisition graph and reports
@@ -17,30 +16,30 @@ import (
 // check by construction: function A in crowd locks mu1 then mu2, function
 // B in crowdserve locks mu2 then mu1, and each file looks locally fine.
 //
-// Within each function (and each function literal, as its own unit) the
-// analyzer tracks a lexical held-set: Lock/RLock pushes the mutex,
-// Unlock/RUnlock pops it, `defer mu.Unlock()` keeps it held to the end of
-// the unit — the approximation a human reviewer applies, shared with the
-// guardedby analyzer. Acquiring a mutex while others are held records
-// directed edges held→acquired into a program-wide graph; after every
-// package has run, the Finish phase reports each cycle once, at the
-// lexically first edge that closes it.
-//
-// Methods whose name ends in "Locked" are entered with their receiver's
-// mutex-typed fields already in the held-set: the suffix declares "caller
-// holds the lock", so any mutex they acquire is ordered after the
-// receiver's own locks. Re-acquiring a held write lock (mu.Lock with mu
-// already held) is reported immediately as a self-deadlock.
+// It runs on the lock model it shares with lockset (see lockFunc): the
+// same mutex keys, lock-call classifier, *Locked entry rule and CFG
+// transfer function. Acquiring a mutex records a directed edge from
+// every mutex held on some path to that point (the may-hold set) into a
+// program-wide graph, so a lock taken on one branch still orders what is
+// acquired after the join; after every package has run, each cycle is
+// reported once, at its lexicographically first edge. Methods
+// whose name ends in "Locked" are entered holding their receiver's mutex
+// fields, so any mutex they acquire is ordered after them. Re-acquiring
+// a mutex that some path holds, when either acquisition is a write lock,
+// is reported at the site as a self-deadlock.
 var LockOrder = &analysis.Analyzer{
 	Name: "lockorder",
 	Doc: "lock acquisition order must be globally consistent: " +
 		"cycles in the cross-package held-while-acquiring graph deadlock",
-	Run:    runLockOrder,
+	Run: func(pass *analysis.Pass) error {
+		callgraph.Shared(pass)
+		finishPasses(pass, "lockorder.passes")
+		return nil
+	},
 	Finish: finishLockOrder,
 }
 
-// lockOrderFacts is the program-wide acquisition graph, shared across
-// packages through analysis.Program.
+// lockOrderFacts is the program-wide acquisition graph.
 type lockOrderFacts struct {
 	// edges[from][to] is the first observed site acquiring `to` while
 	// holding `from`.
@@ -53,191 +52,49 @@ type lockEdgeSite struct {
 	fn   string
 }
 
-func lockOrderState(prog *analysis.Program) *lockOrderFacts {
-	return prog.Fact("lockorder.edges", func() any {
-		return &lockOrderFacts{edges: make(map[string]map[string]*lockEdgeSite)}
-	}).(*lockOrderFacts)
-}
-
-func runLockOrder(pass *analysis.Pass) error {
-	facts := lockOrderState(pass.Program())
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			var held []heldLock
-			if strings.HasSuffix(fd.Name.Name, "Locked") {
-				held = impliedHeld(pass, fd)
-			}
-			walkLockUnit(pass, facts, fd.Name.Name, fd.Body, held)
-		}
+// lockOrderEdges replays every unit of the call graph through the lock
+// model, reporting self-deadlocks as it goes, and returns the
+// acquisition graph.
+func lockOrderEdges(prog *analysis.Program) *lockOrderFacts {
+	facts := &lockOrderFacts{edges: make(map[string]map[string]*lockEdgeSite)}
+	g, passes := lockGraph(prog, "lockorder.passes")
+	if g == nil {
+		return facts
 	}
-	return nil
-}
-
-// heldLock is one entry of the lexical held-set.
-type heldLock struct {
-	key   string
-	write bool
-}
-
-// walkLockUnit simulates the held-set over unit's statements in source
-// order. Function literals are their own units with an empty held-set:
-// a closure runs later, not under the locks lexically above it.
-func walkLockUnit(pass *analysis.Pass, facts *lockOrderFacts, fn string, unit ast.Node, entry []heldLock) {
-	held := append([]heldLock(nil), entry...)
-	var walk func(n ast.Node, inDefer bool)
-	walk = func(n ast.Node, inDefer bool) {
-		ast.Inspect(n, func(x ast.Node) bool {
-			switch x := x.(type) {
-			case *ast.FuncLit:
-				if x != unit {
-					walkLockUnit(pass, facts, fn+" (func literal)", x, nil)
-					return false
+	inline := inlineLits(passes)
+	for _, n := range g.Nodes {
+		pass := passes[n.PkgPath]
+		if pass == nil || inline[n.Lit] {
+			continue
+		}
+		lf := buildLockFunc(n, nil, inline)
+		if lf == nil {
+			continue
+		}
+		fn := nodeDesc(n)
+		lf.replay(mayMeet, func(ev lockEvent, may lockSet) {
+			if ev.kind != lockAcquire {
+				return
+			}
+			if h, ok := may[ev.key]; ok && (ev.method == "Lock" || h&heldWrite != 0) {
+				pass.Reportf(ev.pos,
+					"%s is already held here: this %s deadlocks the goroutine against itself",
+					shortLockKey(ev.key), ev.method)
+			}
+			for held := range may {
+				if held == ev.key {
+					continue
 				}
-			case *ast.DeferStmt:
-				// A deferred Unlock keeps the mutex held for the rest of
-				// the unit; a deferred Lock (rare) is ignored for ordering.
-				walk(x.Call, true)
-				return false
-			case *ast.CallExpr:
-				method, key := lockCallKey(pass, fn, x)
-				if key == "" {
-					return true
+				if facts.edges[held] == nil {
+					facts.edges[held] = make(map[string]*lockEdgeSite)
 				}
-				switch method {
-				case "Lock", "RLock":
-					write := method == "Lock"
-					for _, h := range held {
-						if h.key == key {
-							if write || h.write {
-								pass.Reportf(x.Pos(),
-									"%s is already held here: this %s deadlocks the goroutine against itself",
-									shortLockKey(key), method)
-							}
-							continue
-						}
-						addLockEdge(facts, h.key, key, pass, x.Pos(), fn)
-					}
-					held = append(held, heldLock{key: key, write: write})
-				case "Unlock", "RUnlock":
-					if !inDefer {
-						for i := len(held) - 1; i >= 0; i-- {
-							if held[i].key == key {
-								held = append(held[:i], held[i+1:]...)
-								break
-							}
-						}
-					}
+				if facts.edges[held][ev.key] == nil {
+					facts.edges[held][ev.key] = &lockEdgeSite{pass: pass, pos: ev.pos, fn: fn}
 				}
 			}
-			return true
 		})
 	}
-	walk(unit, false)
-}
-
-func addLockEdge(facts *lockOrderFacts, from, to string, pass *analysis.Pass, pos token.Pos, fn string) {
-	m := facts.edges[from]
-	if m == nil {
-		m = make(map[string]*lockEdgeSite)
-		facts.edges[from] = m
-	}
-	if m[to] == nil {
-		m[to] = &lockEdgeSite{pass: pass, pos: pos, fn: fn}
-	}
-}
-
-// lockCallKey classifies call as a Lock/RLock/Unlock/RUnlock on a mutex
-// and returns the mutex's program-wide key, or "" when it is not one.
-func lockCallKey(pass *analysis.Pass, fn string, call *ast.CallExpr) (method, key string) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", ""
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", ""
-	}
-	if !isMutexType(pass.TypeOf(sel.X)) {
-		return "", ""
-	}
-	return sel.Sel.Name, lockKeyOf(pass, fn, sel.X)
-}
-
-// lockKeyOf names a mutex expression so the same mutex gets the same key
-// from every package: fields key as pkgpath.Type.field (any receiver
-// variable), package-level variables as pkgpath.name, locals as
-// pkgpath.func.name (ordering between different functions' locals is
-// meaningless, and distinct names keep them from aliasing).
-func lockKeyOf(pass *analysis.Pass, fn string, expr ast.Expr) string {
-	switch x := expr.(type) {
-	case *ast.SelectorExpr:
-		if sel, ok := pass.Info.Selections[x]; ok {
-			if named := analysis.NamedOf(sel.Recv()); named != nil && named.Obj().Pkg() != nil {
-				return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + x.Sel.Name
-			}
-			return ""
-		}
-		// Package-qualified variable: pkg.Mu.
-		if obj := pass.Info.Uses[x.Sel]; obj != nil && obj.Pkg() != nil {
-			return obj.Pkg().Path() + "." + obj.Name()
-		}
-	case *ast.Ident:
-		obj := pass.Info.Uses[x]
-		if obj == nil || obj.Pkg() == nil {
-			return ""
-		}
-		if obj.Parent() == obj.Pkg().Scope() {
-			return obj.Pkg().Path() + "." + obj.Name()
-		}
-		return obj.Pkg().Path() + "." + fn + "." + obj.Name()
-	}
-	return ""
-}
-
-// isMutexType reports whether t (possibly behind a pointer) is a named
-// type called Mutex or RWMutex — sync's, or a fixture-local stand-in.
-func isMutexType(t types.Type) bool {
-	n := analysis.NamedOf(t)
-	if n == nil {
-		return false
-	}
-	name := n.Obj().Name()
-	return name == "Mutex" || name == "RWMutex"
-}
-
-// impliedHeld returns the held-set a "...Locked" method is entered with:
-// every mutex-typed field of its receiver, which the naming convention
-// says the caller has already acquired.
-func impliedHeld(pass *analysis.Pass, fd *ast.FuncDecl) []heldLock {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
-		return nil
-	}
-	obj := pass.Info.Defs[fd.Recv.List[0].Names[0]]
-	if obj == nil {
-		return nil
-	}
-	named := analysis.NamedOf(obj.Type())
-	if named == nil || named.Obj().Pkg() == nil {
-		return nil
-	}
-	st, ok := named.Underlying().(*types.Struct)
-	if !ok {
-		return nil
-	}
-	var held []heldLock
-	prefix := named.Obj().Pkg().Path() + "." + named.Obj().Name() + "."
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if isMutexType(f.Type()) {
-			held = append(held, heldLock{key: prefix + f.Name(), write: true})
-		}
-	}
-	return held
+	return facts
 }
 
 // finishLockOrder runs after every package: it walks the accumulated
@@ -245,7 +102,7 @@ func impliedHeld(pass *analysis.Pass, fd *ast.FuncDecl) []heldLock {
 // lexicographically first edge, through that edge's own pass so
 // skylint:ignore on the acquiring line still suppresses it.
 func finishLockOrder(prog *analysis.Program) error {
-	facts := lockOrderState(prog)
+	facts := lockOrderEdges(prog)
 	froms := make([]string, 0, len(facts.edges))
 	for from := range facts.edges {
 		froms = append(froms, from)

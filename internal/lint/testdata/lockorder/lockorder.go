@@ -93,3 +93,64 @@ func closureOwnUnit() func() {
 		defer muB.Unlock()
 	}
 }
+
+var muX, muY, muP, muQ sync.Mutex
+
+// earlyReturnXY releases muX only on the path that returns, so muX is
+// still held where muY is acquired: the muX→muY edge closes a cycle with
+// yxOrder.
+func earlyReturnXY(fail bool) bool {
+	muX.Lock()
+	if fail {
+		muX.Unlock()
+		return false
+	}
+	muY.Lock() // want `lock order cycle`
+	muY.Unlock()
+	muX.Unlock()
+	return true
+}
+
+func yxOrder() {
+	muY.Lock()
+	muX.Lock()
+	muX.Unlock()
+	muY.Unlock()
+}
+
+// branchThenJoin takes muP on one branch only; on that path muP is
+// still held after the join, where muQ is acquired, so muP→muQ closes a
+// cycle with qpOrder even though muP is not held on every path.
+func branchThenJoin(b, fail bool) bool {
+	if b {
+		muP.Lock()
+		if fail {
+			muP.Unlock()
+			return false
+		}
+	}
+	muQ.Lock() // want `lock order cycle`
+	muQ.Unlock()
+	if b {
+		muP.Unlock()
+	}
+	return true
+}
+
+func qpOrder() {
+	muQ.Lock()
+	muP.Lock()
+	muP.Unlock()
+	muQ.Unlock()
+}
+
+// relockInLoopLocked runs with c.mu held and re-takes it in a loop: the
+// first iteration deadlocks, though the back edge arrives with c.mu
+// released, so c.mu is held on some path but not on every path.
+func (c *counter) relockInLoopLocked(items []int) {
+	for range items {
+		c.mu.Lock() // want `already held`
+		c.n++
+		c.mu.Unlock()
+	}
+}

@@ -123,3 +123,15 @@ type wrong struct {
 }
 
 func use(w *wrong) int { return w.n }
+
+// Mutex identity is the struct that declares the mutex, not its name:
+// holding another type's mu does not guard counter.n.
+type other struct {
+	mu sync.Mutex
+}
+
+func (o *other) wrongMutex(c *counter) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	c.n++ // want `n is guarded by "mu"`
+}
