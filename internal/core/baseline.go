@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"crowdsky/internal/crowd"
 	"crowdsky/internal/dataset"
 	"crowdsky/internal/sortcrowd"
@@ -48,10 +46,13 @@ func Baseline(d *dataset.Dataset, pf crowd.Platform, algo SortAlgorithm, policy 
 	for i := range items {
 		items[i] = i
 	}
-	// ranks[j][t] = position of tuple t in the total order of crowd
+	// ranks[t][j] = position of tuple t in the total order of crowd
 	// attribute j (0 = most preferred).
-	ranks := make([][]int, d.CrowdDims())
-	for j := range ranks {
+	ranks := make([][]float64, n)
+	for t := range ranks {
+		ranks[t] = make([]float64, d.CrowdDims())
+	}
+	for j := range d.CrowdDims() {
 		attr := j
 		ask := func(pairs [][2]int) []crowd.Preference {
 			reqs := make([]crowd.Request, len(pairs))
@@ -74,59 +75,18 @@ func Baseline(d *dataset.Dataset, pf crowd.Platform, algo SortAlgorithm, policy 
 		} else {
 			order = sortcrowd.Tournament(items, ask)
 		}
-		ranks[j] = make([]int, n)
 		for pos, t := range order {
-			ranks[j][t] = pos
+			ranks[t][j] = float64(pos)
 		}
 	}
-
-	// Machine skyline over AK values plus the crowd-derived ranks.
-	var sky []int
-	for t := 0; t < n; t++ {
-		dominated := false
-		for s := 0; s < n && !dominated; s++ {
-			if s != t && dominatesWithRanks(d, ranks, s, t) {
-				dominated = true
-			}
-		}
-		if !dominated {
-			sky = append(sky, t)
-		}
-	}
-	sort.Ints(sky)
 	st := pf.Stats().Snapshot()
 	return &Result{
-		Skyline:       sky,
+		Skyline:       machineSkyline(d, ranks),
 		Questions:     st.Questions,
 		Rounds:        st.Rounds,
 		WorkerAnswers: st.WorkerAnswers,
 		Cost:          pf.Stats().Cost(crowd.DefaultReward),
 	}
-}
-
-// dominatesWithRanks reports dominance over AK values plus crowd-attribute
-// ranks (smaller rank = more preferred). Ranks from a total order are
-// distinct, so any AK weak dominance plus a rank advantage is strict.
-func dominatesWithRanks(d *dataset.Dataset, ranks [][]int, s, t int) bool {
-	strict := false
-	sr, tr := d.KnownRow(s), d.KnownRow(t)
-	for j := range sr {
-		switch {
-		case sr[j] > tr[j]:
-			return false
-		case sr[j] < tr[j]:
-			strict = true
-		}
-	}
-	for _, r := range ranks {
-		switch {
-		case r[s] > r[t]:
-			return false
-		case r[s] < r[t]:
-			strict = true
-		}
-	}
-	return strict
 }
 
 // Unary computes the crowdsourced skyline with the quantitative-question
@@ -152,23 +112,9 @@ func Unary(d *dataset.Dataset, up crowd.UnaryPlatform, workers int) *Result {
 		}
 		est[r.Tuple][r.Attr] = estimates[i]
 	}
-
-	var sky []int
-	for t := 0; t < n; t++ {
-		dominated := false
-		for s := 0; s < n && !dominated; s++ {
-			if s != t && dominatesWithEstimates(d, est, s, t) {
-				dominated = true
-			}
-		}
-		if !dominated {
-			sky = append(sky, t)
-		}
-	}
-	sort.Ints(sky)
 	st := up.Stats().Snapshot()
 	return &Result{
-		Skyline:       sky,
+		Skyline:       machineSkyline(d, est),
 		Questions:     st.Questions,
 		Rounds:        st.Rounds,
 		WorkerAnswers: st.WorkerAnswers,
@@ -176,9 +122,27 @@ func Unary(d *dataset.Dataset, up crowd.UnaryPlatform, workers int) *Result {
 	}
 }
 
-// dominatesWithEstimates reports dominance over AK values plus estimated
-// crowd-attribute values (smaller = more preferred).
-func dominatesWithEstimates(d *dataset.Dataset, est [][]float64, s, t int) bool {
+// machineSkyline is the machine part of Baseline and Unary: the skyline,
+// in index order, over each tuple's AK values plus its crowd values
+// crowd[t] (sort ranks or estimates; smaller is preferred). It shares no
+// code with skyline.OracleSkyline, which grades both methods.
+func machineSkyline(d *dataset.Dataset, crowd [][]float64) []int {
+	var sky []int
+	for t := range d.N() {
+		dominated := false
+		for s := 0; s < d.N() && !dominated; s++ {
+			dominated = s != t && dominatesWith(d, crowd, s, t)
+		}
+		if !dominated {
+			sky = append(sky, t)
+		}
+	}
+	return sky
+}
+
+// dominatesWith reports whether s dominates t over AK values plus the
+// crowd values.
+func dominatesWith(d *dataset.Dataset, crowd [][]float64, s, t int) bool {
 	strict := false
 	sr, tr := d.KnownRow(s), d.KnownRow(t)
 	for j := range sr {
@@ -189,11 +153,11 @@ func dominatesWithEstimates(d *dataset.Dataset, est [][]float64, s, t int) bool 
 			strict = true
 		}
 	}
-	for j := range est[s] {
+	for j := range crowd[s] {
 		switch {
-		case est[s][j] > est[t][j]:
+		case crowd[s][j] > crowd[t][j]:
 			return false
-		case est[s][j] < est[t][j]:
+		case crowd[s][j] < crowd[t][j]:
 			strict = true
 		}
 	}
