@@ -1,8 +1,9 @@
 // Bottom-up function-summary framework.
 //
 // An interprocedural analyzer models each function by a summary value
-// (lockset uses the set of mutexes a *Locked function requires) computed from the function's own body
-// plus the summaries of its callees. Processing components of the
+// (lockset uses the set of mutexes a *Locked function requires, lockorder
+// the set of mutexes a function acquires) computed from the function's
+// own body plus the summaries of its callees. Processing components of the
 // condensation in callee-first order makes a single pass sufficient for
 // acyclic call structure; mutual recursion (a multi-node component, or a
 // self-loop) is solved by iterating the component to a fixpoint.

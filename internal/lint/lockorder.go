@@ -21,8 +21,12 @@ import (
 // transfer function. Acquiring a mutex records a directed edge from
 // every mutex held on some path to that point (the may-hold set) into a
 // program-wide graph, so a lock taken on one branch still orders what is
-// acquired after the join; after every package has run, each cycle is
-// reported once, at its lexicographically first edge. Methods
+// acquired after the join. A call records the same edges into every
+// mutex the callee acquires, itself or through its own callees (a
+// bottom-up "acquires" summary over the call graph); a call started with
+// go records none, since the new goroutine holds nothing. After every
+// package has run, each cycle is reported once, at its lexicographically
+// first edge. Methods
 // whose name ends in "Locked" are entered holding their receiver's mutex
 // fields, so any mutex they acquire is ordered after them. Re-acquiring
 // a mutex that some path holds, when either acquisition is a write lock,
@@ -62,34 +66,79 @@ func lockOrderEdges(prog *analysis.Program) *lockOrderFacts {
 		return facts
 	}
 	inline := inlineLits(passes)
+	lockFuncOf := lockFuncs(nil, inline)
+	// acquires returns the mutex keys ev takes: its own, or those of the
+	// units a call enters on this goroutine, read from summary. A call
+	// started with go enters nothing here.
+	acquires := func(lf *lockFunc, ev lockEvent, summary func(*callgraph.Node) any) []string {
+		var keys []string
+		switch {
+		case ev.kind == lockAcquire:
+			keys = append(keys, ev.key)
+		case ev.kind == lockCall && !ev.spawn:
+			for _, cn := range lf.sites[ev.pos] {
+				s, _ := summary(cn).(string)
+				keys = append(keys, decodeRequires(s)...)
+			}
+		}
+		return keys
+	}
+
+	// The acquires summary of a unit: every mutex key it locks anywhere
+	// in its body, or through a callee. Summaries only grow, so a cyclic
+	// component reaches its fixpoint.
+	acquired := g.BottomUp(func(n *callgraph.Node, get func(*callgraph.Node) any) any {
+		lf := lockFuncOf(n)
+		if lf == nil {
+			return ""
+		}
+		keys := make(map[string]bool)
+		for _, items := range lf.items {
+			for _, it := range items {
+				evs := []lockEvent{it.ev}
+				if it.group != nil {
+					evs = it.group
+				}
+				for _, ev := range evs {
+					for _, key := range acquires(lf, ev, get) {
+						keys[key] = true
+					}
+				}
+			}
+		}
+		return encodeRequires(keys)
+	})
+	summary := func(cn *callgraph.Node) any { return acquired[cn] }
+
 	for _, n := range g.Nodes {
 		pass := passes[n.PkgPath]
 		if pass == nil || inline[n.Lit] {
 			continue
 		}
-		lf := buildLockFunc(n, nil, inline)
+		lf := lockFuncOf(n)
 		if lf == nil {
 			continue
 		}
 		fn := nodeDesc(n)
 		lf.replay(mayMeet, func(ev lockEvent, may lockSet) {
-			if ev.kind != lockAcquire {
-				return
-			}
-			if h, ok := may[ev.key]; ok && (ev.method == "Lock" || h&heldWrite != 0) {
+			if h, ok := may[ev.key]; ok && ev.kind == lockAcquire && (ev.method == "Lock" || h&heldWrite != 0) {
 				pass.Reportf(ev.pos,
 					"%s is already held here: this %s deadlocks the goroutine against itself",
 					shortLockKey(ev.key), ev.method)
 			}
-			for held := range may {
-				if held == ev.key {
-					continue
-				}
-				if facts.edges[held] == nil {
-					facts.edges[held] = make(map[string]*lockEdgeSite)
-				}
-				if facts.edges[held][ev.key] == nil {
-					facts.edges[held][ev.key] = &lockEdgeSite{pass: pass, pos: ev.pos, fn: fn}
+			for _, key := range acquires(lf, ev, summary) {
+				for held := range may {
+					// A callee re-taking a held mutex is out of scope:
+					// keys are per type, so it is usually another one.
+					if held == key {
+						continue
+					}
+					if facts.edges[held] == nil {
+						facts.edges[held] = make(map[string]*lockEdgeSite)
+					}
+					if facts.edges[held][key] == nil {
+						facts.edges[held][key] = &lockEdgeSite{pass: pass, pos: ev.pos, fn: fn}
+					}
 				}
 			}
 		})

@@ -66,15 +66,7 @@ func locksetFinish(prog *analysis.Program) error {
 		return nil
 	}
 	inline := inlineLits(passes)
-	funcs := make(map[*callgraph.Node]*lockFunc)
-	lockFuncOf := func(n *callgraph.Node) *lockFunc {
-		if lf, ok := funcs[n]; ok {
-			return lf
-		}
-		lf := buildLockFunc(n, guarded, inline)
-		funcs[n] = lf
-		return lf
-	}
+	lockFuncOf := lockFuncs(guarded, inline)
 
 	// Phase 1: bottom-up requirement summaries. Only *Locked-named
 	// functions carry the caller-holds contract; everything else reports
@@ -235,6 +227,7 @@ type lockEvent struct {
 	method string       // acquire: "Lock" or "RLock"
 	obj    types.Object // accessed field, for the diagnostic
 	pos    token.Pos
+	spawn  bool // call: started by a go statement, on another goroutine
 }
 
 // lockItem is one entry of a block's event sequence: either a plain
@@ -303,6 +296,20 @@ type lockFunc struct {
 	sites map[token.Pos][]*callgraph.Node
 }
 
+// lockFuncs returns buildLockFunc over guarded and inline, built once
+// per unit.
+func lockFuncs(guarded map[types.Object]string, inline map[*ast.FuncLit]bool) func(*callgraph.Node) *lockFunc {
+	funcs := make(map[*callgraph.Node]*lockFunc)
+	return func(n *callgraph.Node) *lockFunc {
+		lf, ok := funcs[n]
+		if !ok {
+			lf = buildLockFunc(n, guarded, inline)
+			funcs[n] = lf
+		}
+		return lf
+	}
+}
+
 // buildLockFunc scans n's CFG into lock events. Guarded-field accesses
 // are recorded only for the fields in guarded (nil for none).
 func buildLockFunc(n *callgraph.Node, guarded map[types.Object]string, inline map[*ast.FuncLit]bool) *lockFunc {
@@ -325,7 +332,7 @@ func buildLockFunc(n *callgraph.Node, guarded map[types.Object]string, inline ma
 		}
 	}
 	addSites(n)
-	sc := &lockScan{pass: n.Pass, guarded: guarded, inline: inline}
+	sc := &lockScan{pass: n.Pass, guarded: guarded, inline: inline, started: make(map[*ast.CallExpr]bool)}
 	lf.items = make([][]lockItem, len(lf.g.Blocks))
 	for _, blk := range lf.g.Blocks {
 		for _, node := range blk.Nodes {
@@ -363,6 +370,7 @@ type lockScan struct {
 	pass    *analysis.Pass
 	guarded map[types.Object]string
 	inline  map[*ast.FuncLit]bool
+	started map[*ast.CallExpr]bool // calls of go statements
 }
 
 // scanLockItems appends the lock-relevant events of node in source
@@ -380,8 +388,10 @@ func (sc *lockScan) scanLockItems(items []lockItem, node ast.Node) []lockItem {
 		case *ast.DeferStmt:
 			items = append(items, lockItem{group: sc.flatten(x.Call)})
 			return false
+		case *ast.GoStmt:
+			sc.started[x.Call] = true
 		case *ast.CallExpr:
-			ev := lockEvent{kind: lockCall, pos: x.Pos()}
+			ev := lockEvent{kind: lockCall, pos: x.Pos(), spawn: sc.started[x]}
 			switch method, key := lockCallKey(sc.pass, x); method {
 			case "Lock", "RLock":
 				ev = lockEvent{kind: lockAcquire, key: key, method: method, pos: x.Pos()}

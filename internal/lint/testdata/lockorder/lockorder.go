@@ -154,3 +154,47 @@ func (c *counter) relockInLoopLocked(items []int) {
 		c.mu.Unlock()
 	}
 }
+
+var mu1, mu2, mu3, mu4 sync.Mutex
+
+// Outer holds mu1 and calls lock2, which takes mu2: the mu1→mu2 edge is
+// recorded at the call, through the callee's acquires summary, and
+// closes a cycle with Reverse.
+func Outer() {
+	mu1.Lock()
+	lock2() // want `lock order cycle`
+	mu1.Unlock()
+}
+
+func lock2() {
+	mu2.Lock()
+	mu2.Unlock()
+}
+
+func Reverse() {
+	mu2.Lock()
+	mu1.Lock()
+	mu1.Unlock()
+	mu2.Unlock()
+}
+
+// spawnUnderLockOK starts lock4 on a new goroutine while holding mu3:
+// the goroutine does not hold mu3, so no mu3→mu4 edge closes a cycle
+// with fourThree.
+func spawnUnderLockOK() {
+	mu3.Lock()
+	go lock4()
+	mu3.Unlock()
+}
+
+func lock4() {
+	mu4.Lock()
+	mu4.Unlock()
+}
+
+func fourThree() {
+	mu4.Lock()
+	mu3.Lock()
+	mu3.Unlock()
+	mu4.Unlock()
+}
