@@ -1,14 +1,15 @@
 package crowdsky
 
-// One benchmark per table/figure of the paper's evaluation (Section 6).
-// Each bench regenerates the experiment at a reduced scale (so the full
-// suite runs in minutes) and reports the paper's metric — questions,
-// rounds, dollars, precision/recall — via b.ReportMetric, alongside the
-// usual ns/op. cmd/experiments regenerates the same experiments at
+// One benchmark per table, and one BenchmarkFigure sub-benchmark per
+// figure, of the paper's evaluation (Section 6). Each regenerates the
+// experiment at a reduced scale (so the full suite runs in minutes) and
+// reports the paper's metric — questions, rounds, dollars,
+// precision/recall — via b.ReportMetric, alongside the usual ns/op. cmd/experiments regenerates the same experiments at
 // configurable (up to paper) scale.
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"crowdsky/internal/core"
@@ -25,30 +26,6 @@ import (
 // loop supplies repetition).
 func benchCfg(seed int64) experiments.Config {
 	return experiments.Config{Runs: 1, Seed: seed, Scale: 0.1}
-}
-
-func reportSeries(b *testing.B, fig *experiments.Figure, unit string) {
-	b.Helper()
-	for _, s := range fig.Series {
-		if len(s.Y) > 0 {
-			// Report the final sweep point (largest cardinality /
-			// dimensionality), the headline comparison of each figure.
-			b.ReportMetric(s.Y[len(s.Y)-1], s.Name+"_"+unit)
-		}
-	}
-}
-
-func benchFigure(b *testing.B, run func(cfg experiments.Config) (*experiments.Figure, error), unit string) {
-	b.Helper()
-	var fig *experiments.Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		fig, err = run(benchCfg(int64(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSeries(b, fig, unit)
 }
 
 // --- Table 1-3: the toy walkthroughs -----------------------------------
@@ -87,111 +64,38 @@ func BenchmarkTable3ParallelSLToy(b *testing.B) {
 	b.ReportMetric(float64(res.Rounds), "rounds")       // 6 per Example 8
 }
 
-// --- Figures 6-7: number of questions ----------------------------------
+// --- Figures 6-12 and the extensions: one sub-benchmark per figure ----
 
-func BenchmarkFig6aQuestionsINDCardinality(b *testing.B) {
-	benchFigure(b, func(cfg experiments.Config) (*experiments.Figure, error) {
-		return experiments.Fig6(cfg, "a")
-	}, "questions")
+// BenchmarkFigure regenerates every figure of the experiment registry and
+// reports each series' final sweep point (largest cardinality or
+// dimensionality, Q3 for the real-life queries), the headline comparison
+// of each figure, in the unit of its metric: "Baseline_questions",
+// "ParallelSL_rounds", "CrowdSky_dollars", "tournament_rounds" and so on.
+func BenchmarkFigure(b *testing.B) {
+	for _, e := range experiments.Registry {
+		if e.Figure == nil {
+			continue
+		}
+		b.Run(e.ID, func(b *testing.B) {
+			var fig *experiments.Figure
+			var err error
+			for i := 0; i < b.N; i++ {
+				if fig, err = e.Figure(benchCfg(int64(i))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for _, s := range fig.Series {
+				unit := s.Name
+				if !strings.HasSuffix(unit, s.Metric) {
+					unit += "_" + s.Metric
+				}
+				b.ReportMetric(s.Y[len(s.Y)-1], strings.ReplaceAll(unit, " ", "_"))
+			}
+		})
+	}
 }
 
-func BenchmarkFig6bQuestionsINDKnownDims(b *testing.B) {
-	benchFigure(b, func(cfg experiments.Config) (*experiments.Figure, error) {
-		return experiments.Fig6(cfg, "b")
-	}, "questions")
-}
-
-func BenchmarkFig6cQuestionsINDCrowdDims(b *testing.B) {
-	benchFigure(b, func(cfg experiments.Config) (*experiments.Figure, error) {
-		return experiments.Fig6(cfg, "c")
-	}, "questions")
-}
-
-func BenchmarkFig7aQuestionsANTCardinality(b *testing.B) {
-	benchFigure(b, func(cfg experiments.Config) (*experiments.Figure, error) {
-		return experiments.Fig7(cfg, "a")
-	}, "questions")
-}
-
-func BenchmarkFig7bQuestionsANTKnownDims(b *testing.B) {
-	benchFigure(b, func(cfg experiments.Config) (*experiments.Figure, error) {
-		return experiments.Fig7(cfg, "b")
-	}, "questions")
-}
-
-func BenchmarkFig7cQuestionsANTCrowdDims(b *testing.B) {
-	benchFigure(b, func(cfg experiments.Config) (*experiments.Figure, error) {
-		return experiments.Fig7(cfg, "c")
-	}, "questions")
-}
-
-// --- Figures 8-9: number of rounds --------------------------------------
-
-func BenchmarkFig8aRoundsINDCardinality(b *testing.B) {
-	benchFigure(b, func(cfg experiments.Config) (*experiments.Figure, error) {
-		return experiments.Fig8(cfg, "a")
-	}, "rounds")
-}
-
-func BenchmarkFig8bRoundsANTCardinality(b *testing.B) {
-	benchFigure(b, func(cfg experiments.Config) (*experiments.Figure, error) {
-		return experiments.Fig8(cfg, "b")
-	}, "rounds")
-}
-
-func BenchmarkFig9aRoundsINDKnownDims(b *testing.B) {
-	benchFigure(b, func(cfg experiments.Config) (*experiments.Figure, error) {
-		return experiments.Fig9(cfg, "a")
-	}, "rounds")
-}
-
-func BenchmarkFig9bRoundsANTKnownDims(b *testing.B) {
-	benchFigure(b, func(cfg experiments.Config) (*experiments.Figure, error) {
-		return experiments.Fig9(cfg, "b")
-	}, "rounds")
-}
-
-// --- Figures 10-11: accuracy under noisy workers ------------------------
-
-func BenchmarkFig10aPrecisionVoting(b *testing.B) {
-	benchFigure(b, func(cfg experiments.Config) (*experiments.Figure, error) {
-		return experiments.Fig10(cfg, "a")
-	}, "precision")
-}
-
-func BenchmarkFig10bRecallVoting(b *testing.B) {
-	benchFigure(b, func(cfg experiments.Config) (*experiments.Figure, error) {
-		return experiments.Fig10(cfg, "b")
-	}, "recall")
-}
-
-func BenchmarkFig11aPrecisionVsExisting(b *testing.B) {
-	benchFigure(b, func(cfg experiments.Config) (*experiments.Figure, error) {
-		return experiments.Fig11(cfg, "a")
-	}, "precision")
-}
-
-func BenchmarkFig11bRecallVsExisting(b *testing.B) {
-	benchFigure(b, func(cfg experiments.Config) (*experiments.Figure, error) {
-		return experiments.Fig11(cfg, "b")
-	}, "recall")
-}
-
-// --- Figure 12 and Section 6.2: real-life queries -----------------------
-
-func BenchmarkFig12aMonetaryCost(b *testing.B) {
-	benchFigure(b, func(cfg experiments.Config) (*experiments.Figure, error) {
-		cfg.Scale = 1 // the real datasets are small; run them as-is
-		return experiments.Fig12(cfg, "a")
-	}, "dollars")
-}
-
-func BenchmarkFig12bRealRounds(b *testing.B) {
-	benchFigure(b, func(cfg experiments.Config) (*experiments.Figure, error) {
-		cfg.Scale = 1
-		return experiments.Fig12(cfg, "b")
-	}, "rounds")
-}
+// --- Section 6.2: real-life accuracy -----------------------------------
 
 func BenchmarkRealAccuracy(b *testing.B) {
 	var results []experiments.RealAccuracyResult
@@ -283,7 +187,7 @@ func BenchmarkVotingAccuracyTradeoff(b *testing.B) {
 		policy voting.Policy
 	}{
 		{"static", voting.Static{Omega: 5}},
-		{"dynamic", experiments.DynamicPolicy(d, 5)},
+		{"dynamic", voting.NewAnnealed(5)},
 	}
 	for _, p := range policies {
 		b.Run(p.name, func(b *testing.B) {

@@ -42,10 +42,14 @@ func main() {
 
 	if *list {
 		fmt.Println("available experiments:")
-		for _, id := range experiments.IDs() {
-			fmt.Printf("  %s\n", id)
+		for _, e := range experiments.Registry {
+			fmt.Printf("  %s\n", e.ID)
 		}
 		return
+	}
+	if err := checkConfig(*scale, *runs); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	level := slog.LevelWarn
@@ -60,13 +64,19 @@ func main() {
 	}
 	slog.Debug("experiment config", "runs", *runs, "scale", *scale, "seed", *seed)
 
-	var ids []string
+	var exps []experiments.Experiment
 	switch {
 	case *all:
-		ids = experiments.IDs()
+		exps = experiments.Registry
 	case *fig != "":
 		for _, id := range strings.Split(*fig, ",") {
-			ids = append(ids, strings.TrimSpace(id))
+			id = strings.TrimSpace(id)
+			e, ok := experiments.Lookup(id)
+			if !ok {
+				fmt.Fprintf(os.Stderr, "unknown experiment %q; -list shows the ids\n", id)
+				os.Exit(2)
+			}
+			exps = append(exps, e)
 		}
 	default:
 		fmt.Fprintln(os.Stderr, "specify -fig <id> or -all; -list shows the ids")
@@ -97,41 +107,43 @@ func main() {
 		defer root.End()
 	}
 
-	for i, id := range ids {
-		runner, ok := experiments.Registry[id]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; -list shows the ids\n", id)
-			os.Exit(2)
-		}
+	for i, e := range exps {
 		if i > 0 {
 			fmt.Println()
 		}
 		_, span := telemetry.StartSpan(ctx, tracer, "experiment")
-		span.SetAttr("id", id)
-		if *outDir != "" {
-			if builder, hasFig := experiments.FigureBuilders[id]; hasFig {
-				err := exportCSV(cfg, *outDir, id, builder)
-				span.End()
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "experiment %s: %v\n", id, err)
-					os.Exit(1)
-				}
-				continue
-			}
+		span.SetAttr("id", e.ID)
+		var err error
+		if *outDir != "" && e.Figure != nil {
+			err = exportCSV(cfg, *outDir, e)
+		} else {
+			err = e.Run(cfg, os.Stdout)
 		}
-		err := runner(cfg, os.Stdout)
 		span.End()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", id, err)
+			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", e.ID, err)
 			os.Exit(1)
 		}
 	}
 }
 
+// checkConfig rejects a -scale outside (0, 1] (NaN included) and a -runs
+// below 1, which experiments.Config would otherwise replace with its
+// defaults, starting a paper-scale run nobody asked for.
+func checkConfig(scale float64, runs int) error {
+	if !(scale > 0 && scale <= 1) { // false for NaN too
+		return fmt.Errorf("-scale %v: want a cardinality scale in (0, 1]", scale)
+	}
+	if runs < 1 {
+		return fmt.Errorf("-runs %d: want at least 1 run", runs)
+	}
+	return nil
+}
+
 // exportCSV builds the figure once, renders it to stdout and writes the
 // CSV next to it.
-func exportCSV(cfg experiments.Config, dir, id string, builder func(experiments.Config) (*experiments.Figure, error)) error {
-	fig, err := builder(cfg)
+func exportCSV(cfg experiments.Config, dir string, e experiments.Experiment) error {
+	fig, err := e.Figure(cfg)
 	if err != nil {
 		return err
 	}
@@ -141,7 +153,7 @@ func exportCSV(cfg experiments.Config, dir, id string, builder func(experiments.
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(dir, "fig"+id+".csv"))
+	f, err := os.Create(filepath.Join(dir, "fig"+e.ID+".csv"))
 	if err != nil {
 		return err
 	}

@@ -1,9 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Section 6). Each figure has a runner that executes the same
-// parameter sweep the paper describes (Table 4) and returns a Figure whose
-// series carry the same methods, axes and units the paper plots. The
-// cmd/experiments binary renders them as text; bench_test.go at the module
-// root exposes each as a testing.B benchmark.
+// evaluation (Section 6). Each figure is a sweep: the parameter grid the
+// paper describes (Table 4), the methods it compares and the metric it
+// plots, run by one engine into a Figure whose series carry the paper's
+// methods, axes and units. Registry lists every experiment; the
+// cmd/experiments binary renders them as text, and BenchmarkFigure in
+// bench_test.go at the module root runs each figure as a sub-benchmark.
 //
 // Runs are deterministic: every random choice derives from Config.Seed plus
 // the run index, and results are averaged over Config.Runs runs (the paper
@@ -20,7 +21,6 @@ import (
 
 	"crowdsky/internal/crowd"
 	"crowdsky/internal/dataset"
-	"crowdsky/internal/voting"
 )
 
 // Config controls an experiment run.
@@ -66,9 +66,10 @@ func (c Config) scaled(n int) int {
 
 // Series is one method's curve in a figure.
 type Series struct {
-	Name string
-	X    []float64
-	Y    []float64
+	Name   string
+	Metric string // what Y measures: questions, rounds, dollars, precision, recall or f1
+	X      []float64
+	Y      []float64
 }
 
 // Figure is a regenerated paper figure (or table rendered as series).
@@ -193,7 +194,3 @@ func noisyPlatform(d *dataset.Dataset, p float64, seed int64) *crowd.Simulated {
 	}
 	return crowd.NewSimulated(crowd.DatasetTruth{Data: d}, pool, rng)
 }
-
-// DefaultOmega re-exports the paper's ω = 5 for callers assembling their
-// own policies.
-const DefaultOmega = voting.DefaultOmega

@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 
 	"crowdsky/internal/core"
 	"crowdsky/internal/crowd"
 	"crowdsky/internal/dataset"
-	"crowdsky/internal/metrics"
 	"crowdsky/internal/skyline"
 	"crowdsky/internal/voting"
 )
@@ -26,73 +24,36 @@ import (
 // the strategy, full pruning, perfect crowd.
 func ExtRoundRobin(cfg Config) (*Figure, error) {
 	cfg = cfg.withDefaults()
-	plain := Series{Name: "CrowdSky"}
-	rr := Series{Name: "CrowdSky+RoundRobin"}
-	for dc := 1; dc <= 3; dc++ {
-		gen := dataset.GenerateConfig{N: cfg.scaled(4000), KnownDims: 4, CrowdDims: dc, Distribution: dataset.Independent}
-		var qPlain, qRR float64
-		for run := 0; run < cfg.Runs; run++ {
-			d := dataset.MustGenerate(gen, rand.New(rand.NewSource(cfg.Seed+int64(run))))
-			qPlain += float64(core.Run(d, perfectPlatform(d), core.AllPruning()).Questions)
-			opts := core.AllPruning()
-			opts.RoundRobinAC = true
-			qRR += float64(core.Run(d, perfectPlatform(d), opts).Questions)
-		}
-		plain.X = append(plain.X, float64(dc))
-		plain.Y = append(plain.Y, qPlain/float64(cfg.Runs))
-		rr.X = append(rr.X, float64(dc))
-		rr.Y = append(rr.Y, qRR/float64(cfg.Runs))
-		cfg.progressf("ext-roundrobin: |AC|=%d done (%.0f vs %.0f questions)\n", dc, plain.Y[dc-1], rr.Y[dc-1])
+	rr := core.AllPruning()
+	rr.RoundRobinAC = true
+	xlabel, points, err := table4Axis(cfg, dataset.Independent, "c")
+	if err != nil {
+		return nil, err
 	}
-	return &Figure{
-		ID:     "ext-roundrobin",
-		Title:  "round-robin multi-attribute questioning (IND, full pruning)",
-		XLabel: "|AC|",
-		YLabel: "questions (avg of " + fmt.Sprint(cfg.Runs) + " runs)",
-		Series: []Series{plain, rr},
-	}, nil
+	methods := []method{perfectRun("CrowdSky", core.AllPruning()), perfectRun("CrowdSky+RoundRobin", rr)}
+	return sweep{points, methods, []metric{questions}}.figure(cfg, "ext-roundrobin",
+		"round-robin multi-attribute questioning (IND, full pruning)", xlabel, "questions (avg of %d runs)"), nil
 }
 
 // ExtBudget traces accuracy against a question budget: the fixed-budget
 // setting of Lofi et al. [12] served by CrowdSky's optimistic readout
 // (Options.MaxQuestions). Precision climbs with budget while recall stays
 // at 1 under a perfect crowd, because the optimistic readout never loses a
-// true skyline tuple.
+// true skyline tuple. The budget is fraction x of a full run's questions.
 func ExtBudget(cfg Config) (*Figure, error) {
 	cfg = cfg.withDefaults()
+	budgeted := method{"", func(d *dataset.Dataset, ix *skyline.Index, frac float64, _ int64) *core.Result {
+		opts := core.AllPruning()
+		opts.Index = ix
+		full := core.Run(d, perfectPlatform(d), opts)
+		opts.MaxQuestions = max(int(frac*float64(full.Questions)), 1)
+		return core.Run(d, perfectPlatform(d), opts)
+	}}
 	gen := dataset.GenerateConfig{N: cfg.scaled(2000), KnownDims: 4, CrowdDims: 1, Distribution: dataset.Independent}
-	precision := Series{Name: "precision"}
-	recall := Series{Name: "recall"}
-	fractions := []float64{0.1, 0.25, 0.5, 0.75, 1.0}
-	for _, frac := range fractions {
-		var ps, rs float64
-		for run := 0; run < cfg.Runs; run++ {
-			d := dataset.MustGenerate(gen, rand.New(rand.NewSource(cfg.Seed+int64(run))))
-			full := core.Run(d, perfectPlatform(d), core.AllPruning())
-			budget := int(frac * float64(full.Questions))
-			if budget < 1 {
-				budget = 1
-			}
-			opts := core.AllPruning()
-			opts.MaxQuestions = budget
-			res := core.Run(d, perfectPlatform(d), opts)
-			p, r := metrics.PrecisionRecall(res.Skyline, skyline.OracleSkyline(d), skyline.KnownSkyline(d))
-			ps += p
-			rs += r
-		}
-		precision.X = append(precision.X, frac)
-		precision.Y = append(precision.Y, ps/float64(cfg.Runs))
-		recall.X = append(recall.X, frac)
-		recall.Y = append(recall.Y, rs/float64(cfg.Runs))
-		cfg.progressf("ext-budget: fraction %.2f done\n", frac)
-	}
-	return &Figure{
-		ID:     "ext-budget",
-		Title:  "accuracy under a question budget (optimistic readout, perfect crowd)",
-		XLabel: "budget as fraction of the full run",
-		YLabel: "precision/recall (avg of " + fmt.Sprint(cfg.Runs) + " runs)",
-		Series: []Series{precision, recall},
-	}, nil
+	points := grid(func(float64) dataset.GenerateConfig { return gen }, 0.1, 0.25, 0.5, 0.75, 1.0)
+	return sweep{points, []method{budgeted}, []metric{precision, recall}}.figure(cfg, "ext-budget",
+		"accuracy under a question budget (optimistic readout, perfect crowd)",
+		"budget as fraction of the full run", "precision/recall (avg of %d runs)"), nil
 }
 
 // ExtSorters contrasts the two crowd-powered sorting baselines of
@@ -100,92 +61,47 @@ func ExtBudget(cfg Config) (*Figure, error) {
 // network (fewest rounds), on the same datasets.
 func ExtSorters(cfg Config) (*Figure, error) {
 	cfg = cfg.withDefaults()
-	tq := Series{Name: "tournament questions"}
-	tr := Series{Name: "tournament rounds"}
-	bq := Series{Name: "bitonic questions"}
-	br := Series{Name: "bitonic rounds"}
-	for _, n := range []int{500, 1000, 2000} {
-		sn := cfg.scaled(n)
-		gen := dataset.GenerateConfig{N: sn, KnownDims: 2, CrowdDims: 1, Distribution: dataset.Independent}
-		var tqs, trs, bqs, brs float64
-		for run := 0; run < cfg.Runs; run++ {
-			d := dataset.MustGenerate(gen, rand.New(rand.NewSource(cfg.Seed+int64(run))))
-			rt := core.Baseline(d, perfectPlatform(d), core.TournamentSort, nil)
-			rb := core.Baseline(d, perfectPlatform(d), core.BitonicSort, nil)
-			tqs += float64(rt.Questions)
-			trs += float64(rt.Rounds)
-			bqs += float64(rb.Questions)
-			brs += float64(rb.Rounds)
-		}
-		x := float64(sn)
-		for _, s := range []*Series{&tq, &tr, &bq, &br} {
-			s.X = append(s.X, x)
-		}
-		tq.Y = append(tq.Y, tqs/float64(cfg.Runs))
-		tr.Y = append(tr.Y, trs/float64(cfg.Runs))
-		bq.Y = append(bq.Y, bqs/float64(cfg.Runs))
-		br.Y = append(br.Y, brs/float64(cfg.Runs))
-		cfg.progressf("ext-sorters: n=%d done\n", sn)
+	var methods []method
+	for _, algo := range []core.SortAlgorithm{core.TournamentSort, core.BitonicSort} {
+		methods = append(methods, method{algo.String(), func(d *dataset.Dataset, _ *skyline.Index, _ float64, _ int64) *core.Result {
+			return core.Baseline(d, perfectPlatform(d), algo, nil)
+		}})
 	}
-	return &Figure{
-		ID:     "ext-sorters",
-		Title:  "crowd-powered sorting baselines: cost vs latency",
-		XLabel: "cardinality",
-		YLabel: "questions / rounds (avg of " + fmt.Sprint(cfg.Runs) + " runs)",
-		Series: []Series{tq, tr, bq, br},
-	}, nil
+	points := cardinalities(cfg, 2, dataset.Independent, 500, 1000, 2000)
+	return sweep{points, methods, []metric{questions, rounds}}.figure(cfg, "ext-sorters",
+		"crowd-powered sorting baselines: cost vs latency", "cardinality", "questions / rounds (avg of %d runs)"), nil
 }
 
 // ExtScreening measures the agreement-based worker screening (the
 // programmatic AMT "Masters" filter, crowd.Quality) on pools with a
 // growing spammer fraction: accuracy with and without screening at equal
 // ω. The paper took screening as given ("we only permitted Masters
-// workers", Section 6.2); this experiment shows what it buys.
+// workers", Section 6.2); this experiment shows what it buys. Both
+// methods draw the same pool, of 120 workers with reliability 0.9 and
+// spammer fraction x, from the seed runSeed*31+11.
 func ExtScreening(cfg Config) (*Figure, error) {
 	cfg = cfg.withDefaults()
-	plain := Series{Name: "no screening"}
-	screened := Series{Name: "screening"}
-	gen := dataset.GenerateConfig{N: cfg.scaled(800), KnownDims: 4, CrowdDims: 1, Distribution: dataset.Independent}
-	for _, spamFrac := range []float64{0.0, 0.2, 0.4} {
-		var plainF1, screenedF1 float64
-		for run := 0; run < cfg.Runs; run++ {
-			seed := cfg.Seed + int64(run)
-			d := dataset.MustGenerate(gen, rand.New(rand.NewSource(seed)))
-			want := skyline.OracleSkyline(d)
-			known := skyline.KnownSkyline(d)
-			measure := func(screen bool) float64 {
-				rng := rand.New(rand.NewSource(seed*31 + 11))
-				pool, err := crowd.NewPool(crowd.PoolConfig{
-					Size: 120, Reliability: 0.9, SpammerFraction: spamFrac,
-				}, rng)
-				if err != nil {
-					panic(err) // static config
-				}
-				pf := crowd.NewSimulated(crowd.DatasetTruth{Data: d}, pool, rng)
-				if screen {
-					pf.Quality = crowd.NewQuality()
-				}
-				opts := core.AllPruning()
-				opts.Voting = voting.Static{Omega: DefaultOmega}
-				res := core.Run(d, pf, opts)
-				p, r := metrics.PrecisionRecall(res.Skyline, want, known)
-				return metrics.F1(p, r)
+	screening := func(name string, screen bool) method {
+		return method{name, func(d *dataset.Dataset, ix *skyline.Index, spamFrac float64, seed int64) *core.Result {
+			rng := rand.New(rand.NewSource(seed*31 + 11))
+			pool, err := crowd.NewPool(crowd.PoolConfig{Size: 120, Reliability: 0.9, SpammerFraction: spamFrac}, rng)
+			if err != nil {
+				panic(err) // static config
 			}
-			plainF1 += measure(false)
-			screenedF1 += measure(true)
-		}
-		plain.X = append(plain.X, spamFrac)
-		plain.Y = append(plain.Y, plainF1/float64(cfg.Runs))
-		screened.X = append(screened.X, spamFrac)
-		screened.Y = append(screened.Y, screenedF1/float64(cfg.Runs))
-		cfg.progressf("ext-screening: spam %.1f done (%.3f vs %.3f F1)\n",
-			spamFrac, plain.Y[len(plain.Y)-1], screened.Y[len(screened.Y)-1])
+			pf := crowd.NewSimulated(crowd.DatasetTruth{Data: d}, pool, rng)
+			if screen {
+				pf.Quality = crowd.NewQuality()
+			}
+			opts := core.AllPruning()
+			opts.Voting = voting.Static{Omega: voting.DefaultOmega}
+			opts.Index = ix
+			return core.Run(d, pf, opts)
+		}}
 	}
-	return &Figure{
-		ID:     "ext-screening",
-		Title:  "agreement-based worker screening under spam (F1, ω=5)",
-		XLabel: "spammer fraction",
-		YLabel: "F1 of the crowdsourced skyline (avg of " + fmt.Sprint(cfg.Runs) + " runs)",
-		Series: []Series{plain, screened},
-	}, nil
+	gen := dataset.GenerateConfig{N: cfg.scaled(800), KnownDims: 4, CrowdDims: 1, Distribution: dataset.Independent}
+	points := grid(func(float64) dataset.GenerateConfig { return gen }, 0.0, 0.2, 0.4)
+	methods := []method{screening("no screening", false), screening("screening", true)}
+	return sweep{points, methods, []metric{f1}}.figure(cfg, "ext-screening",
+		"agreement-based worker screening under spam (F1, ω=5)", "spammer fraction",
+		"F1 of the crowdsourced skyline (avg of %d runs)"), nil
 }

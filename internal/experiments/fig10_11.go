@@ -7,7 +7,6 @@ import (
 	"crowdsky/internal/core"
 	"crowdsky/internal/crowd"
 	"crowdsky/internal/dataset"
-	"crowdsky/internal/metrics"
 	"crowdsky/internal/skyline"
 	"crowdsky/internal/voting"
 )
@@ -19,102 +18,66 @@ import (
 // CrowdSky as in Figure 11).
 const UnarySigma = 0.15
 
-// DynamicPolicy returns the paper's tuned dynamic-voting policy
-// (Section 6.1): "the initial 30% questions are assigned ω+2, and the last
-// 30% questions are assigned ω−2". It is budget-neutral against static
-// voting; see EXPERIMENTS.md for the measured recall/precision trade.
-func DynamicPolicy(_ *dataset.Dataset, omega int) voting.Policy {
-	return voting.NewAnnealed(omega)
+// accuracyReliability is the worker reliability p of Figures 10 and 11.
+const accuracyReliability = 0.8
+
+// The voting policies of the noisy methods, at the paper's ω = 5. The
+// dynamic policy is the paper's tuned one (Section 6.1): "the initial 30%
+// questions are assigned ω+2, and the last 30% questions are assigned
+// ω−2"; it is budget-neutral against static voting (see EXPERIMENTS.md
+// for the measured recall/precision trade).
+var (
+	staticVoting  = func(*skyline.Index) voting.Policy { return voting.Static{Omega: voting.DefaultOmega} }
+	dynamicVoting = func(*skyline.Index) voting.Policy { return voting.NewAnnealed(voting.DefaultOmega) }
+	smartVoting   = func(ix *skyline.Index) voting.Policy { return core.SmartVoting(ix, voting.DefaultOmega) }
+)
+
+// noisyRun is a method running core.Run with opts, the shared index and
+// the policy vote(ix) against a majority-voted crowd of worker reliability
+// p, drawn from the method's seed.
+func noisyRun(name string, p float64, opts core.Options, vote func(*skyline.Index) voting.Policy) method {
+	return method{name, func(d *dataset.Dataset, ix *skyline.Index, _ float64, seed int64) *core.Result {
+		o := opts
+		o.Index, o.Voting = ix, vote(ix)
+		return core.Run(d, noisyPlatform(d, p, seed), o)
+	}}
 }
 
-// accuracyMethod runs one method on one noisy dataset instance; ix is the
-// shared dominance index over d (pass it on via core.Options.Index).
-type accuracyMethod struct {
-	name string
-	run  func(d *dataset.Dataset, ix *skyline.Index, seed int64) []int
+// noisyBaseline is the tournament-sort Baseline with omega workers per
+// question against a crowd of worker reliability p.
+func noisyBaseline(p float64, omega int) method {
+	return method{"Baseline", func(d *dataset.Dataset, _ *skyline.Index, _ float64, seed int64) *core.Result {
+		return core.Baseline(d, noisyPlatform(d, p, seed), core.TournamentSort, voting.Static{Omega: omega})
+	}}
 }
 
-func accuracySweep(cfg Config, methods []accuracyMethod, metric string, figID string) []Series {
-	cardinalities := []int{200, 400, 600, 800, 1000}
-	series := make([]Series, len(methods))
-	var xs []float64
-	for _, n := range cardinalities {
-		xs = append(xs, float64(cfg.scaled(n)))
+// accuracyFigure sweeps methods over n = 200..1000 (IND, scaled) and
+// reads precision (panel "a") or recall (panel "b"). Method i draws its
+// crowd from the seed runSeed*1000+i, so each curve has its own workers.
+func accuracyFigure(cfg Config, fig, panel, title string, methods ...method) (*Figure, error) {
+	cfg = cfg.withDefaults()
+	m, ok := map[string]metric{"a": precision, "b": recall}[panel]
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown panel %q (want a=precision or b=recall)", panel)
 	}
-	for mi, m := range methods {
-		series[mi] = Series{Name: m.name, X: xs}
+	own := make([]method, len(methods))
+	for i, mt := range methods {
+		own[i] = method{mt.name, func(d *dataset.Dataset, ix *skyline.Index, x float64, seed int64) *core.Result {
+			return mt.run(d, ix, x, seed*1000+int64(i))
+		}}
 	}
-	for pi, n := range cardinalities {
-		sn := cfg.scaled(n)
-		gen := dataset.GenerateConfig{N: sn, KnownDims: 4, CrowdDims: 1, Distribution: dataset.Independent}
-		vals := make([][]float64, len(methods))
-		for run := 0; run < cfg.Runs; run++ {
-			// Every method sees the same dataset instance, so one index
-			// serves all of them.
-			seed := cfg.Seed + int64(run)
-			d := dataset.MustGenerate(gen, rand.New(rand.NewSource(seed)))
-			ix := skyline.NewIndex(d)
-			want := skyline.OracleSkyline(d)
-			known := skyline.KnownSkyline(d)
-			for mi, m := range methods {
-				got := m.run(d, ix, seed*1000+int64(mi))
-				prec, rec := metrics.PrecisionRecall(got, want, known)
-				if metric == "precision" {
-					vals[mi] = append(vals[mi], prec)
-				} else {
-					vals[mi] = append(vals[mi], rec)
-				}
-			}
-		}
-		for mi, m := range methods {
-			series[mi].Y = append(series[mi].Y, metrics.Summarize(vals[mi]).Mean)
-			cfg.progressf("fig %s: %s at point %d/%d done (%s %.3f)\n",
-				figID, m.name, pi+1, len(cardinalities), metric, series[mi].Y[pi])
-		}
-	}
-	return series
+	points := cardinalities(cfg, 4, dataset.Independent, 200, 400, 600, 800, 1000)
+	return sweep{points, own, []metric{m}}.figure(cfg, fig+panel, title, "cardinality", m.name+" (avg of %d runs)"), nil
 }
 
 // Fig10 regenerates Figure 10: static versus dynamic majority voting in
 // CrowdSky over the independent distribution, with ω = 5 and worker
 // reliability p = 0.8. Panel "a" plots precision, "b" recall.
 func Fig10(cfg Config, panel string) (*Figure, error) {
-	cfg = cfg.withDefaults()
-	metric, err := panelMetric(panel)
-	if err != nil {
-		return nil, err
-	}
-	const p = 0.8
-	methods := []accuracyMethod{
-		{"StaticVoting", func(d *dataset.Dataset, ix *skyline.Index, seed int64) []int {
-			pf := noisyPlatform(d, p, seed)
-			opts := core.AllPruning()
-			opts.Voting = voting.Static{Omega: DefaultOmega}
-			opts.Index = ix
-			return core.Run(d, pf, opts).Skyline
-		}},
-		{"DynamicVoting", func(d *dataset.Dataset, ix *skyline.Index, seed int64) []int {
-			pf := noisyPlatform(d, p, seed)
-			opts := core.AllPruning()
-			opts.Voting = DynamicPolicy(d, DefaultOmega)
-			opts.Index = ix
-			return core.Run(d, pf, opts).Skyline
-		}},
-		{"SmartVoting", func(d *dataset.Dataset, ix *skyline.Index, seed int64) []int {
-			pf := noisyPlatform(d, p, seed)
-			opts := core.AllPruning()
-			opts.Voting = core.SmartVoting(ix, DefaultOmega)
-			opts.Index = ix
-			return core.Run(d, pf, opts).Skyline
-		}},
-	}
-	return &Figure{
-		ID:     "10" + panel,
-		Title:  "accuracy of static vs dynamic voting (IND, ω=5, p=0.8)",
-		XLabel: "cardinality",
-		YLabel: metric + " (avg of " + fmt.Sprint(cfg.Runs) + " runs)",
-		Series: accuracySweep(cfg, methods, metric, "10"+panel),
-	}, nil
+	return accuracyFigure(cfg, "10", panel, "accuracy of static vs dynamic voting (IND, ω=5, p=0.8)",
+		noisyRun("StaticVoting", accuracyReliability, core.AllPruning(), staticVoting),
+		noisyRun("DynamicVoting", accuracyReliability, core.AllPruning(), dynamicVoting),
+		noisyRun("SmartVoting", accuracyReliability, core.AllPruning(), smartVoting))
 }
 
 // Fig11 regenerates Figure 11: CrowdSky against the sort-based Baseline
@@ -127,44 +90,12 @@ func Fig10(cfg Config, panel string) (*Figure, error) {
 // effective for identifying a correct skyline" (Section 6.1). Panel "a"
 // plots precision, "b" recall.
 func Fig11(cfg Config, panel string) (*Figure, error) {
-	cfg = cfg.withDefaults()
-	metric, err := panelMetric(panel)
-	if err != nil {
-		return nil, err
-	}
-	const p = 0.8
-	methods := []accuracyMethod{
-		{"Baseline", func(d *dataset.Dataset, _ *skyline.Index, seed int64) []int {
-			pf := noisyPlatform(d, p, seed)
-			return core.Baseline(d, pf, core.TournamentSort, voting.Static{Omega: 1}).Skyline
-		}},
-		{"Unary", func(d *dataset.Dataset, _ *skyline.Index, seed int64) []int {
-			up := crowd.NewSimulatedUnary(crowd.DatasetTruth{Data: d}, UnarySigma, rand.New(rand.NewSource(seed)))
-			return core.Unary(d, up, DefaultOmega).Skyline
-		}},
-		{"CrowdSky", func(d *dataset.Dataset, ix *skyline.Index, seed int64) []int {
-			pf := noisyPlatform(d, p, seed)
-			opts := core.AllPruning()
-			opts.Voting = core.SmartVoting(ix, DefaultOmega)
-			opts.Index = ix
-			return core.Run(d, pf, opts).Skyline
-		}},
-	}
-	return &Figure{
-		ID:     "11" + panel,
-		Title:  "accuracy of CrowdSky vs Baseline and Unary [12] (IND, noisy crowd)",
-		XLabel: "cardinality",
-		YLabel: metric + " (avg of " + fmt.Sprint(cfg.Runs) + " runs)",
-		Series: accuracySweep(cfg, methods, metric, "11"+panel),
-	}, nil
-}
-
-func panelMetric(panel string) (string, error) {
-	switch panel {
-	case "a":
-		return "precision", nil
-	case "b":
-		return "recall", nil
-	}
-	return "", fmt.Errorf("experiments: unknown panel %q (want a=precision or b=recall)", panel)
+	unary := method{"Unary", func(d *dataset.Dataset, _ *skyline.Index, _ float64, seed int64) *core.Result {
+		up := crowd.NewSimulatedUnary(crowd.DatasetTruth{Data: d}, UnarySigma, rand.New(rand.NewSource(seed)))
+		return core.Unary(d, up, voting.DefaultOmega)
+	}}
+	return accuracyFigure(cfg, "11", panel, "accuracy of CrowdSky vs Baseline and Unary [12] (IND, noisy crowd)",
+		noisyBaseline(accuracyReliability, 1),
+		unary,
+		noisyRun("CrowdSky", accuracyReliability, core.AllPruning(), smartVoting))
 }

@@ -6,8 +6,6 @@ import (
 
 	"crowdsky/internal/core"
 	"crowdsky/internal/dataset"
-	"crowdsky/internal/metrics"
-	"crowdsky/internal/skyline"
 	"crowdsky/internal/voting"
 )
 
@@ -30,93 +28,44 @@ var RealQueries = []RealQuery{
 // individual reliability is high.
 const workerReliability = 0.9
 
+// realPoints is a point per real-life query, x = 1, 2, 3.
+func realPoints() []point {
+	var ps []point
+	for qi, q := range RealQueries {
+		ps = append(ps, point{float64(qi + 1), func(int64) *dataset.Dataset { return q.Data() }})
+	}
+	return ps
+}
+
+// realCrowdSky is the method of Section 6.2: CrowdSky under opts with
+// static ω = 5 voting.
+func realCrowdSky(name string, opts core.Options) method {
+	return noisyRun(name, workerReliability, opts, staticVoting)
+}
+
 // Fig12 regenerates Figure 12. Panel "a" compares the monetary cost of
 // Baseline and CrowdSky on the three queries under the paper's AMT cost
 // model ($0.02 per HIT assignment, 5 questions per HIT, ω = 5); panel "b"
 // compares the number of rounds of Baseline, ParallelDSet and ParallelSL.
 func Fig12(cfg Config, panel string) (*Figure, error) {
 	cfg = cfg.withDefaults()
+	const xlabel = "query (1=Q1 rectangles, 2=Q2 movies, 3=Q3 MLB)"
+	base := noisyBaseline(workerReliability, voting.DefaultOmega)
 	switch panel {
 	case "a":
-		return fig12Cost(cfg)
+		return sweep{realPoints(), []method{base, realCrowdSky("CrowdSky", core.AllPruning())}, []metric{dollars}}.
+			figure(cfg, "12a", "monetary cost on real-life queries ($0.02/HIT-assignment, ω=5)", xlabel,
+				"monetary cost ($, avg of %d runs)"), nil
 	case "b":
-		return fig12Rounds(cfg)
+		methods := []method{
+			base,
+			realCrowdSky("ParallelDSet", scheduled(core.ByDominatingSets)),
+			realCrowdSky("ParallelSL", scheduled(core.BySkylineLayers)),
+		}
+		return sweep{realPoints(), methods, []metric{rounds}}.
+			figure(cfg, "12b", "number of rounds on real-life queries", xlabel, "rounds (avg of %d runs)"), nil
 	}
 	return nil, fmt.Errorf("experiments: unknown panel %q (want a=cost or b=rounds)", panel)
-}
-
-func fig12Cost(cfg Config) (*Figure, error) {
-	omega := voting.Static{Omega: DefaultOmega}
-	series := []Series{{Name: "Baseline"}, {Name: "CrowdSky"}}
-	for qi, q := range RealQueries {
-		x := float64(qi + 1)
-		var base, cs []float64
-		for run := 0; run < cfg.Runs; run++ {
-			seed := cfg.Seed + int64(run)
-			d := q.Data()
-			base = append(base, core.Baseline(d, noisyPlatform(d, workerReliability, seed), core.TournamentSort, omega).Cost)
-			d = q.Data()
-			opts := core.AllPruning()
-			opts.Voting = omega
-			cs = append(cs, core.Run(d, noisyPlatform(d, workerReliability, seed), opts).Cost)
-		}
-		series[0].X = append(series[0].X, x)
-		series[0].Y = append(series[0].Y, metrics.Summarize(base).Mean)
-		series[1].X = append(series[1].X, x)
-		series[1].Y = append(series[1].Y, metrics.Summarize(cs).Mean)
-		cfg.progressf("fig 12a: %s done (baseline $%.2f, crowdsky $%.2f)\n",
-			q.ID, series[0].Y[qi], series[1].Y[qi])
-	}
-	return &Figure{
-		ID:     "12a",
-		Title:  "monetary cost on real-life queries ($0.02/HIT-assignment, ω=5)",
-		XLabel: "query (1=Q1 rectangles, 2=Q2 movies, 3=Q3 MLB)",
-		YLabel: "monetary cost ($, avg of " + fmt.Sprint(cfg.Runs) + " runs)",
-		Series: series,
-	}, nil
-}
-
-func fig12Rounds(cfg Config) (*Figure, error) {
-	omega := voting.Static{Omega: DefaultOmega}
-	rounds := func(s core.Schedule) func(d *dataset.Dataset, seed int64) int {
-		return func(d *dataset.Dataset, seed int64) int {
-			opts := core.AllPruning()
-			opts.Schedule = s
-			opts.Voting = omega
-			return core.Run(d, noisyPlatform(d, workerReliability, seed), opts).Rounds
-		}
-	}
-	methods := []struct {
-		name string
-		run  func(d *dataset.Dataset, seed int64) int
-	}{
-		{"Baseline", func(d *dataset.Dataset, seed int64) int {
-			return core.Baseline(d, noisyPlatform(d, workerReliability, seed), core.TournamentSort, omega).Rounds
-		}},
-		{"ParallelDSet", rounds(core.ByDominatingSets)},
-		{"ParallelSL", rounds(core.BySkylineLayers)},
-	}
-	series := make([]Series, len(methods))
-	for mi, m := range methods {
-		series[mi] = Series{Name: m.name}
-		for qi, q := range RealQueries {
-			var vals []float64
-			for run := 0; run < cfg.Runs; run++ {
-				seed := cfg.Seed + int64(run)
-				vals = append(vals, float64(m.run(q.Data(), seed)))
-			}
-			series[mi].X = append(series[mi].X, float64(qi+1))
-			series[mi].Y = append(series[mi].Y, metrics.Summarize(vals).Mean)
-			cfg.progressf("fig 12b: %s on %s done (avg %.0f rounds)\n", m.name, q.ID, series[mi].Y[qi])
-		}
-	}
-	return &Figure{
-		ID:     "12b",
-		Title:  "number of rounds on real-life queries",
-		XLabel: "query (1=Q1 rectangles, 2=Q2 movies, 3=Q3 MLB)",
-		YLabel: "rounds (avg of " + fmt.Sprint(cfg.Runs) + " runs)",
-		Series: series,
-	}, nil
 }
 
 // RealAccuracyResult reports the Section 6.2 accuracy outcome of one query.
@@ -131,35 +80,21 @@ type RealAccuracyResult struct {
 // with static ω = 5 voting on each real-life query, graded against the
 // latent ground truth. The paper reports Q1 at precision = recall = 1.0,
 // Q2's skyline as five specific movies and Q3's as four Cy Young
-// candidates.
+// candidates. Precision and recall average cfg.Runs runs; the skyline
+// named is the first run's, run again to read its names.
 func RealAccuracy(cfg Config) ([]RealAccuracyResult, error) {
 	cfg = cfg.withDefaults()
+	cs := realCrowdSky("", core.AllPruning())
+	series := sweep{realPoints(), []method{cs}, []metric{precision, recall}}.run(cfg, "q-accuracy")
 	var out []RealAccuracyResult
-	for _, q := range RealQueries {
-		var precs, recs []float64
+	for qi, q := range RealQueries {
+		d := q.Data()
 		var names []string
-		for run := 0; run < cfg.Runs; run++ {
-			seed := cfg.Seed + int64(run)
-			d := q.Data()
-			opts := core.AllPruning()
-			opts.Voting = voting.Static{Omega: DefaultOmega}
-			res := core.Run(d, noisyPlatform(d, workerReliability, seed), opts)
-			prec, rec := metrics.PrecisionRecall(res.Skyline, skyline.OracleSkyline(d), skyline.KnownSkyline(d))
-			precs = append(precs, prec)
-			recs = append(recs, rec)
-			if run == 0 {
-				for _, tidx := range res.Skyline {
-					names = append(names, d.Name(tidx))
-				}
-				sort.Strings(names)
-			}
+		for _, t := range cs.run(d, nil, 0, cfg.Seed).Skyline {
+			names = append(names, d.Name(t))
 		}
-		out = append(out, RealAccuracyResult{
-			Query:     q.ID,
-			Precision: metrics.Summarize(precs).Mean,
-			Recall:    metrics.Summarize(recs).Mean,
-			Skyline:   names,
-		})
+		sort.Strings(names)
+		out = append(out, RealAccuracyResult{q.ID, series[0].Y[qi], series[1].Y[qi], names})
 	}
 	return out, nil
 }

@@ -3,105 +3,84 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
-// Runner regenerates one experiment and writes its text rendering to w.
-type Runner func(cfg Config, w io.Writer) error
+// Experiment is one regenerable table or figure of the evaluation. A
+// figure experiment has Figure; a text-only one (the toy tables and the
+// real-life accuracy report) has Text.
+type Experiment struct {
+	ID     string // figure/table number as the paper names it
+	Figure func(Config) (*Figure, error)
+	Text   func(Config, io.Writer) error
+}
 
-// Registry maps experiment identifiers (figure/table numbers as the paper
-// names them) to runners. cmd/experiments exposes it via -fig. It holds
-// every FigureBuilders entry, rendered as text, plus the toy tables and
-// q-accuracy, which render text only.
-var Registry = func() map[string]Runner {
-	r := map[string]Runner{
-		"table1": func(cfg Config, w io.Writer) error { return RenderTable1(w) },
-		"table2": func(cfg Config, w io.Writer) error { return RenderTable2(w) },
-		"table3": func(cfg Config, w io.Writer) error { return RenderTable3(w) },
-
-		"q-accuracy": func(cfg Config, w io.Writer) error {
-			results, err := RealAccuracy(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, "Section 6.2 accuracy on real-life queries (CrowdSky, ω=5):")
-			for _, r := range results {
-				fmt.Fprintf(w, "  %s: precision %.3f, recall %.3f\n", r.Query, r.Precision, r.Recall)
-				fmt.Fprintf(w, "      skyline: %s\n", strings.Join(r.Skyline, "; "))
-			}
-			return nil
-		},
+// Run writes the experiment's text rendering to w.
+func (e Experiment) Run(cfg Config, w io.Writer) error {
+	if e.Figure == nil {
+		return e.Text(cfg, w)
 	}
-	for id, build := range FigureBuilders {
-		r[id] = figRunner(build)
+	fig, err := e.Figure(cfg)
+	if err != nil {
+		return err
 	}
-	return r
-}()
+	return fig.Render(w)
+}
 
-func figRunner(f func(Config) (*Figure, error)) Runner {
-	return func(cfg Config, w io.Writer) error {
-		fig, err := f(cfg)
-		if err != nil {
-			return err
+// panel binds a figure's panel (or variant) argument.
+func panel(f func(Config, string) (*Figure, error), p string) func(Config) (*Figure, error) {
+	return func(cfg Config) (*Figure, error) { return f(cfg, p) }
+}
+
+// Registry lists every experiment, in the order cmd/experiments -list and
+// -all use: the toy tables, Figures 6-12, the extensions, and the
+// real-life accuracy report.
+var Registry = []Experiment{
+	{ID: "table1", Text: func(_ Config, w io.Writer) error { return RenderTable1(w) }},
+	{ID: "table2", Text: func(_ Config, w io.Writer) error { return RenderTable2(w) }},
+	{ID: "table3", Text: func(_ Config, w io.Writer) error { return RenderTable3(w) }},
+	{ID: "6a", Figure: panel(Fig6, "a")},
+	{ID: "6b", Figure: panel(Fig6, "b")},
+	{ID: "6c", Figure: panel(Fig6, "c")},
+	{ID: "7a", Figure: panel(Fig7, "a")},
+	{ID: "7b", Figure: panel(Fig7, "b")},
+	{ID: "7c", Figure: panel(Fig7, "c")},
+	{ID: "8a", Figure: panel(Fig8, "a")},
+	{ID: "8b", Figure: panel(Fig8, "b")},
+	{ID: "9a", Figure: panel(Fig9, "a")},
+	{ID: "9b", Figure: panel(Fig9, "b")},
+	{ID: "10a", Figure: panel(Fig10, "a")},
+	{ID: "10b", Figure: panel(Fig10, "b")},
+	{ID: "11a", Figure: panel(Fig11, "a")},
+	{ID: "11b", Figure: panel(Fig11, "b")},
+	{ID: "12a", Figure: panel(Fig12, "a")},
+	{ID: "12b", Figure: panel(Fig12, "b")},
+	{ID: "ext-budget", Figure: ExtBudget},
+	{ID: "ext-roundrobin", Figure: ExtRoundRobin},
+	{ID: "ext-screening", Figure: ExtScreening},
+	{ID: "ext-sorters", Figure: ExtSorters},
+	{ID: "q-accuracy", Text: renderRealAccuracy},
+}
+
+// Lookup returns the experiment registered under id.
+func Lookup(id string) (Experiment, bool) {
+	for _, e := range Registry {
+		if e.ID == id {
+			return e, true
 		}
-		return fig.Render(w)
 	}
+	return Experiment{}, false
 }
 
-// FigureBuilders maps the ids of figure-producing experiments to their
-// builders, for callers that want the structured Figure (CSV export,
-// plotting). Registry renders each of them as text.
-var FigureBuilders = map[string]func(Config) (*Figure, error){
-	"6a": func(cfg Config) (*Figure, error) { return Fig6(cfg, "a") },
-	"6b": func(cfg Config) (*Figure, error) { return Fig6(cfg, "b") },
-	"6c": func(cfg Config) (*Figure, error) { return Fig6(cfg, "c") },
-	"7a": func(cfg Config) (*Figure, error) { return Fig7(cfg, "a") },
-	"7b": func(cfg Config) (*Figure, error) { return Fig7(cfg, "b") },
-	"7c": func(cfg Config) (*Figure, error) { return Fig7(cfg, "c") },
-	"8a": func(cfg Config) (*Figure, error) { return Fig8(cfg, "a") },
-	"8b": func(cfg Config) (*Figure, error) { return Fig8(cfg, "b") },
-	"9a": func(cfg Config) (*Figure, error) { return Fig9(cfg, "a") },
-	"9b": func(cfg Config) (*Figure, error) { return Fig9(cfg, "b") },
-
-	"10a": func(cfg Config) (*Figure, error) { return Fig10(cfg, "a") },
-	"10b": func(cfg Config) (*Figure, error) { return Fig10(cfg, "b") },
-	"11a": func(cfg Config) (*Figure, error) { return Fig11(cfg, "a") },
-	"11b": func(cfg Config) (*Figure, error) { return Fig11(cfg, "b") },
-	"12a": func(cfg Config) (*Figure, error) { return Fig12(cfg, "a") },
-	"12b": func(cfg Config) (*Figure, error) { return Fig12(cfg, "b") },
-
-	"ext-roundrobin": ExtRoundRobin,
-	"ext-budget":     ExtBudget,
-	"ext-sorters":    ExtSorters,
-	"ext-screening":  ExtScreening,
-}
-
-// IDs returns the registry keys in a stable, human-sensible order.
-func IDs() []string {
-	ids := make([]string, 0, len(Registry))
-	for id := range Registry {
-		ids = append(ids, id)
+func renderRealAccuracy(cfg Config, w io.Writer) error {
+	results, err := RealAccuracy(cfg)
+	if err != nil {
+		return err
 	}
-	sort.Slice(ids, func(a, b int) bool {
-		ra, rb := rankID(ids[a]), rankID(ids[b])
-		if ra != rb {
-			return ra < rb
-		}
-		return ids[a] < ids[b]
-	})
-	return ids
-}
-
-func rankID(id string) int {
-	switch {
-	case strings.HasPrefix(id, "table"):
-		return 0
-	case len(id) >= 2 && id[0] >= '6' && id[0] <= '9' && id[1] >= 'a':
-		return 1
-	case strings.HasPrefix(id, "1"):
-		return 2
-	default:
-		return 3
+	fmt.Fprintln(w, "Section 6.2 accuracy on real-life queries (CrowdSky, ω=5):")
+	for _, r := range results {
+		fmt.Fprintf(w, "  %s: precision %.3f, recall %.3f\n", r.Query, r.Precision, r.Recall)
+		fmt.Fprintf(w, "      skyline: %s\n", strings.Join(r.Skyline, "; "))
 	}
+	return nil
 }

@@ -45,7 +45,7 @@ type Smart struct {
 
 // NewSmart returns a Smart policy with the paper-aligned 30% early boost
 // and a frequency threshold (pass the 90th percentile of the candidate
-// frequency distribution; see experiments.DynamicPolicy).
+// frequency distribution; see core.SmartVoting).
 func NewSmart(omega, betaFreq int) Smart {
 	return Smart{Omega: omega, EarlyFrac: 0.3, BetaFreq: betaFreq}
 }
