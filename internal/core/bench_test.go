@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"crowdsky/internal/crowd"
 	"crowdsky/internal/dataset"
 )
 
@@ -19,6 +20,43 @@ func BenchmarkRound(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				rb.Round()
+			}
+		})
+	}
+}
+
+// BenchmarkQgen times question generation, newTupleEval's P1/P2 reduction
+// and P3 order, over every open tuple of a dense IND dataset (|AK| = 4,
+// |AC| = 2, the shape of skybench's sl-ind-4k) after a perfect crowd has
+// answered every dominating-set pair. The session setup and the answers
+// are outside the timer.
+func BenchmarkQgen(b *testing.B) {
+	for _, n := range []int{1000, 4000} {
+		d := randomDataset(1, n, 4, 2, dataset.Independent)
+		pf := perfect(d)
+		ss := newSession(d, pf, AllPruning())
+		sets := ss.prepMachine()
+		var open []int
+		var reqs []crowd.Request
+		for t, ds := range sets {
+			if len(ds) == 0 {
+				continue
+			}
+			open = append(open, t)
+			reqs = reqs[:0]
+			for _, s := range ds {
+				for j := 0; j < d.CrowdDims(); j++ {
+					reqs = append(reqs, crowd.Request{Q: crowd.Question{A: s, B: t, Attr: j}, Workers: 1})
+				}
+			}
+			ss.apply(pf.Ask(reqs))
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, t := range open {
+					newTupleEval(ss, t, sets[t])
+				}
 			}
 		})
 	}

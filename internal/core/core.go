@@ -19,8 +19,9 @@
 // completed. The schedules differ only in the rule that admits pipelines:
 // Serial starts the next tuple in P1 order once nothing is active,
 // ByDominatingSets the next disjoint batch of one size group once nothing
-// is active, and BySkylineLayers every tuple whose immediate dominators
-// are all complete. All algorithms exchange questions with a
+// is active, and BySkylineLayers every tuple all of whose dominating set
+// DS(t) is decided (equivalently, every member of its immediate
+// dominators c(t)). All algorithms exchange questions with a
 // crowd.Platform and never touch the latent attribute values.
 package core
 
@@ -219,12 +220,15 @@ type session struct {
 	// the run span. They count only under tracing.
 	p1Removed, p2Removed, p3Removed, voteEscalations int
 
-	// pruneBuf and probeKeys are the question-generation scratch, reused
-	// across tuples: pruneDS reduces a dominating set in pruneBuf before
-	// copying out the survivors, and probeOrder sorts P3's pairs by their
-	// precomputed frequencies in probeKeys.
-	pruneBuf  []int
-	probeKeys []keyedPair
+	// pruneBuf, winClasses, probeGen and probeKeys are the
+	// question-generation scratch, reused across tuples: pruneDS reduces a
+	// dominating set in pruneBuf before copying out the survivors,
+	// acSkyline keeps its window's classes in winClasses, and probeOrder
+	// lists P3's pairs in probeGen and sorts their keys in probeKeys.
+	pruneBuf   []int
+	winClasses []acClass
+	probeGen   []pair
+	probeKeys  []uint64
 
 	// useT selects whether completeness decisions may use transitive
 	// inference through the preference tree. The paper introduces the tree
@@ -340,8 +344,8 @@ func (ss *session) seedStoredValues() {
 // sortByDSSize orders tuples by ascending dominating-set size (stable), the
 // P1 evaluation order of Lemma 3.
 func sortByDSSize(order []int, sets [][]int) {
-	sort.SliceStable(order, func(x, y int) bool {
-		return len(sets[order[x]]) < len(sets[order[y]])
+	slices.SortStableFunc(order, func(x, y int) int {
+		return cmp.Compare(len(sets[x]), len(sets[y]))
 	})
 }
 

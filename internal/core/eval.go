@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"slices"
 	"strconv"
@@ -131,63 +130,112 @@ func (ss *session) countRemoved(total *int, span *telemetry.Span, removed int) {
 // a window member is dropped; otherwise it evicts the window members it
 // dominates and joins the window. The window is a prefix of set itself
 // and keeps set order.
+//
+// Each member's class on every crowd attribute is resolved once, when it
+// is visited, and kept beside the window in session scratch (m entries
+// per member, for m crowd attributes). A member is tested against the
+// window first, which reads only the window members' rows; its own rows
+// are read only once it survives. Splitting the two directions this way
+// is exact: a member that one window member dominates dominates no other
+// window member, or by transitivity the window would hold a dominated
+// member.
 func (ss *session) acSkyline(set []int) []int {
+	m := len(ss.graphs)
+	cls := ss.winClasses[:0]
 	win := set[:0]
 next:
 	for _, u := range set {
-		k := 0
-		for _, w := range win {
-			switch ss.acCompare(w, u) {
-			case 1:
-				// Nothing was evicted yet: u ≺AC w' and w ≺AC u would put
-				// w ≺AC w' inside the window.
+		// u's classes take the slot after the window's.
+		at := len(win) * m
+		cls = cls[:at]
+		for _, g := range ss.graphs {
+			rep, row := g.Class(u)
+			cls = append(cls, acClass{rep, row})
+		}
+		uc := cls[at:]
+		for wc := cls[:at]; len(wc) > 0; wc = wc[m:] {
+			if acDominates(wc[:m], uc) {
 				continue next
-			case -1:
+			}
+		}
+		k := 0
+		for i, w := range win {
+			wc := cls[i*m : i*m+m]
+			if acDominates(uc, wc) {
 				continue // u evicts w
 			}
-			win[k] = w
+			if k != i {
+				copy(cls[k*m:], wc)
+				win[k] = w
+			}
 			k++
+		}
+		if k != len(win) {
+			copy(cls[k*m:], uc)
 		}
 		win = append(win[:k], u)
 	}
+	ss.winClasses = cls
 	return win
 }
 
-// keyedPair is a P3 probing pair with its sort key freq(u,v).
-type keyedPair struct {
-	p    pair
-	freq int
+// acClass is a member's class on one crowd attribute, as
+// prefgraph.Graph.Class resolves it.
+type acClass struct {
+	rep int
+	row bitset.Set
+}
+
+// acDominates reports that the member with classes a, one per crowd
+// attribute, is known to AC-dominate the member with classes b: on every
+// attribute the two share a class or a's row holds b's class, and on at
+// least one a's row holds it.
+func acDominates(a, b []acClass) bool {
+	b = b[:len(a)]
+	strict := false
+	for j := range a {
+		if a[j].rep == b[j].rep {
+			continue
+		}
+		if !a[j].row.Has(b[j].rep) {
+			return false
+		}
+		strict = true
+	}
+	return strict
 }
 
 // probeOrder returns the probing list P(t) over ds: every pair in
 // generation order (by position in ds), stably sorted by freq(u,v) per
-// order. Ties keep generation order for determinism. Each frequency is
-// computed once into the session's keyed scratch, so the sort compares
-// integers instead of recomputing AND-popcounts.
+// order. Ties keep generation order for determinism. Each pair gets one
+// integer key, freq(u,v) in the high half (complemented for
+// FreqDescending, absent for PairOrder) and the pair's generation index
+// in the low half, so one unstable sort of the keys gives the stable
+// order. The pairs and keys live in session scratch; the returned list
+// is the only allocation.
 func (ss *session) probeOrder(ds []int, order ProbeOrder) []pair {
-	keyed := ss.probeKeys[:0]
+	gen, keys := ss.probeGen[:0], ss.probeKeys[:0]
 	for i := 0; i < len(ds); i++ {
 		for j := i + 1; j < len(ds); j++ {
-			k := keyedPair{p: makePair(ds[i], ds[j])}
-			if order != PairOrder {
-				k.freq = ss.freq(ds[i], ds[j])
+			key := uint64(len(gen))
+			switch order {
+			case PairOrder:
+				// generation order
+			case FreqAscending:
+				key |= uint64(uint32(ss.freq(ds[i], ds[j]))) << 32
+			default: // FreqDescending
+				key |= uint64(^uint32(ss.freq(ds[i], ds[j]))) << 32
 			}
-			keyed = append(keyed, k)
+			gen = append(gen, makePair(ds[i], ds[j]))
+			keys = append(keys, key)
 		}
 	}
-	switch order {
-	case FreqAscending:
-		slices.SortStableFunc(keyed, func(x, y keyedPair) int { return cmp.Compare(x.freq, y.freq) })
-	case PairOrder:
-		// generation order
-	default: // FreqDescending
-		slices.SortStableFunc(keyed, func(x, y keyedPair) int { return cmp.Compare(y.freq, x.freq) })
+	slices.Sort(keys)
+	probe := make([]pair, len(keys))
+	for i, key := range keys {
+		probe[i] = gen[uint32(key)]
 	}
-	probe := make([]pair, len(keyed))
-	for i, k := range keyed {
-		probe[i] = k.p
-	}
-	ss.probeKeys = keyed
+	ss.probeGen, ss.probeKeys = gen, keys
 	return probe
 }
 

@@ -5,32 +5,44 @@ import "fmt"
 // bySkylineLayers is the admission rule of Algorithm 2, the skyline-layer
 // parallelization of Section 4.2. The dominance relationships of AK are
 // organized as skyline layers with direct (immediate-dominator) edges
-// c(t); a tuple's question pipeline starts as soon as every tuple in c(t)
-// is complete, which implies every tuple in DS(t) is complete. All active
+// c(t); a tuple's question pipeline starts once every member of DS(t) is
+// decided, equivalently once every member of c(t) is. All active
 // pipelines contribute one question per round.
+//
+// The two conditions agree by a chain argument. c(t) ⊆ DS(t), so one way
+// is immediate. Conversely, every s ∈ DS(t)∖c(t) dominates t through a
+// maximal chain s ≺ … ≺ c ≺ t with c ∈ c(t), so s ∈ DS(c); c was admitted
+// only after its own dominating set was decided, and a readout never goes
+// back to undecided. The rule therefore needs no immediate dominators: it
+// keeps one cursor per waiting tuple into ss.sets[t] that moves past
+// decided members, and t starts when its cursor reaches the end. Cursors
+// only move forward, so all checks of a run cost O(Σ|DS|) in total.
 //
 // Unlike ByDominatingSets, concurrently active tuples may probe
 // overlapping dominating sets (dependency C2 is deliberately violated,
 // Section 4.2), which can ask a few extra questions in exchange for far
 // fewer rounds; the paper measures the overhead at roughly 10%.
 func (ss *session) bySkylineLayers(waiting []int) admitRule {
-	imm := ss.ix.ImmediateDominators()
+	cursor := make([]int32, ss.d.N()) // by tuple: ss.sets[t][:cursor[t]] is decided
 	return func(active []*tupleEval) []*tupleEval {
 		keep := waiting[:0]
-	next:
 		for _, t := range waiting {
-			for _, s := range imm[t] {
-				if ss.status[s] == undecided {
-					keep = append(keep, t)
-					continue next
-				}
+			ds, c := ss.sets[t], cursor[t]
+			for int(c) < len(ds) && ss.status[ds[c]] != undecided {
+				c++
 			}
-			active = append(active, newTupleEval(ss, t, ss.sets[t]))
+			cursor[t] = c
+			if int(c) < len(ds) {
+				keep = append(keep, t)
+				continue
+			}
+			active = append(active, newTupleEval(ss, t, ds))
 		}
 		waiting = keep
 		if len(active) == 0 && len(waiting) > 0 {
-			// Cannot happen: the dominance DAG is acyclic, so some waiting
-			// tuple always has all direct dominators complete.
+			// Cannot happen: with nothing active every started tuple is
+			// decided, and dominance is acyclic, so a waiting tuple that no
+			// other waiting tuple dominates has a decided dominating set.
 			panic(fmt.Sprintf("core: BySkylineLayers stalled with %d incomplete tuples", len(waiting)))
 		}
 		return active

@@ -93,13 +93,19 @@ func randomSubset(rng *rand.Rand, n int) []int {
 // the all-pairs SKY_AC in set order. It also checks the identity
 // ParallelDSet relies on when it reduces a set at batching time and again
 // when the pipeline starts: once the tree has gained answers, reducing the
-// earlier reduction equals reducing the whole set.
+// earlier reduction equals reducing the whole set. The last cases have
+// n in [100, 300] and two or three crowd attributes, so the preference
+// rows span several words and a row read at the wrong word shows.
 func TestACSkylineMatchesAllPairs(t *testing.T) {
+	const small, large = 60, 6
 	rng := rand.New(rand.NewSource(14))
-	contradictions := 0
-	for c := 0; c < 60; c++ {
+	contradictions, farRelations := 0, 0
+	for c := 0; c < small+large; c++ {
 		n := 10 + rng.Intn(40)
 		dc := 1 + rng.Intn(3)
+		if c >= small {
+			n, dc = 100+rng.Intn(201), 2+rng.Intn(2)
+		}
 		d := randomDataset(int64(c), n, 2, dc, dataset.Independent)
 		ss := newSession(d, perfect(d), Options{P2: true})
 		feedRandomAnswers(ss, rng, n, rng.Intn(6*n))
@@ -113,6 +119,9 @@ func TestACSkylineMatchesAllPairs(t *testing.T) {
 				}
 				if got := ss.acCompare(s, u); got != want {
 					t.Fatalf("case %d: acCompare(%d,%d) = %d, reference %d", c, s, u, got, want)
+				}
+				if r, _ := ss.graphs[0].Class(u); want != 0 && r >= 64 {
+					farRelations++
 				}
 			}
 		}
@@ -136,6 +145,9 @@ func TestACSkylineMatchesAllPairs(t *testing.T) {
 	}
 	if contradictions == 0 {
 		t.Fatal("no answer contradicted the tree; the random trees miss the dropped-answer path")
+	}
+	if farRelations == 0 {
+		t.Fatal("no known AC-dominance reads a row past its first word")
 	}
 }
 

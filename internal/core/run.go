@@ -17,7 +17,7 @@ type Schedule int
 const (
 	Serial           Schedule = iota // Algorithm 1: one tuple, one pair per round
 	ByDominatingSets                 // Section 4.1: disjoint batches of same-size tuples
-	BySkylineLayers                  // Algorithm 2: start once c(t) is complete
+	BySkylineLayers                  // Algorithm 2: start once DS(t), equivalently c(t), is complete
 )
 
 // admitRule is a schedule's admission rule as session.drive takes it:

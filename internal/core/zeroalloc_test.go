@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"crowdsky/internal/crowd"
@@ -68,5 +69,38 @@ func TestZeroAllocSteadyStateRound(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, func() { rb.Round() }); avg != 0 {
 		t.Fatalf("steady-state round allocated %.2f times per run; want 0", avg)
+	}
+}
+
+// TestZeroAllocQgen gates question generation on warm session scratch:
+// P2's window (acSkyline) must not allocate, and P3's order (probeOrder)
+// allocates only the list it returns. The tree has equality classes,
+// contradictions and rows of several words, over two crowd attributes.
+func TestZeroAllocQgen(t *testing.T) {
+	const n = 200
+	d := randomDataset(7, n, 3, 2, dataset.Independent)
+	ss := newSession(d, perfect(d), AllPruning())
+	ss.prepMachine()
+	rng := rand.New(rand.NewSource(7))
+	feedRandomAnswers(ss, rng, n, 3*n)
+	set := randomSubset(rng, n)
+	buf := make([]int, len(set))
+	var sky []int
+	step := func() {
+		copy(buf, set)
+		sky = ss.acSkyline(buf)
+	}
+	step() // warm up: the window scratch grows to its high-water mark
+	if len(sky) == 0 || len(sky) == len(set) {
+		t.Fatalf("acSkyline kept %d of %d members; want a proper reduction", len(sky), len(set))
+	}
+	if avg := testing.AllocsPerRun(100, step); avg != 0 {
+		t.Fatalf("acSkyline allocated %.2f times per run; want 0", avg)
+	}
+	for _, order := range []ProbeOrder{FreqDescending, FreqAscending, PairOrder} {
+		ss.probeOrder(set, order)
+		if avg := testing.AllocsPerRun(20, func() { ss.probeOrder(set, order) }); avg != 1 {
+			t.Fatalf("probeOrder(%d) allocated %.2f times per run; want 1, the returned list", order, avg)
+		}
 	}
 }

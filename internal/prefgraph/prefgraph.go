@@ -328,7 +328,14 @@ func (g *Graph) Unions() int { return g.unions }
 // Contradictions returns the number of dropped conflicting answers.
 func (g *Graph) Contradictions() int { return g.contradictions }
 
-// PreferredSet returns the bit set of representatives strictly less
-// preferred than s. The result aliases internal storage and must not be
-// modified; bits are representative-canonical.
-func (g *Graph) PreferredSet(s int) bitset.Set { return g.reach[g.find(s)] }
+// Class returns s's equality class as its representative rep and row, the
+// bit set of representatives strictly less preferred than the class. For
+// classes (r, row) and (q, _), Known reads Equal when r == q, Prefer when
+// row has q, and Defer when q's row has r, so a caller comparing one
+// member against many resolves it once. row aliases internal storage: it
+// must not be modified, and both results hold only until the next
+// insertion.
+func (g *Graph) Class(s int) (rep int, row bitset.Set) {
+	r := g.find(s)
+	return r, g.reach[r]
+}

@@ -438,19 +438,43 @@ func (r *refGraph) step(g *Graph, equal bool, a, b int) error {
 	return r.check(g)
 }
 
-func TestPreferredSet(t *testing.T) {
-	g := New(5)
+func TestClass(t *testing.T) {
+	g := New(6)
 	g.AddPrefer(0, 1)
 	g.AddPrefer(1, 2)
 	g.AddPrefer(3, 4)
+	g.AddEqual(2, 5)
 	var got []int
-	for i, row := 0, g.PreferredSet(0); i < g.N(); i++ {
+	rep, row := g.Class(0)
+	for i := 0; i < g.N(); i++ {
 		if row.Has(i) {
 			got = append(got, i)
 		}
 	}
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("PreferredSet(0) = %v, want [1 2]", got)
+	if rep != 0 || len(got) != 2 || got[0] != 1 || got[1] != g.find(2) {
+		t.Errorf("Class(0) = %d, %v; want 0, [1 %d]", rep, got, g.find(2))
+	}
+	if r2, _ := g.Class(2); r2 != g.find(5) {
+		t.Errorf("Class(2) rep = %d; want the rep of its class with 5, %d", r2, g.find(5))
+	}
+	// The Known rule over two classes, on every pair.
+	for s := 0; s < g.N(); s++ {
+		rs, srow := g.Class(s)
+		for u := 0; u < g.N(); u++ {
+			ru, urow := g.Class(u)
+			want := Unknown
+			switch {
+			case rs == ru:
+				want = Equal
+			case srow.Has(ru):
+				want = Prefer
+			case urow.Has(rs):
+				want = Defer
+			}
+			if got := g.Known(s, u); got != want {
+				t.Errorf("Known(%d, %d) = %v; classes give %v", s, u, got, want)
+			}
+		}
 	}
 }
 

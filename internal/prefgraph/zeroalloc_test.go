@@ -55,7 +55,7 @@ func TestZeroAlloc(t *testing.T) {
 		t.Fatalf("edges/unions/contradictions = %d/%d/%d, want %d/1/0",
 			g.Edges(), g.Unions(), g.Contradictions(), edges)
 	}
-	if row := g.PreferredSet(top); row[5] == 0 || row[6] != 0 || row[7] == 0 {
+	if _, row := g.Class(top); row[5] == 0 || row[6] != 0 || row[7] == 0 {
 		t.Fatalf("top's row words 5..7 = %#x %#x %#x, want nonzero, zero, nonzero", row[5], row[6], row[7])
 	}
 	if !g.Prefers(0, segA+seg-1) || !g.Prefers(0, segB+seg-1) || g.Comparable(segA, segB) {
