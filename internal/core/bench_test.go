@@ -28,8 +28,11 @@ func BenchmarkRound(b *testing.B) {
 // BenchmarkQgen times question generation, newTupleEval's P1/P2 reduction
 // and P3 order, over every open tuple of a dense IND dataset (|AK| = 4,
 // |AC| = 2, the shape of skybench's sl-ind-4k) after a perfect crowd has
-// answered every dominating-set pair. The session setup and the answers
-// are outside the timer.
+// answered every dominating-set pair. The pipelines are built as one
+// admission batch through startPipelines, the entry the parallel
+// schedules use, so the batch fans out over GOMAXPROCS goroutines as it
+// would in a run (-cpu 1 times one goroutine). The session setup and the
+// answers are outside the timer.
 func BenchmarkQgen(b *testing.B) {
 	for _, n := range []int{1000, 4000} {
 		d := randomDataset(1, n, 4, 2, dataset.Independent)
@@ -53,10 +56,9 @@ func BenchmarkQgen(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
+			var active []*tupleEval
 			for i := 0; i < b.N; i++ {
-				for _, t := range open {
-					newTupleEval(ss, t, sets[t])
-				}
+				active = ss.startPipelines(active[:0], open, sets)
 			}
 		})
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"crowdsky/internal/crowd"
 	"crowdsky/internal/dataset"
 )
@@ -123,6 +125,22 @@ func (ss *session) serial(order []int) admitRule {
 		}
 		t := order[0]
 		order = order[1:]
-		return append(active, newTupleEval(ss, t, ss.sets[t]))
+		return append(active, ss.gen.newTupleEval(t, ss.sets[t]))
 	}
+}
+
+// startPipelines is the admission-batch entry of the parallel schedules:
+// it appends to active one pipeline per tuple of ts, in ts order, each
+// built from sets[t]. The pipelines are built by fanOut, one item per
+// tuple, when Σ|sets[t]| reaches admitFanOut.
+func (ss *session) startPipelines(active []*tupleEval, ts []int, sets [][]int) []*tupleEval {
+	units := 0
+	for _, t := range ts {
+		units += len(sets[t])
+	}
+	from := len(active)
+	active = slices.Grow(active, len(ts))[:from+len(ts)]
+	ss.job.section, ss.job.tuples, ss.job.sets, ss.job.evals = buildEvals, ts, sets, active[from:]
+	ss.fanOut(len(ts), units, admitFanOut)
+	return active
 }

@@ -21,11 +21,13 @@ import (
 // asks the pair, batched with the other active pipelines' pairs, and
 // calls next again.
 type tupleEval struct {
-	t    int
-	ds   []int      // current dominating set, shrinking as probing resolves dominance
-	inDS bitset.Set // membership mask for ds, indexed by tuple
+	t int
+	// ds is the dominating set as P1/P2 left it. A member that probing
+	// proves dominated is overwritten with -1, so positions never move:
+	// probe holds pairs of positions into ds, and askAt is one.
+	ds []int
 
-	probe   []pair // P3 probing questions, most important first
+	probe   []pair // P3 probing questions as positions into ds, most important first
 	probeAt int
 
 	askAt  int  // next index into ds for the Q(t) phase
@@ -44,7 +46,11 @@ type tupleEval struct {
 // the preference tree (Corollary 2); when P3 is on, the probing question
 // list P(t) is generated and sorted by descending co-domination frequency
 // (Section 3.4).
-func newTupleEval(ss *session, t int, ds []int) *tupleEval {
+//
+// It only reads the session, so the pipelines of one admission can be
+// built on several goroutines, each with its own qgen.
+func (q *qgen) newTupleEval(t int, ds []int) *tupleEval {
+	ss := q.ss
 	// The whole construction is the question-generation phase of tuple t;
 	// under tracing it becomes a "qgen" span with one sub-span per enabled
 	// pruning method, so skytrace can attribute machine time to P1/P2/P3.
@@ -54,14 +60,10 @@ func newTupleEval(ss *session, t int, ds []int) *tupleEval {
 		qctx, qspan = telemetry.StartSpan(ss.runContext(), ss.trace, "qgen")
 		qspan.SetAttr("tuple", strconv.Itoa(t))
 	}
-	te := &tupleEval{t: t, inDS: bitset.New(ss.d.N())}
-	te.ds = ss.pruneDS(ds, qctx)
-	for _, s := range te.ds {
-		te.inDS.Add(s)
-	}
+	te := &tupleEval{t: t, ds: q.pruneDS(ds, qctx)}
 	if ss.opts.P3 && len(te.ds) > 1 {
 		p3span := ss.stageSpan(qctx, "p3_order")
-		te.probe = ss.probeOrder(te.ds, ss.opts.ProbeOrder)
+		te.probe = q.probeOrder(te.ds, ss.opts.ProbeOrder)
 		p3span.End()
 	}
 	qspan.SetAttr("ds", strconv.Itoa(len(te.ds)))
@@ -83,10 +85,11 @@ func (ss *session) stageSpan(qctx context.Context, name string) *telemetry.Span 
 // and returns the survivors in ds order as a new exact-size slice: P1
 // drops complete non-skyline members (Corollary 1), then P2 keeps
 // SKY_AC of the rest under the current preference tree (Corollary 2).
-// Each stage's removals are added to the run totals and, with a qgen
+// Each stage's removals are added to q's totals and, with a qgen
 // context, recorded on a "p1"/"p2" span under it.
-func (ss *session) pruneDS(ds []int, qctx context.Context) []int {
-	buf := ss.pruneBuf[:0]
+func (q *qgen) pruneDS(ds []int, qctx context.Context) []int {
+	ss := q.ss
+	buf := q.pruneBuf[:0]
 	if ss.opts.P1 {
 		span := ss.stageSpan(qctx, "p1")
 		for _, s := range ds {
@@ -94,17 +97,17 @@ func (ss *session) pruneDS(ds []int, qctx context.Context) []int {
 				buf = append(buf, s)
 			}
 		}
-		ss.countRemoved(&ss.p1Removed, span, len(ds)-len(buf))
+		ss.countRemoved(&q.p1Removed, span, len(ds)-len(buf))
 	} else {
 		buf = append(buf, ds...)
 	}
 	if ss.opts.P2 {
 		span := ss.stageSpan(qctx, "p2")
 		before := len(buf)
-		buf = ss.acSkyline(buf)
-		ss.countRemoved(&ss.p2Removed, span, before-len(buf))
+		buf = q.acSkyline(buf)
+		ss.countRemoved(&q.p2Removed, span, before-len(buf))
 	}
-	ss.pruneBuf = buf
+	q.pruneBuf = buf
 	return append([]int(nil), buf...)
 }
 
@@ -132,23 +135,24 @@ func (ss *session) countRemoved(total *int, span *telemetry.Span, removed int) {
 // and keeps set order.
 //
 // Each member's class on every crowd attribute is resolved once, when it
-// is visited, and kept beside the window in session scratch (m entries
+// is visited, and kept beside the window in q's scratch (m entries
 // per member, for m crowd attributes). A member is tested against the
 // window first, which reads only the window members' rows; its own rows
 // are read only once it survives. Splitting the two directions this way
 // is exact: a member that one window member dominates dominates no other
 // window member, or by transitivity the window would hold a dominated
 // member.
-func (ss *session) acSkyline(set []int) []int {
-	m := len(ss.graphs)
-	cls := ss.winClasses[:0]
+func (q *qgen) acSkyline(set []int) []int {
+	graphs := q.ss.graphs
+	m := len(graphs)
+	cls := q.winClasses[:0]
 	win := set[:0]
 next:
 	for _, u := range set {
 		// u's classes take the slot after the window's.
 		at := len(win) * m
 		cls = cls[:at]
-		for _, g := range ss.graphs {
+		for _, g := range graphs {
 			rep, row := g.Class(u)
 			cls = append(cls, acClass{rep, row})
 		}
@@ -175,7 +179,7 @@ next:
 		}
 		win = append(win[:k], u)
 	}
-	ss.winClasses = cls
+	q.winClasses = cls
 	return win
 }
 
@@ -205,16 +209,17 @@ func acDominates(a, b []acClass) bool {
 	return strict
 }
 
-// probeOrder returns the probing list P(t) over ds: every pair in
-// generation order (by position in ds), stably sorted by freq(u,v) per
-// order. Ties keep generation order for determinism. Each pair gets one
-// integer key, freq(u,v) in the high half (complemented for
-// FreqDescending, absent for PairOrder) and the pair's generation index
-// in the low half, so one unstable sort of the keys gives the stable
-// order. The pairs and keys live in session scratch; the returned list
-// is the only allocation.
-func (ss *session) probeOrder(ds []int, order ProbeOrder) []pair {
-	gen, keys := ss.probeGen[:0], ss.probeKeys[:0]
+// probeOrder returns the probing list P(t) over ds as pairs of positions
+// into ds: every pair in generation order (i < j, by i then j), stably
+// sorted by freq(ds[i], ds[j]) per order. Ties keep generation order for
+// determinism. Each pair gets one integer key, the frequency in the high
+// half (complemented for FreqDescending, absent for PairOrder) and the
+// pair's generation index in the low half, so one unstable sort of the
+// keys gives the stable order. The pairs and keys live in q's scratch;
+// the returned list is the only allocation.
+func (q *qgen) probeOrder(ds []int, order ProbeOrder) []pair {
+	ss := q.ss
+	gen, keys := q.probeGen[:0], q.probeKeys[:0]
 	for i := 0; i < len(ds); i++ {
 		for j := i + 1; j < len(ds); j++ {
 			key := uint64(len(gen))
@@ -226,7 +231,7 @@ func (ss *session) probeOrder(ds []int, order ProbeOrder) []pair {
 			default: // FreqDescending
 				key |= uint64(^uint32(ss.freq(ds[i], ds[j]))) << 32
 			}
-			gen = append(gen, makePair(ds[i], ds[j]))
+			gen = append(gen, makePair(i, j))
 			keys = append(keys, key)
 		}
 	}
@@ -235,31 +240,16 @@ func (ss *session) probeOrder(ds []int, order ProbeOrder) []pair {
 	for i, key := range keys {
 		probe[i] = gen[uint32(key)]
 	}
-	ss.probeGen, ss.probeKeys = gen, keys
+	q.probeGen, q.probeKeys = gen, keys
 	return probe
-}
-
-// remove drops tuple u from the dominating set.
-func (te *tupleEval) remove(u int) {
-	if !te.inDS.Has(u) {
-		return
-	}
-	te.inDS.Remove(u)
-	keep := te.ds[:0]
-	for _, s := range te.ds {
-		if s != u {
-			keep = append(keep, s)
-		}
-	}
-	te.ds = keep
 }
 
 // remainingAfter counts the dominators still pending against t after the
 // one at askAt.
 func (te *tupleEval) remainingAfter() int {
 	count := 0
-	for i := te.askAt + 1; i < len(te.ds); i++ {
-		if te.inDS.Has(te.ds[i]) {
+	for _, s := range te.ds[te.askAt+1:] {
+		if s >= 0 {
 			count++
 		}
 	}
@@ -276,28 +266,30 @@ func (te *tupleEval) next(ss *session) (p pair, ok bool) {
 	// Probing phase (P3).
 	for te.probeAt < len(te.probe) {
 		pr := te.probe[te.probeAt]
+		i, j := pr.a(), pr.b()
+		u, v := te.ds[i], te.ds[j]
 		// Skip pairs whose members were already pruned away.
-		if !te.inDS.Has(pr.a()) || !te.inDS.Has(pr.b()) {
+		if u < 0 || v < 0 {
 			te.probeAt++
 			continue
 		}
-		if !ss.pairKnown(pr.a(), pr.b()) {
+		if !ss.pairKnown(u, v) {
 			// Under round-robin, a partially answered probe whose members
 			// are already known incomparable needs no further attributes.
-			if !(ss.opts.RoundRobinAC && ss.pairIncomparable(pr.a(), pr.b())) {
+			if !(ss.opts.RoundRobinAC && ss.pairIncomparable(u, v)) {
 				te.pendingBackup = 0
-				return pr, true
+				return makePair(u, v), true
 			}
 		}
 		// Resolved: apply its pruning effect for free.
-		switch ss.acCompare(pr.a(), pr.b()) {
+		switch ss.acCompare(u, v) {
 		case 1:
-			te.remove(pr.b())
+			te.ds[j] = -1
 			if ss.trace != nil {
 				ss.p3Removed++
 			}
 		case -1:
-			te.remove(pr.a())
+			te.ds[i] = -1
 			if ss.trace != nil {
 				ss.p3Removed++
 			}
@@ -309,7 +301,7 @@ func (te *tupleEval) next(ss *session) (p pair, ok bool) {
 	// dominator with s ⪯AC t completes t as a non-skyline tuple.
 	for te.askAt < len(te.ds) {
 		s := te.ds[te.askAt]
-		if !te.inDS.Has(s) {
+		if s < 0 {
 			te.askAt++
 			continue
 		}

@@ -24,8 +24,10 @@ import "fmt"
 // fewer rounds; the paper measures the overhead at roughly 10%.
 func (ss *session) bySkylineLayers(waiting []int) admitRule {
 	cursor := make([]int32, ss.d.N()) // by tuple: ss.sets[t][:cursor[t]] is decided
+	var start []int                   // the tuples one call starts, in waiting order
 	return func(active []*tupleEval) []*tupleEval {
 		keep := waiting[:0]
+		start = start[:0]
 		for _, t := range waiting {
 			ds, c := ss.sets[t], cursor[t]
 			for int(c) < len(ds) && ss.status[ds[c]] != undecided {
@@ -36,9 +38,10 @@ func (ss *session) bySkylineLayers(waiting []int) admitRule {
 				keep = append(keep, t)
 				continue
 			}
-			active = append(active, newTupleEval(ss, t, ds))
+			start = append(start, t)
 		}
 		waiting = keep
+		active = ss.startPipelines(active, start, ss.sets)
 		if len(active) == 0 && len(waiting) > 0 {
 			// Cannot happen: with nothing active every started tuple is
 			// decided, and dominance is acyclic, so a waiting tuple that no

@@ -67,7 +67,7 @@ func CrowdSkyProbabilistic(d *dataset.Dataset, pf crowd.Platform, opts Options) 
 // tuple has survived and how many are unresolved.
 func (te *tupleEval) tally(ss *session) (survived, unresolved int) {
 	for _, s := range te.ds {
-		if !te.inDS.Has(s) {
+		if s < 0 {
 			continue
 		}
 		switch {

@@ -129,7 +129,7 @@ func TestACSkylineMatchesAllPairs(t *testing.T) {
 		for k := 0; k < 10; k++ {
 			set := randomSubset(rng, n)
 			want := refACSkyline(ss, set)
-			got := ss.acSkyline(slices.Clone(set))
+			got := ss.gen.acSkyline(slices.Clone(set))
 			if !slices.Equal(got, want) {
 				t.Fatalf("case %d: acSkyline(%v) = %v, all-pairs %v", c, set, got, want)
 			}
@@ -137,7 +137,7 @@ func TestACSkylineMatchesAllPairs(t *testing.T) {
 		}
 		feedRandomAnswers(ss, rng, n, rng.Intn(3*n))
 		for k, set := range sets {
-			if got, want := ss.acSkyline(slices.Clone(reduced[k])), refACSkyline(ss, set); !slices.Equal(got, want) {
+			if got, want := ss.gen.acSkyline(slices.Clone(reduced[k])), refACSkyline(ss, set); !slices.Equal(got, want) {
 				t.Fatalf("case %d: re-reducing %v after more answers gave %v, reducing the whole set %v", c, reduced[k], got, want)
 			}
 		}
@@ -154,6 +154,7 @@ func TestACSkylineMatchesAllPairs(t *testing.T) {
 // TestProbeOrderMatchesComparatorSort: the keyed stable sort orders P(t)
 // exactly like the stable sort whose comparator recomputed freq(u,v), in
 // every ProbeOrder, on real dominating sets where frequency ties abound.
+// probeOrder returns positions into ds, read back here as tuple pairs.
 func TestProbeOrderMatchesComparatorSort(t *testing.T) {
 	d := randomDataset(21, 300, 3, 1, dataset.Independent)
 	ss := newSession(d, perfect(d), AllPruning())
@@ -176,7 +177,11 @@ func TestProbeOrderMatchesComparatorSort(t *testing.T) {
 			case FreqDescending:
 				sort.SliceStable(want, func(x, y int) bool { return freq(want[x]) > freq(want[y]) })
 			}
-			if got := ss.probeOrder(ds, order); !slices.Equal(got, want) {
+			got := ss.gen.probeOrder(ds, order)
+			for k, p := range got {
+				got[k] = makePair(ds[p.a()], ds[p.b()]) // positions to tuples
+			}
+			if !slices.Equal(got, want) {
 				t.Fatalf("order %d, tuple %d: probeOrder = %v, comparator sort %v", order, tt, got, want)
 			}
 		}

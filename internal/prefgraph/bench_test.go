@@ -37,7 +37,7 @@ func BenchmarkAddPreferPropagation(b *testing.B) {
 }
 
 // BenchmarkAddEqualMerge folds n tuples into one equivalence class,
-// exercising the union-find merge and reach-set union path.
+// exercising the class merge and reach-set union path.
 func BenchmarkAddEqualMerge(b *testing.B) {
 	const n = 2000
 	b.ReportAllocs()

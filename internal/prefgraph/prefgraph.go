@@ -10,9 +10,12 @@
 // ones it changes by a pruned reverse search over the answered edges, and
 // ORs into each only the nonzero words of the new descendant row (closure
 // rows are sparse, so most words are zero). Ternary "equally preferred"
-// answers merge nodes into equivalence classes via union–find, so a
-// preference recorded for either member holds for both; until the first
-// merge every node is its own class and the search skips union–find.
+// answers merge nodes into equivalence classes, so a preference recorded
+// for either member holds for both. Classes are kept flat: a merge
+// relabels every member of the smaller class, so finding a node's class
+// is one read and a query never writes. Queries (Known, Prefers,
+// WeaklyPrefers, Comparable, Class) are therefore safe for concurrent use
+// between insertions; insertions need exclusive access.
 //
 // Crowds make mistakes (Section 5), so an insertion may contradict what is
 // already known (s ≺ t arriving when t ≺ s is recorded or inferable). The
@@ -57,9 +60,13 @@ func (r Relation) String() string {
 // Graph is the preference tree T over n nodes. The zero value is unusable;
 // call New.
 type Graph struct {
-	n      int
-	parent []int // union–find parent for equality classes
-	rank   []int
+	n int
+	// rep[x] is the representative of x's equality class. ring links the
+	// members of each class into a circular list (ring[x] is the next
+	// member after x) and size[r] counts a representative's members, so a
+	// merge relabels the smaller class in time linear in its size: every
+	// node is relabeled O(log n) times over any sequence of merges.
+	rep, ring, size []int32
 
 	// reach[r] for a class representative r: bit set of representatives
 	// strictly less preferred than r (descendants). Bits are kept
@@ -97,22 +104,22 @@ type inEdge struct {
 
 // New creates an empty preference graph over nodes 0..n-1. The n closure
 // rows and the search's seen row are carved from a single arena, the
-// in-list heads and both search scratch slices share another, and the
-// edge arena is pre-sized to n edges, so a graph costs O(1) allocations
-// however many nodes it has.
+// class arrays, the in-list heads and both search scratch slices share
+// another, and the edge arena is pre-sized to n edges, so a graph costs
+// O(1) allocations however many nodes it has.
 func New(n int) *Graph {
-	pr := make([]int, 2*n)
-	heads := make([]int32, 2*n+(n+63)/64)
+	ints := make([]int32, 5*n+(n+63)/64)
 	rows := bitset.Carve(n+1, n)
 	g := &Graph{
 		n:      n,
-		parent: pr[:n:n],
-		rank:   pr[n:],
+		rep:    ints[:n:n],
+		ring:   ints[n : 2*n : 2*n],
+		size:   ints[2*n : 3*n : 3*n],
+		inHead: ints[3*n : 4*n : 4*n],
+		stack:  ints[4*n : 5*n : 5*n],
+		words:  ints[5*n:],
 		reach:  rows[:n],
 		seen:   rows[n],
-		inHead: heads[:n:n],
-		stack:  heads[n : 2*n : 2*n],
-		words:  heads[2*n:],
 		arena:  make([]inEdge, 0, n),
 	}
 	g.Reset()
@@ -126,8 +133,7 @@ func New(n int) *Graph {
 // way instead of reallocating n bit rows per run.
 func (g *Graph) Reset() {
 	for i := 0; i < g.n; i++ {
-		g.parent[i] = i
-		g.rank[i] = 0
+		g.rep[i], g.ring[i], g.size[i] = int32(i), int32(i), 1
 		g.reach[i].Clear()
 		g.inHead[i] = -1
 	}
@@ -138,13 +144,8 @@ func (g *Graph) Reset() {
 // N returns the number of nodes.
 func (g *Graph) N() int { return g.n }
 
-func (g *Graph) find(x int) int {
-	for g.parent[x] != x {
-		g.parent[x] = g.parent[g.parent[x]] // path halving
-		x = g.parent[x]
-	}
-	return x
-}
+// find returns x's class representative. It only reads.
+func (g *Graph) find(x int) int { return int(g.rep[x]) }
 
 // Known returns the recorded-or-inferable relation between s and t.
 func (g *Graph) Known(s, t int) Relation {
@@ -216,15 +217,20 @@ func (g *Graph) AddEqual(s, t int) bool {
 		return false
 	}
 	g.unions++
-	// Union by rank; r survives, l is absorbed.
+	// Union by size; r survives, and every member of l's class is
+	// relabeled to r before the two rings are spliced into one.
 	r, l := u, v
-	if g.rank[r] < g.rank[l] {
+	if g.size[r] < g.size[l] {
 		r, l = l, r
 	}
-	if g.rank[r] == g.rank[l] {
-		g.rank[r]++
+	for x := l; ; {
+		g.rep[x] = int32(r)
+		if x = int(g.ring[x]); x == l {
+			break
+		}
 	}
-	g.parent[l] = r
+	g.ring[r], g.ring[l] = g.ring[l], g.ring[r]
+	g.size[r] += g.size[l]
 
 	// The merged class inherits both descendant sets and both in-lists.
 	g.reach[r].Or(g.reach[l])
@@ -287,7 +293,7 @@ func (g *Graph) fold(p, v int, words []int32) {
 //
 // While no class has merged, every stored in-edge source is its own
 // class's representative, so the search reads sources directly and only
-// canonicalizes them through find once a union has happened.
+// canonicalizes them through rep once a union has happened.
 //
 // The edge walk iterates the arena directly rather than through a
 // callback: a closure over (g, v, seen) would be re-created — and

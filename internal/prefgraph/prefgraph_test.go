@@ -3,6 +3,7 @@ package prefgraph
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -475,6 +476,63 @@ func TestClass(t *testing.T) {
 				t.Errorf("Known(%d, %d) = %v; classes give %v", s, u, got, want)
 			}
 		}
+	}
+}
+
+// TestConcurrentQueries: between insertions, several goroutines query
+// one graph whose classes have merged many times, and each must read
+// what the reference reads. Under -race it also proves that queries do
+// not write: a lookup that compressed class paths on read would race
+// with the other readers. No reader runs before the batch it reads is
+// fully inserted, and the graph is not queried in between, so every
+// merge's effect is first read concurrently.
+func TestConcurrentQueries(t *testing.T) {
+	const n, readers, rounds, batch = 64, 4, 5, 60
+	rng := rand.New(rand.NewSource(23))
+	g, ref := New(n), newRefGraph(n)
+	for round := 0; round < rounds; round++ {
+		for k := 0; k < batch; k++ {
+			a, b := rng.Intn(n), rng.Intn(n)
+			if a == b {
+				continue
+			}
+			if err := ref.answer(g, rng.Intn(3) == 0, a, b); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+		got := make([][]Relation, readers)
+		var wg sync.WaitGroup
+		for r := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				m := make([]Relation, n*n)
+				for k := range m {
+					x, y := (k+r*n/readers)%n, k/n
+					rel := g.Known(x, y)
+					rx, rowX := g.Class(x)
+					ry, _ := g.Class(y)
+					if g.Prefers(x, y) != (rel == Prefer) || g.WeaklyPrefers(x, y) != (rel == Prefer || rel == Equal) ||
+						(rx == ry) != (rel == Equal) || rowX.Has(ry) != (rel == Prefer) {
+						rel = -1 // the queries disagree with Known
+					}
+					m[y*n+x] = rel
+				}
+				got[r] = m
+			}()
+		}
+		wg.Wait()
+		ref.close()
+		for r, m := range got {
+			for k, rel := range m {
+				if want := ref.known(k%n, k/n); rel != want {
+					t.Fatalf("round %d, reader %d: relation of (%d,%d) read %v, want %v", round, r, k%n, k/n, rel, want)
+				}
+			}
+		}
+	}
+	if g.Unions() < 10 {
+		t.Fatalf("only %d merges; the test needs classes merged many times", g.Unions())
 	}
 }
 

@@ -36,8 +36,9 @@ type Event struct {
 }
 
 // Tracer receives algorithm trace events. Implementations must be safe
-// for concurrent use: parallel algorithms emit from a single goroutine
-// today, but platform decorators and servers may not.
+// for concurrent use: a core session emits the qgen spans of one
+// admission from several goroutines, and platform decorators and
+// servers emit from their own.
 //
 // A nil Tracer means tracing is disabled; emitters check for nil before
 // building the event, so the disabled path costs one pointer comparison.
