@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"crowdsky/internal/dataset"
+	"crowdsky/internal/skyline"
 	"crowdsky/internal/telemetry"
 	"crowdsky/internal/voting"
 )
@@ -146,8 +147,9 @@ func TestTraceBudgetTruncation(t *testing.T) {
 }
 
 // TestTraceVoteEscalation: the annealed policy assigns omega+2 workers to
-// early questions, which the run span counts; static voting never
-// escalates.
+// early questions, which the run span counts; smart voting escalates early
+// and high-frequency questions, a pinned count on the toy dataset; static
+// voting never escalates.
 func TestTraceVoteEscalation(t *testing.T) {
 	d := dataset.Toy()
 	escalations := func(policy voting.Policy) string {
@@ -160,6 +162,9 @@ func TestTraceVoteEscalation(t *testing.T) {
 	}
 	if n, _ := strconv.Atoi(escalations(voting.NewAnnealed(5))); n == 0 {
 		t.Error("annealed voting produced no vote escalations")
+	}
+	if got := escalations(SmartVoting(skyline.NewIndex(d), 5)); got != "3" {
+		t.Errorf("smart voting escalated %s times, want 3", got)
 	}
 	if got := escalations(voting.Static{Omega: 5}); got != "" && got != "0" {
 		t.Errorf("static voting escalated %s times", got)
