@@ -74,9 +74,14 @@ type Platform = crowd.Platform
 // the question/round/worker/cost accounting.
 type Result = core.Result
 
-// Policy decides the number of workers per question from the question's
-// importance.
+// Policy decides the number of workers per question from what the engine
+// knows about it, a VotingContext.
 type Policy = voting.Policy
+
+// VotingContext is what a Policy is told about each question: its
+// importance freq(u,v), run progress and pending backup checks. The zero
+// value means no context, and a policy's answer to it is its nominal ω.
+type VotingContext = voting.Context
 
 // Tracer receives a run's span tree as span_start/span_end events: the
 // run, its crowd rounds, the index build and per-tuple question

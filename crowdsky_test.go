@@ -155,19 +155,13 @@ func TestInteractiveCrowdThroughPublicAPI(t *testing.T) {
 func TestDynamicVotingPolicy(t *testing.T) {
 	d := Toy()
 	p := DynamicVoting(d, 5)
-	pp, ok := p.(interface {
-		WorkersAt(progress float64, freq int) int
-	})
-	if !ok {
-		t.Fatalf("dynamic policy is not progress-aware")
-	}
-	if pp.WorkersAt(0.1, 0) <= pp.WorkersAt(0.9, 0) {
+	if p.Workers(VotingContext{Progress: 0.1, HasProgress: true}) <= p.Workers(VotingContext{Progress: 0.9, HasProgress: true}) {
 		t.Errorf("dynamic policy does not favor early questions")
 	}
 	// SmartVoting boosts high-importance questions relative to the toy
 	// dataset's frequency distribution.
 	sp := SmartVoting(d, 5)
-	if sp.Workers(1000) <= sp.Workers(0) {
+	if sp.Workers(VotingContext{Freq: 1000}) <= sp.Workers(VotingContext{}) {
 		t.Errorf("smart policy does not favor important questions")
 	}
 }

@@ -35,12 +35,11 @@ func (a SortAlgorithm) String() string {
 // sort needs regardless of skyline relevance, which is what CrowdSky's
 // pruning avoids.
 //
-// policy assigns workers per question (freq-independent here: the baseline
-// has no importance signal). A nil policy uses one worker.
+// policy assigns every question its answer to the zero voting.Context: the
+// baseline has no importance, progress or backup signal. A nil policy uses
+// one worker.
 func Baseline(d *dataset.Dataset, pf crowd.Platform, algo SortAlgorithm, policy voting.Policy) *Result {
-	if policy == nil {
-		policy = voting.Static{Omega: 1}
-	}
+	workers := votingPolicy(policy).Workers(voting.Context{})
 	n := d.N()
 	items := make([]int, n)
 	for i := range items {
@@ -59,7 +58,7 @@ func Baseline(d *dataset.Dataset, pf crowd.Platform, algo SortAlgorithm, policy 
 			for i, p := range pairs {
 				reqs[i] = crowd.Request{
 					Q:       crowd.Question{A: p[0], B: p[1], Attr: attr},
-					Workers: policy.Workers(0),
+					Workers: workers,
 				}
 			}
 			answers := pf.Ask(reqs)

@@ -148,19 +148,17 @@ func TestBudgetCapParallel(t *testing.T) {
 	}
 }
 
-// backupRecorder is a context-aware voting policy that assigns one worker
-// and counts the questions it sees by their Backup.
+// backupRecorder is a voting policy that assigns one worker and counts the
+// questions it sees by their Backup.
 type backupRecorder map[int]int
 
-func (r backupRecorder) Workers(int) int { return 1 }
-
-func (r backupRecorder) WorkersFor(ctx voting.Context) int {
+func (r backupRecorder) Workers(ctx voting.Context) int {
 	r[ctx.Backup]++
 	return 1
 }
 
-// TestBackupContextSameAcrossSchedulers: every scheduler tells a
-// context-aware policy how many dominators remain behind a question. Under
+// TestBackupContextSameAcrossSchedulers: every scheduler tells the voting
+// policy how many dominators remain behind a question. Under
 // P1 alone the three ask the same questions, one per pair and pipeline, so
 // the policy must see the same Backup histogram from each; a scheduler
 // that passed Backup 0 regardless would leave voting.Smart's discount for

@@ -23,6 +23,7 @@ import (
 	"crowdsky/internal/metrics"
 	"crowdsky/internal/skyline"
 	"crowdsky/internal/telemetry"
+	"crowdsky/internal/voting"
 )
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
@@ -306,7 +307,7 @@ func TestEndToEndMajorityVotingOverHTTP(t *testing.T) {
 	client := NewClient(ts.URL)
 	client.PollInterval = 2 * time.Millisecond
 	opts := core.AllPruning()
-	opts.Voting = staticPolicy{3}
+	opts.Voting = voting.Static{Omega: 3}
 	res := core.Run(d, client, opts)
 
 	cancel()
@@ -319,11 +320,6 @@ func TestEndToEndMajorityVotingOverHTTP(t *testing.T) {
 		t.Errorf("empty skyline")
 	}
 }
-
-// staticPolicy avoids importing the voting package for a one-liner.
-type staticPolicy struct{ omega int }
-
-func (p staticPolicy) Workers(int) int { return p.omega }
 
 // TestClientEmptyAsk: an empty round is a no-op without network traffic.
 func TestClientEmptyAsk(t *testing.T) {

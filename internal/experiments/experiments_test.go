@@ -410,20 +410,12 @@ func TestSanityCheckHelper(t *testing.T) {
 func TestDynamicPolicySpread(t *testing.T) {
 	d := dataset.Toy()
 	p := dynamicVoting(nil)
-	pp, ok := p.(voting.ProgressPolicy)
-	if !ok {
-		t.Fatalf("dynamic policy is not progress-aware")
-	}
-	if pp.WorkersAt(0.1, 0) <= pp.WorkersAt(0.9, 0) {
+	if p.Workers(voting.Context{Progress: 0.1, HasProgress: true}) <= p.Workers(voting.Context{Progress: 0.9, HasProgress: true}) {
 		t.Errorf("dynamic policy does not favor early questions")
 	}
-	var sp voting.Policy = core.SmartVoting(skyline.NewIndex(d), 5)
-	cp, ok := sp.(voting.ContextPolicy)
-	if !ok {
-		t.Fatalf("smart policy is not context-aware")
-	}
-	last := cp.WorkersFor(voting.Context{Progress: 0.5, Freq: 0, Backup: 0})
-	backed := cp.WorkersFor(voting.Context{Progress: 0.5, Freq: 0, Backup: 2})
+	sp := smartVoting(skyline.NewIndex(d))
+	last := sp.Workers(voting.Context{Progress: 0.5, HasProgress: true})
+	backed := sp.Workers(voting.Context{Progress: 0.5, HasProgress: true, Backup: 2})
 	if backed >= last {
 		t.Errorf("smart policy does not discount recoverable checks: %d vs %d", backed, last)
 	}

@@ -3,6 +3,13 @@
 // every question, and dynamic majority voting, which grades questions by
 // their importance freq(u,v) = |{x : u ≺AK x ∧ v ≺AK x}| and assigns ω+2,
 // ω, or ω−2 workers without increasing the total worker budget.
+//
+// Every strategy is a Policy: it answers Workers(Context), and the engine
+// asks it once per pair. Each policy reads only the Context fields it
+// needs: Static none, DynamicAlphaBeta Freq, Annealed Progress, and Smart
+// all three. The zero Context is the "no context" value (no progress
+// estimate, freq 0, no backup); the engine asks with it where it knows
+// nothing of the question, and reads the answer as the policy's nominal ω.
 package voting
 
 import (
@@ -14,11 +21,36 @@ import (
 // DefaultOmega is the paper's default worker count per question (ω = 5).
 const DefaultOmega = 5
 
-// Policy decides how many workers to assign to a question, given the
-// question's importance freq(u,v). Implementations must return an odd,
-// positive count so majority voting is well defined.
+// Policy decides how many workers to assign to a question from what the
+// engine knows about it. Implementations must return an odd, positive
+// count so majority voting is well defined.
 type Policy interface {
-	Workers(freq int) int
+	Workers(ctx Context) int
+}
+
+// Context carries everything the engine knows about a question's role at
+// the moment it is issued, for query-dependent worker assignment
+// (Section 5's "importance of questions" made concrete):
+//
+//   - Progress: fraction of the expected question budget already spent,
+//     in [0,1], read only when HasProgress is set. Early answers are
+//     reused by transitivity across many later pruning decisions, so early
+//     mistakes propagate furthest.
+//   - Freq: the co-domination frequency freq(u,v) of the pair — how many
+//     tuples both sides dominate, the paper's importance measure.
+//   - Backup: how many further dominators remain to be checked against the
+//     same target tuple after this question. A kill-check with backup 0 is
+//     the tuple's last line of defense — if it is answered wrong the tuple
+//     enters the skyline incorrectly — while a mistake on a question with
+//     backup ≥ 1 is usually caught by the next dominator.
+//
+// The zero Context is the "no context" value: no progress estimate, freq
+// 0 and no backup.
+type Context struct {
+	Progress    float64
+	HasProgress bool
+	Freq        int
+	Backup      int
 }
 
 // Static assigns Omega workers to every question (the StaticVoting method
@@ -28,7 +60,7 @@ type Static struct {
 }
 
 // Workers implements Policy.
-func (s Static) Workers(int) int { return s.Omega }
+func (s Static) Workers(Context) int { return s.Omega }
 
 // String names the policy for experiment output.
 func (s Static) String() string { return fmt.Sprintf("StaticVoting(ω=%d)", s.Omega) }
@@ -41,12 +73,12 @@ type DynamicAlphaBeta struct {
 	Alpha, Beta int
 }
 
-// Workers implements Policy.
-func (d DynamicAlphaBeta) Workers(freq int) int {
+// Workers implements Policy from ctx.Freq.
+func (d DynamicAlphaBeta) Workers(ctx Context) int {
 	switch {
-	case freq >= d.Beta:
+	case ctx.Freq >= d.Beta:
 		return d.Omega + 2
-	case freq >= d.Alpha:
+	case ctx.Freq >= d.Alpha:
 		return d.Omega
 	default:
 		return max(1, d.Omega-2)
