@@ -56,9 +56,11 @@ func main() {
 		verbose     = flag.Bool("v", false, "verbose (debug-level) logging")
 	)
 	flag.Parse()
-	if err := checkReliability(*reliability); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	for _, err := range []error{checkReliability(*reliability), checkWorkers(*workers, *dynamic)} {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 	}
 
 	level := slog.LevelWarn
@@ -125,12 +127,9 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.Parallelism = sched
-	if *workers > 1 {
-		if *dynamic {
-			cfg.Voting = crowdsky.DynamicVoting(d, *workers)
-		} else {
-			cfg.Voting = crowdsky.StaticVoting(*workers)
-		}
+	cfg.Voting = crowdsky.StaticVoting(*workers)
+	if *dynamic {
+		cfg.Voting = crowdsky.DynamicVoting(d, *workers)
 	}
 
 	res, err := crowdsky.Run(d, pf, cfg)
@@ -248,6 +247,19 @@ func describeTuple(d *crowdsky.Dataset, t int) string {
 func checkReliability(r float64) error {
 	if !(r >= 0 && r <= 1) {
 		return fmt.Errorf("-reliability %v: want a probability in [0,1]", r)
+	}
+	return nil
+}
+
+// checkWorkers rejects a -workers count majority voting cannot use: it
+// must be odd, so no vote splits evenly, and positive. -dynamic moves
+// questions between ω−2 and ω+2 workers, so it needs ω of at least 3.
+func checkWorkers(workers int, dynamic bool) error {
+	if workers < 1 || workers%2 == 0 {
+		return fmt.Errorf("-workers %d: want an odd, positive count", workers)
+	}
+	if dynamic && workers < 3 {
+		return fmt.Errorf("-dynamic with -workers %d: want -workers 3 or more", workers)
 	}
 	return nil
 }

@@ -95,3 +95,41 @@ func TestInvalidReliabilityExits(t *testing.T) {
 		}
 	}
 }
+
+// TestInvalidWorkersExits runs the command (this test binary, re-run with
+// CROWDSKY_WORKERS set) with -workers counts majority voting cannot use,
+// even, negative, or 1 under -dynamic: each must exit 2 with an error
+// naming the flag, instead of running votes that split evenly or silently
+// dropping the policy.
+func TestInvalidWorkersExits(t *testing.T) {
+	if w := os.Getenv("CROWDSKY_WORKERS"); w != "" {
+		os.Args = append([]string{"crowdsky", "-demo", "toy"}, strings.Fields(w)...)
+		main()
+		return
+	}
+	for _, tc := range []struct{ args, flag string }{
+		{"-workers 4", "-workers"},
+		{"-workers 0", "-workers"},
+		{"-workers -3", "-workers"},
+		{"-dynamic -workers 1", "-dynamic"},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestInvalidWorkersExits$")
+		cmd.Env = append(os.Environ(), "CROWDSKY_WORKERS="+tc.args)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%s: err = %v, want exit status 2; output:\n%s", tc.args, err, out)
+		}
+		if !strings.Contains(string(out), tc.flag) {
+			t.Errorf("%s: output does not name %s:\n%s", tc.args, tc.flag, out)
+		}
+	}
+	for _, tc := range []struct {
+		workers int
+		dynamic bool
+	}{{1, false}, {3, false}, {5, false}, {3, true}, {5, true}} {
+		if err := checkWorkers(tc.workers, tc.dynamic); err != nil {
+			t.Errorf("checkWorkers(%d, %v) = %v, want nil", tc.workers, tc.dynamic, err)
+		}
+	}
+}

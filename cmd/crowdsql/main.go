@@ -43,6 +43,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-reliability %v: want a probability in [0,1]\n", *reliability)
 		os.Exit(2)
 	}
+	if *workers < 1 || *workers%2 == 0 {
+		fmt.Fprintf(os.Stderr, "-workers %d: want an odd, positive count\n", *workers)
+		os.Exit(2)
+	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: crowdsql [flags] \"SELECT * FROM ... SKYLINE OF ...\"")
 		os.Exit(2)
@@ -54,10 +58,7 @@ func main() {
 		os.Exit(2)
 	}
 	opt := query.ExecOptions{}
-	if *workers > 1 {
-		opt.Options = core.AllPruning()
-		opt.Options.Voting = voting.Static{Omega: *workers}
-	}
+	opt.Options.Voting = voting.Static{Omega: *workers}
 	opt.Options.Schedule = sched
 	switch {
 	case *interactive:
