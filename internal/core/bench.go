@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"crowdsky/internal/crowd"
 	"crowdsky/internal/dataset"
 )
@@ -36,9 +38,12 @@ func newRoundBench(d *dataset.Dataset, opts Options, maxPairs int) *roundBench {
 	}
 	pf := crowd.NewPerfect(crowd.DatasetTruth{Data: d})
 	ss := newSession(d, pf, opts)
-	sets := ss.prepMachine()
+	ss.prepMachine()
 	rb := &roundBench{ss: ss}
-	for t, ds := range sets {
+	var ds []int
+	for t := 0; t < d.N(); t++ {
+		ds = ss.ix.AppendDominators(ds[:0], t, nil)
+		slices.Sort(ds)
 		for _, s := range ds {
 			rb.pairs = append(rb.pairs, makePair(s, t))
 			if len(rb.pairs) == maxPairs {

@@ -21,8 +21,15 @@
 // ByDominatingSets the next disjoint batch of one size group once nothing
 // is active, and BySkylineLayers every tuple all of whose dominating set
 // DS(t) is decided (equivalently, every member of its immediate
-// dominators c(t)). All algorithms exchange questions with a
+// dominators c(t)), found by one word cursor per waiting tuple into its
+// dominance-bitmap row. All algorithms exchange questions with a
 // crowd.Platform and never touch the latent attribute values.
+//
+// DS(t) stays in the skyline.Index bitmap: no session builds the
+// dominating sets as lists. The schedules read |DS(t)| from the index,
+// P1 is an AND-NOT of t's row with the session's dominated mask, and
+// ParallelSL's cursor meets the row with its undecided mask; both masks
+// are over the index's positions and change only in setStatus.
 //
 // Between two rounds the session uses every P it has in two places
 // (fanout.go): each round's answers fold into the per-attribute
@@ -42,6 +49,7 @@ import (
 	"strconv"
 	"sync"
 
+	"crowdsky/internal/bitset"
 	"crowdsky/internal/crowd"
 	"crowdsky/internal/dataset"
 	"crowdsky/internal/prefgraph"
@@ -138,8 +146,10 @@ func AllPruning() Options { return Options{P1: true, P2: true, P3: true} }
 func SmartVoting(ix *skyline.Index, omega int) voting.Smart {
 	const probeCap = 32 // bounds the quadratic probe enumeration per tuple
 	fc := ix.FreqCounter()
-	var freqs []int
-	for t, ds := range ix.DominatingSets() {
+	var freqs, ds []int
+	for t := 0; t < ix.Tuples(); t++ {
+		ds = ix.AppendDominators(ds[:0], t, nil)
+		slices.Sort(ds) // tuple order picks the same probe pairs
 		for _, s := range ds {
 			freqs = append(freqs, fc.Freq(s, t))
 		}
@@ -196,13 +206,17 @@ type session struct {
 	fc     *skyline.FreqCounter
 	// ix is the dominance index of the run, built (or adopted from
 	// Options.Index) by prepMachine after the degenerate-case
-	// preprocessing, and sets its alive-restricted dominating sets.
-	ix   *skyline.Index
-	sets [][]int
+	// preprocessing. Every schedule reads DS(t) from its bitmap rows.
+	ix *skyline.Index
 
-	// status is every tuple's readout, written by drive as pipelines
-	// complete; P1 reads the dominated ones.
-	status []status
+	// status is every tuple's readout, written by setStatus as the SKY_AK
+	// tuples are read out and pipelines complete. undecidedPos and
+	// dominatedPos mirror it over the index's positions, so a bitmap row
+	// meets them word by word: ParallelSL admission waits on the
+	// undecided members of DS(t), and P1 drops the dominated ones.
+	status       []status
+	undecidedPos bitset.Set
+	dominatedPos bitset.Set
 	// kept, when non-nil, receives each completed pipeline by tuple, for
 	// readouts that need more than the status (CrowdSkyProbabilistic).
 	kept []*tupleEval
@@ -354,9 +368,9 @@ func (ss *session) seedStoredValues() {
 
 // sortByDSSize orders tuples by ascending dominating-set size (stable), the
 // P1 evaluation order of Lemma 3.
-func sortByDSSize(order []int, sets [][]int) {
+func (ss *session) sortByDSSize(order []int) {
 	slices.SortStableFunc(order, func(x, y int) int {
-		return cmp.Compare(len(sets[x]), len(sets[y]))
+		return cmp.Compare(ss.ix.DominatorCount(x), ss.ix.DominatorCount(y))
 	})
 }
 
@@ -469,16 +483,17 @@ func (ss *session) workersFor(s, t, backup int) int {
 // cost of scanning its dominating set until the first killer. The estimate
 // only anchors the progress fraction; accuracy within tens of percent keeps
 // the annealed policy budget-neutral.
-func (ss *session) estimateTotalQuestions(sets [][]int) int {
+func (ss *session) estimateTotalQuestions() int {
 	total := 0.0
-	for t, ds := range sets {
-		if !ss.alive[t] || len(ds) == 0 {
+	for t := range ss.alive {
+		size := ss.ix.DominatorCount(t)
+		if !ss.alive[t] || size == 0 {
 			continue
 		}
 		if ss.useT {
 			total += 1.3
 		} else {
-			total += 1 + math.Log(float64(len(ds)))
+			total += 1 + math.Log(float64(size))
 		}
 	}
 	return int(total) * len(ss.graphs)
@@ -824,13 +839,13 @@ func (ss *session) finish() *Result {
 
 // prepMachine pays the machine part of a run in one place, after the
 // degenerate-case preprocessing fixed the alive set: it builds (or adopts
-// from Options.Index) the dominance index, derives the alive-restricted
-// dominating sets and the frequency counter from its bitmap, seeds the
-// progress estimate, and, when completeness is decided from direct answers,
-// sizes the direct-answer map for the expected question volume. Every
-// algorithm calls it exactly once; nothing downstream runs another
-// pair-wise dominance test.
-func (ss *session) prepMachine() [][]int {
+// from Options.Index) the dominance index, takes the frequency counter
+// from its bitmap, marks every indexed tuple undecided, seeds the progress
+// estimate, and, when completeness is decided from direct answers, sizes
+// the direct-answer map for the expected question volume. Every algorithm
+// calls it exactly once; nothing downstream runs another pair-wise
+// dominance test, and DS(t) stays in the bitmap.
+func (ss *session) prepMachine() {
 	allAlive := true
 	for t := 0; t < ss.d.N(); t++ {
 		if !ss.alive[t] {
@@ -855,11 +870,26 @@ func (ss *session) prepMachine() [][]int {
 			ispan.End()
 		}
 	}
-	ss.sets = ss.ix.DominatingSets()
 	ss.fc = ss.ix.FreqCounter()
-	ss.progressTotal = ss.estimateTotalQuestions(ss.sets)
+	m := ss.ix.Stats().N
+	ss.undecidedPos, ss.dominatedPos = bitset.New(m), bitset.New(m)
+	for p := 0; p < m; p++ {
+		ss.undecidedPos.Add(p)
+	}
+	ss.progressTotal = ss.estimateTotalQuestions()
 	if !ss.useT {
 		ss.direct = make(map[directKey]crowd.Preference, ss.progressTotal)
 	}
-	return ss.sets
+}
+
+// setStatus records t's readout, the one place that writes status and
+// its position-space mirrors.
+func (ss *session) setStatus(t int, st status) {
+	ss.status[t] = st
+	if p := ss.ix.Pos(t); p >= 0 {
+		ss.undecidedPos.Remove(p)
+		if st == dominated {
+			ss.dominatedPos.Add(p)
+		}
+	}
 }

@@ -379,3 +379,14 @@ func TestScheduleNames(t *testing.T) {
 	}()
 	Run(d, pf, Options{Schedule: bad})
 }
+
+// dominatingSets lists DS(t) of every tuple in ascending tuple order, as
+// the session's index holds it: nil for skyline and removed tuples.
+func dominatingSets(ss *session) [][]int {
+	sets := make([][]int, ss.d.N())
+	for t := range sets {
+		sets[t] = ss.ix.AppendDominators(nil, t, nil)
+		slices.Sort(sets[t])
+	}
+	return sets
+}

@@ -35,11 +35,11 @@ func newRun(d *dataset.Dataset, pf crowd.Platform, opts Options, readout string)
 	ss.preprocessDegenerate()
 	ss.prepMachine()
 	var open []int
-	for t, ds := range ss.sets {
+	for t, alive := range ss.alive {
 		switch {
-		case !ss.alive[t]:
-		case len(ds) == 0:
-			ss.status[t] = inSkyline
+		case !alive:
+		case ss.ix.DominatorCount(t) == 0:
+			ss.setStatus(t, inSkyline)
 		default:
 			open = append(open, t)
 		}
@@ -82,9 +82,10 @@ func (ss *session) drive(admit admitRule) {
 				}
 				continue
 			}
-			ss.status[te.t] = inSkyline
 			if te.killed {
-				ss.status[te.t] = dominated
+				ss.setStatus(te.t, dominated)
+			} else {
+				ss.setStatus(te.t, inSkyline)
 			}
 			if ss.kept != nil {
 				ss.kept[te.t] = te
@@ -117,7 +118,7 @@ func (ss *session) drive(admit admitRule) {
 // complete before t starts), once nothing is active.
 func (ss *session) serial(order []int) admitRule {
 	if ss.opts.P1 {
-		sortByDSSize(order, ss.sets)
+		ss.sortByDSSize(order)
 	}
 	return func(active []*tupleEval) []*tupleEval {
 		if len(active) > 0 || len(order) == 0 {
@@ -125,18 +126,23 @@ func (ss *session) serial(order []int) admitRule {
 		}
 		t := order[0]
 		order = order[1:]
-		return append(active, ss.gen.newTupleEval(t, ss.sets[t]))
+		return append(active, ss.gen.newTupleEval(t, nil))
 	}
 }
 
 // startPipelines is the admission-batch entry of the parallel schedules:
 // it appends to active one pipeline per tuple of ts, in ts order, each
-// built from sets[t]. The pipelines are built by fanOut, one item per
-// tuple, when Σ|sets[t]| reaches admitFanOut.
+// built from sets[t], or from DS(t) in the index when sets is nil. The
+// pipelines are built by fanOut, one item per tuple, when the sets' total
+// size reaches admitFanOut.
 func (ss *session) startPipelines(active []*tupleEval, ts []int, sets [][]int) []*tupleEval {
 	units := 0
 	for _, t := range ts {
-		units += len(sets[t])
+		if sets != nil {
+			units += len(sets[t])
+		} else {
+			units += ss.ix.DominatorCount(t)
+		}
 	}
 	from := len(active)
 	active = slices.Grow(active, len(ts))[:from+len(ts)]

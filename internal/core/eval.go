@@ -40,16 +40,18 @@ type tupleEval struct {
 	pendingBackup int
 }
 
-// newTupleEval builds the pipeline for tuple t from its dominating set.
-// When P1 is on, complete non-skyline tuples are dropped from the set
-// (Corollary 1); when P2 is on, the set is reduced to SKY_AC(DS(t)) using
-// the preference tree (Corollary 2); when P3 is on, the probing question
-// list P(t) is generated and sorted by descending co-domination frequency
-// (Section 3.4).
+// newTupleEval builds the pipeline for tuple t from its dominating set:
+// sets[t] when sets is non-nil (ByDominatingSets hands over the sets it
+// reduced at batching), else DS(t) read from the index. When P1 is on,
+// complete non-skyline tuples are dropped from the set (Corollary 1);
+// when P2 is on, the set is reduced to SKY_AC(DS(t)) using the preference
+// tree (Corollary 2); when P3 is on, the probing question list P(t) is
+// generated and sorted by descending co-domination frequency (Section
+// 3.4).
 //
 // It only reads the session, so the pipelines of one admission can be
 // built on several goroutines, each with its own qgen.
-func (q *qgen) newTupleEval(t int, ds []int) *tupleEval {
+func (q *qgen) newTupleEval(t int, sets [][]int) *tupleEval {
 	ss := q.ss
 	// The whole construction is the question-generation phase of tuple t;
 	// under tracing it becomes a "qgen" span with one sub-span per enabled
@@ -60,7 +62,7 @@ func (q *qgen) newTupleEval(t int, ds []int) *tupleEval {
 		qctx, qspan = telemetry.StartSpan(ss.runContext(), ss.trace, "qgen")
 		qspan.SetAttr("tuple", strconv.Itoa(t))
 	}
-	te := &tupleEval{t: t, ds: q.pruneDS(ds, qctx)}
+	te := &tupleEval{t: t, ds: q.pruneDS(t, sets, qctx)}
 	if ss.opts.P3 && len(te.ds) > 1 {
 		p3span := ss.stageSpan(qctx, "p3_order")
 		te.probe = q.probeOrder(te.ds, ss.opts.ProbeOrder)
@@ -82,24 +84,40 @@ func (ss *session) stageSpan(qctx context.Context, name string) *telemetry.Span 
 }
 
 // pruneDS applies the dominating-set reductions of Algorithm 1, line 9,
-// and returns the survivors in ds order as a new exact-size slice: P1
-// drops complete non-skyline members (Corollary 1), then P2 keeps
-// SKY_AC of the rest under the current preference tree (Corollary 2).
-// Each stage's removals are added to q's totals and, with a qgen
-// context, recorded on a "p1"/"p2" span under it.
-func (q *qgen) pruneDS(ds []int, qctx context.Context) []int {
+// to t's dominating set — sets[t], or DS(t) from the index when sets is
+// nil — and returns the survivors in ascending tuple order as a new
+// exact-size slice: P1 drops complete non-skyline members (Corollary 1),
+// then P2 keeps SKY_AC of the rest under the current preference tree
+// (Corollary 2). Each stage's removals are added to q's totals and, with
+// a qgen context, recorded on a "p1"/"p2" span under it.
+//
+// On the index path P1 is one AND-NOT of t's bitmap row with the
+// dominated mask, and the members come in position order. SKY_AC is the
+// set of maximal members, so P2 keeps the same members in any input
+// order, and only its survivors are sorted back into tuple order (sets
+// are already in tuple order, so there the sort finds nothing to do).
+func (q *qgen) pruneDS(t int, sets [][]int, qctx context.Context) []int {
 	ss := q.ss
 	buf := q.pruneBuf[:0]
+	var skip bitset.Set // P1's mask: the dominated positions
+	var span *telemetry.Span
 	if ss.opts.P1 {
-		span := ss.stageSpan(qctx, "p1")
-		for _, s := range ds {
-			if ss.status[s] != dominated {
+		skip, span = ss.dominatedPos, ss.stageSpan(qctx, "p1")
+	}
+	var size int
+	if sets == nil {
+		size = ss.ix.DominatorCount(t)
+		buf = ss.ix.AppendDominators(buf, t, skip)
+	} else {
+		size = len(sets[t])
+		for _, s := range sets[t] {
+			if skip == nil || ss.status[s] != dominated {
 				buf = append(buf, s)
 			}
 		}
-		ss.countRemoved(&q.p1Removed, span, len(ds)-len(buf))
-	} else {
-		buf = append(buf, ds...)
+	}
+	if ss.opts.P1 {
+		ss.countRemoved(&q.p1Removed, span, size-len(buf))
 	}
 	if ss.opts.P2 {
 		span := ss.stageSpan(qctx, "p2")
@@ -107,6 +125,7 @@ func (q *qgen) pruneDS(ds []int, qctx context.Context) []int {
 		buf = q.acSkyline(buf)
 		ss.countRemoved(&q.p2Removed, span, before-len(buf))
 	}
+	slices.Sort(buf)
 	q.pruneBuf = buf
 	return append([]int(nil), buf...)
 }

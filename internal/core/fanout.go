@@ -47,7 +47,7 @@ type section uint8
 
 const (
 	foldAnswers section = iota // item j: fold job.answers on crowd attribute j
-	buildEvals                 // item i: job.evals[i] is the pipeline of job.tuples[i] from job.sets
+	buildEvals                 // item i: job.evals[i] is the pipeline of job.tuples[i], from job.sets or the index
 )
 
 // job is the current fan-out's section, inputs and next unclaimed item.
@@ -71,7 +71,7 @@ func (ss *session) runItem(q *qgen, i int) {
 		ss.fold(i, j.answers)
 	case buildEvals:
 		t := j.tuples[i]
-		j.evals[i] = q.newTupleEval(t, j.sets[t])
+		j.evals[i] = q.newTupleEval(t, j.sets)
 	}
 }
 

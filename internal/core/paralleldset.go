@@ -15,7 +15,7 @@ package core
 func (ss *session) byDominatingSets(order []int) admitRule {
 	// Group by initial dominating-set size, ascending (the partitioning of
 	// Section 4.1; sizes are taken before pruning so Lemma 3 applies).
-	sortByDSSize(order, ss.sets)
+	ss.sortByDSSize(order)
 	var batches [][]int
 	pruned := make([][]int, ss.d.N()) // per tuple, its set as pruned at batching
 	return func(active []*tupleEval) []*tupleEval {
@@ -27,7 +27,7 @@ func (ss *session) byDominatingSets(order []int) admitRule {
 				return active
 			}
 			hi := 1
-			for hi < len(order) && len(ss.sets[order[hi]]) == len(ss.sets[order[0]]) {
+			for hi < len(order) && ss.ix.DominatorCount(order[hi]) == ss.ix.DominatorCount(order[0]) {
 				hi++
 			}
 			batches = ss.disjointBatches(order[:hi], pruned)
@@ -62,7 +62,7 @@ func (ss *session) disjointBatches(group []int, pruned [][]int) [][]int {
 	}
 	var batches []*batch
 	for _, t := range group {
-		ds := ss.gen.pruneDS(ss.sets[t], nil)
+		ds := ss.gen.pruneDS(t, nil, nil)
 		pruned[t] = ds
 		placed := false
 		for _, b := range batches {

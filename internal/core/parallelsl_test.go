@@ -71,7 +71,7 @@ func TestSkylineLayerAdmission(t *testing.T) {
 		ss, admit := newRun(c.d, goldenPlatform(c.d, c.noisy), opts, "")
 		var open []int
 		removed, twins := 0, 0
-		for t, ds := range ss.sets {
+		for t, ds := range dominatingSets(ss) {
 			switch {
 			case ss.twin[t] >= 0:
 				twins++

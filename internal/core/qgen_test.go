@@ -158,7 +158,8 @@ func TestACSkylineMatchesAllPairs(t *testing.T) {
 func TestProbeOrderMatchesComparatorSort(t *testing.T) {
 	d := randomDataset(21, 300, 3, 1, dataset.Independent)
 	ss := newSession(d, perfect(d), AllPruning())
-	sets := ss.prepMachine()
+	ss.prepMachine()
+	sets := dominatingSets(ss)
 	for _, order := range []ProbeOrder{FreqDescending, FreqAscending, PairOrder} {
 		for tt, ds := range sets {
 			if len(ds) < 2 || len(ds) > 40 {

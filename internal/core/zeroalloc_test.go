@@ -9,6 +9,36 @@ import (
 	"crowdsky/internal/dataset"
 )
 
+// raceEnabled is set by race_test.go under the race detector, whose
+// instrumentation changes what a run allocates.
+var raceEnabled bool
+
+// TestSessionAllocBudget gates the memory one dense session allocates:
+// a perfect-crowd ParallelSL run over n = 4000 IND tuples (|AK| = 4,
+// |AC| = 2, the shape of the sl-ind-4k benchmark workload) must allocate
+// less than 15 MiB in total. Sessions read DS(t) from the dominance
+// bitmap; materializing the Σ|DS(t)| dominating-set lists again adds
+// about 8 MB and fails the gate (19.5 MB against 11.5 MB without them).
+func TestSessionAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation")
+	}
+	const budget = 15 << 20
+	d := randomDataset(1, 4000, 4, 2, dataset.Independent)
+	opts := AllPruning()
+	opts.Schedule = BySkylineLayers
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := Run(d, perfect(d), opts)
+	runtime.ReadMemStats(&after)
+	if len(res.Skyline) == 0 {
+		t.Fatal("the session found no skyline")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
+		t.Fatalf("one session allocated %.1f MiB; want under %d MiB", float64(got)/(1<<20), budget>>20)
+	}
+}
+
 // TestZeroAlloc is the CI gate for the per-round session step: folding an
 // already-seen batch of answers back into the preference graphs and the
 // direct-answer record, then running the completeness and AC-dominance
@@ -96,9 +126,11 @@ func TestZeroAllocSteadyStateRoundFanOut(t *testing.T) {
 }
 
 // TestZeroAllocQgen gates question generation on warm session scratch:
-// P2's window (acSkyline) must not allocate, and P3's order (probeOrder)
-// allocates only the list it returns. The tree has equality classes,
-// contradictions and rows of several words, over two crowd attributes.
+// the P1/P2 reduction of DS(t) read from the bitmap row (pruneDS)
+// allocates only the set it returns, P2's window (acSkyline) does not
+// allocate, and P3's order (probeOrder) allocates only the list it
+// returns. The tree has equality classes, contradictions and rows of
+// several words, over two crowd attributes.
 func TestZeroAllocQgen(t *testing.T) {
 	const n = 200
 	d := randomDataset(7, n, 3, 2, dataset.Independent)
@@ -106,6 +138,21 @@ func TestZeroAllocQgen(t *testing.T) {
 	ss.prepMachine()
 	rng := rand.New(rand.NewSource(7))
 	feedRandomAnswers(ss, rng, n, 3*n)
+	widest := 0
+	for u := 0; u < n; u++ {
+		if ss.ix.DominatorCount(u) > ss.ix.DominatorCount(widest) {
+			widest = u
+		}
+		if u%3 == 0 {
+			ss.setStatus(u, dominated) // P1 has members to drop
+		}
+	}
+	if ds := ss.gen.pruneDS(widest, nil, nil); len(ds) == 0 || len(ds) == ss.ix.DominatorCount(widest) {
+		t.Fatalf("pruneDS kept %d of %d members; want a proper reduction", len(ds), ss.ix.DominatorCount(widest))
+	}
+	if avg := testing.AllocsPerRun(100, func() { ss.gen.pruneDS(widest, nil, nil) }); avg != 1 {
+		t.Fatalf("pruneDS allocated %.2f times per run; want 1, the returned set", avg)
+	}
 	set := randomSubset(rng, n)
 	buf := make([]int, len(set))
 	var sky []int

@@ -332,6 +332,56 @@ func TestClientEmptyAsk(t *testing.T) {
 	}
 }
 
+// TestPostRoundWorkersValidated: a round asking for a negative worker
+// count, or for more than MaxWorkersPerQuestion, is a 400 that opens no
+// assignment, even when its other questions are valid; an absent or zero
+// count opens one.
+func TestPostRoundWorkersValidated(t *testing.T) {
+	_, ts := newTestServer(t)
+	open := func() int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/api/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return decode[struct {
+			Open int `json:"open"`
+		}](t, resp).Open
+	}
+	resp := postJSON(t, ts.URL+"/api/rounds", map[string]any{
+		"questions": []map[string]int{{"a": 0, "b": 1}, {"a": 2, "b": 3, "workers": 0}},
+	})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("round without worker counts: %s", resp.Status)
+	}
+	if got := open(); got != 2 {
+		t.Fatalf("open = %d after two one-worker questions; want 2", got)
+	}
+	for _, workers := range []int{-2, -1, MaxWorkersPerQuestion + 1, 1 << 40} {
+		resp := postJSON(t, ts.URL+"/api/rounds", map[string]any{
+			"questions": []map[string]int{{"a": 4, "b": 5, "workers": 1}, {"a": 0, "b": 1, "workers": workers}},
+		})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("workers %d: %s; want 400", workers, resp.Status)
+		}
+		if got := open(); got != 2 {
+			t.Fatalf("workers %d: open = %d; want 2, unchanged", workers, got)
+		}
+	}
+	resp = postJSON(t, ts.URL+"/api/rounds", map[string]any{
+		"questions": []QuestionJSON{{A: 0, B: 1, Workers: MaxWorkersPerQuestion}},
+	})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("workers at the cap: %s", resp.Status)
+	}
+	if got := open(); got != 2+MaxWorkersPerQuestion {
+		t.Fatalf("open = %d after a question at the cap; want %d", got, 2+MaxWorkersPerQuestion)
+	}
+}
+
 // TestStatsEndpointShape checks the JSON shape of GET /api/stats including
 // the lease-requeue and per-worker judgment extensions.
 func TestStatsEndpointShape(t *testing.T) {

@@ -64,7 +64,14 @@ import (
 // requeued.
 const DefaultLease = 2 * time.Minute
 
-// QuestionJSON is the wire form of one pair-wise question.
+// MaxWorkersPerQuestion caps the workers one question may ask for. A
+// round opens one assignment per worker under the server lock, so an
+// unbounded count would let one request allocate without limit; the cap
+// sits far above the paper's ω (5, and 7 for escalated questions).
+const MaxWorkersPerQuestion = 99
+
+// QuestionJSON is the wire form of one pair-wise question. Workers is
+// the number of judgments to collect; 0 (or absent) means one.
 type QuestionJSON struct {
 	A       int `json:"a"`
 	B       int `json:"b"`
@@ -369,6 +376,12 @@ func (s *Server) handlePostRound(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "round has no questions")
 		return
 	}
+	for i, q := range body.Questions {
+		if q.Workers < 0 || q.Workers > MaxWorkersPerQuestion {
+			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("question %d: workers %d outside 0..%d", i, q.Workers, MaxWorkersPerQuestion))
+			return
+		}
+	}
 	idemKey := ""
 	if raw := r.Header.Get("Idempotency-Key"); raw != "" {
 		var ok bool
@@ -410,10 +423,7 @@ func (s *Server) handlePostRound(w http.ResponseWriter, r *http.Request) {
 	}
 	now := s.now()
 	for i, q := range body.Questions {
-		workers := q.Workers
-		if workers < 1 {
-			workers = 1
-		}
+		workers := max(q.Workers, 1)
 		rd.needed[i] = workers
 		rd.remaining += workers
 		// Full capacity up front: the per-judgment append in

@@ -37,8 +37,11 @@ import (
 //     float comparison in the hot loop. Exact-duplicate groups (identical
 //     known rows, which would survive the weak-AND) are cleared in a
 //     final pass, restoring strictness;
-//   - DominatingSets is an exact-size counting transpose (no
-//     append-regrow), ImmediateDominators is a covered walk down each
+//   - DominatorCount, AppendDominators and PendingWord read DS(t)
+//     straight from t's dominator row, so crowd sessions never
+//     materialize the Σ|DS(t)| ints of the lists; DominatingSets, for
+//     callers that want the lists, is an exact-size counting transpose
+//     (no append-regrow), ImmediateDominators is a covered walk down each
 //     target's dominator row that tests only the surviving candidates
 //     instead of an O(|DS|²·d) rescan, and FreqCounter wraps the
 //     transposed bitmap for free.
@@ -77,8 +80,9 @@ type IndexStats struct {
 // run with NewIndex/NewIndexAlive and derive every machine-part
 // construction from it; the derivations never re-run a pair-wise
 // dominance test. After construction an Index is safe for concurrent
-// readers; the slices returned by DominatingSets and ImmediateDominators
-// are shared and must not be modified.
+// readers, the row accessors included; the slices returned by
+// DominatingSets and ImmediateDominators are shared and must not be
+// modified.
 type Index struct {
 	d    *dataset.Dataset
 	n    int // d.N()
@@ -553,10 +557,70 @@ func (ix *Index) Matches(d *dataset.Dataset) bool { return ix.d == d && ix.alive
 // skyline tuples get nil sets). The first call materializes the sets by
 // transposed counting fill: every set is carved at its exact size from
 // one backing array, so nothing regrows. The result is memoized and
-// shared; callers must not modify it.
+// shared; callers must not modify it. At Σ|DS(t)| ints it outweighs the
+// bitmap it comes from on dense data, so crowd sessions read the rows
+// through AppendDominators instead.
 func (ix *Index) DominatingSets() [][]int {
 	ix.setsOnce.Do(ix.buildSets)
 	return ix.sets
+}
+
+// Tuples returns the number of tuples of the indexed dataset, dead ones
+// included: the range of the tuple arguments below.
+func (ix *Index) Tuples() int { return ix.n }
+
+// Pos returns t's position in the index's score order, the bit that
+// stands for t in a position-space mask; -1 when t is not indexed (dead
+// in an alive-restricted index). Positions lie in [0, Stats().N).
+func (ix *Index) Pos(t int) int { return ix.pos[t] }
+
+// DominatorCount returns |DS(t)|; 0 for skyline and dead tuples.
+func (ix *Index) DominatorCount(t int) int {
+	if p := ix.pos[t]; p >= 0 {
+		return ix.counts[p]
+	}
+	return 0
+}
+
+// AppendDominators appends to dst the members of DS(t) whose position is
+// not in skip, a position-space mask (nil skips nothing), and returns the
+// extended slice. Members come in position order, not tuple order; a
+// caller that needs DominatingSets' order sorts what it keeps. The
+// members are read straight from t's bitmap row, so no set is
+// materialized.
+func (ix *Index) AppendDominators(dst []int, t int, skip bitset.Set) []int {
+	p := ix.pos[t]
+	if p < 0 {
+		return dst
+	}
+	for wi, w := range ix.domBy[p] {
+		if wi < len(skip) {
+			w &^= skip[wi]
+		}
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, ix.order[wi<<6+bits.TrailingZeros64(w)])
+		}
+	}
+	return dst
+}
+
+// PendingWord returns the index of the first word of t's bitmap row, at
+// or after word from, that shares a member with mask, a position-space
+// mask; -1 when no such word is left (or t is not indexed). A caller
+// waiting for every member of DS(t) to leave a shrinking mask keeps the
+// result as a cursor: the words before it never meet the mask again.
+func (ix *Index) PendingWord(t, from int, mask bitset.Set) int {
+	p := ix.pos[t]
+	if p < 0 {
+		return -1
+	}
+	row := ix.domBy[p]
+	for wi := from; wi < len(row) && wi < len(mask); wi++ {
+		if row[wi]&mask[wi] != 0 {
+			return wi
+		}
+	}
+	return -1
 }
 
 func (ix *Index) buildSets() {

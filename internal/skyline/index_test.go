@@ -3,8 +3,10 @@ package skyline
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"crowdsky/internal/bitset"
 	"crowdsky/internal/dataset"
 )
 
@@ -284,6 +286,90 @@ func TestIndexManyChunks(t *testing.T) {
 	ix := NewIndex(d)
 	if got, want := ix.DominatingSets(), DominatingSets(d); !reflect.DeepEqual(got, want) {
 		t.Fatalf("DominatingSets disagrees across chunk boundary")
+	}
+}
+
+// TestDominatorRows checks the row accessors sessions read DS(t) through
+// against DominatingSets, on IND, ANT and COR data, exact duplicates and
+// rounded score ties, each unrestricted and alive-restricted: |DS(t)|,
+// the members outside no mask and outside random position masks (sorted
+// back into tuple order), and the first pending word against a scan of
+// DS(t)'s positions.
+func TestDominatorRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	shapes := map[string]*dataset.Dataset{
+		"IND":           randData(81, 300, 4, 2, dataset.Independent),
+		"ANT":           randData(82, 300, 3, 1, dataset.AntiCorrelated),
+		"COR":           randData(83, 300, 4, 1, dataset.Correlated),
+		"duplicates":    withDuplicates(t, randData(84, 240, 3, 2, dataset.Independent), 84),
+		"rounding-ties": roundingTies(),
+	}
+	for name, d := range shapes {
+		n := d.N()
+		alive := make([]bool, n)
+		for i := range alive {
+			alive[i] = rng.Intn(4) != 0
+		}
+		for _, mask := range [][]bool{nil, alive} {
+			ix := NewIndexAlive(d, mask)
+			sets := ix.DominatingSets()
+			m := ix.Stats().N
+			if ix.Tuples() != n {
+				t.Fatalf("%s: Tuples() = %d, want %d", name, ix.Tuples(), n)
+			}
+			randomMask := func(density int) bitset.Set {
+				b := bitset.New(m)
+				for p := 0; p < m; p++ {
+					if rng.Intn(density) == 0 {
+						b.Add(p)
+					}
+				}
+				return b
+			}
+			for tt := 0; tt < n; tt++ {
+				ds := sets[tt]
+				if dead := mask != nil && !mask[tt]; dead != (ix.Pos(tt) < 0) {
+					t.Fatalf("%s: Pos(%d) = %d with alive = %v", name, tt, ix.Pos(tt), !dead)
+				}
+				if got := ix.DominatorCount(tt); got != len(ds) {
+					t.Fatalf("%s: DominatorCount(%d) = %d, want %d", name, tt, got, len(ds))
+				}
+				got := ix.AppendDominators([]int{-1}, tt, nil)
+				if got[0] != -1 {
+					t.Fatalf("%s: AppendDominators overwrote the destination's prefix", name)
+				}
+				got = got[1:]
+				slices.Sort(got)
+				if !slices.Equal(got, ds) {
+					t.Fatalf("%s: AppendDominators(%d) = %v, want %v", name, tt, got, ds)
+				}
+				for _, density := range []int{1, 2, 5} {
+					skip := randomMask(density)
+					var want []int
+					for _, s := range ds {
+						if !skip.Has(ix.Pos(s)) {
+							want = append(want, s)
+						}
+					}
+					got := ix.AppendDominators(nil, tt, skip)
+					slices.Sort(got)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s: AppendDominators(%d) outside a 1/%d mask = %v, want %v", name, tt, density, got, want)
+					}
+					for _, from := range []int{0, 1, rng.Intn(m/64 + 1)} {
+						want := -1
+						for _, s := range ds {
+							if p := ix.Pos(s); p>>6 >= from && skip.Has(p) && (want < 0 || p>>6 < want) {
+								want = p >> 6
+							}
+						}
+						if got := ix.PendingWord(tt, from, skip); got != want {
+							t.Fatalf("%s: PendingWord(%d, %d) in a 1/%d mask = %d, want %d", name, tt, from, density, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
