@@ -399,7 +399,7 @@ func phaseOf(name string) string {
 		return "crowd-wait"
 	case "vote_resolve":
 		return "voting"
-	case "index_build", "qgen", "p1", "p2", "p3_order":
+	case "index_build", "batch_group", "qgen", "p1", "p2", "p3_order":
 		return "compute"
 	case "round_submit", "server_round":
 		return "rpc"

@@ -540,8 +540,9 @@ func (ss *session) pairIncomparable(s, t int) bool {
 	return ss.cannotWeaklyPrefer(s, t) && ss.cannotWeaklyPrefer(t, s)
 }
 
-// freq returns freq(s,t); 0 when the frequency counter is not initialized
-// (it is lazily built on first use by algorithms that need it).
+// freq returns freq(s,t). The counter is nil only while the
+// degenerate-case pairs are asked, before prepMachine sets it; freq is 0
+// for them.
 func (ss *session) freq(s, t int) int {
 	if ss.fc == nil {
 		return 0

@@ -1,5 +1,14 @@
 package core
 
+import (
+	"context"
+	"slices"
+	"strconv"
+
+	"crowdsky/internal/bitset"
+	"crowdsky/internal/telemetry"
+)
+
 // byDominatingSets is the admission rule of the dominating-set
 // partitioning of Section 4.1. Tuples are grouped by the size of their
 // (initial) dominating sets — same-size tuples cannot dominate each other
@@ -47,7 +56,8 @@ func (ss *session) byDominatingSets(order []int) admitRule {
 }
 
 // disjointBatches greedily partitions a same-size group into batches whose
-// members have pair-wise disjoint dominating sets. The disjointness check
+// members have pair-wise disjoint dominating sets, placing each tuple in
+// the first batch whose members' sets it misses. The disjointness check
 // uses the sets as the Serial schedule would see them at question
 // generation — after the P1 removal of complete non-skyline members and the P2
 // reduction to SKY_AC (Algorithm 1, line 9) — because dependency C2 only
@@ -55,45 +65,34 @@ func (ss *session) byDominatingSets(order []int) admitRule {
 // questions. Checking the reduced sets admits much larger batches on
 // dense dominance structures without reintroducing C2. Each member's
 // reduced set is left in pruned[t] for its pipeline to start from.
+//
+// Under tracing the group's reductions run under one "batch_group" span,
+// so their p1/p2 spans add up to the run totals like the pipelines' do.
 func (ss *session) disjointBatches(group []int, pruned [][]int) [][]int {
-	type batch struct {
-		members []int
-		used    []bool
+	var gctx context.Context
+	var span *telemetry.Span
+	if ss.trace != nil {
+		gctx, span = telemetry.StartSpan(ss.runContext(), ss.trace, "batch_group")
+		span.SetAttr("tuples", strconv.Itoa(len(group)))
 	}
-	var batches []*batch
+	var batches [][]int
+	var used []bitset.Set // per batch, the union of its members' sets
 	for _, t := range group {
-		ds := ss.gen.pruneDS(t, nil, nil)
+		ds := ss.gen.pruneDS(t, nil, gctx)
 		pruned[t] = ds
-		placed := false
-		for _, b := range batches {
-			overlap := false
-			for _, s := range ds {
-				if b.used[s] {
-					overlap = true
-					break
-				}
-			}
-			if !overlap {
-				b.members = append(b.members, t)
-				for _, s := range ds {
-					b.used[s] = true
-				}
-				placed = true
-				break
-			}
+		b := 0
+		for b < len(used) && slices.ContainsFunc(ds, used[b].Has) {
+			b++
 		}
-		if !placed {
-			b := &batch{used: make([]bool, ss.d.N())}
-			b.members = append(b.members, t)
-			for _, s := range ds {
-				b.used[s] = true
-			}
-			batches = append(batches, b)
+		if b == len(used) {
+			batches = append(batches, nil)
+			used = append(used, bitset.New(ss.d.N()))
+		}
+		batches[b] = append(batches[b], t)
+		for _, s := range ds {
+			used[b].Add(s)
 		}
 	}
-	out := make([][]int, len(batches))
-	for i, b := range batches {
-		out[i] = b.members
-	}
-	return out
+	span.End()
+	return batches
 }

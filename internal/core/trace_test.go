@@ -40,8 +40,10 @@ func attrInt(t *testing.T, e telemetry.Event, key string) int {
 // paper's running example (Table 1) and checks that the span tree alone
 // carries the run's accounting: nothing but span events, framed by the
 // run span, a run span whose attributes equal the Result, one round span
-// per round, and per-tuple P1/P2 removals that add up to the run totals
-// (the toy dataset exercises both, per Examples 4-5).
+// per round, and P1/P2 span removals that add up to the run totals (the
+// toy dataset exercises both, per Examples 4-5). The sums must hold on
+// every schedule, on the toy data and on n = 300 IND data, including the
+// reductions ByDominatingSets makes while batching.
 func TestTraceEventsOnToyDataset(t *testing.T) {
 	d := dataset.Toy()
 	var tr telemetry.Collector
@@ -81,8 +83,6 @@ func TestTraceEventsOnToyDataset(t *testing.T) {
 		switch e.Name {
 		case "round", "index_build":
 			phases[e.Name]++
-		case "p1", "p2":
-			phases[e.Name+"_removed"] += attrInt(t, e, "removed")
 		}
 	}
 	if phases["round"] != res.Rounds {
@@ -91,9 +91,29 @@ func TestTraceEventsOnToyDataset(t *testing.T) {
 	if phases["index_build"] != 1 {
 		t.Errorf("%d index_build spans, want 1", phases["index_build"])
 	}
-	for _, key := range []string{"p1_removed", "p2_removed"} {
-		if phases[key] < 1 || phases[key] != attrInt(t, run, key) {
-			t.Errorf("per-tuple %s sums to %d, run span says %s; want equal and > 0", key, phases[key], run.Attrs[key])
+
+	for name, d := range map[string]*dataset.Dataset{
+		"toy": d, "IND-300": randomDataset(3, 300, 3, 2, dataset.Independent),
+	} {
+		for s := range Schedule(len(schedules)) {
+			t.Run(name+"/"+s.String(), func(t *testing.T) {
+				var tr telemetry.Collector
+				opts := scheduled(s)
+				opts.Tracer = &tr
+				Run(d, perfect(d), opts)
+				removed := map[string]int{}
+				for _, e := range tr.ByType(telemetry.EventSpanEnd) {
+					if e.Name == "p1" || e.Name == "p2" {
+						removed[e.Name+"_removed"] += attrInt(t, e, "removed")
+					}
+				}
+				run := runSpanOf(t, &tr)
+				for _, key := range []string{"p1_removed", "p2_removed"} {
+					if removed[key] < 1 || removed[key] != attrInt(t, run, key) {
+						t.Errorf("%s spans sum to %d, run span says %s; want equal and > 0", key, removed[key], run.Attrs[key])
+					}
+				}
+			})
 		}
 	}
 }

@@ -14,28 +14,33 @@ import (
 var raceEnabled bool
 
 // TestSessionAllocBudget gates the memory one dense session allocates:
-// a perfect-crowd ParallelSL run over n = 4000 IND tuples (|AK| = 4,
-// |AC| = 2, the shape of the sl-ind-4k benchmark workload) must allocate
-// less than 15 MiB in total. Sessions read DS(t) from the dominance
-// bitmap; materializing the Σ|DS(t)| dominating-set lists again adds
-// about 8 MB and fails the gate (19.5 MB against 11.5 MB without them).
+// a perfect-crowd run over n = 4000 IND tuples (|AK| = 4, |AC| = 2, the
+// shape of the sl-ind-4k benchmark workload) must allocate less than
+// 15 MiB in total, under ParallelSL and under ParallelDSet. Sessions read
+// DS(t) from the dominance bitmap; materializing the Σ|DS(t)|
+// dominating-set lists again adds about 8 MB and fails the gate (19.5 MB
+// against 11.5 MB without them). ParallelDSet's batching marks each
+// batch's dominators in an n-bit set; an n-entry []bool per batch
+// instead fails it too (22.0 MiB).
 func TestSessionAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation")
 	}
 	const budget = 15 << 20
 	d := randomDataset(1, 4000, 4, 2, dataset.Independent)
-	opts := AllPruning()
-	opts.Schedule = BySkylineLayers
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res := Run(d, perfect(d), opts)
-	runtime.ReadMemStats(&after)
-	if len(res.Skyline) == 0 {
-		t.Fatal("the session found no skyline")
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
-		t.Fatalf("one session allocated %.1f MiB; want under %d MiB", float64(got)/(1<<20), budget>>20)
+	for _, s := range []Schedule{BySkylineLayers, ByDominatingSets} {
+		opts := AllPruning()
+		opts.Schedule = s
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := Run(d, perfect(d), opts)
+		runtime.ReadMemStats(&after)
+		if len(res.Skyline) == 0 {
+			t.Fatalf("%s: the session found no skyline", s)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
+			t.Errorf("%s: one session allocated %.1f MiB; want under %d MiB", s, float64(got)/(1<<20), budget>>20)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"crowdsky/internal/bitset"
 	"crowdsky/internal/dataset"
@@ -36,12 +35,14 @@ import (
 //     rows — 64 dominance tests collapse into dims word-ANDs with no
 //     float comparison in the hot loop. Exact-duplicate groups (identical
 //     known rows, which would survive the weak-AND) are cleared in a
-//     final pass, restoring strictness;
+//     final pass, restoring strictness. Chunks are the one unit of
+//     parallel work: workers claim them from a shared counter;
 //   - DominatorCount, AppendDominators and PendingWord read DS(t)
 //     straight from t's dominator row, so crowd sessions never
 //     materialize the Σ|DS(t)| ints of the lists; DominatingSets, for
-//     callers that want the lists, is an exact-size counting transpose
-//     (no append-regrow), ImmediateDominators is a covered walk down each
+//     callers that want the lists, builds them afresh on every call by
+//     an exact-size counting transpose (no append-regrow), and
+//     ImmediateDominators is a covered walk down each
 //     target's dominator row that tests only the surviving candidates
 //     instead of an O(|DS|²·d) rescan, and FreqCounter wraps the
 //     transposed bitmap for free.
@@ -63,16 +64,11 @@ const indexCandChunk = 1024
 type IndexStats struct {
 	// N is the number of tuples indexed (alive tuples when restricted).
 	N int
-	// Dims is the number of known attributes.
-	Dims int
 	// Pairs is the number of dominance pairs recorded in the bitmap.
 	Pairs int
 	// BitmapBytes is the memory held by the two bitmaps (dominators-of
 	// and dominated-by).
 	BitmapBytes int64
-	// BuildDuration is the wall-clock time of the build, including the
-	// transpose.
-	BuildDuration time.Duration
 }
 
 // Index is a dominance index over the known attributes of a dataset
@@ -80,22 +76,19 @@ type IndexStats struct {
 // run with NewIndex/NewIndexAlive and derive every machine-part
 // construction from it; the derivations never re-run a pair-wise
 // dominance test. After construction an Index is safe for concurrent
-// readers, the row accessors included; the slices returned by
-// DominatingSets and ImmediateDominators are shared and must not be
-// modified.
+// readers, the row accessors included. DominatingSets and
+// ImmediateDominators build a fresh result on every call, which the
+// caller owns.
 type Index struct {
 	d    *dataset.Dataset
 	n    int // d.N()
 	m    int // laid-out positions: the alive tuples
 	dims int
 
-	alive []bool // nil when unrestricted
-
-	order    []int     // position -> original tuple index
-	pos      []int     // original tuple index -> position; -1 when dead
-	cols     []float64 // column-major over positions: cols[j*m+p]
-	runStart []int     // per position: start of its equal-score run
-	runEnd   []int     // per position: end (exclusive) of its equal-score run
+	order  []int     // position -> original tuple index
+	pos    []int     // original tuple index -> position; -1 when dead
+	cols   []float64 // column-major over positions: cols[j*m+p]
+	runEnd []int     // per position: end (exclusive) of its equal-score run
 
 	// domBy[p] = {q : order[q] ≺AK order[p]} with bits keyed by position.
 	// Rows are truncated to the words covering [0, runEnd[p]): no
@@ -104,9 +97,6 @@ type Index struct {
 	// dom[q] = {p : order[q] ≺AK order[p]}, the transpose, full width.
 	dom    []bitset.Set
 	counts []int // |DS| per position
-
-	setsOnce sync.Once
-	sets     [][]int // memoized DominatingSets, indexed by original tuple
 
 	stats IndexStats
 }
@@ -119,24 +109,8 @@ func NewIndex(d *dataset.Dataset) *Index { return NewIndexAlive(d, nil) }
 // like the alive-restricted naive construction in package core. A nil or
 // all-true mask builds the unrestricted index.
 func NewIndexAlive(d *dataset.Dataset, alive []bool) *Index {
-	start := time.Now()
-	n := d.N()
-	if alive != nil {
-		all := true
-		for t := 0; t < n; t++ {
-			if !alive[t] {
-				all = false
-				break
-			}
-		}
-		if all {
-			alive = nil
-		} else {
-			alive = append([]bool(nil), alive...)
-		}
-	}
-	ix := &Index{d: d, n: n, dims: d.KnownDims(), alive: alive}
-	ix.layout()
+	ix := &Index{d: d, n: d.N(), dims: d.KnownDims()}
+	ix.layout(alive)
 	ix.buildBitmap()
 	ix.transpose()
 	words := 0
@@ -144,25 +118,24 @@ func NewIndexAlive(d *dataset.Dataset, alive []bool) *Index {
 		words += len(ix.domBy[p]) + len(ix.dom[p])
 	}
 	ix.stats.N = ix.m
-	ix.stats.Dims = ix.dims
 	ix.stats.BitmapBytes = int64(words) * 8
-	ix.stats.BuildDuration = time.Since(start)
 	return ix
 }
 
-// layout sorts the alive tuples by ascending attribute-sum score (ties by
-// original index, so the order is deterministic) and materializes the
-// column-major value layout plus the equal-score run bounds.
+// layout sorts the alive tuples (every tuple when alive is nil) by
+// ascending attribute-sum score (ties by original index, so the order is
+// deterministic) and materializes the column-major value layout plus the
+// equal-score run ends.
 //
 // Summing left to right is monotone under component-wise ≤, so
 // s ≺AK t implies score(s) ≤ score(t) even with rounding; strictness can
 // be lost to rounding, which is why a tuple's equal-score run is included
 // in its candidate range.
-func (ix *Index) layout() {
+func (ix *Index) layout(alive []bool) {
 	d, n := ix.d, ix.n
 	order := make([]int, 0, n)
 	for t := 0; t < n; t++ {
-		if ix.alive == nil || ix.alive[t] {
+		if alive == nil || alive[t] {
 			order = append(order, t)
 		}
 	}
@@ -197,7 +170,6 @@ func (ix *Index) layout() {
 			cols[j*m+p] = v
 		}
 	}
-	runStart := make([]int, m)
 	runEnd := make([]int, m)
 	for lo := 0; lo < m; {
 		hi := lo + 1
@@ -206,18 +178,11 @@ func (ix *Index) layout() {
 			hi++
 		}
 		for p := lo; p < hi; p++ {
-			runStart[p], runEnd[p] = lo, hi
+			runEnd[p] = hi
 		}
 		lo = hi
 	}
-	ix.m, ix.order, ix.pos, ix.cols = m, order, pos, cols
-	ix.runStart, ix.runEnd = runStart, runEnd
-}
-
-// indexAccum merges the per-shard pair counts of the bitmap kernel.
-type indexAccum struct {
-	mu    sync.Mutex
-	pairs int // skylint:guardedby mu
+	ix.m, ix.order, ix.pos, ix.cols, ix.runEnd = m, order, pos, cols, runEnd
 }
 
 // buildBitmap runs the rank kernel. Per candidate chunk it materializes,
@@ -233,14 +198,14 @@ type indexAccum struct {
 // with a bit-identical known row (and the target itself), so a final
 // pass clears each exact-duplicate group and counts the rows.
 //
-// Two parallel schedules produce the identical bitmap: when there are at
-// least as many chunks as workers, whole chunks are claimed from an
-// atomic counter and processed with per-worker scratch tables (chunks
-// write disjoint word columns of the target rows, so no locks); with few
-// chunks the serial chunk loop shards the target AND loop instead (shards
-// own disjoint target ranges over read-only tables). Either way every
-// output word has exactly one writer, so the result is bit-for-bit
-// identical to the one-worker build.
+// Whole chunks are the unit of parallel work: min(workers, chunks)
+// workers (one below parallelThreshold), the calling goroutine among
+// them, claim chunk indices from an atomic counter and process them with
+// private scratch tables. Claiming is dynamic because a chunk's targets
+// are a suffix that shrinks with the chunk's base, so equal static shares
+// would leave the workers uneven. Chunks write disjoint word columns of
+// the target rows, so every output word has exactly one writer, no lock
+// is taken, and the result is bit-for-bit the one-worker build.
 func (ix *Index) buildBitmap() {
 	m, dims := ix.m, ix.dims
 
@@ -269,57 +234,41 @@ func (ix *Index) buildBitmap() {
 
 	const cw = indexCandChunk >> 6 // words per full chunk
 	nchunks := (m + indexCandChunk - 1) / indexCandChunk
-	workers := workerCount()
-	if workers > 1 && m >= parallelThreshold && nchunks >= workers {
-		// Chunk pool: each worker owns private scratch tables and claims
-		// chunk indices from the counter until they run out.
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				prefix := make([]uint64, dims*(indexCandChunk+1)*cw)
-				rank := make([]int32, dims*m)
-				for {
-					c := int(next.Add(1)) - 1
-					if c >= nchunks {
-						return
-					}
-					ix.buildChunk(c*indexCandChunk, attrOrder, prefix, rank, false)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
+	workers := min(workerCount(), nchunks)
+	if m < parallelThreshold {
+		workers = 1
+	}
+	var next atomic.Int64
+	claim := func() {
 		prefix := make([]uint64, dims*(indexCandChunk+1)*cw)
 		rank := make([]int32, dims*m)
-		for cbase := 0; cbase < m; cbase += indexCandChunk {
-			if !ix.buildChunk(cbase, attrOrder, prefix, rank, true) {
-				break
-			}
+		for c := int(next.Add(1)) - 1; c < nchunks; c = int(next.Add(1)) - 1 {
+			ix.buildChunk(c*indexCandChunk, attrOrder, prefix, rank)
 		}
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			claim()
+		}()
+	}
+	claim()
+	wg.Wait()
 
 	ix.clearDuplicates()
 
-	var acc indexAccum
 	shard(m, func(lo, hi int) {
-		localPairs := 0
 		for p := lo; p < hi; p++ {
 			row := ix.domBy[p]
 			row.Remove(p) // self is a weak dominator only
-			c := row.Count()
-			ix.counts[p] = c
-			localPairs += c
+			ix.counts[p] = row.Count()
 		}
-		acc.mu.Lock()
-		acc.pairs += localPairs
-		acc.mu.Unlock()
 	})
-	acc.mu.Lock()
-	ix.stats.Pairs = acc.pairs
-	acc.mu.Unlock()
+	for _, c := range ix.counts {
+		ix.stats.Pairs += c
+	}
 }
 
 // buildAttrOrder returns the global per-attribute value order: entry j
@@ -347,11 +296,7 @@ func (ix *Index) buildAttrOrder() [][]int32 {
 // prefix/rank scratch tables for every attribute from the global value
 // order attrOrder, then ANDs the selected prefix rows into the word
 // column this chunk owns of every target row.
-// With shardTargets the AND loop fans out across workers (the serial
-// chunk schedule); otherwise the caller is one of several chunk workers
-// and runs it inline. Returns false when the chunk — and, runEnd being
-// nondecreasing, every later one — has no targets.
-func (ix *Index) buildChunk(cbase int, attrOrder [][]int32, prefix []uint64, rank []int32, shardTargets bool) bool {
+func (ix *Index) buildChunk(cbase int, attrOrder [][]int32, prefix []uint64, rank []int32) {
 	m, dims, cols := ix.m, ix.dims, ix.cols
 	const cw = indexCandChunk >> 6
 	cend := cbase + indexCandChunk
@@ -361,10 +306,8 @@ func (ix *Index) buildChunk(cbase int, attrOrder [][]int32, prefix []uint64, ran
 	// A target's candidates stop at its equal-score run, and runEnd is
 	// nondecreasing in position, so the targets of this chunk are the
 	// suffix starting at the first position whose run reaches past cbase.
+	// runEnd[m-1] = m > cbase, so the suffix is never empty.
 	tlo := sort.Search(m, func(p int) bool { return ix.runEnd[p] > cbase })
-	if tlo == m {
-		return false
-	}
 
 	for j := 0; j < dims; j++ {
 		ptab := prefix[j*(indexCandChunk+1)*cw:]
@@ -405,30 +348,19 @@ func (ix *Index) buildChunk(cbase int, attrOrder [][]int32, prefix []uint64, ran
 	}
 
 	wbase := cbase >> 6
-	and := func(lo, hi int) {
-		for pt := tlo + lo; pt < tlo+hi; pt++ {
-			row := ix.domBy[pt]
-			lim := len(row) - wbase
-			if lim > cw {
-				lim = cw
+	for pt := tlo; pt < m; pt++ {
+		row := ix.domBy[pt]
+		lim := min(len(row)-wbase, cw)
+		p0 := prefix[int(rank[pt])*cw:]
+		row = row[wbase : wbase+lim]
+		for w := 0; w < lim; w++ {
+			v := p0[w]
+			for j := 1; j < dims; j++ {
+				v &= prefix[(j*(indexCandChunk+1)+int(rank[j*m+pt]))*cw+w]
 			}
-			p0 := prefix[int(rank[pt])*cw:]
-			row = row[wbase : wbase+lim]
-			for w := 0; w < lim; w++ {
-				v := p0[w]
-				for j := 1; j < dims; j++ {
-					v &= prefix[(j*(indexCandChunk+1)+int(rank[j*m+pt]))*cw+w]
-				}
-				row[w] = v
-			}
+			row[w] = v
 		}
 	}
-	if shardTargets {
-		shard(m-tlo, and)
-	} else {
-		and(0, m-tlo)
-	}
-	return true
 }
 
 // clearDuplicates clears every exact-duplicate pair out of the dominator
@@ -547,23 +479,9 @@ func transpose64(a *[64]uint64) {
 func (ix *Index) Stats() IndexStats { return ix.stats }
 
 // Matches reports whether the index covers exactly this dataset — built
-// over it with no alive restriction — i.e. whether a caller holding d may
+// over it with every tuple alive — i.e. whether a caller holding d may
 // adopt it wholesale.
-func (ix *Index) Matches(d *dataset.Dataset) bool { return ix.d == d && ix.alive == nil }
-
-// DominatingSets returns DS(t) = {s : s ≺AK t} for every tuple, indexed
-// by original tuple index with dominators in ascending index order —
-// bit-for-bit the result of the naive DominatingSets (dead tuples and
-// skyline tuples get nil sets). The first call materializes the sets by
-// transposed counting fill: every set is carved at its exact size from
-// one backing array, so nothing regrows. The result is memoized and
-// shared; callers must not modify it. At Σ|DS(t)| ints it outweighs the
-// bitmap it comes from on dense data, so crowd sessions read the rows
-// through AppendDominators instead.
-func (ix *Index) DominatingSets() [][]int {
-	ix.setsOnce.Do(ix.buildSets)
-	return ix.sets
-}
+func (ix *Index) Matches(d *dataset.Dataset) bool { return ix.d == d && ix.m == ix.n }
 
 // Tuples returns the number of tuples of the indexed dataset, dead ones
 // included: the range of the tuple arguments below.
@@ -623,7 +541,16 @@ func (ix *Index) PendingWord(t, from int, mask bitset.Set) int {
 	return -1
 }
 
-func (ix *Index) buildSets() {
+// DominatingSets returns DS(t) = {s : s ≺AK t} for every tuple, indexed
+// by original tuple index with dominators in ascending index order —
+// bit-for-bit the result of the naive DominatingSets (dead tuples and
+// skyline tuples get nil sets). Every call materializes the sets afresh
+// by transposed counting fill: every set is carved at its exact size
+// from one backing array, so nothing regrows, and the caller owns the
+// result. At Σ|DS(t)| ints it outweighs the bitmap it comes from on
+// dense data, so crowd sessions read the rows through AppendDominators
+// instead.
+func (ix *Index) DominatingSets() [][]int {
 	m, n := ix.m, ix.n
 	total := 0
 	off := make([]int, m+1)
@@ -664,7 +591,7 @@ func (ix *Index) buildSets() {
 			sets[ix.order[p]] = backing[off[p]:off[p+1]:off[p+1]]
 		}
 	}
-	ix.sets = sets
+	return sets
 }
 
 // ImmediateDominators returns c(t) for every tuple: the members of DS(t)

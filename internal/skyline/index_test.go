@@ -141,9 +141,6 @@ func checkIndexAgainstNaive(t *testing.T, d *dataset.Dataset) {
 			t.Fatalf("DominatingSets: nil-ness mismatch at tuple %d", tt)
 		}
 	}
-	if &gotSets[0] != &ix.DominatingSets()[0] {
-		t.Fatalf("DominatingSets not memoized")
-	}
 
 	wantIm := ImmediateDominators(d, wantSets)
 	if gotIm := ix.ImmediateDominators(); !reflect.DeepEqual(gotIm, wantIm) {
@@ -166,7 +163,7 @@ func checkIndexAgainstNaive(t *testing.T, d *dataset.Dataset) {
 	for _, s := range wantSets {
 		pairs += len(s)
 	}
-	if st.Pairs != pairs || st.N != n || st.Dims != d.KnownDims() || st.BitmapBytes <= 0 {
+	if st.Pairs != pairs || st.N != n || st.BitmapBytes <= 0 {
 		t.Fatalf("Stats %+v inconsistent (want pairs %d, n %d)", st, pairs, n)
 	}
 	if !ix.Matches(d) || ix.Matches(randData(99, 4, 2, 0, dataset.Independent)) {
@@ -264,15 +261,17 @@ func TestIndexAliveAllTrueMatchesUnrestricted(t *testing.T) {
 	}
 }
 
-// TestIndexParallelPath forces the sharded kernels on a small dataset so
-// the race detector sees the concurrent tile writes, transpose blocks and
-// derivation shards.
+// TestIndexParallelPath forces the sharded kernels at two workers so the
+// race detector sees the concurrent chunk writes, transpose blocks and
+// derivation shards: the datasets span two candidate chunks, so both
+// chunk workers claim one.
 func TestIndexParallelPath(t *testing.T) {
 	old := parallelThreshold
 	parallelThreshold = 1
-	t.Cleanup(func() { parallelThreshold = old })
+	prev := setMaxWorkers(2)
+	t.Cleanup(func() { parallelThreshold = old; setMaxWorkers(prev) })
 	for _, dist := range []dataset.Distribution{dataset.Independent, dataset.AntiCorrelated} {
-		checkIndexAgainstNaive(t, randData(41+int64(dist), 130, 3, 2, dist))
+		checkIndexAgainstNaive(t, randData(41+int64(dist), indexCandChunk+130, 3, 2, dist))
 	}
 }
 
@@ -399,10 +398,11 @@ func requireBitIdentical(t *testing.T, ref, got *Index, workers int) {
 }
 
 // TestIndexWorkerCountDeterminism builds the same datasets at 1, 2, 3, 4
-// and 8 workers with the fan-out threshold floored, covering both
-// parallel schedules (chunk pool when chunks outnumber workers, sharded
-// target loop otherwise), and requires every build to be bit-for-bit the
-// one-worker result.
+// and 8 workers with the fan-out threshold floored, and requires every
+// build to be bit-for-bit the one-worker result. The build runs
+// min(workers, chunks) chunk workers, so counts above the chunk count
+// clamp: the one-chunk shapes build on one worker throughout, and the
+// three-chunk shape runs two and three chunk workers.
 func TestIndexWorkerCountDeterminism(t *testing.T) {
 	oldT := parallelThreshold
 	parallelThreshold = 1
@@ -414,8 +414,8 @@ func TestIndexWorkerCountDeterminism(t *testing.T) {
 		"tiny": randData(75, 3, 2, 0, dataset.Independent),
 	}
 	if !testing.Short() {
-		// Three candidate chunks: workers 2 and 3 take the chunk pool,
-		// 4 and 8 fall back to the sharded target loop.
+		// Three candidate chunks: workers 2 and 3 run that many chunk
+		// workers, 4 and 8 clamp to three.
 		shapes["multi-chunk"] = randData(74, 2*indexCandChunk+100, 3, 0, dataset.AntiCorrelated)
 	}
 	for name, d := range shapes {
