@@ -95,34 +95,21 @@ func TestMarketplaceLifecycle(t *testing.T) {
 	// slots of one question.
 	for w := 0; w < 3; w++ {
 		worker := string(rune('a' + w))
-		resp, err := http.Get(ts.URL + "/api/work?worker=" + worker)
-		if err != nil {
-			t.Fatal(err)
+		job, ok := getWork(t, ts.URL, worker)
+		if !ok {
+			t.Fatalf("worker %s got no work", worker)
 		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("worker %s got %s", worker, resp.Status)
-		}
-		job := decode[workItem](t, resp)
 		// The same worker asking again gets nothing (single question).
-		again, err := http.Get(ts.URL + "/api/work?worker=" + worker)
-		if err != nil {
-			t.Fatal(err)
+		if _, again := getWork(t, ts.URL, worker); again {
+			t.Fatalf("worker %s given a second slot of the same question", worker)
 		}
-		if again.StatusCode != http.StatusNoContent {
-			t.Fatalf("worker %s given a second slot of the same question: %s", worker, again.Status)
-		}
-		again.Body.Close()
 		pref := "first"
 		if w == 2 {
 			pref = "second" // minority vote
 		}
-		resp = postJSON(t, ts.URL+"/api/answers", map[string]any{
-			"assignment_id": job.AssignmentID, "worker": worker, "pref": pref,
-		})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("answer: %s", resp.Status)
+		if !answerOne(t, ts.URL, worker, job.AssignmentID, pref) {
+			t.Fatalf("worker %s: answer rejected", worker)
 		}
-		resp.Body.Close()
 	}
 
 	resp, err = http.Get(ts.URL + "/api/rounds/" + itoa64(id))
@@ -166,41 +153,25 @@ func TestLeaseExpiry(t *testing.T) {
 	})
 	resp.Body.Close()
 
-	resp, err := http.Get(ts.URL + "/api/work?worker=slacker")
-	if err != nil {
-		t.Fatal(err)
-	}
-	job := decode[workItem](t, resp)
+	job, _ := getWork(t, ts.URL, "slacker")
 	time.Sleep(5 * time.Millisecond)
 
 	// Another worker gets the requeued assignment.
-	resp, err = http.Get(ts.URL + "/api/work?worker=diligent")
-	if err != nil {
-		t.Fatal(err)
+	job2, ok := getWork(t, ts.URL, "diligent")
+	if !ok {
+		t.Fatal("requeued assignment not handed out")
 	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("requeued assignment not handed out: %s", resp.Status)
-	}
-	job2 := decode[workItem](t, resp)
 	if job2.A != job.A || job2.B != job.B {
 		t.Errorf("different question after requeue")
 	}
 	// The slacker's late answer is rejected.
-	resp = postJSON(t, ts.URL+"/api/answers", map[string]any{
-		"assignment_id": job.AssignmentID, "worker": "slacker", "pref": "first",
-	})
-	if resp.StatusCode == http.StatusOK {
+	if answerOne(t, ts.URL, "slacker", job.AssignmentID, "first") {
 		t.Errorf("expired lease accepted an answer")
 	}
-	resp.Body.Close()
 	// The diligent worker's answer lands.
-	resp = postJSON(t, ts.URL+"/api/answers", map[string]any{
-		"assignment_id": job2.AssignmentID, "worker": "diligent", "pref": "second",
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("valid answer rejected: %s", resp.Status)
+	if !answerOne(t, ts.URL, "diligent", job2.AssignmentID, "second") {
+		t.Errorf("valid answer rejected")
 	}
-	resp.Body.Close()
 }
 
 func TestServerValidation(t *testing.T) {
@@ -230,21 +201,15 @@ func TestServerValidation(t *testing.T) {
 	}
 	r.Body.Close()
 	// Bad preference.
-	resp = postJSON(t, ts.URL+"/api/answers", map[string]any{
-		"assignment_id": 1, "worker": "w", "pref": "maybe",
-	})
+	resp = postJSON(t, ts.URL+"/api/answers", answerRequest{Worker: "w", Judgments: []judgmentJSON{{1, "maybe"}}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad pref: %s", resp.Status)
 	}
 	resp.Body.Close()
 	// Answer to an unleased assignment.
-	resp = postJSON(t, ts.URL+"/api/answers", map[string]any{
-		"assignment_id": 42, "worker": "w", "pref": "first",
-	})
-	if resp.StatusCode != http.StatusConflict {
-		t.Errorf("unleased answer: %s", resp.Status)
+	if answerOne(t, ts.URL, "w", 42, "first") {
+		t.Errorf("unleased answer accepted")
 	}
-	resp.Body.Close()
 }
 
 // TestEndToEndSkylineOverHTTP is the flagship integration test: the full
@@ -332,10 +297,10 @@ func TestClientEmptyAsk(t *testing.T) {
 	}
 }
 
-// TestPostRoundWorkersValidated: a round asking for a negative worker
-// count, or for more than MaxWorkersPerQuestion, is a 400 that opens no
-// assignment, even when its other questions are valid; an absent or zero
-// count opens one.
+// TestPostRoundWorkersValidated: a round asking for a negative or even
+// worker count, or for more than MaxWorkersPerQuestion, is a 400 that
+// opens no assignment, even when its other questions are valid; an absent
+// or zero count opens one.
 func TestPostRoundWorkersValidated(t *testing.T) {
 	_, ts := newTestServer(t)
 	open := func() int {
@@ -358,7 +323,7 @@ func TestPostRoundWorkersValidated(t *testing.T) {
 	if got := open(); got != 2 {
 		t.Fatalf("open = %d after two one-worker questions; want 2", got)
 	}
-	for _, workers := range []int{-2, -1, MaxWorkersPerQuestion + 1, 1 << 40} {
+	for _, workers := range []int{-2, -1, 2, 4, MaxWorkersPerQuestion - 1, MaxWorkersPerQuestion + 1, 1 << 40} {
 		resp := postJSON(t, ts.URL+"/api/rounds", map[string]any{
 			"questions": []map[string]int{{"a": 4, "b": 5, "workers": 1}, {"a": 0, "b": 1, "workers": workers}},
 		})
@@ -405,15 +370,8 @@ func TestStatsEndpointShape(t *testing.T) {
 	resp.Body.Close()
 	time.Sleep(5 * time.Millisecond)
 	for i := 0; i < 2; i++ {
-		resp, err = http.Get(ts.URL + "/api/work?worker=diligent")
-		if err != nil {
-			t.Fatal(err)
-		}
-		job := decode[workItem](t, resp)
-		resp = postJSON(t, ts.URL+"/api/answers", map[string]any{
-			"assignment_id": job.AssignmentID, "worker": "diligent", "pref": "first",
-		})
-		resp.Body.Close()
+		job, _ := getWork(t, ts.URL, "diligent")
+		answerOne(t, ts.URL, "diligent", job.AssignmentID, "first")
 	}
 
 	resp, err = http.Get(ts.URL + "/api/stats")
@@ -449,17 +407,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"questions": []QuestionJSON{{A: 0, B: 1, Attr: 0, Workers: 1}},
 	})
 	resp.Body.Close()
-	resp, err := http.Get(ts.URL + "/api/work?worker=w1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	job := decode[workItem](t, resp)
-	resp = postJSON(t, ts.URL+"/api/answers", map[string]any{
-		"assignment_id": job.AssignmentID, "worker": "w1", "pref": "first",
-	})
-	resp.Body.Close()
+	job, _ := getWork(t, ts.URL, "w1")
+	answerOne(t, ts.URL, "w1", job.AssignmentID, "first")
 
-	resp, err = http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,9 +472,7 @@ func TestMetricFamiliesMatchSchema(t *testing.T) {
 	if !ok {
 		t.Fatal("no work for the posted round")
 	}
-	postJSON(t, ts.URL+"/api/answers", map[string]any{
-		"assignment_id": job.AssignmentID, "worker": "w1", "pref": "first",
-	}).Body.Close()
+	answerOne(t, ts.URL, "w1", job.AssignmentID, "first")
 	if got := <-asked; len(got) != 1 {
 		t.Fatalf("Ask returned %d answers, want 1", len(got))
 	}
@@ -614,17 +563,17 @@ func TestStatsDuringWork(t *testing.T) {
 	}()
 	var qs []QuestionJSON
 	for i := 0; i < 60; i++ {
-		qs = append(qs, QuestionJSON{A: i, B: i + 1, Workers: 2})
+		qs = append(qs, QuestionJSON{A: i, B: i + 1, Workers: 3})
 	}
 	postJSON(t, ts.URL+"/api/rounds", map[string]any{"questions": qs}).Body.Close()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		st := serverStats(t, ts.URL)
-		if st.Judgments == 2*len(qs) {
+		if st.Judgments == 3*len(qs) {
 			break
 		}
-		if st.Judgments > 2*len(qs) || time.Now().After(deadline) {
-			t.Fatalf("judgments = %d, want %d", st.Judgments, 2*len(qs))
+		if st.Judgments > 3*len(qs) || time.Now().After(deadline) {
+			t.Fatalf("judgments = %d, want %d", st.Judgments, 3*len(qs))
 		}
 	}
 }
@@ -652,19 +601,8 @@ func TestPersistRequeuesAndPerWorker(t *testing.T) {
 	}
 }
 
-// answerReq posts one judgment and returns the status and, on a 200, the
-// decoded acknowledgement.
-func answerReq(t *testing.T, baseURL string, id int64, worker, pref string, next bool) (int, answerAck) {
-	t.Helper()
-	resp := postJSON(t, baseURL+"/api/answers", answerRequest{AssignmentID: id, Worker: worker, Pref: pref, Next: next})
-	if resp.StatusCode != http.StatusOK {
-		resp.Body.Close()
-		return resp.StatusCode, answerAck{}
-	}
-	return resp.StatusCode, decode[answerAck](t, resp)
-}
-
-// getWork polls GET /api/work; ok is false on a 204.
+// getWork leases one assignment through GET /api/work; ok is false on a
+// 204.
 func getWork(t testing.TB, baseURL, worker string) (workItem, bool) {
 	t.Helper()
 	resp, err := http.Get(baseURL + "/api/work?worker=" + worker)
@@ -679,7 +617,23 @@ func getWork(t testing.TB, baseURL, worker string) (workItem, bool) {
 		resp.Body.Close()
 		t.Fatalf("GET /api/work: %s", resp.Status)
 	}
-	return decode[workItem](t, resp), true
+	leases := decode[leaseBatch](t, resp).Leases
+	if len(leases) != 1 {
+		t.Fatalf("GET /api/work without max leased %d assignments, want 1", len(leases))
+	}
+	return leases[0], true
+}
+
+// answerOne posts a one-judgment answer and reports whether the judgment
+// was accepted.
+func answerOne(t testing.TB, baseURL, worker string, id int64, pref string) bool {
+	t.Helper()
+	resp := postJSON(t, baseURL+"/api/answers", answerRequest{Worker: worker, Judgments: []judgmentJSON{{id, pref}}})
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		t.Fatalf("POST /api/answers: %s", resp.Status)
+	}
+	return decode[answerAck](t, resp).Accepted[0]
 }
 
 // queueState is the open queue's assignment ids in order plus the number
@@ -691,199 +645,6 @@ func queueState(srv *Server) (ids []int64, leased int) {
 		ids = append(ids, a.id)
 	}
 	return ids, len(srv.leased)
-}
-
-// protocolRounds are two rounds mixing single- and multi-worker questions.
-var protocolRounds = [][]QuestionJSON{
-	{{A: 0, B: 1, Workers: 2}, {A: 2, B: 3, Attr: 1, Workers: 1}, {A: 4, B: 5, Workers: 3}},
-	{{A: 6, B: 7, Workers: 1}, {A: 0, B: 2, Attr: 1, Workers: 2}},
-}
-
-// TestAnswerNextMatchesFetch: two workers taking turns receive the same
-// assignments in the same order whether each answer asks for "next" or
-// is followed by its own GET /api/work.
-func TestAnswerNextMatchesFetch(t *testing.T) {
-	type lease struct {
-		worker string
-		job    workItem
-	}
-	run := func(next bool) []lease {
-		_, ts := newTestServer(t)
-		for _, qs := range protocolRounds {
-			postJSON(t, ts.URL+"/api/rounds", map[string]any{"questions": qs}).Body.Close()
-		}
-		workers := []string{"w1", "w2"}
-		held := map[string]workItem{}
-		var got []lease
-		for _, w := range workers {
-			if job, ok := getWork(t, ts.URL, w); ok {
-				held[w] = job
-				got = append(got, lease{w, job})
-			}
-		}
-		for len(held) > 0 {
-			for _, w := range workers {
-				job, ok := held[w]
-				if !ok {
-					continue
-				}
-				delete(held, w)
-				status, ack := answerReq(t, ts.URL, job.AssignmentID, w, "first", next)
-				if status != http.StatusOK {
-					t.Fatalf("answer: %d", status)
-				}
-				if next {
-					if ack.Next != nil {
-						held[w] = *ack.Next
-					}
-				} else if job, ok := getWork(t, ts.URL, w); ok {
-					held[w] = job
-				}
-				if job, ok := held[w]; ok {
-					got = append(got, lease{w, job})
-				}
-			}
-		}
-		return got
-	}
-	fetched, chained := run(false), run(true)
-	// Nine slots, less the three-worker question's third, which neither
-	// worker may take.
-	if len(fetched) != 8 {
-		t.Fatalf("fetch+answer leased %d assignments, want 8: %v", len(fetched), fetched)
-	}
-	if !slices.Equal(fetched, chained) {
-		t.Errorf("answer+next leases differ from fetch+answer:\n got %v\nwant %v", chained, fetched)
-	}
-}
-
-// TestRejectedAnswerLeasesNothing: a 400, 403 or 409 answer asking for
-// "next" leaves the queue and the leases exactly as they were.
-func TestRejectedAnswerLeasesNothing(t *testing.T) {
-	srv, ts := newTestServer(t)
-	postJSON(t, ts.URL+"/api/rounds", map[string]any{"questions": protocolRounds[0]}).Body.Close()
-	job, ok := getWork(t, ts.URL, "w1")
-	if !ok {
-		t.Fatal("no work")
-	}
-	wantQueue, wantLeased := queueState(srv)
-	for _, c := range []struct {
-		name   string
-		id     int64
-		worker string
-		pref   string
-		status int
-	}{
-		{"bad preference", job.AssignmentID, "w1", "maybe", http.StatusBadRequest},
-		{"bad worker id", job.AssignmentID, "w 1", "first", http.StatusBadRequest},
-		{"another worker's lease", job.AssignmentID, "w2", "first", http.StatusForbidden},
-		{"unleased assignment", 999, "w2", "first", http.StatusConflict},
-	} {
-		resp := postJSON(t, ts.URL+"/api/answers", answerRequest{AssignmentID: c.id, Worker: c.worker, Pref: c.pref, Next: true})
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != c.status {
-			t.Errorf("%s: status %d, want %d", c.name, resp.StatusCode, c.status)
-		}
-		if strings.Contains(string(body), `"next"`) {
-			t.Errorf("%s: rejected answer carried a lease: %s", c.name, body)
-		}
-		if q, l := queueState(srv); !slices.Equal(q, wantQueue) || l != wantLeased {
-			t.Errorf("%s: queue %v with %d leases, want %v with %d", c.name, q, l, wantQueue, wantLeased)
-		}
-	}
-	// The same judgment answered twice: the second is a 409 and leases
-	// nothing either.
-	if status, _ := answerReq(t, ts.URL, job.AssignmentID, "w1", "first", true); status != http.StatusOK {
-		t.Fatalf("valid answer: %d", status)
-	}
-	wantQueue, wantLeased = queueState(srv)
-	if status, _ := answerReq(t, ts.URL, job.AssignmentID, "w1", "first", true); status != http.StatusConflict {
-		t.Errorf("duplicate answer: status %d, want 409", status)
-	}
-	if q, l := queueState(srv); !slices.Equal(q, wantQueue) || l != wantLeased {
-		t.Errorf("duplicate answer: queue %v with %d leases, want %v with %d", q, l, wantQueue, wantLeased)
-	}
-}
-
-// TestAnswerNextSkipsVotedQuestion: on a three-worker question, "next"
-// never hands a worker a second slot of a question it already voted on.
-func TestAnswerNextSkipsVotedQuestion(t *testing.T) {
-	_, ts := newTestServer(t)
-	postJSON(t, ts.URL+"/api/rounds", map[string]any{"questions": []QuestionJSON{
-		{A: 0, B: 1, Workers: 3}, {A: 2, B: 3, Workers: 3},
-	}}).Body.Close()
-	for _, w := range []string{"w1", "w2", "w3"} {
-		job, ok := getWork(t, ts.URL, w)
-		seen := map[[2]int]bool{}
-		for ok {
-			q := [2]int{job.A, job.B}
-			if seen[q] {
-				t.Fatalf("%s leased a second slot of question %v", w, q)
-			}
-			seen[q] = true
-			var ack answerAck
-			if _, ack = answerReq(t, ts.URL, job.AssignmentID, w, "first", true); ack.Next != nil {
-				job = *ack.Next
-			}
-			ok = ack.Next != nil
-		}
-		if len(seen) != 2 {
-			t.Errorf("%s answered %d questions, want 2", w, len(seen))
-		}
-	}
-	if _, ok := getWork(t, ts.URL, "w4"); ok {
-		t.Error("work left after three workers answered every slot")
-	}
-}
-
-// TestAnswerWithoutNextReplyUnchanged: an answer that does not ask for
-// "next" gets the plain acknowledgement, so existing worker UIs keep
-// working.
-func TestAnswerWithoutNextReplyUnchanged(t *testing.T) {
-	_, ts := newTestServer(t)
-	postJSON(t, ts.URL+"/api/rounds", map[string]any{"questions": protocolRounds[0]}).Body.Close()
-	job, _ := getWork(t, ts.URL, "w1")
-	resp := postJSON(t, ts.URL+"/api/answers", map[string]any{
-		"assignment_id": job.AssignmentID, "worker": "w1", "pref": "first",
-	})
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || strings.TrimSpace(string(body)) != `{"ok":true}` {
-		t.Errorf("answer without next: %s %q, want 200 {\"ok\":true}", resp.Status, body)
-	}
-}
-
-// TestLostAnswerNextReplyRequeues: when the reply to an answer+next is
-// lost, the judgment still counts once and the lease it carried lapses
-// back into the queue for another worker.
-func TestLostAnswerNextReplyRequeues(t *testing.T) {
-	srv, ts := newTestServer(t)
-	srv.SetLease(time.Millisecond)
-	postJSON(t, ts.URL+"/api/rounds", map[string]any{"questions": []QuestionJSON{
-		{A: 0, B: 1, Workers: 1}, {A: 2, B: 3, Workers: 1},
-	}}).Body.Close()
-	first, _ := getWork(t, ts.URL, "w1")
-	// Pretend this reply never arrives: the worker does not learn the
-	// lease it carries and resubmits its judgment.
-	status, ack := answerReq(t, ts.URL, first.AssignmentID, "w1", "first", true)
-	if status != http.StatusOK || ack.Next == nil {
-		t.Fatalf("answer+next: %d %+v", status, ack)
-	}
-	stranded := *ack.Next
-	if status, _ := answerReq(t, ts.URL, first.AssignmentID, "w1", "first", true); status != http.StatusConflict {
-		t.Errorf("resubmitted judgment: status %d, want 409", status)
-	}
-	time.Sleep(5 * time.Millisecond)
-	if got, ok := getWork(t, ts.URL, "w2"); !ok || got != stranded {
-		t.Errorf("stranded lease not requeued: got %+v (%v), want %+v", got, ok, stranded)
-	}
-	if st := serverStats(t, ts.URL); st.Judgments != 1 {
-		t.Errorf("judgments = %d, want 1", st.Judgments)
-	}
 }
 
 // exchangeCounter counts the requests a handler served, keyed both by

@@ -16,8 +16,8 @@ import (
 
 // Multi-lease contract: a worker exchange carries up to one HIT
 // (crowd.QuestionsPerHIT) of leases and judgments, and behaves exactly as
-// that many single exchanges would. These tests serve requests in process
-// through Server.Handler, without sockets.
+// that many one-lease, one-judgment exchanges would. These tests serve
+// requests in process through Server.Handler, without sockets.
 
 // newClockedServer returns a server whose lease clock the test sets.
 // Requests are served in process on the test's goroutine, so the clock
@@ -94,17 +94,22 @@ func judge(jobs []workItem) []judgmentJSON {
 	return out
 }
 
-// hitRounds are protocolRounds plus a round of single-worker questions,
-// so a worker's HITs span several exchanges.
-var hitRounds = append(slices.Clone(protocolRounds), []QuestionJSON{
-	{A: 10, B: 11, Workers: 1}, {A: 12, B: 13, Workers: 1}, {A: 14, B: 15, Workers: 1},
-	{A: 16, B: 17, Workers: 1}, {A: 18, B: 19, Workers: 1}, {A: 20, B: 21, Workers: 1},
-})
+// hitRounds are two rounds mixing single- and three-worker questions, then
+// a round of single-worker questions, so a worker's HITs span several
+// exchanges.
+var hitRounds = [][]QuestionJSON{
+	{{A: 0, B: 1, Workers: 3}, {A: 2, B: 3, Attr: 1, Workers: 1}, {A: 4, B: 5, Workers: 3}},
+	{{A: 6, B: 7, Workers: 1}, {A: 0, B: 2, Attr: 1, Workers: 3}},
+	{
+		{A: 10, B: 11, Workers: 1}, {A: 12, B: 13, Workers: 1}, {A: 14, B: 15, Workers: 1},
+		{A: 16, B: 17, Workers: 1}, {A: 18, B: 19, Workers: 1}, {A: 20, B: 21, Workers: 1},
+	},
+}
 
 // TestMultiLeaseMatchesSingleLeases: two workers taking turns receive the
 // same assignments in the same order whether each HIT is leased with one
-// max=5 request (GET /api/work, then batched answers) or with five single
-// GET /api/work requests after single answers.
+// max=5 request (GET /api/work, then five-judgment answers) or with five
+// max=1 GET /api/work requests after one-judgment answers.
 func TestMultiLeaseMatchesSingleLeases(t *testing.T) {
 	type lease struct {
 		worker string
@@ -127,11 +132,11 @@ func TestMultiLeaseMatchesSingleLeases(t *testing.T) {
 		singles := func(w string) []workItem {
 			var jobs []workItem
 			for len(jobs) < crowd.QuestionsPerHIT {
-				job, ok := getWorkIn(t, h, w)
-				if !ok {
+				job := leaseHIT(t, h, w, 1)
+				if len(job) == 0 {
 					break
 				}
-				jobs = append(jobs, job)
+				jobs = append(jobs, job...)
 			}
 			return jobs
 		}
@@ -159,9 +164,8 @@ func TestMultiLeaseMatchesSingleLeases(t *testing.T) {
 					continue
 				}
 				for _, j := range jobs {
-					rec := serve(h, http.MethodPost, "/api/answers", answerRequest{AssignmentID: j.AssignmentID, Worker: w, Pref: "first"})
-					if rec.Code != http.StatusOK {
-						t.Fatalf("single answer: %d", rec.Code)
+					if ack := answerHIT(t, h, w, judge([]workItem{j}), 0); !ack.Accepted[0] || len(ack.Leases) != 0 {
+						t.Fatalf("%s: one-judgment answer: %+v", w, ack)
 					}
 				}
 				take(w, singles(w))
@@ -170,28 +174,14 @@ func TestMultiLeaseMatchesSingleLeases(t *testing.T) {
 		return got
 	}
 	singly, batched := run(false), run(true)
-	// Fifteen slots, less the three-worker question's third, which
-	// neither worker may take.
+	// Seventeen slots, less the third slot of each three-worker question,
+	// which neither worker may take.
 	if len(singly) != 14 {
-		t.Fatalf("single leases granted %d assignments, want 14: %v", len(singly), singly)
+		t.Fatalf("max=1 leases granted %d assignments, want 14: %v", len(singly), singly)
 	}
 	if !slices.Equal(singly, batched) {
-		t.Errorf("max=5 leases differ from five single leases:\n got %v\nwant %v", batched, singly)
+		t.Errorf("max=5 leases differ from five max=1 leases:\n got %v\nwant %v", batched, singly)
 	}
-}
-
-// getWorkIn is getWork served in process: one legacy GET /api/work.
-func getWorkIn(t testing.TB, h http.Handler, worker string) (workItem, bool) {
-	t.Helper()
-	rec := serve(h, http.MethodGet, "/api/work?worker="+worker, nil)
-	if rec.Code == http.StatusNoContent {
-		return workItem{}, false
-	}
-	var job workItem
-	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &job) != nil {
-		t.Fatalf("GET /api/work: %d %s", rec.Code, rec.Body)
-	}
-	return job, true
 }
 
 // TestMultiLeaseSkipsVotedQuestion: on three-worker questions, one
@@ -288,8 +278,10 @@ func serverStatsIn(t testing.TB, h http.Handler) statsResp {
 }
 
 // TestHITLimitsRejected: max outside 1–5, more than five judgments, an
-// empty batch and a body mixing the single and batched forms each get a
-// 400 and leave the queue and the leases as they were.
+// empty batch, a bad preference or worker id, and any body besides
+// {worker, judgments, max} (the retired single-judgment and "next" forms
+// included) each get a 400 and leave the queue, the leases and the
+// judgment count as they were.
 func TestHITLimitsRejected(t *testing.T) {
 	srv := NewServer()
 	h := srv.Handler()
@@ -297,6 +289,7 @@ func TestHITLimitsRejected(t *testing.T) {
 	hit := leaseHIT(t, h, "w1", 2)
 	wantQueue, wantLeased := queueState(srv)
 	six := judge(append(slices.Clone(hit), hit[0], hit[1], hit[0], hit[1]))
+	id := hit[0].AssignmentID
 	for _, c := range []struct {
 		name   string
 		method string
@@ -312,10 +305,13 @@ func TestHITLimitsRejected(t *testing.T) {
 		{"no judgments", http.MethodPost, "/api/answers", map[string]any{"worker": "w1", "judgments": []judgmentJSON{}, "max": 5}},
 		{"batch max=6", http.MethodPost, "/api/answers", answerRequest{Worker: "w1", Judgments: judge(hit), Max: 6}},
 		{"batch max=-1", http.MethodPost, "/api/answers", answerRequest{Worker: "w1", Judgments: judge(hit), Max: -1}},
-		{"single with max", http.MethodPost, "/api/answers", answerRequest{AssignmentID: hit[0].AssignmentID, Worker: "w1", Pref: "first", Max: 5}},
-		{"both forms", http.MethodPost, "/api/answers", answerRequest{AssignmentID: hit[0].AssignmentID, Worker: "w1", Pref: "first", Judgments: judge(hit[1:])}},
-		{"batch with next", http.MethodPost, "/api/answers", answerRequest{Worker: "w1", Judgments: judge(hit), Next: true}},
-		{"bad preference in a batch", http.MethodPost, "/api/answers", answerRequest{Worker: "w1", Judgments: []judgmentJSON{{hit[0].AssignmentID, "first"}, {hit[1].AssignmentID, "maybe"}}}},
+		{"bad preference in a batch", http.MethodPost, "/api/answers", answerRequest{Worker: "w1", Judgments: []judgmentJSON{{id, "first"}, {hit[1].AssignmentID, "maybe"}}}},
+		{"bad worker id", http.MethodPost, "/api/answers", answerRequest{Worker: "w 1", Judgments: judge(hit), Max: 5}},
+		{"single body", http.MethodPost, "/api/answers", map[string]any{"assignment_id": id, "worker": "w1", "pref": "first"}},
+		{"next body", http.MethodPost, "/api/answers", map[string]any{"assignment_id": id, "worker": "w1", "pref": "first", "next": true}},
+		{"single body with max", http.MethodPost, "/api/answers", map[string]any{"assignment_id": id, "worker": "w1", "pref": "first", "max": 5}},
+		{"batch beside a single judgment", http.MethodPost, "/api/answers", map[string]any{"assignment_id": id, "worker": "w1", "pref": "first", "judgments": judge(hit[1:])}},
+		{"batch with next", http.MethodPost, "/api/answers", map[string]any{"worker": "w1", "judgments": judge(hit), "next": true}},
 	} {
 		if rec := serve(h, c.method, c.target, c.body); rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", c.name, rec.Code)
@@ -323,9 +319,9 @@ func TestHITLimitsRejected(t *testing.T) {
 		if q, l := queueState(srv); !slices.Equal(q, wantQueue) || l != wantLeased {
 			t.Errorf("%s: queue %v with %d leases, want %v with %d", c.name, q, l, wantQueue, wantLeased)
 		}
-	}
-	if st := serverStatsIn(t, h); st.Judgments != 0 {
-		t.Errorf("rejected requests recorded %d judgments", st.Judgments)
+		if st := serverStatsIn(t, h); st.Judgments != 0 {
+			t.Errorf("%s: recorded %d judgments", c.name, st.Judgments)
+		}
 	}
 }
 
@@ -394,12 +390,12 @@ func TestLapsedLeasesRequeueInIDOrder(t *testing.T) {
 }
 
 // FuzzWorkerProtocol drives the worker side of the marketplace in process
-// with one to three workers: random sequences of single and multi-leases,
-// single and batched answers (repeats, foreign ids and lapsed leases
-// included), round posts and clock jumps past the lease. Whatever the
-// sequence, no request gets a 5xx, no assignment counts twice, no round's
-// remaining goes negative, and no worker holds or votes on two slots of
-// one question.
+// with one to three workers: random sequences of leases (max absent, 1–5
+// or out of range), answers of one to six judgments (repeats, foreign ids
+// and lapsed leases included), round posts and clock jumps past the
+// lease. Whatever the sequence, no request gets a 5xx, no assignment
+// counts twice, no round's remaining goes negative, and no worker holds or
+// votes on two slots of one question.
 func FuzzWorkerProtocol(f *testing.F) {
 	f.Add([]byte{1, 0, 2, 0, 1, 5, 0, 3, 3, 0, 0, 0, 5, 1, 1, 1, 3, 2, 3, 1, 0, 5})
 	f.Add([]byte{2, 3, 2, 1, 1, 5, 1, 1, 5, 0, 4, 1, 0, 3, 4, 1, 1, 2, 0, 3, 2, 2, 5, 2, 3, 4, 0, 1, 1, 5})
@@ -432,7 +428,7 @@ func FuzzWorkerProtocol(f *testing.F) {
 		postQuestions := func() {
 			qs := make([]QuestionJSON, 1+next()%4)
 			for i := range qs {
-				qs[i] = QuestionJSON{A: 2 * pairs, B: 2*pairs + 1, Attr: pairs % 2, Workers: 1 + next()%3}
+				qs[i] = QuestionJSON{A: 2 * pairs, B: 2*pairs + 1, Attr: pairs % 2, Workers: 1 + 2*(next()%2)}
 				pairs++
 			}
 			postRound(t, h, qs)
@@ -489,50 +485,28 @@ func FuzzWorkerProtocol(f *testing.F) {
 			w := next() % workers
 			worker := fmt.Sprintf("w%d", w)
 			var rec *httptest.ResponseRecorder
-			switch next() % 6 {
+			switch next() % 5 {
 			case 0:
 				postQuestions()
 			case 1:
-				// max 1–5, the single form, or an out-of-range max.
-				switch k := next() % 8; k {
-				case 0:
-					rec = serve(h, http.MethodGet, "/api/work?worker="+worker, nil)
-					if rec.Code == http.StatusOK {
-						var job workItem
-						if err := json.Unmarshal(rec.Body.Bytes(), &job); err != nil {
-							t.Fatal(err)
-						}
-						leased(w, worker, []workItem{job})
-					}
-				default:
-					rec = serve(h, http.MethodGet, fmt.Sprintf("/api/work?worker=%s&max=%d", worker, k%7), nil)
-					if rec.Code == http.StatusOK {
-						var batch leaseBatch
-						if err := json.Unmarshal(rec.Body.Bytes(), &batch); err != nil {
-							t.Fatal(err)
-						}
-						if len(batch.Leases) > k {
-							t.Fatalf("max=%d leased %d", k, len(batch.Leases))
-						}
-						leased(w, worker, batch.Leases)
-					}
+				// max absent (one lease), 1–5, or out of range.
+				target, limit := "/api/work?worker="+worker, 1
+				if k := next() % 8; k > 0 {
+					limit = k % 7
+					target += fmt.Sprintf("&max=%d", limit)
 				}
-			case 2:
-				id := pick(w)
-				rec = serve(h, http.MethodPost, "/api/answers", answerRequest{
-					AssignmentID: id, Worker: worker, Pref: prefs[next()%3], Next: next()%2 == 0,
-				})
+				rec = serve(h, http.MethodGet, target, nil)
 				if rec.Code == http.StatusOK {
-					accepted(worker, id)
-					var ack answerAck
-					if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil {
+					var batch leaseBatch
+					if err := json.Unmarshal(rec.Body.Bytes(), &batch); err != nil {
 						t.Fatal(err)
 					}
-					if ack.Next != nil {
-						leased(w, worker, []workItem{*ack.Next})
+					if len(batch.Leases) > limit {
+						t.Fatalf("%s leased %d", target, len(batch.Leases))
 					}
+					leased(w, worker, batch.Leases)
 				}
-			case 3:
+			case 2:
 				judgments := make([]judgmentJSON, 1+next()%6)
 				for i := range judgments {
 					judgments[i] = judgmentJSON{AssignmentID: pick(w), Pref: prefs[next()%3]}
@@ -554,13 +528,13 @@ func FuzzWorkerProtocol(f *testing.F) {
 					}
 					leased(w, worker, ack.Leases)
 				}
-			case 4:
+			case 3:
 				if next()%2 == 0 {
 					*clock = clock.Add(DefaultLease + time.Second)
 				} else {
 					*clock = clock.Add(time.Second)
 				}
-			case 5:
+			case 4:
 				rec = serve(h, http.MethodGet, "/api/stats", nil)
 			}
 			if rec != nil && rec.Code >= 500 {

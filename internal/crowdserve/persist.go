@@ -124,11 +124,12 @@ func (s *Server) Snapshot(w io.Writer) error {
 // Restore replaces the server state with a snapshot produced by Snapshot.
 // A snapshot that is inconsistent — a repeated round or assignment id, a
 // per-question array whose length differs from the round's questions, a
-// question whose votes and open slots do not add up to its workers, a
-// round whose remaining count is not its open slots, or an idempotency
-// key naming a missing round — is rejected with an error and the server
-// is left as it was. New rounds and assignments get ids above every
-// restored one, so they never replace restored work.
+// worker count outside 1..MaxWorkersPerQuestion (even counts from older
+// snapshots still load), a question whose votes and open slots do not add
+// up to its workers, a round whose remaining count is not its open slots,
+// or an idempotency key naming a missing round — is rejected with an error
+// and the server is left as it was. New rounds and assignments get ids
+// above every restored one, so they never replace restored work.
 func (s *Server) Restore(r io.Reader) error {
 	var snap snapshot
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
@@ -157,6 +158,10 @@ func (s *Server) Restore(r io.Reader) error {
 		}
 		free[rs.ID] = make([]int, n)
 		for i, votes := range rs.Votes {
+			if rd.needed[i] < 1 || rd.needed[i] > MaxWorkersPerQuestion {
+				return fmt.Errorf("crowdserve: snapshot round %d question %d needs %d workers, outside 1..%d",
+					rs.ID, i, rd.needed[i], MaxWorkersPerQuestion)
+			}
 			if len(votes) > rd.needed[i] {
 				return fmt.Errorf("crowdserve: snapshot round %d question %d has %d votes for %d workers",
 					rs.ID, i, len(votes), rd.needed[i])

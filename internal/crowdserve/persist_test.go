@@ -23,23 +23,12 @@ func TestSnapshotRestoreMidRound(t *testing.T) {
 
 	// Two of three judgments land before the "crash".
 	for _, worker := range []string{"w1", "w2"} {
-		r, err := http.Get(ts.URL + "/api/work?worker=" + worker)
-		if err != nil {
-			t.Fatal(err)
-		}
-		job := decode[workItem](t, r)
-		resp := postJSON(t, ts.URL+"/api/answers", map[string]any{
-			"assignment_id": job.AssignmentID, "worker": worker, "pref": "first",
-		})
-		resp.Body.Close()
+		job, _ := getWork(t, ts.URL, worker)
+		answerOne(t, ts.URL, worker, job.AssignmentID, "first")
 	}
 	// A third worker holds a lease at crash time; the lease must not
 	// survive.
-	r, err := http.Get(ts.URL + "/api/work?worker=w3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	leased := decode[workItem](t, r)
+	leased, _ := getWork(t, ts.URL, "w3")
 
 	var snap bytes.Buffer
 	if err := srv.Snapshot(&snap); err != nil {
@@ -55,32 +44,20 @@ func TestSnapshotRestoreMidRound(t *testing.T) {
 	defer ts2.Close()
 
 	// The leased slot is open again; w3's stale lease is void.
-	resp = postJSON(t, ts2.URL+"/api/answers", map[string]any{
-		"assignment_id": leased.AssignmentID, "worker": "w3", "pref": "second",
-	})
-	if resp.StatusCode == http.StatusOK {
+	if answerOne(t, ts2.URL, "w3", leased.AssignmentID, "second") {
 		t.Errorf("stale lease accepted after restore")
 	}
-	resp.Body.Close()
 
-	r, err = http.Get(ts2.URL + "/api/work?worker=w4")
-	if err != nil {
-		t.Fatal(err)
+	job, ok := getWork(t, ts2.URL, "w4")
+	if !ok {
+		t.Fatal("restored server has no open work")
 	}
-	if r.StatusCode != http.StatusOK {
-		t.Fatalf("restored server has no open work: %s", r.Status)
+	if !answerOne(t, ts2.URL, "w4", job.AssignmentID, "first") {
+		t.Fatal("answer after restore rejected")
 	}
-	job := decode[workItem](t, r)
-	resp = postJSON(t, ts2.URL+"/api/answers", map[string]any{
-		"assignment_id": job.AssignmentID, "worker": "w4", "pref": "first",
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("answer after restore rejected: %s", resp.Status)
-	}
-	resp.Body.Close()
 
 	// The round is complete with the two pre-crash votes plus one new one.
-	r, err = http.Get(ts2.URL + "/api/rounds/1")
+	r, err := http.Get(ts2.URL + "/api/rounds/1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,18 +75,11 @@ func TestSnapshotRestoreMidRound(t *testing.T) {
 func TestSnapshotDoubleVotePreventionSurvives(t *testing.T) {
 	srv, ts := newTestServer(t)
 	resp := postJSON(t, ts.URL+"/api/rounds", map[string]any{
-		"questions": []QuestionJSON{{A: 0, B: 1, Attr: 0, Workers: 2}},
+		"questions": []QuestionJSON{{A: 0, B: 1, Attr: 0, Workers: 3}},
 	})
 	resp.Body.Close()
-	r, err := http.Get(ts.URL + "/api/work?worker=w1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	job := decode[workItem](t, r)
-	resp = postJSON(t, ts.URL+"/api/answers", map[string]any{
-		"assignment_id": job.AssignmentID, "worker": "w1", "pref": "first",
-	})
-	resp.Body.Close()
+	job, _ := getWork(t, ts.URL, "w1")
+	answerOne(t, ts.URL, "w1", job.AssignmentID, "first")
 
 	var snap bytes.Buffer
 	if err := srv.Snapshot(&snap); err != nil {
@@ -122,14 +92,9 @@ func TestSnapshotDoubleVotePreventionSurvives(t *testing.T) {
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 
-	r, err = http.Get(ts2.URL + "/api/work?worker=w1")
-	if err != nil {
-		t.Fatal(err)
+	if _, ok := getWork(t, ts2.URL, "w1"); ok {
+		t.Errorf("w1 offered a second slot of an answered question after restore")
 	}
-	if r.StatusCode != http.StatusNoContent {
-		t.Errorf("w1 offered a second slot of an answered question after restore: %s", r.Status)
-	}
-	r.Body.Close()
 }
 
 func TestSaveLoadFile(t *testing.T) {
@@ -157,14 +122,10 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
-	r, err := http.Get(ts2.URL + "/api/work?worker=w")
-	if err != nil {
-		t.Fatal(err)
+	job, ok := getWork(t, ts2.URL, "w")
+	if !ok {
+		t.Fatal("restored queue empty")
 	}
-	if r.StatusCode != http.StatusOK {
-		t.Fatalf("restored queue empty: %s", r.Status)
-	}
-	job := decode[workItem](t, r)
 	if job.A != 3 || job.B != 4 || job.Attr != 1 {
 		t.Errorf("restored question wrong: %+v", job)
 	}
@@ -192,6 +153,14 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 		snap := `{"rounds":[` + round + `],"open":[{"id":1,"round_id":1,"q_index":0}]}`
 		if err := srv.Restore(strings.NewReader(snap)); err == nil {
 			t.Errorf("short per-question array accepted: %s", round)
+		}
+	}
+	// A worker count outside 1..MaxWorkersPerQuestion: the vote capacity
+	// reserved for it would be empty, or too large to allocate.
+	for _, needed := range []string{"0", "4611686018427387904"} {
+		snap := `{"rounds":[{"id":1,"questions":[{"a":0,"b":1}],"votes":[[]],"voters":[{}],"needed":[` + needed + `],"remaining":0}]}`
+		if err := srv.Restore(strings.NewReader(snap)); err == nil {
+			t.Errorf("needed %s accepted", needed)
 		}
 	}
 	// More votes or open slots than the question has workers: the vote

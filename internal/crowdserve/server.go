@@ -14,35 +14,29 @@
 //
 //	POST /api/rounds            {questions: [{a,b,attr,workers}]} → {round_id}
 //	GET  /api/rounds/{id}       → {done, answers: [{a,b,attr,pref}]}
-//	GET  /api/work?worker=W     → {assignment_id, a, b, attr} or 204
-//	GET  /api/work?worker=W&max=K
+//	GET  /api/work?worker=W[&max=K]
 //	                            → {leases: [{assignment_id, a, b, attr}]} or 204
-//	POST /api/answers           {assignment_id, worker, pref, next?}
-//	                            → {ok, next?: {assignment_id, a, b, attr}}
 //	POST /api/answers           {worker, judgments: [{assignment_id, pref}], max?}
 //	                            → {ok, accepted: [bool], leases?: [...]}
 //	GET  /api/stats             → {rounds, questions, judgments, open,
 //	                               lease_requeues, judgments_by_worker}
 //	GET  /metrics               → Prometheus text exposition
 //
-// pref is "first", "second" or "equal". Assignments are leased: a fetched
-// assignment that is not answered within the lease duration is silently
-// requeued for another worker, so stalled workers cannot wedge a round.
+// pref is "first", "second" or "equal"; workers is 0 (one worker) or an
+// odd count up to MaxWorkersPerQuestion, so a majority always exists.
+// Assignments are leased: a fetched assignment that is not answered within
+// the lease duration is silently requeued for another worker, so stalled
+// workers cannot wedge a round.
 //
 // A worker exchange carries up to one HIT's worth of work
-// (crowd.QuestionsPerHIT): max, from 1 to QuestionsPerHIT, leases up to
-// that many assignments under one lock hold, in the order that many
-// single leases would grant them, and judgments holds at most
-// QuestionsPerHIT judgments. Each judgment is checked on its own; the
-// reply flags it in accepted, in order, and a rejected judgment does not
-// stop the others from counting. Without max a batched answer leases
-// nothing.
-//
-// The single-judgment answer is the one-element case of the same path.
-// With "next": true it also leases the worker's next assignment, as a
-// GET /api/work right after it would. next is omitted from the reply when
-// nothing compatible is open, and a rejected single answer (400, 403,
-// 409) leases nothing. Without "next" the reply is {"ok": true}.
+// (crowd.QuestionsPerHIT): max, from 1 to QuestionsPerHIT (1 when absent
+// from GET /api/work, none when absent from an answer), leases up to that
+// many assignments under one lock hold, in the order that many one-lease
+// requests would grant them, and judgments holds 1 to QuestionsPerHIT
+// judgments. Each judgment is checked on its own; the reply flags it in
+// accepted, in order, and a rejected judgment (foreign, lapsed, already
+// answered) does not stop the others from counting. A malformed request
+// is a 400 that records and leases nothing.
 package crowdserve
 
 import (
@@ -87,8 +81,8 @@ type AnswerJSON struct {
 	Pref string `json:"pref"`
 }
 
-// workItem is the wire form of one leased assignment: the body of a 200
-// from GET /api/work and the next field of an answer's acknowledgement.
+// workItem is the wire form of one leased assignment, an element of the
+// leases that GET /api/work and an answer's acknowledgement carry.
 type workItem struct {
 	AssignmentID int64 `json:"assignment_id"`
 	A            int   `json:"a"`
@@ -96,39 +90,31 @@ type workItem struct {
 	Attr         int   `json:"attr"`
 }
 
-// leaseBatch is the body of a 200 from GET /api/work with max.
+// leaseBatch is the body of a 200 from GET /api/work.
 type leaseBatch struct {
 	Leases []workItem `json:"leases"`
 }
 
-// judgmentJSON is one judgment of a batched answer.
+// judgmentJSON is one judgment of an answer.
 type judgmentJSON struct {
 	AssignmentID int64  `json:"assignment_id"`
 	Pref         string `json:"pref"`
 }
 
-// answerRequest is the body of POST /api/answers in either form: one
-// judgment in AssignmentID and Pref, or a batch in Judgments.
+// answerRequest is the body of POST /api/answers: up to
+// crowd.QuestionsPerHIT judgments, each accepted or rejected on its own,
+// and the number of new assignments to lease with the reply.
 type answerRequest struct {
-	AssignmentID int64  `json:"assignment_id,omitempty"`
-	Worker       string `json:"worker"`
-	Pref         string `json:"pref,omitempty"`
-	// Next asks the server to lease the worker's next assignment once
-	// this judgment is accepted.
-	Next bool `json:"next,omitempty"`
-	// Judgments is the batched form: up to crowd.QuestionsPerHIT
-	// judgments, each accepted or rejected on its own.
-	Judgments []judgmentJSON `json:"judgments,omitempty"`
-	// Max asks a batched answer to lease up to Max new assignments.
-	Max int `json:"max,omitempty"`
+	Worker    string         `json:"worker"`
+	Judgments []judgmentJSON `json:"judgments"`
+	Max       int            `json:"max,omitempty"`
 }
 
-// answerAck is the reply to an accepted answer. A single judgment gets OK
-// and Next; a batch gets OK, one Accepted flag per judgment, and Leases.
+// answerAck is the reply to an answer: one Accepted flag per judgment, in
+// order, and the new leases.
 type answerAck struct {
 	OK       bool       `json:"ok"`
-	Next     *workItem  `json:"next,omitempty"`
-	Accepted []bool     `json:"accepted,omitempty"`
+	Accepted []bool     `json:"accepted"`
 	Leases   []workItem `json:"leases,omitempty"`
 }
 
@@ -377,8 +363,10 @@ func (s *Server) handlePostRound(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for i, q := range body.Questions {
-		if q.Workers < 0 || q.Workers > MaxWorkersPerQuestion {
-			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("question %d: workers %d outside 0..%d", i, q.Workers, MaxWorkersPerQuestion))
+		// An even count could split its votes evenly, and a tie reads as
+		// Equal whatever the pair's truth.
+		if q.Workers < 0 || q.Workers > MaxWorkersPerQuestion || q.Workers != 0 && q.Workers%2 == 0 {
+			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("question %d: workers %d is not 0 or an odd count up to %d", i, q.Workers, MaxWorkersPerQuestion))
 			return
 		}
 	}
@@ -507,9 +495,10 @@ func (s *Server) handleGetRound(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, out)
 }
 
-// handleGetWork leases the polling worker's next compatible assignment,
-// or up to max of them, or answers 204 when there is none. Idle workers
-// poll here in a loop; busy ones lease through POST /api/answers instead.
+// handleGetWork leases up to max of the polling worker's next compatible
+// assignments, one when max is absent, or answers 204 when there is none.
+// Idle workers poll here in a loop; busy ones lease through POST
+// /api/answers instead.
 func (s *Server) handleGetWork(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	worker, ok := cleanWorkerID(q.Get("worker"))
@@ -517,9 +506,8 @@ func (s *Server) handleGetWork(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "missing or invalid worker id")
 		return
 	}
-	batched := q.Has("max")
 	limit := 1
-	if batched {
+	if q.Has("max") {
 		if limit, ok = parseMax(q.Get("max")); !ok {
 			s.writeError(w, http.StatusBadRequest, "max must be an integer from 1 to 5")
 			return
@@ -533,11 +521,7 @@ func (s *Server) handleGetWork(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	if batched {
-		s.writeJSON(w, http.StatusOK, leaseBatch{Leases: jobs[:n]})
-		return
-	}
-	s.writeJSON(w, http.StatusOK, jobs[0])
+	s.writeJSON(w, http.StatusOK, leaseBatch{Leases: jobs[:n]})
 }
 
 // parseMax validates a wire lease count: an integer from 1 to
@@ -564,7 +548,7 @@ func (s *Server) leaseLocked(worker string, jobs []workItem) int {
 // leaseNextLocked leases the first open assignment, in FIFO order, that
 // the worker may take, and returns its wire form; ok is false when
 // nothing compatible is open. It is the one place a lease is granted, whether the worker polled
-// GET /api/work or asked for its next job with an answer. Steady-state
+// GET /api/work or asked for its next jobs with an answer. Steady-state
 // lease bookkeeping and queue rotation must not allocate.
 func (s *Server) leaseNextLocked(worker string) (job workItem, ok bool) {
 	s.reapExpiredLocked()
@@ -646,40 +630,25 @@ func (s *Server) reapExpiredLocked() {
 	}
 }
 
-// handlePostAnswer accepts a worker's judgments, one or a batch, and
-// then, when the worker asks for it, leases the worker's next
-// assignments under the same lock hold. The single form is the
-// one-element case of the batch: it differs only in its reply, and in
-// that a rejected judgment fails the request and leases nothing. Vote
-// recording appends into capacity reserved at round creation, and only
-// telemetry and the response allocate.
+// handlePostAnswer records a worker's judgments and then leases up to max
+// of the worker's next assignments under the same lock hold. A body with
+// any field besides worker, judgments and max is a 400. Vote recording
+// appends into capacity reserved at round creation, and only telemetry
+// and the response allocate.
 func (s *Server) handlePostAnswer(w http.ResponseWriter, r *http.Request) {
 	var body answerRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&body); err != nil {
 		s.writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
 		return
 	}
-	batched := body.Judgments != nil
 	judgments, limit := body.Judgments, body.Max
-	var one [1]judgmentJSON
-	switch {
-	case !batched:
-		if limit != 0 {
-			s.writeError(w, http.StatusBadRequest, "max needs a judgments list")
-			return
-		}
-		one[0] = judgmentJSON{AssignmentID: body.AssignmentID, Pref: body.Pref}
-		judgments = one[:]
-		if body.Next {
-			limit = 1
-		}
-	case body.AssignmentID != 0 || body.Pref != "" || body.Next:
-		s.writeError(w, http.StatusBadRequest, "a batched answer carries its judgments only in judgments")
-		return
-	case len(judgments) == 0 || len(judgments) > crowd.QuestionsPerHIT:
+	if len(judgments) == 0 || len(judgments) > crowd.QuestionsPerHIT {
 		s.writeError(w, http.StatusBadRequest, "judgments must hold 1 to 5 judgments")
 		return
-	case limit < 0 || limit > crowd.QuestionsPerHIT:
+	}
+	if limit < 0 || limit > crowd.QuestionsPerHIT {
 		s.writeError(w, http.StatusBadRequest, "max must be absent or an integer from 1 to 5")
 		return
 	}
@@ -701,41 +670,24 @@ func (s *Server) handlePostAnswer(w http.ResponseWriter, r *http.Request) {
 	defer s.mu.Unlock()
 	var accepted [crowd.QuestionsPerHIT]bool
 	for i, j := range judgments {
-		status := s.recordJudgmentLocked(worker, j.AssignmentID, prefs[i], j.Pref)
-		if !batched && status != http.StatusOK {
-			s.writeError(w, status, rejectReason(status))
-			return
-		}
-		accepted[i] = status == http.StatusOK
+		accepted[i] = s.recordJudgmentLocked(worker, j.AssignmentID, prefs[i], j.Pref)
 	}
 	var jobs [crowd.QuestionsPerHIT]workItem
 	n := s.leaseLocked(worker, jobs[:limit])
-	ack := answerAck{OK: true}
-	switch {
-	case batched:
-		ack.Accepted = accepted[:len(judgments)]
-		ack.Leases = jobs[:n]
-	case n == 1:
-		ack.Next = &jobs[0]
-	}
-	s.writeJSON(w, http.StatusOK, ack)
+	s.writeJSON(w, http.StatusOK, answerAck{OK: true, Accepted: accepted[:len(judgments)], Leases: jobs[:n]})
 }
 
-// recordJudgmentLocked records one judgment when the assignment is
-// leased, not yet answered, leased to this worker, and the worker has not
-// voted on its question yet. It returns http.StatusOK when it recorded
-// the vote and the status a single answer is rejected with otherwise.
-func (s *Server) recordJudgmentLocked(worker string, id int64, pref crowd.Preference, wirePref string) int {
+// recordJudgmentLocked records one judgment and reports whether it did:
+// the assignment must be leased, not yet answered, leased to this worker,
+// and the worker must not have voted on its question yet.
+func (s *Server) recordJudgmentLocked(worker string, id int64, pref crowd.Preference, wirePref string) bool {
 	a, ok := s.leased[id]
-	if !ok || a.done {
-		return http.StatusConflict
-	}
-	if a.leasedTo != worker {
-		return http.StatusForbidden
+	if !ok || a.done || a.leasedTo != worker {
+		return false
 	}
 	rd := s.rounds[a.roundID]
 	if rd.voters[a.qIndex][worker] {
-		return http.StatusConflict
+		return false
 	}
 	a.done = true
 	delete(s.leased, id)
@@ -757,15 +709,7 @@ func (s *Server) recordJudgmentLocked(worker string, id int64, pref crowd.Prefer
 	s.judgments++
 	s.perWorker[worker]++
 	s.mJudgments.Inc()
-	return http.StatusOK
-}
-
-// rejectReason is the error message of a rejected single answer.
-func rejectReason(status int) string {
-	if status == http.StatusForbidden {
-		return "assignment leased to another worker"
-	}
-	return "assignment not leased (expired or already answered)"
+	return true
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

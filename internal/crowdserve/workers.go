@@ -44,9 +44,10 @@ type WorkerConfig struct {
 // A worker works one HIT at a time: it holds up to crowd.QuestionsPerHIT
 // leases and submits their judgments in one batched answer that asks for
 // as many new leases, so a busy worker spends one exchange per HIT. A
-// faulted lease leaves the batch and misbehaves on its own. The worker
-// polls GET /api/work only when it holds no job: at start, once the queue
-// ran dry, and after a failed answer or a HIT whose every lease faulted.
+// faulted lease leaves the batch and misbehaves on its own: a duplicate or
+// stale judgment is posted as a one-judgment answer. The worker polls
+// GET /api/work only when it holds no job: at start, once the queue ran
+// dry, and after a failed answer or a HIT whose every lease faulted.
 func SimulateWorkers(ctx context.Context, baseURL string, cfg WorkerConfig) {
 	poll := cfg.PollInterval
 	if poll <= 0 {
@@ -75,7 +76,7 @@ func SimulateWorkers(ctx context.Context, baseURL string, cfg WorkerConfig) {
 				batch = batch[:0]
 				for _, job := range held {
 					truth := cfg.Truth.Answer(crowd.Question{A: job.A, B: job.B, Attr: job.Attr})
-					j := answerRequest{AssignmentID: job.AssignmentID, Worker: name, Pref: worker.Judge(truth, rng).String()}
+					j := judgmentJSON{AssignmentID: job.AssignmentID, Pref: worker.Judge(truth, rng).String()}
 					var fault faultinject.Kind
 					if cfg.Faults != nil {
 						fault = cfg.Faults.Next(rng)
@@ -85,16 +86,17 @@ func SimulateWorkers(ctx context.Context, baseURL string, cfg WorkerConfig) {
 						// Walk away with the lease; the server must requeue the
 						// slot once it lapses.
 					case faultinject.KindWorkerDuplicate:
-						submitAnswers(ctx, client, baseURL, j)
-						submitAnswers(ctx, client, baseURL, j)
+						alone := answerRequest{Worker: name, Judgments: []judgmentJSON{j}}
+						submitAnswers(ctx, client, baseURL, alone)
+						submitAnswers(ctx, client, baseURL, alone)
 					case faultinject.KindWorkerStale:
 						// Outlive the lease, then submit; the server must reject
 						// the late judgment (the slot belongs to someone else).
 						if pause(ctx, cfg.Faults.Delay()) {
-							submitAnswers(ctx, client, baseURL, j)
+							submitAnswers(ctx, client, baseURL, answerRequest{Worker: name, Judgments: []judgmentJSON{j}})
 						}
 					default:
-						batch = append(batch, judgmentJSON{AssignmentID: j.AssignmentID, Pref: j.Pref})
+						batch = append(batch, j)
 					}
 				}
 				held = nil
@@ -147,10 +149,9 @@ func fetchWork(ctx context.Context, client *http.Client, baseURL, worker string)
 	return batch.Leases
 }
 
-// submitAnswers posts one answer, single or batched, and reports whether
-// the server accepted it and its reply arrived whole; a batch is accepted
-// even when some of its judgments are not. leases are the ones the reply
-// carries.
+// submitAnswers posts one answer and reports whether the server accepted
+// it and its reply arrived whole; an answer is accepted even when some of
+// its judgments are not. leases are the ones the reply carries.
 func submitAnswers(ctx context.Context, client *http.Client, baseURL string, body answerRequest) (leases []workItem, accepted bool) {
 	data, err := json.Marshal(body)
 	if err != nil {
@@ -174,9 +175,6 @@ func submitAnswers(ctx context.Context, client *http.Client, baseURL string, bod
 	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
 		// A torn reply may have stranded leases; they lapse and requeue.
 		return nil, false
-	}
-	if ack.Next != nil {
-		return []workItem{*ack.Next}, true
 	}
 	return ack.Leases, true
 }
