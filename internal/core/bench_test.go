@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"crowdsky/internal/crowd"
 	"crowdsky/internal/dataset"
+	"crowdsky/internal/skyline"
 )
 
 // BenchmarkRound times one steady-state serving round (answer folding,
@@ -60,6 +62,30 @@ func BenchmarkQgen(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				active = ss.startPipelines(active[:0], open, nil)
 			}
+		})
+	}
+}
+
+// BenchmarkSessionMemory records what one Serial session allocates over
+// ANT data (|AK| = 4, |AC| = 2, the shape of skybench's serial-ant-5k)
+// across the kernel sweep's cardinalities, under a perfect crowd:
+// alloc_MB/session is the heap the whole session allocates, index and
+// preference graphs included, and bitmap_MB the part the dominance index
+// holds (IndexStats.BitmapBytes). At n = 20000 one session takes a few
+// seconds.
+func BenchmarkSessionMemory(b *testing.B) {
+	for _, n := range []int{1000, 5000, 10000, 20000} {
+		d := randomDataset(1, n, 4, 2, dataset.AntiCorrelated)
+		bitmap := skyline.NewIndex(d).Stats().BitmapBytes
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < b.N; i++ {
+				Run(d, perfect(d), AllPruning())
+			}
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/1e6, "alloc_MB/session")
+			b.ReportMetric(float64(bitmap)/1e6, "bitmap_MB")
 		})
 	}
 }

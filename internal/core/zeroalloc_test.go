@@ -13,35 +13,71 @@ import (
 // instrumentation changes what a run allocates.
 var raceEnabled bool
 
-// TestSessionAllocBudget gates the memory one dense session allocates:
-// a perfect-crowd run over n = 4000 IND tuples (|AK| = 4, |AC| = 2, the
-// shape of the sl-ind-4k benchmark workload) must allocate less than
-// 15 MiB in total, under ParallelSL and under ParallelDSet. Sessions read
-// DS(t) from the dominance bitmap; materializing the Σ|DS(t)|
-// dominating-set lists again adds about 8 MB and fails the gate (19.5 MB
-// against 11.5 MB without them). ParallelDSet's batching marks each
-// batch's dominators in an n-bit set; an n-entry []bool per batch
-// instead fails it too (22.0 MiB).
+// TestSessionAllocBudget gates the memory one session allocates under a
+// perfect crowd, in the shapes of two benchmark workloads (|AK| = 4,
+// |AC| = 2): ParallelSL and ParallelDSet over n = 4000 IND tuples
+// (sl-ind-4k) and Serial over n = 5000 ANT tuples (serial-ant-5k). The
+// budgets hold for a one-worker dominance-index build; every further
+// build worker adds its private scratch (indexBuildScratch), so the gate
+// reads the same on any CPU count. GOMAXPROCS is pinned to 2 because
+// every fan-out helper keeps its own question-generation scratch.
+// History of what the gate catches:
+//   - sessions read DS(t) from the dominance bitmap; materializing the
+//     Σ|DS(t)| dominating-set lists again adds about 8 MB;
+//   - ParallelDSet's batching marks each batch's dominators in an n-bit
+//     set; an n-entry []bool per batch instead added about 10 MiB;
+//   - the preference graphs carve a descendant row on its first write,
+//     and the transposed dominance rows start at their tuple's score run.
+//     With every graph row allocated at New and full-width transposed
+//     rows the sessions allocated 10.3 (SL), 12.3 (DSet) and 16.4 MiB
+//     (Serial) with one build worker; they now allocate 6.9, 8.9 and
+//     12.1 MiB.
 func TestSessionAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation")
 	}
-	const budget = 15 << 20
-	d := randomDataset(1, 4000, 4, 2, dataset.Independent)
-	for _, s := range []Schedule{BySkylineLayers, ByDominatingSets} {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	ind := randomDataset(1, 4000, 4, 2, dataset.Independent)
+	ant := randomDataset(1, 5000, 4, 2, dataset.AntiCorrelated)
+	for _, c := range []struct {
+		s         Schedule
+		d         *dataset.Dataset
+		budgetMiB float64 // with one index build worker
+	}{
+		{BySkylineLayers, ind, 8.5},
+		{ByDominatingSets, ind, 10.5},
+		{Serial, ant, 14.5},
+	} {
 		opts := AllPruning()
-		opts.Schedule = s
+		opts.Schedule = c.s
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		res := Run(d, perfect(d), opts)
+		res := Run(c.d, perfect(c.d), opts)
 		runtime.ReadMemStats(&after)
 		if len(res.Skyline) == 0 {
-			t.Fatalf("%s: the session found no skyline", s)
+			t.Fatalf("%s: the session found no skyline", c.s)
 		}
-		if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
-			t.Errorf("%s: one session allocated %.1f MiB; want under %d MiB", s, float64(got)/(1<<20), budget>>20)
+		got := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+		extra := float64(indexBuildScratch(c.d.N(), c.d.KnownDims())) / (1 << 20)
+		t.Logf("%s, n = %d: %.2f MiB (%.2f MiB allowed for extra index build workers)", c.s, c.d.N(), got, extra)
+		if got >= c.budgetMiB+extra {
+			t.Errorf("%s: one session allocated %.2f MiB; want under %.2f MiB (%.1f MiB plus %.2f MiB for extra index build workers)",
+				c.s, got, c.budgetMiB+extra, c.budgetMiB, extra)
 		}
 	}
+}
+
+// indexBuildScratch is what the dominance-index build over n ≥ 2048
+// tuples with dims known attributes allocates for its workers beyond the
+// first. It runs min(NumCPU, ⌈n/1024⌉) workers, one per 1024-candidate
+// chunk at most, and each keeps private rank-kernel tables: per
+// attribute, 1025 sorted-prefix rows of 16 words and one int32 rank per
+// tuple (skyline's buildBitmap).
+func indexBuildScratch(n, dims int) uint64 {
+	const chunk = 1024
+	workers := min(runtime.NumCPU(), (n+chunk-1)/chunk)
+	perWorker := dims * ((chunk+1)*(chunk/64)*8 + n*4)
+	return uint64(workers-1) * uint64(perWorker)
 }
 
 // TestZeroAlloc is the CI gate for the per-round session step: folding an

@@ -6,7 +6,11 @@
 // reachability answers "is s preferred over t?" including everything
 // inferable by transitivity — the machinery behind pruning P2 (Corollary 2)
 // and P3 (Section 3.4). Each class keeps its descendants as a bit-set row,
-// so every query is O(1). Ancestors are not stored: an insertion finds the
+// so every query is O(1). A row is carved from graph-owned slabs the first
+// time it is written; until then the class reads as empty through one
+// shared zero row, so a graph holds rows only for the classes a session
+// has placed above some other class (about half of them in a Serial
+// session). Ancestors are not stored: an insertion finds the
 // ones it changes by a pruned reverse search over the answered edges, and
 // ORs into each only the nonzero words of the new descendant row (closure
 // rows are sparse, so most words are zero). Ternary "equally preferred"
@@ -76,6 +80,16 @@ type Graph struct {
 	// canonicalize first.
 	reach []bitset.Set
 
+	// zero is a shared empty row that is never written: every class reads
+	// it until writable carves the class a row of its own, on the first
+	// write. Rows are cut from slabs of slabRows rows: slabs[:cut] have
+	// been cut from, spare is what is left of slabs[cut-1], and
+	// slabs[cut:] were kept, zeroed, by the last Reset.
+	zero  bitset.Set
+	slabs [][]uint64
+	cut   int
+	spare []uint64
+
 	// The answered edges, kept so AddPrefer/AddEqual can find a class's
 	// ancestors without an ancestor closure: inHead[r] is the first of
 	// r's in-edges in arena (-1 for none), chained through next. Sources
@@ -102,14 +116,19 @@ type inEdge struct {
 	src, next int32
 }
 
-// New creates an empty preference graph over nodes 0..n-1. The n closure
-// rows and the search's seen row are carved from a single arena, the
+// slabRows is the number of rows per slab: a graph allocates its rows
+// slabRows at a time and holds at most slabRows-1 spare ones.
+const slabRows = 64
+
+// New creates an empty preference graph over nodes 0..n-1. The shared
+// zero row and the search's seen row are carved from one allocation, the
 // class arrays, the in-list heads and both search scratch slices share
-// another, and the edge arena is pre-sized to n edges, so a graph costs
-// O(1) allocations however many nodes it has.
+// another, and the n row headers take a third. No descendant row is
+// allocated until it is first written, and the edge arena until the
+// first edge.
 func New(n int) *Graph {
 	ints := make([]int32, 5*n+(n+63)/64)
-	rows := bitset.Carve(n+1, n)
+	rows := bitset.Carve(2, n)
 	g := &Graph{
 		n:      n,
 		rep:    ints[:n:n],
@@ -118,27 +137,54 @@ func New(n int) *Graph {
 		inHead: ints[3*n : 4*n : 4*n],
 		stack:  ints[4*n : 5*n : 5*n],
 		words:  ints[5*n:],
-		reach:  rows[:n],
-		seen:   rows[n],
-		arena:  make([]inEdge, 0, n),
+		reach:  make([]bitset.Set, n),
+		zero:   rows[0],
+		seen:   rows[1],
 	}
 	g.Reset()
 	return g
 }
 
-// Reset returns the graph to its freshly-built empty state without
-// releasing its storage: every closure row is zeroed, every node is its
-// own class again and the edge arena is truncated. Sessions that serve
-// rounds against a fixed dataset reuse one graph per crowd attribute this
-// way instead of reallocating n bit rows per run.
+// Reset returns the graph to its freshly-built empty state: every node is
+// its own class again with an empty row, and the edge arena is truncated.
+// It keeps everything the graph has allocated, the slabs zeroed for
+// reuse, so a reset graph allocates nothing until it carves more rows or
+// records more edges than it did before.
 func (g *Graph) Reset() {
 	for i := 0; i < g.n; i++ {
 		g.rep[i], g.ring[i], g.size[i] = int32(i), int32(i), 1
-		g.reach[i].Clear()
+		g.reach[i] = g.zero
 		g.inHead[i] = -1
 	}
+	for _, s := range g.slabs[:g.cut] {
+		clear(s)
+	}
+	g.cut, g.spare = 0, nil
 	g.arena = g.arena[:0]
 	g.edges, g.unions, g.contradictions = 0, 0, 0
+}
+
+// carved reports whether class r has a row of its own. Only a graph with
+// nodes has classes, so the zero row has a first word to compare.
+func (g *Graph) carved(r int) bool { return &g.reach[r][0] != &g.zero[0] }
+
+// writable returns class r's row for writing, carving it on the first
+// write.
+func (g *Graph) writable(r int) bitset.Set {
+	if g.carved(r) {
+		return g.reach[r]
+	}
+	if len(g.spare) == 0 {
+		if g.cut == len(g.slabs) {
+			g.slabs = append(g.slabs, make([]uint64, min(slabRows, g.n)*len(g.zero)))
+		}
+		g.spare = g.slabs[g.cut]
+		g.cut++
+	}
+	w := len(g.zero)
+	g.reach[r] = bitset.Set(g.spare[:w:w])
+	g.spare = g.spare[w:]
+	return g.reach[r]
 }
 
 // N returns the number of nodes.
@@ -192,11 +238,14 @@ func (g *Graph) AddPrefer(s, t int) bool {
 		return true // already known
 	}
 	g.edges++
-	// The arena is pre-sized to n edges; past that it doubles, amortized O(1) per accepted answer.
+	// The arena doubles as it grows, amortized O(1) per accepted answer, and Reset keeps it.
 	g.arena = append(g.arena, inEdge{src: int32(u), next: g.inHead[v]})
 	g.inHead[v] = int32(len(g.arena) - 1)
 	// v and its descendants become reachable from u and from every
-	// ancestor of u that does not reach v yet.
+	// ancestor of u that does not reach v yet. u gets a row of its own
+	// if it has none; every ancestor already has one, having answered
+	// an edge.
+	g.writable(u)
 	words := g.nonzero(v)
 	g.fold(u, v, words)
 	g.raise(u, v, words, nil)
@@ -233,7 +282,9 @@ func (g *Graph) AddEqual(s, t int) bool {
 	g.size[r] += g.size[l]
 
 	// The merged class inherits both descendant sets and both in-lists.
-	g.reach[r].Or(g.reach[l])
+	if g.carved(l) {
+		g.writable(r).Or(g.reach[l])
+	}
 	if h := g.inHead[l]; h >= 0 {
 		e := h
 		for g.arena[e].next >= 0 {
@@ -255,8 +306,12 @@ func (g *Graph) AddEqual(s, t int) bool {
 
 // nonzero writes the indices of reach[v]'s nonzero words into the words
 // scratch and returns that prefix. It writes by index rather than
-// appending, so the scratch sized at New is never outgrown.
+// appending, so the scratch sized at New is never outgrown. A row not
+// carved yet has none.
 func (g *Graph) nonzero(v int) []int32 {
+	if !g.carved(v) {
+		return g.words[:0]
+	}
 	row := g.reach[v]
 	words := g.words[:len(row)]
 	k := 0
@@ -270,7 +325,9 @@ func (g *Graph) nonzero(v int) []int32 {
 }
 
 // fold ORs reach[v]∪{v} into reach[p], touching only the given words of
-// reach[v] (its nonzero ones, from nonzero) and v's own bit.
+// reach[v] (its nonzero ones, from nonzero) and v's own bit. p's row must
+// be carved: the source of an answered edge always is, and a merge
+// carves the survivor when either class had a row.
 func (g *Graph) fold(p, v int, words []int32) {
 	dst, src := g.reach[p], g.reach[v]
 	for _, w := range words {

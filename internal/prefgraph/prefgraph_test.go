@@ -597,3 +597,45 @@ func TestReset(t *testing.T) {
 		t.Fatalf("counters differ between reset and fresh graph")
 	}
 }
+
+// TestRowsCarvedOnWrite checks that a graph holds rows only for the
+// classes written to: after a chain of k preferences only its k sources
+// have rows, however many nodes the graph has, on a new graph and on a
+// reset one.
+func TestRowsCarvedOnWrite(t *testing.T) {
+	const n, k = 1000, 100
+	g := New(n)
+	for pass := 0; pass < 2; pass++ {
+		for v := 1; v <= k; v++ {
+			g.AddPrefer(v-1, v)
+		}
+		if carved := carvedRows(g); carved > k+1 {
+			t.Fatalf("pass %d: a chain of %d preferences carved %d rows; want at most %d", pass, k, carved, k+1)
+		}
+		if !g.Prefers(0, k) || g.Comparable(k, k+1) {
+			t.Fatalf("pass %d: chain closure wrong", pass)
+		}
+		g.Reset()
+	}
+	// Merging two classes without rows carves nothing; the survivor of a
+	// merge with a written class gets a row.
+	g.AddEqual(k+1, k+2)
+	if carved := carvedRows(g); carved != 0 {
+		t.Fatalf("merging two empty classes carved %d rows", carved)
+	}
+	g.AddPrefer(k+3, k+4)
+	g.AddEqual(k+2, k+3)
+	if carved := carvedRows(g); carved != 2 || !g.Prefers(k+1, k+4) {
+		t.Fatalf("after merging into a written class: %d rows carved, Prefers(%d, %d) = %v; want 2, true",
+			carved, k+1, k+4, g.Prefers(k+1, k+4))
+	}
+}
+
+// carvedRows counts the rows g has carved since New or its last Reset.
+func carvedRows(g *Graph) int {
+	if g.cut == 0 {
+		return 0
+	}
+	w := len(g.zero)
+	return (g.cut*min(slabRows, g.n)*w - len(g.spare)) / w
+}

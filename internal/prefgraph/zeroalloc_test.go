@@ -1,14 +1,19 @@
 package prefgraph
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestZeroAlloc is the CI gate for the per-answer hot path: recording
 // preferences — fresh, re-applied and equality merges — and querying the
-// closure must not allocate. Every bit set, the search stack and the
-// nonzero-word scratch are sized at New, the edge arena is pre-sized to n
-// edges and survives Reset, and the reverse search walks the arena
-// directly instead of closing over state, so a regression here means a
-// closure or append crept back into an insertion path.
+// closure must not allocate. The search stack, the seen row and the
+// nonzero-word scratch are sized at New; the descendant rows carved on
+// first write and the edge arena are kept by Reset, which the measured
+// run calls first, so the warm-up leaves every one it needs; and the
+// reverse search walks the arena directly instead of closing over state.
+// A regression here means a closure or append crept back into an
+// insertion path.
 func TestZeroAlloc(t *testing.T) {
 	const n = 512 // rows of 8 words
 	// Two disjoint chains, in words 5 and 7 of a row, under a common
@@ -63,5 +68,22 @@ func TestZeroAlloc(t *testing.T) {
 	}
 	if !g.Prefers(0, n-1) || !g.Prefers(n/3+1, n-1) || g.Known(n-2, n-1) != Equal {
 		t.Fatalf("merged class not below the whole chain")
+	}
+}
+
+// TestNewAllocBudget gates what an empty graph costs: New(20000) must
+// allocate under 1 MiB, its O(n) class arrays and row headers.
+// Allocating every descendant row up front instead takes 50 MB.
+func TestNewAllocBudget(t *testing.T) {
+	const n, budget = 20000, 1 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g := New(n)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
+		t.Fatalf("New(%d) allocated %d bytes; want under %d", n, got, budget)
+	}
+	if g.N() != n {
+		t.Fatalf("N() = %d, want %d", g.N(), n)
 	}
 }

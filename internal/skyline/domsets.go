@@ -62,8 +62,10 @@ type FreqCounter struct {
 	// and the member bits x are original tuple indices; an index-backed
 	// counter (Index.FreqCounter) stores rows and bits in sorted-position
 	// space and remaps queries through pos. Frequencies are counts, so the
-	// relabeling is invisible to callers.
+	// relabeling is invisible to callers. Row u holds the words from
+	// start[u] on; the words before it are zero.
 	dominated []bitset.Set
+	start     []int
 	pos       []int // original index -> row; nil means identity
 }
 
@@ -72,7 +74,7 @@ type FreqCounter struct {
 // on the same dataset.
 func NewFreqCounter(d *dataset.Dataset, sets [][]int) *FreqCounter {
 	n := d.N()
-	fc := &FreqCounter{dominated: make([]bitset.Set, n)}
+	fc := &FreqCounter{dominated: make([]bitset.Set, n), start: make([]int, n)}
 	for u := 0; u < n; u++ {
 		fc.dominated[u] = bitset.New(n)
 	}
@@ -94,5 +96,12 @@ func (fc *FreqCounter) Freq(u, v int) int {
 			return 0
 		}
 	}
-	return fc.dominated[u].AndCount(fc.dominated[v])
+	// Only the words both rows hold can have members in common.
+	a, b := fc.dominated[u], fc.dominated[v]
+	if d := fc.start[v] - fc.start[u]; d > 0 {
+		a = a[d:]
+	} else {
+		b = b[-d:]
+	}
+	return a.AndCount(b)
 }

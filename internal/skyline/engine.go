@@ -37,6 +37,9 @@ import (
 //     known rows, which would survive the weak-AND) are cleared in a
 //     final pass, restoring strictness. Chunks are the one unit of
 //     parallel work: workers claim them from a shared counter;
+//   - the transposed bitmap {t : s ≺AK t} is kept beside it, and by the
+//     same score order row s starts at the word of s's own equal-score
+//     run: on average half of each transposed row is never stored;
 //   - DominatorCount, AppendDominators and PendingWord read DS(t)
 //     straight from t's dominator row, so crowd sessions never
 //     materialize the Σ|DS(t)| ints of the lists; DominatingSets, for
@@ -94,9 +97,12 @@ type Index struct {
 	// Rows are truncated to the words covering [0, runEnd[p]): no
 	// dominator can sort after the target's equal-score run.
 	domBy []bitset.Set
-	// dom[q] = {p : order[q] ≺AK order[p]}, the transpose, full width.
-	dom    []bitset.Set
-	counts []int // |DS| per position
+	// dom[q] = {p : order[q] ≺AK order[p]}, the transpose. Row q holds
+	// the words from domStart[q] on, the word of the first position of
+	// q's equal-score run: nothing q dominates sorts before its run.
+	dom      []bitset.Set
+	domStart []int
+	counts   []int // |DS| per position
 
 	stats IndexStats
 }
@@ -417,15 +423,28 @@ func (ix *Index) rowEqual(p, q int) bool {
 }
 
 // transpose builds dom (dominated-by rows) from domBy (dominators-of
-// rows) with 64×64 bit-block transposes. Shards own disjoint destination
-// row blocks, so writes never race.
+// rows) with 64×64 bit-block transposes. Row q starts at the word
+// holding the first position of q's equal-score run: no bit of q's
+// column in domBy lies before it. Shards own disjoint destination row
+// blocks, so writes never race.
 func (ix *Index) transpose() {
 	m := ix.m
 	words := (m + 63) >> 6
-	backing := make([]uint64, m*words)
+	ix.domStart = make([]int, m)
+	total := 0
+	for lo := 0; lo < m; lo = ix.runEnd[lo] {
+		for p := lo; p < ix.runEnd[lo]; p++ {
+			ix.domStart[p] = lo >> 6
+			total += words - lo>>6
+		}
+	}
+	backing := make([]uint64, total)
 	ix.dom = make([]bitset.Set, m)
+	off := 0
 	for p := 0; p < m; p++ {
-		ix.dom[p] = bitset.Set(backing[p*words : (p+1)*words : (p+1)*words])
+		w := words - ix.domStart[p]
+		ix.dom[p] = bitset.Set(backing[off : off+w : off+w])
+		off += w
 	}
 	blocks := words
 	// Partition units are 64-row blocks, so the fan-out decision weighs
@@ -433,7 +452,9 @@ func (ix *Index) transpose() {
 	shardSized(blocks, m, func(lo, hi int) {
 		var blk [64]uint64
 		for bc := lo; bc < hi; bc++ { // destination row block = source word column
-			for br := 0; br < blocks; br++ { // source row block = destination word column
+			// Run starts are nondecreasing in position, so the block's
+			// first row starts earliest.
+			for br := ix.domStart[bc<<6]; br < blocks; br++ { // source row block = destination word column
 				any := false
 				for k := 0; k < 64; k++ {
 					var wv uint64
@@ -451,7 +472,7 @@ func (ix *Index) transpose() {
 				transpose64(&blk)
 				for k := 0; k < 64; k++ {
 					if ps := bc<<6 + k; ps < m && blk[k] != 0 {
-						ix.dom[ps][br] = blk[k]
+						ix.dom[ps][br-ix.domStart[ps]] = blk[k]
 					}
 				}
 			}
@@ -573,9 +594,9 @@ func (ix *Index) DominatingSets() [][]int {
 			if ps < 0 {
 				continue
 			}
-			row := ix.dom[ps]
-			for wi := wlo; wi < whi; wi++ {
-				w := row[wi]
+			row, start := ix.dom[ps], ix.domStart[ps]
+			for wi := max(wlo, start); wi < whi; wi++ {
+				w := row[wi-start]
 				for w != 0 {
 					pt := wi<<6 + bits.TrailingZeros64(w)
 					w &= w - 1
@@ -630,9 +651,10 @@ func (ix *Index) ImmediateDominators() [][]int {
 						arena = append(arena, q)
 					}
 				}
+				// q is a member of row, so its run starts within row.
 				k := start
 				for _, q := range arena[start:] {
-					if !ix.dom[q].Intersects(row) {
+					if !ix.dom[q].Intersects(row[ix.domStart[q]:]) {
 						arena[k] = ix.order[q]
 						k++
 					}
@@ -656,5 +678,5 @@ func (ix *Index) ImmediateDominators() [][]int {
 // FreqCounter returns a co-domination frequency counter backed by the
 // index's bitmap; building it costs nothing beyond the index itself.
 func (ix *Index) FreqCounter() *FreqCounter {
-	return &FreqCounter{dominated: ix.dom, pos: ix.pos}
+	return &FreqCounter{dominated: ix.dom, start: ix.domStart, pos: ix.pos}
 }

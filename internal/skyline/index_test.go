@@ -457,3 +457,31 @@ func FuzzIndex(f *testing.F) {
 		checkAliveAgainstNaive(t, d, alive)
 	})
 }
+
+// TestTransposedRowsStartAtRun checks the transposed bitmap's layout,
+// unrestricted and alive-restricted: every position's row holds the words
+// from the one holding the first position of its equal-score run, found
+// here by walking back to where the run begins, to the last word.
+func TestTransposedRowsStartAtRun(t *testing.T) {
+	shapes := indexDatasets(t)
+	shapes["IND-4000"] = randData(1, 4000, 4, 2, dataset.Independent)
+	for name, d := range shapes {
+		alive := make([]bool, d.N())
+		for i := range alive {
+			alive[i] = i%3 != 1
+		}
+		for _, ix := range []*Index{NewIndex(d), NewIndexAlive(d, alive)} {
+			words := (ix.m + 63) >> 6
+			for p := 0; p < ix.m; p++ {
+				lo := p
+				for lo > 0 && ix.runEnd[lo-1] == ix.runEnd[p] {
+					lo--
+				}
+				if ix.domStart[p] != lo>>6 || len(ix.dom[p]) != words-lo>>6 {
+					t.Fatalf("%s (%d positions): row %d starts at word %d and holds %d words; its run starts at %d, so want word %d and %d words",
+						name, ix.m, p, ix.domStart[p], len(ix.dom[p]), lo, lo>>6, words-lo>>6)
+				}
+			}
+		}
+	}
+}

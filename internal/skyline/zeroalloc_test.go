@@ -31,3 +31,16 @@ func TestZeroAlloc(t *testing.T) {
 		t.Fatalf("index query allocated %.2f times per run; want 0", avg)
 	}
 }
+
+// TestBitmapBudget gates the memory the dominance index holds on the
+// n = 4000 IND dataset (|AK| = 4, the shape of the sl-ind-4k benchmark
+// workload): the two bitmaps take at most 2.1 MB. Transposed rows kept
+// at full width instead of from their score run take 3.03 MB.
+func TestBitmapBudget(t *testing.T) {
+	const budget = 2_100_000
+	st := NewIndex(randData(1, 4000, 4, 2, dataset.Independent)).Stats()
+	t.Logf("bitmaps: %d bytes for %d pairs", st.BitmapBytes, st.Pairs)
+	if st.BitmapBytes > budget {
+		t.Fatalf("the bitmaps hold %d bytes; want at most %d", st.BitmapBytes, budget)
+	}
+}
